@@ -5,7 +5,6 @@ simulates coincidence fringe scans with realistic instrument effects, and
 recovers the degree of polarization entanglement from fringe visibility.
 """
 
-from ._kernels import USING_NUMBA
 from .analysis import (VisibilityReport, concurrence, phi_scan_oracle,
                        visibility_from_extrema)
 from .detection import (ScanConfig, ScanRecord, expected_scan, sample_counts,
@@ -29,7 +28,6 @@ from .spdc import (CrystalConfig, GeometryConfig, SourceConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "VisibilityReport", "concurrence", "phi_scan_oracle", "visibility_from_extrema",
     "ScanConfig", "ScanRecord", "expected_scan", "sample_counts",
     "slit_visibility_factor",

@@ -8,11 +8,13 @@ can arbitrate every closed-form visibility law in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from . import _kernels
+import numpy as np
+
 from .errors import NotTwoQubitStateError, UndefinedVisibilityError
 from .polarization import PolarizationAngle
 from .spdc import TwoPhotonState, coincidence_probability, _projected_amplitudes
@@ -60,6 +62,34 @@ def _golden_section(f, lo: float, hi: float, minimize: bool, iters: int = 48) ->
     return 0.5 * (a + b)
 
 
+@functools.lru_cache(maxsize=4)
+def _phase_table(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of the uniform phase grid k * 2pi/n_grid."""
+    phases = np.arange(n_grid) * (2.0 * np.pi / n_grid)
+    cos_t, sin_t = np.cos(phases), np.sin(phases)
+    cos_t.flags.writeable = False
+    sin_t.flags.writeable = False
+    return cos_t, sin_t
+
+
+def _grid_extrema(pair_sum: float, cross_re: float, cross_im: float,
+                  n_grid: int) -> Tuple[float, float, float, float]:
+    """Scan 0.5*pair_sum + cross_re*cos(phi) - cross_im*sin(phi) on the
+    uniform grid over [0, 2pi).
+
+    Returns (phi_at_max, c_max, phi_at_min, c_min) at the first grid point
+    attaining each extremum.
+    """
+    cos_t, sin_t = _phase_table(n_grid)
+    c = cross_re * cos_t
+    c += 0.5 * pair_sum
+    c -= cross_im * sin_t
+    i_max = int(np.argmax(c))
+    i_min = int(np.argmin(c))
+    step = 2.0 * np.pi / n_grid
+    return i_max * step, float(c[i_max]), i_min * step, float(c[i_min])
+
+
 def phi_scan_oracle(state: TwoPhotonState,
                     analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]] = None,
                     n_grid: int = 100_000) -> VisibilityReport:
@@ -75,7 +105,7 @@ def phi_scan_oracle(state: TwoPhotonState,
     b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
     pair_sum = abs(b1) ** 2 + abs(b2) ** 2
     cross = overlap * (b1.conjugate() * b2)
-    phi_hi, c_hi, phi_lo, c_lo = _kernels.grid_extrema(
+    phi_hi, c_hi, phi_lo, c_lo = _grid_extrema(
         pair_sum, cross.real, cross.imag, n_grid)
 
     half = math.pi / n_grid  # bracket each extremum by one grid step either side

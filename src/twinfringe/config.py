@@ -75,7 +75,13 @@ def _number(d: dict, key: str, path: str, default=None) -> float:
     v = d[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        value = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be finite")
+    return value
 
 
 def config_from_dict(doc: dict) -> RunConfig:

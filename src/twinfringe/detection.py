@@ -2,7 +2,7 @@
 
 Models the instrument chain as three independent effects: a boxcar slit
 average that smooths the fringe, a scalar mode-match factor that caps the
-visibility, and Poisson counting noise with per-point reproducible streams.
+visibility, and Poisson counting noise from one reproducible stream per scan.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ class ScanConfig:
         if self.scan_mode not in SCAN_MODES:
             raise ConfigurationError(
                 f"scan_mode must be one of {SCAN_MODES}, got {self.scan_mode!r}")
-        if self.integration_time < 0.0:
-            raise ConfigurationError("integration_time must be >= 0")
-        if self.peak_rate < 0.0 or self.background_rate < 0.0:
-            raise ConfigurationError("rates must be >= 0")
+        for name in ("integration_time", "peak_rate", "background_rate", "slit_width"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            if value < 0.0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if not 0.0 <= self.instrument_factor <= 1.0:
             raise ConfigurationError("instrument_factor must lie in [0, 1]")
 
@@ -127,24 +129,28 @@ def sample_counts(expected: Sequence[Tuple[float, float]],
                   integration_time: float, seed: int):
     """Draw Poisson counts for each expected point.
 
-    Each point uses its own random stream spawned from (seed, point index),
-    so the result is independent of evaluation order and identical across
-    repeated runs with the same inputs.
+    All counts come from one random stream per scan, seeded by `seed` and
+    drawn in point-index order, so a point's count depends only on the seed
+    and on the rates at that index and before it: dropping trailing points
+    leaves the remaining counts unchanged, and repeated runs with the same
+    inputs are identical.
 
     Returns a list of ScanRecord.
     """
-    if integration_time < 0.0:
-        raise ConfigurationError("integration_time must be >= 0")
-    records = []
-    for i, (pos, rate) in enumerate(expected):
-        if rate < 0.0:
-            raise ConfigurationError("expected rates must be >= 0")
-        mean = rate * integration_time
-        if mean == 0.0:
-            n = 0
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            n = int(rng.poisson(mean))
-        records.append(ScanRecord(position=float(pos), expected_rate=float(rate),
-                                  counts=n, integration_time=float(integration_time)))
-    return records
+    if not (math.isfinite(integration_time) and integration_time >= 0.0):
+        raise ConfigurationError("integration_time must be finite and >= 0")
+    points = np.asarray(expected, dtype=np.float64).reshape(-1, 2)
+    rates = points[:, 1]
+    if not np.all(np.isfinite(rates)):
+        raise ConfigurationError("expected rates must be finite")
+    if np.any(rates < 0.0):
+        raise ConfigurationError("expected rates must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    try:
+        counts = rng.poisson(rates * integration_time)
+    except ValueError as exc:  # means beyond the generator's range
+        raise ConfigurationError(f"expected counts out of range: {exc}") from exc
+    t = float(integration_time)
+    return [ScanRecord(position=pos, expected_rate=rate, counts=n, integration_time=t)
+            for pos, rate, n in zip(points[:, 0].tolist(), rates.tolist(),
+                                    counts.tolist())]

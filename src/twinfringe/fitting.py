@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .detection import ScanRecord
 from .errors import IllPosedError
 
@@ -92,8 +91,8 @@ class FitResult:
 def fringe_model(x, p: FringeModelParams):
     """Expected rate c0 * (1 + mu * cos(2*pi*x/period + psi))."""
     scalar = np.ndim(x) == 0
-    out = _kernels.fringe_curve(np.atleast_1d(np.asarray(x, dtype=float)),
-                                p.c0, p.mu, p.period, p.psi)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    out = p.c0 * (1.0 + p.mu * np.cos(2.0 * np.pi * xv / p.period + p.psi))
     return float(out[0]) if scalar else out
 
 
@@ -141,15 +140,13 @@ def numeric_jacobian(func: Callable, x: np.ndarray, params: np.ndarray,
 
 
 def _as_arrays(data):
-    xs, ys, ws = [], [], []
-    for row in data:
-        x, y, w = row
-        xs.append(float(x))
-        ys.append(float(y))
-        ws.append(float(w))
-    x = np.array(xs)
-    y = np.array(ys)
-    w = np.array(ws)
+    rows = np.asarray(data, dtype=float)
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"data must be (input, observation, weight) triples, "
+                         f"got shape {rows.shape}")
+    x, y, w = np.ascontiguousarray(rows.T)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
         raise ValueError("data contains non-finite values")
     if np.any(w < 0.0):
@@ -162,14 +159,14 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
               jacobian_step: float = 1e-6, damping: float = 1e-3) -> FitResult:
     """Weighted least squares by damped Gauss-Newton.
 
-    model(x_array, params) must return predictions as an array; data is a
-    sequence of (input, observation, weight) triples with weights acting as
-    inverse variances.  The step solves (J'J + lam*D) d = -J'r with D the
-    floored diagonal of J'J; lam grows tenfold on rejected steps and relaxes
-    on accepted ones.  Convergence requires both the relative step and the
-    relative residual decrease to drop below tol; hitting max_iterations or
-    exhausting the damping returns the best parameters found, flagged as
-    unconverged.
+    model(x_array, params) must return predictions as an array; data is an
+    (n, 3) array or a sequence of (input, observation, weight) triples with
+    weights acting as inverse variances.  The step solves
+    (J'J + lam*D) d = -J'r with D the floored diagonal of J'J; lam grows
+    tenfold on rejected steps and relaxes on accepted ones.  Convergence
+    requires both the relative step and the relative residual decrease to
+    drop below tol; hitting max_iterations or exhausting the damping returns
+    the best parameters found, flagged as unconverged.
     """
     x, y, w = _as_arrays(data)
     p = np.asarray(init, dtype=float).copy()
@@ -361,7 +358,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         init = [c0_init, mu_init, period_init, psi_init]
 
     y_obs = y_rate * t_int  # counts for counting data, rates (t=1) otherwise
-    result = nls_solve(model, list(zip(x, y_obs, weights)), init)
+    result = nls_solve(model, np.column_stack((x, y_obs, weights)), init)
 
     # fold sign conventions: mu >= 0, period > 0, psi in (-pi, pi]
     q = result.params.copy()
@@ -447,7 +444,7 @@ def fit_visibility_curve(points, variant: str = "derived",
     def model(tv, q):
         return mu_eff_model(tv, VisibilityCurveParams(q[0], q[1], q[2], variant))
 
-    result = nls_solve(model, list(zip(theta, mu, weights)),
+    result = nls_solve(model, np.column_stack((theta, mu, weights)),
                        [mu_max0, theta00, eps10])
 
     q = result.params.copy()

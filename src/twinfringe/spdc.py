@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigurationError
 from .polarization import (HORIZONTAL, VERTICAL, PolarizationAngle,
                            PumpState, malus_amplitude, pump_jones)
@@ -181,8 +180,8 @@ def coincidence_probability(state: TwoPhotonState, phase,
     if np.ndim(phase) == 0:
         phi = float(phase)
         return 0.5 * pair_sum + cross.real * math.cos(phi) - cross.imag * math.sin(phi)
-    return _kernels.coincidence_curve(pair_sum, cross.real, cross.imag,
-                                      np.asarray(phase, dtype=np.float64))
+    phases = np.asarray(phase, dtype=np.float64)
+    return 0.5 * pair_sum + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
 
 
 def predicted_visibility(state: TwoPhotonState) -> float:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import (concurrence, phi_scan_oracle,
-                                 visibility_from_extrema)
+from twinfringe.analysis import (_grid_extrema, _phase_table, concurrence,
+                                 phi_scan_oracle, visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
@@ -136,3 +136,27 @@ class TestFringeExtremaIdentity:
             x_lo = x_hi + p.period / 2
             got = visibility_from_extrema(fringe_model(x_hi, p), fringe_model(x_lo, p))
             assert got == pytest.approx(p.mu, abs=1e-12)
+
+
+class TestPhaseTable:
+    def test_cached_tables_are_read_only(self):
+        cos_t, sin_t = _phase_table(4096)
+        assert _phase_table(4096)[0] is cos_t
+        for table in (cos_t, sin_t):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 2.0
+
+    @pytest.mark.parametrize("n_grid", [1000, 4096, 100_000])
+    def test_extrema_bit_equal_to_fresh_scan(self, n_grid):
+        rng = np.random.default_rng(n_grid)
+        step = 2.0 * np.pi / n_grid
+        phases = np.arange(n_grid) * step
+        cos_p, sin_p = np.cos(phases), np.sin(phases)
+        for _ in range(20):
+            pair_sum = rng.uniform(0.0, 1.0)
+            re, im = rng.uniform(-0.5, 0.5, 2)
+            c = 0.5 * pair_sum + re * cos_p - im * sin_p
+            i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
+            assert _grid_extrema(pair_sum, re, im, n_grid) == (
+                phases[i_max], c[i_max], phases[i_min], c[i_min])

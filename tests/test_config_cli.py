@@ -118,6 +118,23 @@ class TestCliScan:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("slit_width_m", math.nan),
+        ("integration_time_s", math.nan),
+        ("background_rate_hz", math.nan),
+        ("peak_rate_hz", math.inf),
+    ])
+    def test_non_finite_scan_number_exits_2(self, tmp_path, capsys, key, value):
+        doc = config_to_dict(default_config())
+        doc["scan"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "scan.csv"
+        code = main(["simulate-scan", "--config", str(path), "--output", str(out)])
+        assert code == 2
+        assert f"scan.{key}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path, config_path):
         proc = run_cli(["simulate-scan", "--config", config_path,
                         "--output", str(tmp_path / "no_such_dir" / "scan.csv")])

@@ -169,6 +169,24 @@ class TestSampleCounts:
         with pytest.raises(ConfigurationError):
             sample_counts([(0.0, -1.0)], 1.0, seed=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError):
+            sample_counts([(0.0, 5.0), (1.0, rate)], 1.0, seed=0)
+
+    def test_counts_are_one_poisson_draw_per_scan(self):
+        rates = np.linspace(0.0, 80.0, 301)
+        records = sample_counts([(float(i), r) for i, r in enumerate(rates)], 2.5, seed=31)
+        want = np.random.default_rng(np.random.SeedSequence(31)).poisson(rates * 2.5)
+        assert [r.counts for r in records] == want.tolist()
+
+    def test_flat_scan_has_poisson_dispersion(self):
+        # a single draw broadcast over the scan would give one repeated count
+        records = sample_counts([(float(i), 5.0) for i in range(5000)], 10.0, seed=8)
+        counts = np.array([r.counts for r in records], dtype=float)
+        assert 0.9 < counts.var() / counts.mean() < 1.1
+        assert len(set(counts.tolist())) > 10
+
 
 class TestScanConfigValidation:
     def test_empty_positions(self):
@@ -182,6 +200,13 @@ class TestScanConfigValidation:
     def test_instrument_factor_range(self):
         with pytest.raises(ConfigurationError):
             make_scan(instrument_factor=1.5)
+
+    @pytest.mark.parametrize("name", ["integration_time", "peak_rate",
+                                      "background_rate", "slit_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3])
+    def test_instrument_numbers_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            make_scan(**{name: value})
 
     def test_default_config_round_trip_visibility(self):
         config = default_config()

@@ -150,6 +150,22 @@ class TestNlsSolve:
     def test_underdetermined_rejected(self):
         with pytest.raises(IllPosedError):
             nls_solve(self.quadratic, [(0.0, 1.0, 1.0)], [1.0, 1.0, 1.0])
+        with pytest.raises(IllPosedError):
+            nls_solve(self.quadratic, [], [1.0, 1.0, 1.0])
+
+    def test_array_and_triples_give_identical_fits(self):
+        rng = np.random.default_rng(3)
+        x = np.linspace(-1, 1, 30)
+        y = self.quadratic(x, [0.5, 1.0, -2.0]) + rng.normal(0, 0.05, x.size)
+        w = rng.uniform(0.5, 2.0, x.size)
+        from_rows = nls_solve(self.quadratic, list(zip(x, y, w)), np.zeros(3))
+        from_array = nls_solve(self.quadratic, np.column_stack((x, y, w)), np.zeros(3))
+        assert np.array_equal(from_rows.params, from_array.params)
+        assert np.array_equal(from_rows.covariance, from_array.covariance)
+
+    def test_rows_must_be_triples(self):
+        with pytest.raises(ValueError, match="triples"):
+            nls_solve(self.quadratic, np.ones((10, 2)), np.zeros(3))
 
 
 def make_noiseless_scan(params, n=61, span=12e-3):
