@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .detection import SCAN_MODES, ScanConfig
+from .detection import MAX_POISSON_MEAN, SCAN_MODES, ScanConfig
 from .errors import ConfigurationError
 from .polarization import DIAGONAL, PolarizationAngle, PumpState
 from .spdc import CrystalConfig, GeometryConfig, SourceConfig
@@ -84,6 +85,16 @@ def _number(d: dict, key: str, path: str, default=None) -> float:
     return value
 
 
+@contextmanager
+def _section(name: str):  # prefix a constructor's structural error with its section
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ConfigurationError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig.
 
@@ -95,7 +106,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    try:
+    with _section("pump"):
         pump_doc = _require(doc, "pump", "top level")
         eps2 = _number(pump_doc, "eps2", "pump")
         theta_p = PolarizationAngle(_number(pump_doc, "theta_p_rad", "pump"))
@@ -103,13 +114,9 @@ def config_from_dict(doc: dict) -> RunConfig:
             pump = PumpState.from_eps2(eps2, theta_p)
         else:
             pump = PumpState(_number(pump_doc, "eps1", "pump"), eps2, theta_p)
-    except ConfigurationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"pump: {exc}") from exc
 
     src_doc = _require(doc, "source", "top level")
-    try:
+    with _section("source"):
         crystals = []
         for label in ("crystal1", "crystal2"):
             c_doc = _require(src_doc, label, "source")
@@ -122,13 +129,9 @@ def config_from_dict(doc: dict) -> RunConfig:
             ))
         source = SourceConfig(crystals[0], crystals[1],
                               phi0=_number(src_doc, "phi0_rad", "source", default=0.0))
-    except ConfigurationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"source: {exc}") from exc
 
     geo_doc = doc.get("geometry", {})
-    try:
+    with _section("geometry"):
         geometry = GeometryConfig(
             wavelength=_number(geo_doc, "wavelength_m", "geometry", default=884e-9),
             crystal_separation=_number(geo_doc, "crystal_separation_m", "geometry", default=0.01),
@@ -136,10 +139,6 @@ def config_from_dict(doc: dict) -> RunConfig:
             fringe_period=(None if geo_doc.get("fringe_period_m") is None
                            else _number(geo_doc, "fringe_period_m", "geometry")),
         )
-    except ConfigurationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"geometry: {exc}") from exc
 
     ana_doc = doc.get("analyzers")
     if ana_doc is None:
@@ -157,7 +156,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     seed = scan_doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("scan.seed: must be a nonnegative integer")
-    try:
+    with _section("scan"):
         scan = ScanConfig(
             positions=positions,
             scan_mode=mode,
@@ -168,10 +167,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             instrument_factor=_number(scan_doc, "instrument_factor", "scan", default=1.0),
             seed=seed,
         )
-    except ConfigurationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"scan: {exc}") from exc
+    peak = (scan.peak_rate + scan.background_rate) * scan.integration_time
+    if peak > MAX_POISSON_MEAN:
+        raise ConfigError(f"scan.peak_rate_hz: (peak + background rate) * integration_time_s = "
+                          f"{peak:.3g} counts, over the Poisson limit {MAX_POISSON_MEAN:.3g}")
 
     return RunConfig(pump=pump, source=source, geometry=geometry,
                      analyzers=analyzers, scan=scan,

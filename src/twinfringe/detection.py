@@ -21,6 +21,9 @@ from .spdc import (GeometryConfig, SourceConfig, TwoPhotonState,
 
 SCAN_MODES = ("signal_only", "idler_only", "both")
 
+# largest mean numpy's Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
+MAX_POISSON_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class ScanConfig:

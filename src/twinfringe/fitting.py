@@ -1,10 +1,10 @@
-"""Nonlinear least squares plus the two fringe-side models.
+"""Least-squares fits of the two fringe-side models.
 
-The solver is a damped Gauss-Newton iteration on numerically differenced
-Jacobians: small, dependency-free, and predictable enough to calibrate its
-covariance estimate by Monte Carlo.  On top of it sit the double-slit fringe
-model (visibility extraction from one scan) and the visibility-vs-pump-angle
-curve (entanglement sweep).
+The double-slit fringe (visibility from one scan) is linear at a fixed
+period, so it is fitted by variable projection: a weighted linear solve
+inside a Gauss-Newton search over the wavenumber alone.  The visibility vs
+pump-angle curve (entanglement sweep) uses damped Gauss-Newton on
+numerically differenced Jacobians.
 """
 
 from __future__ import annotations
@@ -260,31 +260,35 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
 
 # --- fringe fitting -----------------------------------------------------------
 
-
-def _smooth3(y: np.ndarray) -> np.ndarray:
-    if y.size < 3:
-        return y
-    out = y.copy()
-    out[1:-1] = (y[:-2] + y[1:-1] + y[2:]) / 3.0
-    return out
+_ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
+_TOL = 1e-10  # relative step and SSE decrease that end the period search, as in nls_solve
 
 
-def _dominant_period(x: np.ndarray, y: np.ndarray) -> float:
-    """Period of the strongest nonzero Fourier component, on a uniform resample."""
+def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
+    """Wavenumber of the strongest nonzero Fourier component, on a uniform resample."""
     n = max(x.size, 16)
     grid = np.linspace(x[0], x[-1], n)
     resampled = np.interp(grid, x, y)
     spectrum = np.abs(np.fft.rfft(resampled - resampled.mean()))
-    if spectrum.size < 2:
-        return x[-1] - x[0]
     k = 1 + int(np.argmax(spectrum[1:]))
-    freq = k / (grid[-1] - grid[0]) * (n - 1) / n
-    return 1.0 / freq
+    return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
 
 
-def _wrap_phase(psi: float) -> float:
-    out = (psi + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if out == -math.pi else out
+def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray):
+    """Weighted least squares for (c0, a, b) in t * (c0 + a cos kx + b sin kx).
+
+    Returns the coefficients, the design, its inverse weighted normal matrix
+    and the weighted SSE; coefficients None and SSE inf if singular.
+    """
+    design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
+    weighted = design * w[:, None]
+    try:
+        normal_inv = np.linalg.inv(design.T @ weighted)
+    except np.linalg.LinAlgError:
+        return None, design, None, math.inf
+    coef = normal_inv @ (weighted.T @ y)
+    resid = y - design @ coef
+    return coef, design, normal_inv, float(resid @ (w * resid))
 
 
 def fit_fringe(scan, fix_period: Optional[float] = None,
@@ -294,100 +298,95 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     Accepts either ScanRecord lists (Poisson counting data; weights are
     1/max(counts, 1) in counts space) or bare (position, rate) pairs
     (noise-free curves; unit weights in rate space).  Parameter order is
-    [c0, mu, period, psi] in rate units; with fix_period the period entry is
-    pinned at the given value.  A negative fitted contrast is folded into a
-    pi shift of psi so the reported mu is nonnegative.  init_overrides may
-    pin starting values by name (c0, mu, period, psi).
+    [c0, mu, period, psi] in rate units, with mu = hypot(a, b) / c0 and
+    psi = atan2(-b, a) from the linear coefficients of c0 + a cos(kx) +
+    b sin(kx).  fix_period pins k = 2 pi / period (zero period variance); a
+    free k starts at the FFT peak or at init_overrides["period"].  A zero
+    contrast reports mu = psi = 0 with NaN errors for mu, period and psi, unconverged.
     """
-    counting = len(scan) > 0 and isinstance(scan[0], ScanRecord)
-    if counting:
+    if len(scan) > 0 and isinstance(scan[0], ScanRecord):
         x = np.array([rec.position for rec in scan], dtype=float)
-        counts = np.array([rec.counts for rec in scan], dtype=float)
-        t_int = np.array([rec.integration_time for rec in scan], dtype=float)
-        if np.any(t_int <= 0.0):
+        y = np.array([rec.counts for rec in scan], dtype=float)
+        t = np.array([rec.integration_time for rec in scan], dtype=float)
+        if np.any(t <= 0.0):
             raise IllPosedError("counting records need integration_time > 0; "
                                 "fit (position, rate) pairs for noise-free curves")
-        y_rate = counts / t_int
-        weights = 1.0 / np.maximum(counts, 1.0)
+        weights = 1.0 / np.maximum(y, 1.0)
     else:
         x = np.array([pos for pos, _ in scan], dtype=float)
-        y_rate = np.array([rate for _, rate in scan], dtype=float)
-        t_int = np.ones_like(x)
-        weights = np.ones_like(x)
+        y = np.array([rate for _, rate in scan], dtype=float)
+        t = weights = np.ones_like(x)
 
-    min_points = 3 if fix_period is not None else 4
-    if x.size < min_points:
-        raise IllPosedError(f"need at least {min_points} points")
+    fixed = fix_period is not None
+    n_params = 3 if fixed else 4
+    if x.size < n_params:
+        raise IllPosedError(f"need at least {n_params} points")
     order = np.argsort(x)
-    x, y_rate, t_int, weights = x[order], y_rate[order], t_int[order], weights[order]
-    span = x[-1] - x[0]
-    if fix_period is None and span <= 0.0:
+    x, y, w = _as_arrays(np.column_stack((x, y, weights))[order])
+    t = t[order]
+    if not fixed and x[-1] - x[0] <= 0.0:
         raise IllPosedError("positions must span at least one period to fit a free period")
 
-    overrides = dict(init_overrides or {})
-    unknown = set(overrides) - {"c0", "mu", "period", "psi"}
+    unknown = set(init_overrides or {}) - {"period"}
     if unknown:
-        raise ValueError(f"unknown fringe init overrides: {sorted(unknown)}")
-    c0_init = float(overrides.get("c0", np.mean(y_rate)))
-    smooth = _smooth3(y_rate)
-    hi, lo = float(np.max(smooth)), float(np.min(smooth))
-    mu_init = (hi - lo) / (hi + lo) if hi + lo > 0.0 else 0.0
-    mu_init = float(overrides.get("mu", min(max(mu_init, 0.0), 1.0)))
-    if fix_period is not None:
-        period_init = float(fix_period)
-    else:
-        period_init = float(overrides.get("period", 0.0)) or _dominant_period(x, y_rate)
+        raise ValueError(f"fringe init overrides take 'period' only (c0, mu and psi "
+                         f"are solved in closed form), got {sorted(unknown)}")
+    period = fix_period if fixed else (init_overrides or {}).get("period")
+    if period is not None and not (math.isfinite(period) and period > 0.0):
+        raise ValueError(f"period must be finite and > 0, got {period!r}")
+    k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period
 
-    def sse(psi):
-        resid = y_rate - fringe_model(x, FringeModelParams(c0_init, mu_init, period_init, psi))
-        return float(resid @ resid)
+    coef, design, normal_inv, sse = _linear_fit(k, x, y, w, t)
+    if coef is None:
+        raise IllPosedError("the fringe design is singular at the starting period")
+    iterations, converged, message = 0, fixed, ""
+    while True:
+        c0, a, b = coef
+        h = math.hypot(a, b)
+        jk = x * (b * design[:, 1] - a * design[:, 2])  # d model / dk at fixed (c0, a, b)
+        flat = h <= _ZERO_CONTRAST * abs(c0)
+        if converged or flat:
+            break
+        if iterations == 200:
+            message = "iteration limit reached"
+            break
+        iterations += 1
+        wjk = w * jk
+        proj = design.T @ wjk
+        curvature = float(jk @ wjk - proj @ normal_inv @ proj)  # Kaufman's projected J'J
+        step = float(wjk @ (y - design @ coef)) / curvature if curvature > 0.0 else math.nan
+        if not math.isfinite(step):
+            message = "singular curvature in the period search"
+            break
+        trial = _linear_fit(abs(k + step), x, y, w, t)
+        while not trial[3] <= sse and abs(step) >= _TOL * k:
+            step *= 0.5
+            trial = _linear_fit(abs(k + step), x, y, w, t)
+        decrease = 0.0  # a rejected step is below the step tolerance
+        if trial[3] <= sse:
+            decrease = (sse - trial[3]) / max(sse, 1e-300)
+            k, (coef, design, normal_inv, sse) = abs(k + step), trial
+        converged = abs(step) < _TOL * k and decrease < _TOL
 
-    if "psi" in overrides:
-        psi_init = float(overrides["psi"])
-    else:
-        psi_grid = np.arange(16) * (2.0 * math.pi / 16.0)
-        psi_init = float(min(psi_grid, key=sse))
-
-    if fix_period is not None:
-        def model(xv, q):
-            return t_int * fringe_model(xv, FringeModelParams(q[0], q[1], float(fix_period), q[2]))
-        init = [c0_init, mu_init, psi_init]
-    else:
-        def model(xv, q):
-            return t_int * fringe_model(xv, FringeModelParams(q[0], q[1], q[2], q[3]))
-        init = [c0_init, mu_init, period_init, psi_init]
-
-    y_obs = y_rate * t_int  # counts for counting data, rates (t=1) otherwise
-    result = nls_solve(model, np.column_stack((x, y_obs, weights)), init)
-
-    # fold sign conventions: mu >= 0, period > 0, psi in (-pi, pi]
-    q = result.params.copy()
-    cov = result.covariance.copy()
-    signs = np.ones_like(q)
-    if q[1] < 0.0:
-        q[1] = -q[1]
-        signs[1] = -1.0
-        if fix_period is None:
-            q[3] += math.pi
-        else:
-            q[2] += math.pi
-    if fix_period is None and q[2] < 0.0:
-        q[2] = -q[2]
-        signs[2] = -1.0
-    psi_idx = 2 if fix_period is not None else 3
-    q[psi_idx] = _wrap_phase(q[psi_idx])
-    cov = cov * np.outer(signs, signs)
-    if fix_period is not None:
-        q = np.array([q[0], q[1], float(fix_period), q[2]])
-        full_cov = np.zeros((4, 4))
-        keep = [0, 1, 3]
-        for a, ia in enumerate(keep):
-            for b, ib in enumerate(keep):
-                full_cov[ia, ib] = cov[a, b]
-        cov = full_cov
-    return FitResult(params=q, covariance=cov, residual_norm=result.residual_norm,
-                     iterations=result.iterations, converged=result.converged,
-                     message=result.message)
+    dof = max(y.size - n_params, 1)
+    period = fix_period if fixed else 2.0 * math.pi / k
+    if flat:
+        cov = np.full((4, 4), np.nan)
+        cov[0, 0] = normal_inv[0, 0] * sse / dof
+        return FitResult(np.array([c0, 0.0, period, 0.0]), cov, math.sqrt(sse), iterations,
+                         False, "zero contrast: fringe period and phase are undefined")
+    grad = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [-h / c0 ** 2, a / (c0 * h), b / (c0 * h), 0.0],
+                     [0.0, 0.0, 0.0, -2.0 * math.pi / k ** 2],
+                     [0.0, b / h ** 2, -a / h ** 2, 0.0]])
+    jac = design if fixed else np.column_stack((design, jk))
+    try:
+        lin_cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
+    except np.linalg.LinAlgError:
+        lin_cov = np.full((jac.shape[1],) * 2, np.nan)
+    cov = grad[:, :jac.shape[1]] @ lin_cov @ grad[:, :jac.shape[1]].T * (sse / dof)
+    return FitResult(np.array([c0, h / c0, period, math.atan2(-b, a)]), 0.5 * (cov + cov.T),
+                     math.sqrt(sse), iterations, converged, message)
 
 
 def fringe_params(result: FitResult) -> FringeModelParams:

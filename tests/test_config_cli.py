@@ -135,6 +135,22 @@ class TestCliScan:
         assert f"scan.{key}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("peak_rate_hz", 1e19),
+        ("integration_time_s", 1e300),
+    ])
+    def test_counts_beyond_poisson_range_exit_2(self, tmp_path, key, value):
+        doc = config_to_dict(default_config())
+        doc["scan"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "scan.csv"
+        proc = run_cli(["simulate-scan", "--config", str(path), "--output", str(out)])
+        assert proc.returncode == 2
+        assert "scan.peak_rate_hz: " in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path, config_path):
         proc = run_cli(["simulate-scan", "--config", config_path,
                         "--output", str(tmp_path / "no_such_dir" / "scan.csv")])
@@ -229,6 +245,26 @@ class TestCliSweepAndFit:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["observable"] == "expected"
         assert abs(report["params"]["mu"] - 0.83) < 1e-6
+
+    def test_flat_scan_fit_exits_4(self, tmp_path):
+        scan = tmp_path / "flat.csv"
+        scan.write_text("position_m,counts,integration_s,expected_rate\n" + "".join(
+            f"{x},50,10.0,5.0\n" for x in np.linspace(-6e-3, 6e-3, 61)))
+        code = main(["fit", str(scan), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 4
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["converged"] is False
+        assert "zero contrast" in report["message"]
+        assert report["params"]["mu"] == 0.0
+        assert math.isnan(report["stderr"]["period"]) and math.isnan(report["stderr"]["psi"])
+
+    def test_fringe_init_other_than_period_exits_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["simulate-scan", "--config", config_path, "--output", str(out)]) == 0
+        code = main(["fit", str(out), "--model", "fringe", "--init", "mu=0.7"])
+        assert code == 2
+        assert "'period' only" in capsys.readouterr().err
 
     def test_nonconvergence_exits_4(self, monkeypatch, tmp_path):
         import twinfringe.cli as cli_mod

@@ -251,13 +251,85 @@ class TestFitFringe:
         with pytest.raises(IllPosedError):
             fit_fringe([(0.0, 1.0), (0.0, 2.0), (0.0, 1.5), (0.0, 1.2)])
 
+    @staticmethod
+    def counting_covariance(records, c0, mu, period, psi, free):
+        """Gauss-Newton covariance of (c0, mu[, period], psi) at the given
+        parameters, from the model's analytic Jacobian in counts space."""
+        x = np.array([r.position for r in records])
+        y = np.array([r.counts for r in records], dtype=float)
+        t = np.array([r.integration_time for r in records])
+        w = 1.0 / np.maximum(y, 1.0)
+        phase = 2.0 * np.pi * x / period + psi
+        cols = [1.0 + mu * np.cos(phase), c0 * np.cos(phase), -c0 * mu * np.sin(phase)]
+        if free:
+            cols.insert(2, c0 * mu * np.sin(phase) * 2.0 * np.pi * x / period ** 2)
+        jac = t[:, None] * np.column_stack(cols)
+        resid = y - t * c0 * (1.0 + mu * np.cos(phase))
+        return (np.linalg.inv(jac.T @ (w[:, None] * jac))
+                * float(resid @ (w * resid)) / (x.size - len(cols)))
+
+    def test_pinned_period_equals_weighted_normal_equations(self):
+        truth = FringeModelParams(c0=54.9, mu=0.82, period=5e-3, psi=0.3)
+        x = np.linspace(-6e-3, 6e-3, 61)
+        records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=11)
+        fit = fit_fringe(records, fix_period=5e-3)
+        y = np.array([r.counts for r in records], dtype=float)
+        w = 1.0 / np.maximum(y, 1.0)
+        kx = 2.0 * np.pi * x / 5e-3
+        design = 10.0 * np.column_stack((np.ones_like(x), np.cos(kx), np.sin(kx)))
+        c0, a, b = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
+        mu, psi = math.hypot(a, b) / c0, math.atan2(-b, a)
+        cov = self.counting_covariance(records, c0, mu, 5e-3, psi, free=False)
+        keep = [0, 1, 3]
+        assert fit.converged
+        assert fit.params[2] == 5e-3
+        assert np.allclose(fit.params[keep], [c0, mu, psi], rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.covariance[np.ix_(keep, keep)], cov, rtol=1e-9, atol=0.0)
+        assert np.all(fit.covariance[2] == 0.0) and np.all(fit.covariance[:, 2] == 0.0)
+
+    def test_free_period_agrees_with_pinned_fit_at_its_period(self):
+        truth = FringeModelParams(c0=5.49, mu=0.82, period=5e-3, psi=-1.1)
+        x = np.linspace(-6e-3, 6e-3, 61)
+        for seed in range(5):
+            records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=seed)
+            free = fit_fringe(records)
+            pinned = fit_fringe(records, fix_period=free.params[2])
+            assert free.converged and pinned.converged
+            assert np.allclose(free.params[[0, 1, 3]], pinned.params[[0, 1, 3]],
+                               rtol=1e-8, atol=1e-10)
+            cov = self.counting_covariance(records, *free.params, free=True)
+            assert np.allclose(free.covariance, cov, rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("fix_period", [None, 5e-3])
+    @pytest.mark.parametrize("rate, counting", [(42.0, False), (0.0, True)])
+    def test_flat_scan_reports_zero_contrast_unconverged(self, fix_period, rate, counting):
+        # a constant noise-free rate, and a counting scan of all-zero counts
+        scan = [(pos, rate) for pos in np.linspace(-6e-3, 6e-3, 61)]
+        if counting:
+            scan = sample_counts(scan, 10.0, seed=0)
+        fit = fit_fringe(scan, fix_period=fix_period)
+        assert not fit.converged
+        assert "zero contrast" in fit.message
+        assert fit.params[0] == pytest.approx(rate, abs=1e-12)
+        assert fit.params[1] == 0.0
+        assert not np.isfinite(fit.stderr[2]) and not np.isfinite(fit.stderr[3])
+
+    def test_period_must_be_finite_and_positive(self):
+        scan = make_noiseless_scan(FringeModelParams(c0=10.0, mu=0.5, period=5e-3))
+        for bad in (0.0, -5e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="period"):
+                fit_fringe(scan, fix_period=bad)
+            with pytest.raises(ValueError, match="period"):
+                fit_fringe(scan, init_overrides={"period": bad})
+
     def test_init_overrides(self):
         truth = FringeModelParams(c0=55.0, mu=0.8, period=5e-3, psi=0.0)
         fit = fit_fringe(make_noiseless_scan(truth),
-                         init_overrides={"period": 5.2e-3, "mu": 0.7})
+                         init_overrides={"period": 5.2e-3})
         assert fringe_params(fit).period == pytest.approx(5e-3, rel=1e-6)
-        with pytest.raises(ValueError):
-            fit_fringe(make_noiseless_scan(truth), init_overrides={"bogus": 1.0})
+        for name in ("bogus", "c0", "mu", "psi"):
+            with pytest.raises(ValueError):
+                fit_fringe(make_noiseless_scan(truth), init_overrides={name: 1.0})
 
 
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,
