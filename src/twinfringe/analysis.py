@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import NotTwoQubitStateError, UndefinedVisibilityError
+from .fitting import FringeModelParams, fringe_model
 from .polarization import PolarizationAngle
-from .spdc import TwoPhotonState, coincidence_probability, _projected_amplitudes
+from .spdc import (TwoPhotonState, _projected_amplitudes, predicted_visibility,
+                   predicted_visibility_with_analyzers)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK = 16384  # grid points per scan block: two 128 KB buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,31 @@ def _grid_extrema(pair_sum: float, cross_re: float, cross_im: float,
     """Scan 0.5*pair_sum + cross_re*cos(phi) - cross_im*sin(phi) on the
     uniform grid over [0, 2pi).
 
-    Returns (phi_at_max, c_max, phi_at_min, c_min) at the first grid point
-    attaining each extremum.
+    Walks the cached table in blocks of _BLOCK points through two
+    block-sized buffers, so the working set stays in cache.  Returns
+    (phi_at_max, c_max, phi_at_min, c_min) at the first grid point attaining
+    each extremum.
     """
     cos_t, sin_t = _phase_table(n_grid)
-    c = cross_re * cos_t
-    c += 0.5 * pair_sum
-    c -= cross_im * sin_t
-    i_max = int(np.argmax(c))
-    i_min = int(np.argmin(c))
+    offset = 0.5 * pair_sum
+    buf, tmp = np.empty(min(n_grid, _BLOCK)), np.empty(min(n_grid, _BLOCK))
+    i_max = i_min = 0
+    c_max, c_min = -math.inf, math.inf
+    for start in range(0, n_grid, _BLOCK):
+        stop = min(start + _BLOCK, n_grid)
+        c, s = buf[:stop - start], tmp[:stop - start]
+        np.multiply(cross_re, cos_t[start:stop], out=c)
+        c += offset
+        np.multiply(cross_im, sin_t[start:stop], out=s)
+        c -= s
+        j = int(c.argmax())
+        if c[j] > c_max:  # strict: an equal value in a later block loses
+            i_max, c_max = start + j, float(c[j])
+        j = int(c.argmin())
+        if c[j] < c_min:
+            i_min, c_min = start + j, float(c[j])
     step = 2.0 * np.pi / n_grid
-    return i_max * step, float(c[i_max]), i_min * step, float(c[i_min])
+    return i_max * step, c_max, i_min * step, c_min
 
 
 def phi_scan_oracle(state: TwoPhotonState,
@@ -95,12 +113,19 @@ def phi_scan_oracle(state: TwoPhotonState,
                     n_grid: int = 100_000) -> VisibilityReport:
     """Brute-force fringe visibility from a phase scan of the coincidence curve.
 
-    Evaluates the coincidence probability on a uniform grid over [0, 2pi),
-    refines both extrema with a local golden-section search, and reports the
-    contrast.  Never touches the closed-form visibility expressions.
+    Evaluates the coincidence probability at every point of a uniform grid
+    of n_grid (an integer >= 1000) phases over [0, 2pi), refines both
+    extrema with a local golden-section search on the same projected
+    amplitudes, and reports the contrast.  Never touches the closed-form
+    visibility expressions.
     """
-    if n_grid < 1000:
-        raise ValueError("n_grid must be at least 1000")
+    try:
+        n = operator.index(n_grid)  # rejects floats and strings; a bool is below 1000
+    except TypeError:
+        n = 0
+    if n < 1000:
+        raise ValueError(f"n_grid must be an integer of at least 1000, got {n_grid!r}")
+    n_grid = n
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
     pair_sum = abs(b1) ** 2 + abs(b2) ** 2
@@ -108,8 +133,10 @@ def phi_scan_oracle(state: TwoPhotonState,
     phi_hi, c_hi, phi_lo, c_lo = _grid_extrema(
         pair_sum, cross.real, cross.imag, n_grid)
 
+    # the scalar branch of coincidence_probability, on the amplitudes above
+    half_sum, cross_re, cross_im = 0.5 * pair_sum, cross.real, cross.imag
+    curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
     half = math.pi / n_grid  # bracket each extremum by one grid step either side
-    curve = lambda phi: coincidence_probability(state, phi, ana_s, ana_i)
     phi_hi = _golden_section(curve, phi_hi - 2 * half, phi_hi + 2 * half, minimize=False)
     phi_lo = _golden_section(curve, phi_lo - 2 * half, phi_lo + 2 * half, minimize=True)
     c_max = max(curve(phi_hi), c_hi)
@@ -136,3 +163,75 @@ def concurrence(state: TwoPhotonState) -> float:
             "pair polarizations must be orthogonal to define the polarization "
             f"qubit; |cos(chi2 - chi1)| = {abs(gap):.3e}")
     return 2.0 * abs(state.a1) * abs(state.a2)
+
+
+def conformance_report(draws: int, seed: int) -> Dict[str, Tuple[float, float]]:
+    """Closed-form visibility laws against the phase-scan oracle.
+
+    Draws random states (and analyzers) from default_rng(seed): draws of
+    each for the three visibility laws, draws // 10 + 1 for the fringe
+    extrema identity and the oracle's phase invariance.  Returns
+    {check name: (max error, tolerance)} in a fixed order.
+    """
+    rng = np.random.default_rng(seed)
+    worst = {}
+
+    def random_state():
+        r = rng.uniform(0.0, 1.0)
+        pa, pb = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        a1 = math.sqrt(r) * np.exp(1j * pa)
+        a2 = math.sqrt(1.0 - r) * np.exp(1j * pb)
+        chi1 = PolarizationAngle(rng.uniform(0.0, math.pi))
+        chi2 = PolarizationAngle(rng.uniform(0.0, math.pi))
+        return TwoPhotonState(complex(a1), complex(a2), chi1, chi2)
+
+    err = 0.0
+    for _ in range(draws):
+        state = random_state()
+        err = max(err, abs(predicted_visibility(state)
+                           - phi_scan_oracle(state).mu))
+    worst["closed form vs oracle, bare detectors"] = (err, 1e-6)
+
+    err = 0.0
+    for _ in range(draws):
+        state = random_state()
+        ana = (PolarizationAngle(rng.uniform(0.0, math.pi)),
+               PolarizationAngle(rng.uniform(0.0, math.pi)))
+        err = max(err, abs(predicted_visibility_with_analyzers(state, *ana)
+                           - phi_scan_oracle(state, ana).mu))
+    worst["closed form vs oracle, analyzers"] = (err, 1e-6)
+
+    err = 0.0
+    for _ in range(draws):
+        r = rng.uniform(0.0, 1.0)
+        pa, pb = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        chi1 = PolarizationAngle(rng.uniform(0.0, math.pi))
+        state = TwoPhotonState(complex(math.sqrt(r) * np.exp(1j * pa)),
+                               complex(math.sqrt(1.0 - r) * np.exp(1j * pb)),
+                               chi1, chi1.orthogonal())
+        ana = PolarizationAngle(chi1.radians + math.pi / 4.0)
+        err = max(err, abs(concurrence(state) - phi_scan_oracle(state, (ana, ana)).mu))
+    worst["concurrence vs 45-degree visibility"] = (err, 1e-6)
+
+    err = 0.0
+    for _ in range(draws // 10 + 1):
+        p = FringeModelParams(c0=rng.uniform(0.5, 100.0), mu=rng.uniform(0.0, 1.0),
+                              period=rng.uniform(1e-4, 1e-2),
+                              psi=rng.uniform(-math.pi, math.pi))
+        x_hi = -p.psi * p.period / (2.0 * math.pi)
+        x_lo = x_hi + p.period / 2.0
+        mu = visibility_from_extrema(fringe_model(x_hi, p), fringe_model(x_lo, p))
+        err = max(err, abs(mu - p.mu))
+    worst["fringe extrema identity"] = (err, 1e-12)
+
+    err = 0.0
+    for _ in range(draws // 10 + 1):
+        state = random_state()
+        gamma, delta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        base = phi_scan_oracle(state).mu
+        rotated = TwoPhotonState(complex(state.a1 * np.exp(1j * gamma)),
+                                 complex(state.a2 * np.exp(1j * (gamma + delta))),
+                                 state.chi1, state.chi2)
+        err = max(err, abs(phi_scan_oracle(rotated).mu - base))
+    worst["oracle invariance under global phase and fringe shifts"] = (err, 1e-9)
+    return worst

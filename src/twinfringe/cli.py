@@ -19,19 +19,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import concurrence, phi_scan_oracle, visibility_from_extrema
+from .analysis import conformance_report
 from .config import (ENV_CONFIG_PATH, ConfigError, RunConfig, default_config,
                      default_config_path, load_config)
 from .detection import ScanRecord
 from .errors import TwinfringeError
-from .fitting import (FitResult, FringeModelParams, fit_fringe,
-                      fit_visibility_curve, fringe_model, fringe_params,
-                      visibility_curve_params)
+from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
+                      fringe_params, visibility_curve_params)
 from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH,
                        reproduce_fig5, simulate_scan, sweep_pump_angle)
-from .polarization import PolarizationAngle
-from .spdc import (TwoPhotonState, predicted_visibility,
-                   predicted_visibility_with_analyzers)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -187,9 +183,20 @@ def _parse_init_overrides(items) -> dict:
     return overrides
 
 
+def _null_non_finite(value):
+    """The report with every NaN or infinite float replaced by None."""
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_report(report: dict, path: str) -> None:
+    """Write the report as strict JSON: non-finite numbers become null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_null_non_finite(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -296,76 +303,14 @@ def cmd_reproduce_fig5(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    n = args.draws
-    worst = {}
-
-    def random_state():
-        r = rng.uniform(0.0, 1.0)
-        pa, pb = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        a1 = math.sqrt(r) * np.exp(1j * pa)
-        a2 = math.sqrt(1.0 - r) * np.exp(1j * pb)
-        chi1 = PolarizationAngle(rng.uniform(0.0, math.pi))
-        chi2 = PolarizationAngle(rng.uniform(0.0, math.pi))
-        return TwoPhotonState(complex(a1), complex(a2), chi1, chi2)
-
-    err = 0.0
-    for _ in range(n):
-        state = random_state()
-        err = max(err, abs(predicted_visibility(state)
-                           - phi_scan_oracle(state).mu))
-    worst["closed form vs oracle, bare detectors"] = (err, 1e-6)
-
-    err = 0.0
-    for _ in range(n):
-        state = random_state()
-        ana = (PolarizationAngle(rng.uniform(0.0, math.pi)),
-               PolarizationAngle(rng.uniform(0.0, math.pi)))
-        err = max(err, abs(predicted_visibility_with_analyzers(state, *ana)
-                           - phi_scan_oracle(state, ana).mu))
-    worst["closed form vs oracle, analyzers"] = (err, 1e-6)
-
-    err = 0.0
-    for _ in range(n):
-        r = rng.uniform(0.0, 1.0)
-        pa, pb = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        chi1 = PolarizationAngle(rng.uniform(0.0, math.pi))
-        state = TwoPhotonState(complex(math.sqrt(r) * np.exp(1j * pa)),
-                               complex(math.sqrt(1.0 - r) * np.exp(1j * pb)),
-                               chi1, chi1.orthogonal())
-        ana = PolarizationAngle(chi1.radians + math.pi / 4.0)
-        err = max(err, abs(concurrence(state) - phi_scan_oracle(state, (ana, ana)).mu))
-    worst["concurrence vs 45-degree visibility"] = (err, 1e-6)
-
-    err = 0.0
-    for _ in range(n // 10 + 1):
-        p = FringeModelParams(c0=rng.uniform(0.5, 100.0), mu=rng.uniform(0.0, 1.0),
-                              period=rng.uniform(1e-4, 1e-2),
-                              psi=rng.uniform(-math.pi, math.pi))
-        x_hi = -p.psi * p.period / (2.0 * math.pi)
-        x_lo = x_hi + p.period / 2.0
-        mu = visibility_from_extrema(fringe_model(x_hi, p), fringe_model(x_lo, p))
-        err = max(err, abs(mu - p.mu))
-    worst["fringe extrema identity"] = (err, 1e-12)
-
-    err = 0.0
-    for _ in range(n // 10 + 1):
-        state = random_state()
-        gamma, delta = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        base = phi_scan_oracle(state).mu
-        rotated = TwoPhotonState(complex(state.a1 * np.exp(1j * gamma)),
-                                 complex(state.a2 * np.exp(1j * (gamma + delta))),
-                                 state.chi1, state.chi2)
-        err = max(err, abs(phi_scan_oracle(rotated).mu - base))
-    worst["oracle invariance under global phase and fringe shifts"] = (err, 1e-9)
-
+    worst = conformance_report(args.draws, args.seed)
     ok = True
     for name, (value, tol) in worst.items():
         passed = value <= tol
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: max error "
               f"{value:.3e} (tolerance {tol:.0e})")
-    print(f"conformance: {'PASS' if ok else 'FAIL'} over {n} draws")
+    print(f"conformance: {'PASS' if ok else 'FAIL'} over {args.draws} draws")
     return EXIT_OK if ok else EXIT_NOCONV
 
 

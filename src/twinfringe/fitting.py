@@ -249,9 +249,20 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
     hess = jac.T @ jac
     dof = max(y.size - best_p.size, 1)
     try:
-        cov = np.linalg.pinv(hess) * (best_cost / dof)
+        u, s, vt = np.linalg.svd(hess, full_matrices=False)
+        # rank deficient at np.linalg.matrix_rank's default tolerance: some
+        # parameter combination leaves the residuals unchanged
+        singular = s[-1] <= s[0] * s.size * np.finfo(float).eps
     except np.linalg.LinAlgError:
+        singular = True
+    if singular:
         cov = np.full((best_p.size, best_p.size), np.nan)
+        converged = False
+        message = (message + "; " if message else "") + \
+            "unidentifiable: singular Hessian at the solution, covariance undefined"
+    else:
+        # the pseudo-inverse of np.linalg.pinv, from the same decomposition
+        cov = (vt.T @ ((1.0 / s)[:, None] * u.T)) * (best_cost / dof)
     cov = 0.5 * (cov + cov.T)
     return FitResult(params=best_p, covariance=cov,
                      residual_norm=math.sqrt(best_cost),

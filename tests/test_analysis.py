@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import (_grid_extrema, _phase_table, concurrence,
+from twinfringe.analysis import (_BLOCK, _golden_section, _grid_extrema,
+                                 _phase_table, concurrence, conformance_report,
                                  phi_scan_oracle, visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle)
-from twinfringe.spdc import TwoPhotonState, predicted_visibility
+from twinfringe.spdc import (TwoPhotonState, coincidence_probability,
+                             predicted_visibility)
 
 SQ2 = math.sqrt(2.0)
 ANA45 = (DIAGONAL, DIAGONAL)
@@ -74,6 +76,17 @@ class TestPhiScanOracle:
         state = TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)
         with pytest.raises(ValueError):
             phi_scan_oracle(state, n_grid=10)
+
+    @pytest.mark.parametrize("n_grid", [100_000.5, 5000.0, "5000", True, None])
+    def test_grid_size_must_be_an_integer_of_at_least_1000(self, n_grid):
+        state = TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)
+        with pytest.raises(ValueError, match="n_grid"):
+            phi_scan_oracle(state, n_grid=n_grid)
+
+    def test_integer_like_grid_size_accepted(self):
+        state = TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), VERTICAL, HORIZONTAL)
+        assert phi_scan_oracle(state, ANA45, n_grid=np.int64(5000)) == \
+            phi_scan_oracle(state, ANA45, n_grid=5000)
 
     def test_invariant_under_global_phase_and_fringe_shift(self):
         rng = np.random.default_rng(15)
@@ -147,7 +160,8 @@ class TestPhaseTable:
             with pytest.raises(ValueError):
                 table[0] = 2.0
 
-    @pytest.mark.parametrize("n_grid", [1000, 4096, 100_000])
+    @pytest.mark.parametrize("n_grid", [1000, 4096, _BLOCK, _BLOCK + 1,
+                                        2 * _BLOCK + 7, 100_000])
     def test_extrema_bit_equal_to_fresh_scan(self, n_grid):
         rng = np.random.default_rng(n_grid)
         step = 2.0 * np.pi / n_grid
@@ -160,3 +174,84 @@ class TestPhaseTable:
             i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
             assert _grid_extrema(pair_sum, re, im, n_grid) == (
                 phases[i_max], c[i_max], phases[i_min], c[i_min])
+
+    def test_flat_curve_extrema_at_first_grid_point(self):
+        n_grid = 2 * _BLOCK + 7
+        assert _grid_extrema(0.7, 0.0, 0.0, n_grid) == (0.0, 0.35, 0.0, 0.35)
+
+    def test_tie_in_a_later_block_keeps_the_earlier_index(self):
+        # 1 + eps*cos(phi) rounds to 1 + eps over a wide arc around phi = 0,
+        # so the maximum recurs at the end of the grid, two blocks later;
+        # the minimum 1 - eps spans the boundary of blocks 0 and 1
+        n_grid = 2 * _BLOCK + 7
+        eps = np.finfo(float).eps
+        cos_t, sin_t = _phase_table(n_grid)
+        c = eps * cos_t + 1.0 - 0.0 * sin_t
+        at_max = np.flatnonzero(c == c.max())
+        at_min = np.flatnonzero(c == c.min())
+        assert at_max[0] == 0 and at_max[-1] >= 2 * _BLOCK
+        assert at_min[0] < _BLOCK <= at_min[-1]
+        step = 2.0 * np.pi / n_grid
+        assert _grid_extrema(2.0, eps, 0.0, n_grid) == (
+            0.0, c.max(), at_min[0] * step, c.min())
+
+
+def reference_oracle(state, analyzers=None, n_grid=100_000):
+    """Phase-scan oracle built on coincidence_probability alone: one array
+    evaluation on the grid, then golden-section refinement of each extremum
+    with scalar evaluations."""
+    ana = analyzers if analyzers is not None else (None, None)
+    curve = lambda phi: coincidence_probability(state, phi, *ana)
+    step = 2.0 * np.pi / n_grid
+    c = curve(np.arange(n_grid) * step)
+    i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
+    half = math.pi / n_grid
+    phi_hi = _golden_section(curve, i_max * step - 2 * half, i_max * step + 2 * half,
+                             minimize=False)
+    phi_lo = _golden_section(curve, i_min * step - 2 * half, i_min * step + 2 * half,
+                             minimize=True)
+    c_max = max(curve(phi_hi), float(c[i_max]))
+    c_min = min(curve(phi_lo), float(c[i_min]))
+    if c_max + c_min == 0.0:
+        return (0.0, 0.0, 0.0)
+    return ((c_max - c_min) / (c_max + c_min), c_max, c_min)
+
+
+class TestOracleMatchesCoincidenceProbability:
+    def test_reports_equal_reference_oracle(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            state = random_state(rng)
+            ana = (PolarizationAngle(rng.uniform(0, math.pi)),
+                   PolarizationAngle(rng.uniform(0, math.pi)))
+            for analyzers in (None, ana):
+                report = phi_scan_oracle(state, analyzers)
+                assert (report.mu, report.c_max, report.c_min) == \
+                    reference_oracle(state, analyzers)
+
+    def test_nearly_blocked_pairs(self):
+        # V pairs behind H analyzers pass only through cos(pi/2) ~ 6e-17
+        for state in (TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), VERTICAL, VERTICAL),
+                      TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)):
+            report = phi_scan_oracle(state, (HORIZONTAL, HORIZONTAL))
+            assert report.c_max < 1e-30
+            assert (report.mu, report.c_max, report.c_min) == \
+                reference_oracle(state, (HORIZONTAL, HORIZONTAL))
+
+
+class TestConformanceReport:
+    def test_every_law_within_tolerance(self):
+        report = conformance_report(40, seed=3)
+        assert list(report) == [
+            "closed form vs oracle, bare detectors",
+            "closed form vs oracle, analyzers",
+            "concurrence vs 45-degree visibility",
+            "fringe extrema identity",
+            "oracle invariance under global phase and fringe shifts",
+        ]
+        for err, tol in report.values():
+            assert 0.0 <= err <= tol
+
+    def test_deterministic_in_seed(self):
+        assert conformance_report(20, seed=5) == conformance_report(20, seed=5)
+        assert conformance_report(20, seed=5) != conformance_report(20, seed=6)

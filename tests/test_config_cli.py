@@ -257,7 +257,34 @@ class TestCliSweepAndFit:
         assert report["converged"] is False
         assert "zero contrast" in report["message"]
         assert report["params"]["mu"] == 0.0
-        assert math.isnan(report["stderr"]["period"]) and math.isnan(report["stderr"]["psi"])
+        assert report["stderr"]["period"] is None and report["stderr"]["psi"] is None
+
+    def test_fit_report_is_strict_json(self, tmp_path):
+        scan = tmp_path / "flat.csv"
+        scan.write_text("position_m,counts,integration_s,expected_rate\n" + "".join(
+            f"{x},50,10.0,5.0\n" for x in np.linspace(-6e-3, 6e-3, 61)))
+        assert main(["fit", str(scan), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")]) == 4
+        text = (tmp_path / "r.json").read_text()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(text, parse_constant=reject)
+        assert report["stderr"]["mu"] is None
+        assert math.isfinite(report["stderr"]["c0"])
+
+    def test_flat_sweep_viscurve_fit_exits_4(self, tmp_path):
+        sweep = tmp_path / "flat.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t},0.5,0.01\n" for t in np.linspace(0, math.pi, 19)))
+        code = main(["fit", str(sweep), "--model", "viscurve",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 4
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["converged"] is False
+        assert "unidentifiable" in report["message"]
+        assert all(v is None for v in report["stderr"].values())
 
     def test_fringe_init_other_than_period_exits_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "scan.csv"

@@ -167,6 +167,31 @@ class TestNlsSolve:
         with pytest.raises(ValueError, match="triples"):
             nls_solve(self.quadratic, np.ones((10, 2)), np.zeros(3))
 
+    def test_covariance_is_the_pseudo_inverse_of_the_hessian(self):
+        rng = np.random.default_rng(4)
+        x = np.linspace(-1, 1, 30)
+        y = self.quadratic(x, [0.5, 1.0, -2.0]) + rng.normal(0, 0.05, x.size)
+        w = rng.uniform(0.5, 2.0, x.size)
+        result = nls_solve(self.quadratic, np.column_stack((x, y, w)), np.zeros(3))
+        r = np.sqrt(w) * (y - self.quadratic(x, result.params))
+        jac = -np.sqrt(w)[:, None] * numeric_jacobian(self.quadratic, x, result.params)
+        cov = np.linalg.pinv(jac.T @ jac) * (float(r @ r) / (x.size - 3))
+        assert result.converged
+        assert np.array_equal(result.covariance, 0.5 * (cov + cov.T))
+
+    def test_unidentifiable_parameter_flagged(self):
+        # q[2] never enters the model: the Hessian is singular at any solution
+        def model(x, q):
+            return q[0] + q[1] * x
+
+        x = np.linspace(-1, 1, 19)
+        result = nls_solve(model, np.column_stack((x, 2.0 + 0.5 * x, np.ones_like(x))),
+                           [1.0, 0.0, 3.0])
+        assert not result.converged
+        assert "unidentifiable" in result.message
+        assert np.all(np.isnan(result.covariance))
+        assert np.allclose(result.params[:2], [2.0, 0.5])
+
 
 def make_noiseless_scan(params, n=61, span=12e-3):
     x = np.linspace(-span / 2, span / 2, n)
@@ -368,6 +393,13 @@ class TestFitVisibilityCurve:
         points = [(t, 0.5, 0.01) for t in theta]
         fit = fit_visibility_curve(points)
         assert (not fit.converged) or "boundary" in fit.message
+
+    def test_flat_curve_is_unidentifiable(self):
+        points = [(t, 0.5, 0.01) for t in np.linspace(0.0, math.pi, 19)]
+        fit = fit_visibility_curve(points)
+        assert not fit.converged
+        assert "unidentifiable" in fit.message
+        assert np.all(np.isnan(fit.stderr))
 
     def test_too_few_points(self):
         with pytest.raises(IllPosedError):
