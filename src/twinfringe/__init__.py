@@ -7,7 +7,7 @@ recovers the degree of polarization entanglement from fringe visibility.
 
 from .analysis import (VisibilityReport, concurrence, phi_scan_oracle,
                        visibility_from_extrema)
-from .detection import (ScanConfig, ScanRecord, expected_scan, sample_counts,
+from .detection import (SCAN_DTYPE, ScanConfig, expected_scan, sample_counts,
                         slit_visibility_factor)
 from .errors import (ConfigurationError, DegenerateInputError, IllPosedError,
                      NotTwoQubitStateError, TwinfringeError,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "VisibilityReport", "concurrence", "phi_scan_oracle", "visibility_from_extrema",
-    "ScanConfig", "ScanRecord", "expected_scan", "sample_counts",
+    "SCAN_DTYPE", "ScanConfig", "expected_scan", "sample_counts",
     "slit_visibility_factor",
     "ConfigurationError", "DegenerateInputError", "IllPosedError",
     "NotTwoQubitStateError", "TwinfringeError", "UndefinedVisibilityError",

@@ -20,9 +20,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .analysis import conformance_report
-from .config import (ENV_CONFIG_PATH, ConfigError, RunConfig, default_config,
+from .config import (ENV_CONFIG_PATH, RunConfig, default_config,
                      default_config_path, load_config)
-from .detection import ScanRecord
+from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
                       fringe_params, visibility_curve_params)
@@ -62,12 +62,12 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def write_scan_csv(records: List[ScanRecord], path: str) -> None:
+def write_scan_csv(scan: np.recarray, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SCAN_HEADER) + "\n")
-        for rec in records:
-            fh.write(f"{_fmt(rec.position)},{rec.counts},"
-                     f"{_fmt(rec.integration_time)},{_fmt(rec.expected_rate)}\n")
+        # SCAN_DTYPE's fields are in SCAN_HEADER's order
+        fh.writelines(f"{_fmt(x)},{n},{_fmt(t)},{_fmt(rate)}\n"
+                      for x, n, t, rate in scan.tolist())
 
 
 def write_sweep_csv(points, path: str) -> None:
@@ -86,20 +86,23 @@ def _read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
     return [cell.strip() for cell in rows[0]], rows[1:]
 
 
-def read_scan_csv(path: str) -> List[ScanRecord]:
+def read_scan_csv(path: str) -> np.recarray:
     header, rows = _read_csv(path)
     if header != SCAN_HEADER:
         raise TwinfringeError(
             f"{path}: expected scan columns {SCAN_HEADER}, got {header}")
-    records = []
-    for i, row in enumerate(rows, start=2):
+    scan = np.recarray(len(rows), dtype=SCAN_DTYPE)
+    for i, row in enumerate(rows):
         try:
-            records.append(ScanRecord(position=float(row[0]), counts=int(row[1]),
-                                      integration_time=float(row[2]),
-                                      expected_rate=float(row[3])))
-        except (ValueError, IndexError) as exc:
-            raise TwinfringeError(f"{path}:{i}: bad scan row: {exc}") from exc
-    return records
+            point = (float(row[0]), int(row[1]), float(row[2]), float(row[3]))
+            if point[1] < 0:
+                raise ValueError("counts must be >= 0")
+            if point[3] < 0.0:
+                raise ValueError("expected_rate must be >= 0")
+            scan[i] = point
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise TwinfringeError(f"{path}:{i + 2}: bad scan row: {exc}") from exc
+    return scan
 
 
 def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
@@ -127,11 +130,11 @@ def _fringe_summary(fit: FitResult) -> str:
 
 def cmd_simulate_scan(args) -> int:
     config = _apply_overrides(_resolve_config(args), args)
-    records = simulate_scan(config)
-    write_scan_csv(records, args.output)
-    print(f"wrote {len(records)} scan points to {args.output}")
+    scan = simulate_scan(config)
+    write_scan_csv(scan, args.output)
+    print(f"wrote {len(scan)} scan points to {args.output}")
     try:
-        fit = fit_fringe(records)
+        fit = fit_fringe(scan)
     except TwinfringeError as exc:
         print(f"fringe fit skipped: {exc}", file=sys.stderr)
         return EXIT_OK
@@ -148,6 +151,8 @@ def _parse_theta_list(text: str) -> List[float]:
         raise TwinfringeError(f"--theta-deg: {exc}") from exc
     if not degs:
         raise TwinfringeError("--theta-deg: no angles given")
+    if not all(math.isfinite(d) for d in degs):
+        raise TwinfringeError(f"--theta-deg: angles must be finite, got {text!r}")
     return [math.radians(d) for d in degs]
 
 
@@ -204,16 +209,14 @@ def cmd_fit(args) -> int:
     overrides = _parse_init_overrides(args.init)
     out_path = args.output or args.data + ".fit.json"
     if args.model == "fringe":
-        records = read_scan_csv(args.data)
+        scan = read_scan_csv(args.data)
         observable = args.observable
         if observable == "auto":
-            noiseless = (all(r.integration_time == 0.0 for r in records)
-                         or all(r.counts == 0 for r in records))
-            observable = "expected" if noiseless else "counts"
+            noisy = scan.integration_time.any() and scan.counts.any()
+            observable = "counts" if noisy else "expected"
+        data = scan
         if observable == "expected":
-            data = [(r.position, r.expected_rate) for r in records]
-        else:
-            data = records
+            data = np.column_stack((scan.position, scan.expected_rate))
         try:
             fit = fit_fringe(data, fix_period=args.fix_period,
                              init_overrides=overrides)
@@ -378,9 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TwinfringeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,6 +24,10 @@ SCAN_MODES = ("signal_only", "idler_only", "both")
 # largest mean numpy's Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
 MAX_POISSON_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
+# one row per scan point: where the moving detector(s) sat and what was counted
+SCAN_DTYPE = np.dtype([("position", np.float64), ("counts", np.int64),
+                       ("integration_time", np.float64), ("expected_rate", np.float64)])
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -57,22 +61,6 @@ class ScanConfig:
             raise ConfigurationError("instrument_factor must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One scan point: where the moving detector(s) sat and what was counted."""
-
-    position: float
-    expected_rate: float
-    counts: int
-    integration_time: float
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise ConfigurationError("counts must be >= 0")
-        if self.expected_rate < 0.0:
-            raise ConfigurationError("expected_rate must be >= 0")
-
-
 def slit_visibility_factor(slit_width: float, fringe_period: float) -> float:
     """Modulation-depth factor from boxcar-averaging the fringe over the slit.
 
@@ -104,7 +92,7 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig,
     instrument_factor * slit_visibility_factor, then mapped so the global
     fringe maximum corresponds to peak_rate, on top of background_rate.
 
-    Returns a list of (position, expected_rate) pairs.
+    Returns an (n, 2) float64 array of (position, expected_rate) rows.
     """
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     x = np.asarray(scan.positions, dtype=np.float64)
@@ -125,12 +113,12 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig,
     else:
         shape = np.zeros_like(smoothed)
     rates = scan.background_rate + scan.peak_rate * shape
-    return [(float(px), float(r)) for px, r in zip(x, rates)]
+    return np.column_stack((x, rates))
 
 
 def sample_counts(expected: Sequence[Tuple[float, float]],
-                  integration_time: float, seed: int):
-    """Draw Poisson counts for each expected point.
+                  integration_time: float, seed: int) -> np.recarray:
+    """Draw Poisson counts for each expected (position, rate) point.
 
     All counts come from one random stream per scan, seeded by `seed` and
     drawn in point-index order, so a point's count depends only on the seed
@@ -138,7 +126,7 @@ def sample_counts(expected: Sequence[Tuple[float, float]],
     leaves the remaining counts unchanged, and repeated runs with the same
     inputs are identical.
 
-    Returns a list of ScanRecord.
+    Returns a record array of SCAN_DTYPE, one row per point.
     """
     if not (math.isfinite(integration_time) and integration_time >= 0.0):
         raise ConfigurationError("integration_time must be finite and >= 0")
@@ -153,7 +141,5 @@ def sample_counts(expected: Sequence[Tuple[float, float]],
         counts = rng.poisson(rates * integration_time)
     except ValueError as exc:  # means beyond the generator's range
         raise ConfigurationError(f"expected counts out of range: {exc}") from exc
-    t = float(integration_time)
-    return [ScanRecord(position=pos, expected_rate=rate, counts=n, integration_time=t)
-            for pos, rate, n in zip(points[:, 0].tolist(), rates.tolist(),
-                                    counts.tolist())]
+    return np.rec.fromarrays((points[:, 0], counts, np.full_like(rates, integration_time),
+                              rates), dtype=SCAN_DTYPE)

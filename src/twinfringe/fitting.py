@@ -15,10 +15,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .detection import ScanRecord
 from .errors import IllPosedError
 
 VARIANTS = ("paper", "derived")
+
+_MAX_ITERATIONS = 200  # Gauss-Newton steps before a fit is reported unconverged
+_TOL = 1e-10  # relative step and cost decrease that end a fit
+_JACOBIAN_STEP = 1e-6  # relative central-difference step of nls_solve's Jacobian
+_DAMPING = 1e-3  # nls_solve's starting Levenberg-Marquardt damping
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,7 @@ def _as_arrays(data):
     return x, y, w
 
 
-def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
-              max_iterations: int = 200, tol: float = 1e-10,
-              jacobian_step: float = 1e-6, damping: float = 1e-3) -> FitResult:
+def nls_solve(model: Callable, data: Sequence, init: Sequence[float]) -> FitResult:
     """Weighted least squares by damped Gauss-Newton.
 
     model(x_array, params) must return predictions as an array; data is an
@@ -165,7 +167,7 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
     (J'J + lam*D) d = -J'r with D the floored diagonal of J'J; lam grows
     tenfold on rejected steps and relaxes on accepted ones.  Convergence
     requires both the relative step and the relative residual decrease to
-    drop below tol; hitting max_iterations or exhausting the damping returns
+    drop below _TOL; hitting _MAX_ITERATIONS or exhausting the damping returns
     the best parameters found, flagged as unconverged.
     """
     x, y, w = _as_arrays(data)
@@ -184,13 +186,13 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
     r = residuals(p)  # non-finite output at the starting point is an input error
     cost = float(r @ r)
     best_p, best_cost = p.copy(), cost
-    lam = damping
+    lam = _DAMPING
     converged = False
     message = ""
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
-        jac = -sw[:, None] * numeric_jacobian(model, x, p, step=jacobian_step)
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        jac = -sw[:, None] * numeric_jacobian(model, x, p, step=_JACOBIAN_STEP)
         grad = jac.T @ r
         if np.linalg.norm(grad) <= 1e-14 * max(1.0, cost):
             converged = True
@@ -238,14 +240,14 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
         if cost < best_cost:
             best_p, best_cost = p.copy(), cost
         lam = max(lam * 0.1, 1e-13)
-        if rel_step < tol and rel_decrease < tol:
+        if rel_step < _TOL and rel_decrease < _TOL:
             converged = True
             break
 
     if cost <= best_cost:
         best_p, best_cost = p.copy(), cost
 
-    jac = -sw[:, None] * numeric_jacobian(model, x, best_p, step=jacobian_step)
+    jac = -sw[:, None] * numeric_jacobian(model, x, best_p, step=_JACOBIAN_STEP)
     hess = jac.T @ jac
     dof = max(y.size - best_p.size, 1)
     try:
@@ -272,7 +274,6 @@ def nls_solve(model: Callable, data: Sequence, init: Sequence[float], *,
 # --- fringe fitting -----------------------------------------------------------
 
 _ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
-_TOL = 1e-10  # relative step and SSE decrease that end the period search, as in nls_solve
 
 
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
@@ -306,8 +307,9 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
                init_overrides: Optional[dict] = None) -> FitResult:
     """Fit the double-slit pattern to one scan and report its visibility.
 
-    Accepts either ScanRecord lists (Poisson counting data; weights are
-    1/max(counts, 1) in counts space) or bare (position, rate) pairs
+    Accepts either a counting scan, a record array with position, counts
+    and integration_time fields such as sample_counts returns (Poisson data;
+    weights are 1/max(counts, 1) in counts space), or (position, rate) rows
     (noise-free curves; unit weights in rate space).  Parameter order is
     [c0, mu, period, psi] in rate units, with mu = hypot(a, b) / c0 and
     psi = atan2(-b, a) from the linear coefficients of c0 + a cos(kx) +
@@ -315,17 +317,16 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     free k starts at the FFT peak or at init_overrides["period"].  A zero
     contrast reports mu = psi = 0 with NaN errors for mu, period and psi, unconverged.
     """
-    if len(scan) > 0 and isinstance(scan[0], ScanRecord):
-        x = np.array([rec.position for rec in scan], dtype=float)
-        y = np.array([rec.counts for rec in scan], dtype=float)
-        t = np.array([rec.integration_time for rec in scan], dtype=float)
+    if isinstance(scan, np.ndarray) and scan.dtype.names:
+        x = scan["position"].astype(float)
+        y = scan["counts"].astype(float)
+        t = scan["integration_time"].astype(float)
         if np.any(t <= 0.0):
-            raise IllPosedError("counting records need integration_time > 0; "
-                                "fit (position, rate) pairs for noise-free curves")
+            raise IllPosedError("counting scans need integration_time > 0; "
+                                "fit (position, rate) rows for noise-free curves")
         weights = 1.0 / np.maximum(y, 1.0)
     else:
-        x = np.array([pos for pos, _ in scan], dtype=float)
-        y = np.array([rate for _, rate in scan], dtype=float)
+        x, y = np.asarray(scan, dtype=float).reshape(len(scan), 2).T
         t = weights = np.ones_like(x)
 
     fixed = fix_period is not None
@@ -358,7 +359,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         flat = h <= _ZERO_CONTRAST * abs(c0)
         if converged or flat:
             break
-        if iterations == 200:
+        if iterations == _MAX_ITERATIONS:
             message = "iteration limit reached"
             break
         iterations += 1

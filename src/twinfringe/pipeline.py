@@ -5,13 +5,13 @@ entanglement-sweep reproduction with its pass/fail comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .config import RunConfig, entangled_sweep_config
-from .detection import ScanRecord, expected_scan, sample_counts
+from .detection import expected_scan, sample_counts
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
                       fringe_params, visibility_curve_params)
 from .polarization import PolarizationAngle, PumpState
@@ -30,7 +30,7 @@ def derived_seed(master: int, index: int) -> int:
     return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])
 
 
-def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> List[ScanRecord]:
+def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> np.recarray:
     """Simulate one detector sweep under a config, Poisson noise included."""
     state = build_two_photon_state(config.pump, config.source)
     expected = expected_scan(state, config.source, config.geometry,
@@ -58,12 +58,8 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
     points = []
     for i, theta in enumerate(thetas):
         pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
-        state = build_two_photon_state(pump, config.source)
-        expected = expected_scan(state, config.source, config.geometry,
-                                 config.analyzers, config.scan)
-        records = sample_counts(expected, config.scan.integration_time,
-                                derived_seed(master, i))
-        fit = fit_fringe(records)
+        fit = fit_fringe(simulate_scan(replace(config, pump=pump),
+                                       derived_seed(master, i)))
         p = fringe_params(fit)
         points.append(SweepPoint(theta=float(theta), mu=p.mu,
                                  sigma_mu=float(fit.stderr[1]),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigurationError, DegenerateInputError
 
 _NORM_TOL = 1e-12
+_CROSSED = 1e-15  # |cos| at or below: crossed polarizers (cos(pi/2) rounds to ~6e-17)
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,10 @@ class PolarizationAngle:
     radians: float
 
     def __post_init__(self):
-        r = float(self.radians) % math.pi
+        r = float(self.radians)
+        if not math.isfinite(r):
+            raise ConfigurationError(f"polarization angle must be finite, got {r!r}")
+        r %= math.pi
         if r < 0.0:  # % can return -0.0-adjacent values on some platforms
             r += math.pi
         object.__setattr__(self, "radians", r)
@@ -116,9 +120,11 @@ def pump_jones(pump: PumpState) -> JonesVector:
 def malus_amplitude(state_pol: PolarizationAngle, analyzer: PolarizationAngle) -> float:
     """Field transmission of a linear state through a linear analyzer.
 
-    Returns cos(analyzer - state_pol); intensities follow as the square.
+    Returns cos(analyzer - state_pol), exactly 0.0 for crossed polarizers;
+    intensities follow as the square.
     """
-    return math.cos(analyzer.radians - state_pol.radians)
+    c = math.cos(analyzer.radians - state_pol.radians)
+    return 0.0 if abs(c) <= _CROSSED else c
 
 
 def normalize(v: JonesVector) -> JonesVector:

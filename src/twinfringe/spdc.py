@@ -83,7 +83,7 @@ class TwoPhotonState:
 
     def __post_init__(self):
         n = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(n - 1.0) > _NORM_TOL:
+        if not abs(n - 1.0) <= _NORM_TOL:  # NaN amplitudes fail too
             raise ConfigurationError(f"|a1|^2 + |a2|^2 must be 1, got {n!r}")
 
 

@@ -219,7 +219,8 @@ def test_criterion_8_determinism(tmp_path):
 
     def run(tag, threads):
         env = dict(os.environ)
-        env["NUMBA_NUM_THREADS"] = threads
+        for pool in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[pool] = threads
         scan_out = tmp_path / f"scan_{tag}.csv"
         sweep_out = tmp_path / f"sweep_{tag}.csv"
         fig5_out = tmp_path / f"fig5_{tag}"

@@ -230,13 +230,20 @@ class TestOracleMatchesCoincidenceProbability:
                     reference_oracle(state, analyzers)
 
     def test_nearly_blocked_pairs(self):
-        # V pairs behind H analyzers pass only through cos(pi/2) ~ 6e-17
+        # V pairs behind H analyzers: malus_amplitude blocks them exactly
         for state in (TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), VERTICAL, VERTICAL),
                       TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)):
             report = phi_scan_oracle(state, (HORIZONTAL, HORIZONTAL))
             assert report.c_max < 1e-30
             assert (report.mu, report.c_max, report.c_min) == \
                 reference_oracle(state, (HORIZONTAL, HORIZONTAL))
+
+    def test_crossed_analyzers_read_zero(self):
+        # every pair blocked: an all-zero curve, not a rounding-level fringe
+        report = phi_scan_oracle(TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2),
+                                                VERTICAL, VERTICAL),
+                                 (HORIZONTAL, HORIZONTAL))
+        assert (report.mu, report.c_max, report.c_min) == (0.0, 0.0, 0.0)
 
 
 class TestConformanceReport:

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from twinfringe.cli import main, read_scan_csv, read_sweep_csv
+from twinfringe.cli import main, read_scan_csv, read_sweep_csv, write_scan_csv
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
+from twinfringe.pipeline import simulate_scan
 
 CLI = [sys.executable, "-m", "twinfringe.cli"]
 
@@ -194,6 +195,47 @@ class TestCliScan:
         assert periods["both"] / periods["signal"] == pytest.approx(0.5, rel=0.01)
 
 
+class TestScanCsvReader:
+    @staticmethod
+    def write_scan(path, bad_row):
+        rows = [f"{float(x)!r},12,10.0,1.5" for x in np.linspace(-6e-3, 6e-3, 9)]
+        rows[2] = bad_row
+        path.write_text("position_m,counts,integration_s,expected_rate\n"
+                        + "".join(row + "\n" for row in rows))
+
+    @pytest.mark.parametrize("bad_row", [
+        "0.001,-1,10.0,1.5",        # negative count
+        "0.001,12,10.0,-0.5",       # negative expected rate
+        "0.001,twelve,10.0,1.5",    # non-numeric cell
+        "0.001,12,10.0",            # short row
+    ])
+    def test_bad_row_exits_2_with_path_and_line(self, tmp_path, capsys, bad_row):
+        scan = tmp_path / "scan.csv"
+        self.write_scan(scan, bad_row)
+        code = main(["fit", str(scan), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{scan}:4: bad scan row" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        scan = tmp_path / "scan.csv"
+        self.write_scan(scan, "0.001,99999999999999999999,10.0,1.5")
+        assert main(["fit", str(scan), "--model", "fringe"]) == 2
+        assert f"{scan}:4: bad scan row" in capsys.readouterr().err
+
+    def test_sampled_scan_round_trips_exactly(self, tmp_path):
+        sampled = simulate_scan(default_config(), seed=21)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(sampled, str(path))
+        back = read_scan_csv(str(path))
+        assert len(back) == len(sampled) == 61
+        for name in ("position", "counts", "integration_time", "expected_rate"):
+            assert [getattr(r, name) for r in back] == [getattr(r, name) for r in sampled]
+        counts = np.array([r.counts for r in back])
+        assert counts.dtype.kind == "i" and counts.sum() > 0
+
+
 class TestCliSweepAndFit:
     def test_sweep_then_viscurve_round_trip(self, tmp_path):
         config = tmp_path / "sweep_config.json"
@@ -220,6 +262,14 @@ class TestCliSweepAndFit:
                         "--theta-deg", "0,45,90", "--output", str(out)])
         assert proc.returncode == 0
         assert "ill-posed" in proc.stderr
+    @pytest.mark.parametrize("angles", ["nan,0,45,90", "0,45,inf,90", "0,-inf,45,90"])
+    def test_non_finite_theta_exits_2(self, tmp_path, capsys, angles):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep-pump-angle", "--theta-deg", angles, "--output", str(out)])
+        assert code == 2
+        assert "--theta-deg" in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_wrong_model_for_file_shape_exits_2(self, tmp_path, config_path):
         out = tmp_path / "scan.csv"

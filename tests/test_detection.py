@@ -8,7 +8,7 @@ from twinfringe.detection import (ScanConfig, expected_scan,
                                   sample_counts, slit_visibility_factor)
 from twinfringe.errors import ConfigurationError
 from twinfringe.fitting import fit_fringe, fringe_params
-from twinfringe.polarization import DIAGONAL, VERTICAL, PumpState
+from twinfringe.polarization import DIAGONAL, HORIZONTAL, VERTICAL, PumpState
 from twinfringe.spdc import (GeometryConfig, build_two_photon_state,
                              default_source,
                              predicted_visibility_with_analyzers)
@@ -187,6 +187,17 @@ class TestSampleCounts:
         assert 0.9 < counts.var() / counts.mean() < 1.1
         assert len(set(counts.tolist())) > 10
 
+
+class TestCrossedAnalyzers:
+    def test_blocked_pairs_give_zero_rates_and_counts(self):
+        # V pairs from both crystals behind H analyzers: no coincidences, so
+        # no fringe is rescaled up to peak_rate
+        source = default_source(VERTICAL, VERTICAL)
+        state = build_two_photon_state(PumpState.linear(DIAGONAL), source)
+        expected = expected_scan(state, source, GeometryConfig(fringe_period=5e-3),
+                                 (HORIZONTAL, HORIZONTAL), make_scan())
+        assert np.all(expected[:, 1] == 0.0)
+        assert np.all(sample_counts(expected, 10.0, seed=99).counts == 0)
 
 class TestScanConfigValidation:
     def test_empty_positions(self):

@@ -258,9 +258,9 @@ class TestFitFringe:
         truth = FringeModelParams(c0=54.9, mu=0.82, period=5e-3, psi=0.1)
         x = np.linspace(-6e-3, 6e-3, 61)
         records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=5)
-        scaled = [type(r)(position=r.position, expected_rate=r.expected_rate * 10,
-                          counts=r.counts * 10, integration_time=r.integration_time)
-                  for r in records]
+        scaled = records.copy()
+        scaled.expected_rate *= 10
+        scaled.counts *= 10
         mu_a = fringe_params(fit_fringe(records)).mu
         mu_b = fringe_params(fit_fringe(scaled)).mu
         assert abs(mu_a - mu_b) < 1e-9

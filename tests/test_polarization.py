@@ -27,6 +27,11 @@ class TestPolarizationAngle:
         assert DIAGONAL.orthogonal().radians == pytest.approx(3 * math.pi / 4)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PolarizationAngle(value)
+
 class TestPumpJones:
     def test_pure_vertical(self):
         j = pump_jones(PumpState(1.0, 0.0, VERTICAL))
@@ -81,6 +86,14 @@ class TestMalus:
             perp = malus_amplitude(a, PolarizationAngle(b + math.pi / 2))
             assert para ** 2 + perp ** 2 == pytest.approx(1.0, abs=1e-12)
 
+
+    def test_crossed_polarizers_transmit_exactly_zero(self):
+        # cos(pi/2) rounds to ~6e-17; crossed polarizers must block exactly
+        for state, analyzer in ((VERTICAL, HORIZONTAL), (HORIZONTAL, VERTICAL),
+                                (DIAGONAL, DIAGONAL.orthogonal())):
+            assert malus_amplitude(state, analyzer) == 0.0
+        assert malus_amplitude(VERTICAL, PolarizationAngle(math.pi / 2 - 1e-9)) \
+            == pytest.approx(1e-9, rel=1e-6)
 
 class TestNormalize:
     def test_rescale(self):

@@ -60,6 +60,11 @@ class TestBuildState:
             assert abs(state.a1) == pytest.approx(math.cos(theta), abs=1e-12)
 
 
+    def test_non_finite_amplitudes_rejected(self):
+        for a1 in (math.nan, complex(math.nan, 0.0), math.inf):
+            with pytest.raises(ConfigurationError):
+                TwoPhotonState(a1, 0.0, VERTICAL, HORIZONTAL)
+
 class TestPhases:
     def test_equal_paths_give_constant_offset(self):
         geo = GeometryConfig()
@@ -176,6 +181,12 @@ class TestPredictedVisibility:
         state = bell_state()
         got = predicted_visibility_with_analyzers(state, VERTICAL, DIAGONAL)
         assert got == pytest.approx(0.0, abs=1e-12)
+
+    def test_crossed_analyzers_block_every_pair(self):
+        # V pairs from both crystals behind H analyzers: nothing is counted,
+        # so there is no fringe to see
+        assert predicted_visibility_with_analyzers(
+            bell_state(VERTICAL, VERTICAL), HORIZONTAL, HORIZONTAL) == 0.0
 
     def test_closed_forms_match_dense_scan(self):
         rng = np.random.default_rng(2024)
