@@ -14,8 +14,7 @@ from .errors import (ConfigurationError, DegenerateInputError, IllPosedError,
                      UndefinedVisibilityError)
 from .fitting import (FitResult, FringeModelParams, VisibilityCurveParams,
                       fit_fringe, fit_visibility_curve, fringe_model,
-                      fringe_params, mu_eff_model, nls_solve,
-                      visibility_curve_params)
+                      fringe_params, mu_eff_model, visibility_curve_params)
 from .polarization import (DIAGONAL, HORIZONTAL, VERTICAL, JonesVector,
                            PolarizationAngle, PumpState, malus_amplitude,
                            normalize, pump_jones)
@@ -35,7 +34,7 @@ __all__ = [
     "NotTwoQubitStateError", "TwinfringeError", "UndefinedVisibilityError",
     "FitResult", "FringeModelParams", "VisibilityCurveParams",
     "fit_fringe", "fit_visibility_curve", "fringe_model", "fringe_params",
-    "mu_eff_model", "nls_solve", "visibility_curve_params",
+    "mu_eff_model", "visibility_curve_params",
     "DIAGONAL", "HORIZONTAL", "VERTICAL", "JonesVector", "PolarizationAngle",
     "PumpState", "malus_amplitude", "normalize", "pump_jones",
     "CrystalConfig", "GeometryConfig", "SourceConfig", "TwoPhotonState",

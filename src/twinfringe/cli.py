@@ -102,6 +102,12 @@ def read_scan_csv(path: str) -> np.recarray:
             scan[i] = point
         except (ValueError, IndexError, OverflowError) as exc:
             raise TwinfringeError(f"{path}:{i + 2}: bad scan row: {exc}") from exc
+    # checked on whole columns, far cheaper than per row on a long scan
+    finite = (np.isfinite(scan.position) & np.isfinite(scan.integration_time)
+              & np.isfinite(scan.expected_rate))
+    if not finite.all():
+        raise TwinfringeError(f"{path}:{int(np.argmin(finite)) + 2}: bad scan row: "
+                              "position_m, integration_s and expected_rate must be finite")
     return scan
 
 
@@ -113,7 +119,12 @@ def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
     points = []
     for i, row in enumerate(rows, start=2):
         try:
-            points.append((float(row[0]), float(row[1]), float(row[2])))
+            point = (float(row[0]), float(row[1]), float(row[2]))
+            if not all(math.isfinite(v) for v in point):
+                raise ValueError("theta_rad, mu and sigma_mu must be finite")
+            if point[1] < 0.0 or point[2] < 0.0:
+                raise ValueError("mu and sigma_mu must be >= 0")
+            points.append(point)
         except (ValueError, IndexError) as exc:
             raise TwinfringeError(f"{path}:{i}: bad sweep row: {exc}") from exc
     return points
@@ -206,9 +217,9 @@ def _write_report(report: dict, path: str) -> None:
 
 
 def cmd_fit(args) -> int:
-    overrides = _parse_init_overrides(args.init)
     out_path = args.output or args.data + ".fit.json"
     if args.model == "fringe":
+        overrides = _parse_init_overrides(args.init)
         scan = read_scan_csv(args.data)
         observable = args.observable
         if observable == "auto":
@@ -232,10 +243,12 @@ def cmd_fit(args) -> int:
             "stderr": {"c0": se[0], "mu": se[1], "period": se[2], "psi": se[3]},
         }
     else:
+        if args.init:
+            raise TwinfringeError("--init applies to fringe fits only: the visibility "
+                                  "curve is solved in closed form")
         points = read_sweep_csv(args.data)
         try:
-            fit = fit_visibility_curve(points, variant=args.variant,
-                                       init_overrides=overrides)
+            fit = fit_visibility_curve(points, variant=args.variant)
         except ValueError as exc:
             raise TwinfringeError(str(exc)) from exc
         p = visibility_curve_params(fit, args.variant)
@@ -355,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto", help="fringe fits: fit counts or the "
                    "noise-free expected rate column")
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
-                   help="override a fit starting value (repeatable)")
+                   help="fringe fits: the starting period, as period=METERS")
     p.add_argument("--output", help="report JSON path (default: DATA.fit.json)")
     p.set_defaults(func=cmd_fit)
 

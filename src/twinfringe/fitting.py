@@ -3,15 +3,16 @@
 The double-slit fringe (visibility from one scan) is linear at a fixed
 period, so it is fitted by variable projection: a weighted linear solve
 inside a Gauss-Newton search over the wavenumber alone.  The visibility vs
-pump-angle curve (entanglement sweep) uses damped Gauss-Newton on
-numerically differenced Jacobians.
+pump-angle curve (entanglement sweep) is linear in {1, cos 4 theta,
+sin 4 theta} once mu is squared, so it is one weighted linear solve whose
+coefficients map to (mu_max, theta0, eps1) in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,8 +22,6 @@ VARIANTS = ("paper", "derived")
 
 _MAX_ITERATIONS = 200  # Gauss-Newton steps before a fit is reported unconverged
 _TOL = 1e-10  # relative step and cost decrease that end a fit
-_JACOBIAN_STEP = 1e-6  # relative central-difference step of nls_solve's Jacobian
-_DAMPING = 1e-3  # nls_solve's starting Levenberg-Marquardt damping
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class FringeModelParams:
     mu: float
     period: float
     psi: float = 0.0
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c0, self.mu, self.period, self.psi], dtype=float)
 
     @classmethod
     def from_vector(cls, v) -> "FringeModelParams":
@@ -68,9 +64,6 @@ class VisibilityCurveParams:
     def eps2(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.eps1 ** 2))
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.mu_max, self.theta0, self.eps1], dtype=float)
-
     @classmethod
     def from_vector(cls, v, variant: str = "derived") -> "VisibilityCurveParams":
         return cls(float(v[0]), float(v[1]), float(v[2]), variant)
@@ -89,7 +82,9 @@ class FitResult:
 
     @property
     def stderr(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        """Square roots of the variances; NaN where a variance is negative or non-finite."""
+        var = np.diag(self.covariance)
+        return np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, np.nan))
 
 
 def fringe_model(x, p: FringeModelParams):
@@ -123,152 +118,17 @@ def mu_eff_model(theta, p: VisibilityCurveParams):
     return float(out) if out.ndim == 0 else out
 
 
-def numeric_jacobian(func: Callable, x: np.ndarray, params: np.ndarray,
-                     step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of func(x, params) with respect to params.
-
-    Per-parameter step is step * max(|p_k|, 1).  Returns shape (len(x), len(params)).
-    """
-    params = np.asarray(params, dtype=float)
-    base = np.atleast_1d(np.asarray(func(x, params), dtype=float))
-    jac = np.empty((base.size, params.size), dtype=float)
-    for k in range(params.size):
-        h = step * max(abs(params[k]), 1.0)
-        hi = params.copy()
-        lo = params.copy()
-        hi[k] += h
-        lo[k] -= h
-        jac[:, k] = (np.asarray(func(x, hi), dtype=float)
-                     - np.asarray(func(x, lo), dtype=float)) / (2.0 * h)
-    return jac
-
-
 def _as_arrays(data):
+    """The three columns of (input, observation, weight or sigma) rows, all finite."""
     rows = np.asarray(data, dtype=float)
     if rows.size == 0:
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"data must be (input, observation, weight) triples, "
+        raise ValueError(f"data must be (input, observation, weight or sigma) triples, "
                          f"got shape {rows.shape}")
-    x, y, w = np.ascontiguousarray(rows.T)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+    if not np.all(np.isfinite(rows)):
         raise ValueError("data contains non-finite values")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be >= 0")
-    return x, y, w
-
-
-def nls_solve(model: Callable, data: Sequence, init: Sequence[float]) -> FitResult:
-    """Weighted least squares by damped Gauss-Newton.
-
-    model(x_array, params) must return predictions as an array; data is an
-    (n, 3) array or a sequence of (input, observation, weight) triples with
-    weights acting as inverse variances.  The step solves
-    (J'J + lam*D) d = -J'r with D the floored diagonal of J'J; lam grows
-    tenfold on rejected steps and relaxes on accepted ones.  Convergence
-    requires both the relative step and the relative residual decrease to
-    drop below _TOL; hitting _MAX_ITERATIONS or exhausting the damping returns
-    the best parameters found, flagged as unconverged.
-    """
-    x, y, w = _as_arrays(data)
-    p = np.asarray(init, dtype=float).copy()
-    if y.size < p.size:
-        raise IllPosedError(
-            f"{y.size} data points cannot constrain {p.size} parameters")
-    sw = np.sqrt(w)
-
-    def residuals(q):
-        f = np.atleast_1d(np.asarray(model(x, q), dtype=float))
-        if not np.all(np.isfinite(f)):
-            raise ValueError("model returned non-finite values")
-        return sw * (y - f)
-
-    r = residuals(p)  # non-finite output at the starting point is an input error
-    cost = float(r @ r)
-    best_p, best_cost = p.copy(), cost
-    lam = _DAMPING
-    converged = False
-    message = ""
-    iterations = 0
-
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = -sw[:, None] * numeric_jacobian(model, x, p, step=_JACOBIAN_STEP)
-        grad = jac.T @ r
-        if np.linalg.norm(grad) <= 1e-14 * max(1.0, cost):
-            converged = True
-            message = "stationary point"
-            break
-        hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        diag[diag <= 0.0] = 1.0
-        dmat = np.diag(diag)
-
-        accepted = False
-        delta = None
-        cost_new = cost
-        for _ in range(30):
-            try:
-                delta = np.linalg.solve(hess + lam * dmat, -grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is None or not np.all(np.isfinite(delta)):
-                lam *= 10.0
-                if lam > 1e12:
-                    break
-                continue
-            try:
-                r_try = residuals(p + delta)
-                cost_try = float(r_try @ r_try)
-            except ValueError:
-                cost_try = np.inf
-            if np.isfinite(cost_try) and cost_try <= cost:
-                accepted = True
-                r = r_try
-                cost_new = cost_try
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        if not accepted:
-            message = "damping exhausted: singular or stalled normal equations"
-            break
-
-        rel_step = float(np.linalg.norm(delta)) / max(float(np.linalg.norm(p)), 1e-12)
-        rel_decrease = (cost - cost_new) / max(cost, 1e-300)
-        p = p + delta
-        cost = cost_new
-        if cost < best_cost:
-            best_p, best_cost = p.copy(), cost
-        lam = max(lam * 0.1, 1e-13)
-        if rel_step < _TOL and rel_decrease < _TOL:
-            converged = True
-            break
-
-    if cost <= best_cost:
-        best_p, best_cost = p.copy(), cost
-
-    jac = -sw[:, None] * numeric_jacobian(model, x, best_p, step=_JACOBIAN_STEP)
-    hess = jac.T @ jac
-    dof = max(y.size - best_p.size, 1)
-    try:
-        u, s, vt = np.linalg.svd(hess, full_matrices=False)
-        # rank deficient at np.linalg.matrix_rank's default tolerance: some
-        # parameter combination leaves the residuals unchanged
-        singular = s[-1] <= s[0] * s.size * np.finfo(float).eps
-    except np.linalg.LinAlgError:
-        singular = True
-    if singular:
-        cov = np.full((best_p.size, best_p.size), np.nan)
-        converged = False
-        message = (message + "; " if message else "") + \
-            "unidentifiable: singular Hessian at the solution, covariance undefined"
-    else:
-        # the pseudo-inverse of np.linalg.pinv, from the same decomposition
-        cov = (vt.T @ ((1.0 / s)[:, None] * u.T)) * (best_cost / dof)
-    cov = 0.5 * (cov + cov.T)
-    return FitResult(params=best_p, covariance=cov,
-                     residual_norm=math.sqrt(best_cost),
-                     iterations=iterations, converged=converged, message=message)
+    return np.ascontiguousarray(rows.T)
 
 
 # --- fringe fitting -----------------------------------------------------------
@@ -314,7 +174,9 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     [c0, mu, period, psi] in rate units, with mu = hypot(a, b) / c0 and
     psi = atan2(-b, a) from the linear coefficients of c0 + a cos(kx) +
     b sin(kx).  fix_period pins k = 2 pi / period (zero period variance); a
-    free k starts at the FFT peak or at init_overrides["period"].  A zero
+    free k starts at the FFT peak or at init_overrides["period"] and stays in
+    [2 pi / span, pi (n - 1) / span], the wavenumbers n points over the span
+    resolve: a step that would leave it ends the search unconverged.  A zero
     contrast reports mu = psi = 0 with NaN errors for mu, period and psi, unconverged.
     """
     if isinstance(scan, np.ndarray) and scan.dtype.names:
@@ -347,6 +209,10 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     if period is not None and not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period!r}")
     k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period
+    if not fixed:  # the search starts and stays within the wavenumbers the grid resolves
+        span = x[-1] - x[0]
+        k_lo, k_hi = 2.0 * math.pi / span, math.pi * (x.size - 1) / span
+        k = min(max(k, k_lo), k_hi)
 
     coef, design, normal_inv, sse = _linear_fit(k, x, y, w, t)
     if coef is None:
@@ -370,14 +236,17 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         if not math.isfinite(step):
             message = "singular curvature in the period search"
             break
-        trial = _linear_fit(abs(k + step), x, y, w, t)
+        if not k_lo <= k + step <= k_hi:
+            message = "the period search left the wavenumbers the scan resolves"
+            break
+        trial = _linear_fit(k + step, x, y, w, t)
         while not trial[3] <= sse and abs(step) >= _TOL * k:
             step *= 0.5
-            trial = _linear_fit(abs(k + step), x, y, w, t)
+            trial = _linear_fit(k + step, x, y, w, t)
         decrease = 0.0  # a rejected step is below the step tolerance
         if trial[3] <= sse:
             decrease = (sse - trial[3]) / max(sse, 1e-300)
-            k, (coef, design, normal_inv, sse) = abs(k + step), trial
+            k, (coef, design, normal_inv, sse) = k + step, trial
         converged = abs(step) < _TOL * k and decrease < _TOL
 
     dof = max(y.size - n_params, 1)
@@ -409,80 +278,80 @@ def fringe_params(result: FitResult) -> FringeModelParams:
 # --- visibility-curve fitting ---------------------------------------------------
 
 
-def _invert_floor(ratio: float, variant: str) -> float:
-    """eps1 whose visibility floor over ceiling equals ratio."""
-    ratio = min(max(ratio, 0.0), 1.0 - 1e-12)
-    level = ratio if variant == "derived" else math.sqrt(ratio)
-    e2sq = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - level * level)))
-    return math.sqrt(1.0 - e2sq)
-
-
-def fit_visibility_curve(points, variant: str = "derived",
-                         init_overrides: Optional[dict] = None) -> FitResult:
+def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
     """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples.
 
-    Weights are 1/sigma^2 (zero sigmas are floored at the smallest positive
-    one, or unity if none).  The fitted eps1 is folded into [1/sqrt(2), 1] so
-    eps1 >= eps2; the curve depends on the pump amplitudes only through the
-    unordered pair, so this costs no generality.  theta0 is reported modulo
-    pi; note the curve itself is pi/2-periodic in theta0.  init_overrides
-    may pin starting values by name (mu_max, theta0, eps1).
+    With D = 2 eps1^2 - 1 and u = D^2, both variants are linear in
+    {1, cos 4 theta, sin 4 theta} once squared:
+      derived  mu^2 = mu_max^2 (1 - u/2 - (u/2) cos 4(theta - theta0))
+      paper    mu^2 = mu_max^2 ((1 - u)^2 + u/2 - (u/2) cos 4(theta - theta0))
+    so one weighted linear solve for A + B cos 4 theta + C sin 4 theta gives
+    the parameters in closed form; the fit takes no iterations.  With
+    R = hypot(B, C), 'derived' has mu_max^2 = A + R and u = 2R / (A + R);
+    'paper' has u the root <= 1 of 2u^2 - (4 + rho) u + 2 = 0 with
+    rho = (A - R) / R (u = 1 if A < R) and mu_max^2 = 2R / u.  u is clipped to
+    [0, 1] and eps1 = sqrt((1 + sqrt u) / 2), so eps1 >= eps2.  theta0 =
+    atan2(-C, -B) / 4 is reported in [0, pi/2), the period to which the curve
+    identifies it.
+
+    Weights are 1/var(mu^2) = 1/(4 mu^2 sigma^2 + 2 sigma^4), exact for a
+    Gaussian mu (zero sigmas are floored at the smallest positive one, or
+    unity if none).  The covariance is the inverse normal matrix scaled by
+    SSE/dof, carried to the parameters by the delta method at the clipped u.
+    A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
+    it reports eps1 = eps2, theta0 = 0 and NaN errors, unconverged.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    pts = [(float(t), float(m), float(s)) for t, m, s in points]
-    if len(pts) < 4:
+    theta, mu, sigma = _as_arrays(points)
+    if theta.size < 4:
         raise IllPosedError("need at least 4 (theta, mu, sigma) points")
-    theta = np.array([t for t, _, _ in pts])
-    mu = np.array([m for _, m, _ in pts])
-    sigma = np.array([s for _, _, s in pts])
     if theta.max() - theta.min() < math.pi / 2.0 - 1e-9:
         raise IllPosedError("pump angles must span at least half a period (pi/2)")
     positive = sigma[sigma > 0.0]
-    floor = float(positive.min()) if positive.size else 1.0
-    sigma = np.where(sigma > 0.0, sigma, floor)
-    weights = 1.0 / sigma ** 2
+    sigma = np.where(sigma > 0.0, sigma, positive.min() if positive.size else 1.0)
+    weights = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
+    coef, design, normal_inv, sse = _linear_fit(4.0, theta, mu ** 2, weights,
+                                                np.ones_like(theta))
+    # rank at np.linalg.matrix_rank's default tolerance: angles 45 degrees
+    # apart sample cos 4 theta = +-1 only and cannot separate B from C
+    if coef is None or np.linalg.matrix_rank(design) < 3:
+        raise IllPosedError("pump angles must take at least three distinct values "
+                            "of 4 theta modulo 2 pi")
+    a, b, c = coef
+    r = math.hypot(b, c)
+    if r <= _ZERO_CONTRAST * abs(a):
+        return FitResult(np.array([math.sqrt(a), 0.0, math.sqrt(0.5)]),
+                         np.full((3, 3), np.nan), math.sqrt(sse), 0, False,
+                         "unidentifiable: flat visibility curve (eps1 = eps2), "
+                         "theta0 is undefined")
 
-    overrides = dict(init_overrides or {})
-    unknown = set(overrides) - {"mu_max", "theta0", "eps1"}
-    if unknown:
-        raise ValueError(f"unknown visibility-curve init overrides: {sorted(unknown)}")
-    mu_max0 = float(overrides.get("mu_max", np.max(mu)))
-    theta00 = float(overrides.get("theta0", theta[np.argmin(mu)]))
-    ratio = float(np.min(mu)) / mu_max0 if mu_max0 > 0.0 else 0.0
-    eps10 = float(overrides.get("eps1", _invert_floor(ratio, variant)))
-
-    def model(tv, q):
-        return mu_eff_model(tv, VisibilityCurveParams(q[0], q[1], q[2], variant))
-
-    result = nls_solve(model, np.column_stack((theta, mu, weights)),
-                       [mu_max0, theta00, eps10])
-
-    q = result.params.copy()
-    cov = result.covariance.copy()
-    transform = np.ones_like(q)
-    if q[0] < 0.0:
-        q[0] = -q[0]
-        transform[0] = -1.0
-    e1 = min(abs(q[2]), 1.0)
-    if q[2] < 0.0:
-        transform[2] *= -1.0
-    if e1 < math.sqrt(0.5):
-        swapped = math.sqrt(1.0 - e1 * e1)
-        if swapped > 0.0 and e1 > 0.0:
-            transform[2] *= -e1 / swapped  # delta-method rescale for the branch swap
-        e1 = swapped
-    q[2] = e1
-    q[1] = q[1] % math.pi
-    cov = cov * np.outer(transform, transform)
-
-    message = result.message
-    if abs(q[2] ** 2 - 0.5) < 1e-6:
-        message = (message + "; " if message else "") + \
-            "boundary: eps1 ~ eps2, floor indistinguishable from ceiling"
-    return FitResult(params=q, covariance=cov, residual_norm=result.residual_norm,
-                     iterations=result.iterations, converged=result.converged,
-                     message=message)
+    # u and the slopes of u and mu_max come from the implicit equation F(u, A, R) = 0
+    # that each variant's u solves, taken at the clipped u
+    r_abc = np.array([0.0, b / r, c / r])  # dR/d(A, B, C)
+    a_abc = np.array([1.0, 0.0, 0.0])  # dA/d(A, B, C)
+    if variant == "derived":
+        # a + r > 0: the fitted curve's weighted mean is that of mu^2, not all zero
+        mu_max = math.sqrt(a + r)
+        u = min(2.0 * r / (a + r), 1.0)  # F = u (a + r) - 2r
+        du = (-u * a_abc + (2.0 - u) * r_abc) / (a + r)
+        dmu = (a_abc + r_abc) / (2.0 * mu_max)
+    else:
+        rho = (a - r) / r
+        u = 4.0 / (4.0 + rho + math.sqrt(rho * (8.0 + rho))) if rho > 0.0 else 1.0
+        mu_max = math.sqrt(2.0 * r / u)
+        slope = 4.0 * r * u - a - 3.0 * r  # dF/du of F = 2r u^2 - (a + 3r) u + 2r,
+        if slope == 0.0:                    # zero at a = r: u has a vertical tangent there
+            slope = math.nan
+        du = (u * a_abc - (2.0 * u * u - 3.0 * u + 2.0) * r_abc) / slope
+        dmu = 0.5 * mu_max * (r_abc / r - du / u)
+    eps1 = math.sqrt(0.5 * (1.0 + math.sqrt(u)))
+    jac = np.array([dmu,
+                    [0.0, -c / (4.0 * r * r), b / (4.0 * r * r)],
+                    du / (8.0 * eps1 * math.sqrt(u))])
+    cov = jac @ normal_inv @ jac.T * (sse / (theta.size - 3))
+    return FitResult(np.array([mu_max, (math.atan2(-c, -b) / 4.0) % (math.pi / 2.0), eps1]),
+                     0.5 * (cov + cov.T), math.sqrt(sse), 0, True)
 
 
 def visibility_curve_params(result: FitResult, variant: str = "derived") -> VisibilityCurveParams:

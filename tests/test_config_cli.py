@@ -218,6 +218,21 @@ class TestScanCsvReader:
         assert f"{scan}:4: bad scan row" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("bad_row", [
+        "0.001,12,inf,1.5",         # infinite integration time
+        "nan,12,10.0,1.5",          # NaN position
+        "0.001,12,10.0,inf",        # infinite expected rate
+    ])
+    def test_non_finite_cell_exits_2_with_path_and_line(self, tmp_path, capsys, bad_row):
+        scan = tmp_path / "scan.csv"
+        self.write_scan(scan, bad_row)
+        code = main(["fit", str(scan), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{scan}:4: bad scan row: " in err and "must be finite" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
         scan = tmp_path / "scan.csv"
         self.write_scan(scan, "0.001,99999999999999999999,10.0,1.5")
@@ -234,6 +249,26 @@ class TestScanCsvReader:
             assert [getattr(r, name) for r in back] == [getattr(r, name) for r in sampled]
         counts = np.array([r.counts for r in back])
         assert counts.dtype.kind == "i" and counts.sum() > 0
+
+
+class TestSweepCsvReader:
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("0.5,nan,0.01", "must be finite"),
+        ("inf,0.5,0.01", "must be finite"),
+        ("0.5,-0.2,0.01", "must be >= 0"),
+        ("0.5,0.2,-0.01", "must be >= 0"),
+    ])
+    def test_bad_row_exits_2_with_path_and_line(self, tmp_path, capsys, bad_row, reason):
+        rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
+        rows[3] = bad_row
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(row + "\n" for row in rows))
+        code = main(["fit", str(sweep), "--model", "viscurve",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sweep}:5: bad sweep row: " in err and reason in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCliSweepAndFit:
@@ -343,6 +378,16 @@ class TestCliSweepAndFit:
         assert code == 2
         assert "'period' only" in capsys.readouterr().err
 
+    def test_viscurve_init_exits_2(self, tmp_path, capsys):
+        sweep = tmp_path / "s.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t},{0.4 + 0.3 * math.cos(4 * t)},0.01\n" for t in np.linspace(0, math.pi, 19)))
+        code = main(["fit", str(sweep), "--model", "viscurve", "--init", "theta0=3.1",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "closed form" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_nonconvergence_exits_4(self, monkeypatch, tmp_path):
         import twinfringe.cli as cli_mod
         from twinfringe.fitting import FitResult
@@ -351,7 +396,7 @@ class TestCliSweepAndFit:
         sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
             f"{t},0.5,0.01\n" for t in np.linspace(0, math.pi, 8)))
 
-        def fake_fit(points, variant="derived", init_overrides=None):
+        def fake_fit(points, variant="derived"):
             return FitResult(params=np.array([0.5, 0.0, 0.9]),
                              covariance=np.eye(3), residual_norm=1.0,
                              iterations=200, converged=False, message="stalled")

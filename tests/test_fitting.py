@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twinfringe.analysis import phi_scan_oracle
+from twinfringe.config import default_config
 from twinfringe.detection import sample_counts
 from twinfringe.errors import IllPosedError
-from twinfringe.fitting import (FringeModelParams, VisibilityCurveParams,
-                                fit_fringe, fit_visibility_curve,
-                                fringe_model, fringe_params, mu_eff_model,
-                                nls_solve, numeric_jacobian,
+from twinfringe.fitting import (FitResult, FringeModelParams,
+                                VisibilityCurveParams, fit_fringe,
+                                fit_visibility_curve, fringe_model,
+                                fringe_params, mu_eff_model,
                                 visibility_curve_params)
+from twinfringe.pipeline import simulate_scan, theta0_distance
 from twinfringe.polarization import DIAGONAL, HORIZONTAL, VERTICAL
 from twinfringe.spdc import TwoPhotonState
 
@@ -80,117 +83,11 @@ class TestMuEffModel:
             VisibilityCurveParams(0.8, 0.0, 0.9, variant="bogus")
 
 
-class TestNumericJacobian:
-    def test_two_step_self_consistency(self):
-        x = np.linspace(-5e-3, 5e-3, 40)
-
-        def fringe(xv, q):
-            return fringe_model(xv, FringeModelParams(*q))
-
-        def viscurve(tv, q):
-            return mu_eff_model(tv, VisibilityCurveParams(q[0], q[1], q[2]))
-
-        theta = np.linspace(0.0, math.pi, 25)
-        for func, inputs, params in [
-            (fringe, x, np.array([50.0, 0.8, 5e-3, 0.3])),
-            (viscurve, theta, np.array([0.77, 3.0, 0.95])),
-        ]:
-            coarse = numeric_jacobian(func, inputs, params, step=1e-6)
-            fine = numeric_jacobian(func, inputs, params, step=1e-7)
-            scale = np.max(np.abs(coarse))
-            assert np.max(np.abs(coarse - fine)) / scale < 1e-4
-
-
-class TestNlsSolve:
-    @staticmethod
-    def quadratic(x, q):
-        return q[0] + q[1] * x + q[2] * x * x
-
-    def test_exact_data_from_truth_init(self):
-        x = np.linspace(-1, 1, 15)
-        truth = np.array([2.0, -0.5, 0.7])
-        data = list(zip(x, self.quadratic(x, truth), np.ones_like(x)))
-        result = nls_solve(self.quadratic, data, truth)
-        assert result.converged
-        assert result.residual_norm == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(result.params, truth, atol=1e-12)
-
-    def test_perturbed_init_recovers_fringe_parameters(self):
-        x = np.linspace(-6e-3, 6e-3, 61)
-        truth = FringeModelParams(c0=80.0, mu=0.82, period=5e-3, psi=0.4)
-
-        def model(xv, q):
-            return fringe_model(xv, FringeModelParams(*q))
-
-        data = list(zip(x, model(x, truth.as_vector()), np.ones_like(x)))
-        init = truth.as_vector() * 1.1
-        result = nls_solve(model, data, init)
-        assert result.converged
-        assert np.max(np.abs(result.params - truth.as_vector())
-                      / np.abs(truth.as_vector())) < 1e-6
-
-    def test_overdetermined_linear_matches_normal_equations(self):
-        rng = np.random.default_rng(1)
-        x = np.linspace(0, 1, 40)
-        design = np.vstack([np.ones_like(x), x, x * x]).T
-        y = design @ np.array([1.0, 2.0, -3.0]) + rng.normal(0, 0.1, x.size)
-        w = rng.uniform(0.5, 2.0, x.size)
-        closed = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
-        result = nls_solve(self.quadratic, list(zip(x, y, w)), np.zeros(3))
-        assert result.converged
-        assert np.max(np.abs(result.params - closed)) < 1e-9
-
-    def test_nan_model_output_is_an_input_error(self):
-        def bad(x, q):
-            return np.full_like(np.asarray(x, dtype=float), np.nan)
-
-        with pytest.raises(ValueError):
-            nls_solve(bad, [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)], [0.5])
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(IllPosedError):
-            nls_solve(self.quadratic, [(0.0, 1.0, 1.0)], [1.0, 1.0, 1.0])
-        with pytest.raises(IllPosedError):
-            nls_solve(self.quadratic, [], [1.0, 1.0, 1.0])
-
-    def test_array_and_triples_give_identical_fits(self):
-        rng = np.random.default_rng(3)
-        x = np.linspace(-1, 1, 30)
-        y = self.quadratic(x, [0.5, 1.0, -2.0]) + rng.normal(0, 0.05, x.size)
-        w = rng.uniform(0.5, 2.0, x.size)
-        from_rows = nls_solve(self.quadratic, list(zip(x, y, w)), np.zeros(3))
-        from_array = nls_solve(self.quadratic, np.column_stack((x, y, w)), np.zeros(3))
-        assert np.array_equal(from_rows.params, from_array.params)
-        assert np.array_equal(from_rows.covariance, from_array.covariance)
-
-    def test_rows_must_be_triples(self):
-        with pytest.raises(ValueError, match="triples"):
-            nls_solve(self.quadratic, np.ones((10, 2)), np.zeros(3))
-
-    def test_covariance_is_the_pseudo_inverse_of_the_hessian(self):
-        rng = np.random.default_rng(4)
-        x = np.linspace(-1, 1, 30)
-        y = self.quadratic(x, [0.5, 1.0, -2.0]) + rng.normal(0, 0.05, x.size)
-        w = rng.uniform(0.5, 2.0, x.size)
-        result = nls_solve(self.quadratic, np.column_stack((x, y, w)), np.zeros(3))
-        r = np.sqrt(w) * (y - self.quadratic(x, result.params))
-        jac = -np.sqrt(w)[:, None] * numeric_jacobian(self.quadratic, x, result.params)
-        cov = np.linalg.pinv(jac.T @ jac) * (float(r @ r) / (x.size - 3))
-        assert result.converged
-        assert np.array_equal(result.covariance, 0.5 * (cov + cov.T))
-
-    def test_unidentifiable_parameter_flagged(self):
-        # q[2] never enters the model: the Hessian is singular at any solution
-        def model(x, q):
-            return q[0] + q[1] * x
-
-        x = np.linspace(-1, 1, 19)
-        result = nls_solve(model, np.column_stack((x, 2.0 + 0.5 * x, np.ones_like(x))),
-                           [1.0, 0.0, 3.0])
-        assert not result.converged
-        assert "unidentifiable" in result.message
-        assert np.all(np.isnan(result.covariance))
-        assert np.allclose(result.params[:2], [2.0, 0.5])
+class TestFitResult:
+    def test_negative_or_non_finite_variance_reads_nan(self):
+        fit = FitResult(np.zeros(4), np.diag([4.0, -1e-12, np.inf, np.nan]), 0.0, 0, True)
+        assert fit.stderr[0] == 2.0
+        assert np.all(np.isnan(fit.stderr[1:]))
 
 
 def make_noiseless_scan(params, n=61, span=12e-3):
@@ -357,6 +254,24 @@ class TestFitFringe:
                 fit_fringe(make_noiseless_scan(truth), init_overrides={name: 1.0})
 
 
+    @pytest.mark.parametrize("seed", [737, 757, 1293])
+    def test_period_search_stays_in_the_resolved_band(self, seed):
+        # at ~5 counts per peak these scans pull the search towards periods of
+        # metres on a 12 mm span
+        config = default_config()
+        config = dataclasses.replace(
+            config, scan=dataclasses.replace(config.scan, peak_rate=0.5))
+        scan = simulate_scan(config, seed=seed)
+        fit = fit_fringe(scan)
+        span = scan.position.max() - scan.position.min()
+        k = 2.0 * math.pi / fringe_params(fit).period
+        assert not fit.converged
+        assert "wavenumbers the scan resolves" in fit.message
+        assert np.all(fit.stderr != 0.0)
+        assert 2.0 * math.pi / span * (1 - 1e-12) <= k
+        assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
+
+
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,
                     n=19, variant="derived"):
     theta = np.linspace(0.0, math.pi, n)
@@ -416,10 +331,104 @@ class TestFitVisibilityCurve:
         p = visibility_curve_params(fit)
         assert p.eps1 >= p.eps2
 
-    def test_init_overrides(self):
-        rng = np.random.default_rng(12)
-        points = synthetic_curve(rng)
-        fit = fit_visibility_curve(points, init_overrides={"theta0": 3.1})
+    @pytest.mark.parametrize("variant", ["derived", "paper"])
+    def test_noise_free_curves_recovered(self, variant):
+        # eps2 stays in [0.05, 0.65]: the paper floor scales as eps2^4, so below
+        # that the rounding of mu^2 ~ mu_max^2 swamps it, and as eps2 -> eps1
+        # the curve flattens and theta0 becomes undefined
+        rng = np.random.default_rng(31)
+        theta = np.linspace(0.0, math.pi, 19)
+        for _ in range(200):
+            eps2 = rng.uniform(0.05, 0.65)
+            truth = VisibilityCurveParams(rng.uniform(0.1, 1.0), rng.uniform(0.0, math.pi),
+                                          math.sqrt(1.0 - eps2 ** 2), variant)
+            points = np.column_stack((theta, mu_eff_model(theta, truth), np.full(19, 0.01)))
+            fit = fit_visibility_curve(points, variant=variant)
+            p = visibility_curve_params(fit, variant)
+            assert fit.converged and fit.iterations == 0
+            assert 0.0 <= p.theta0 < math.pi / 2
+            assert abs(p.mu_max - truth.mu_max) <= 1e-10
+            assert theta0_distance(p.theta0, truth.theta0) <= 1e-10
+            assert abs(p.eps2 - eps2) <= 1e-10
+
+    @staticmethod
+    def closed_form(coef, variant):
+        """(mu_max, theta0, eps1) from mu^2 = A + B cos 4 theta + C sin 4 theta."""
+        a, b, c = coef
+        r = math.hypot(b, c)
+        if variant == "derived":
+            mu_max_sq, u = a + r, 2.0 * r / (a + r)
+        else:
+            rho = (a - r) / r
+            u = (4.0 + rho - math.sqrt((4.0 + rho) ** 2 - 16.0)) / 4.0
+            mu_max_sq = 2.0 * r / u
+        return np.array([math.sqrt(mu_max_sq), (math.atan2(-c, -b) / 4.0) % (math.pi / 2),
+                         math.sqrt((1.0 + math.sqrt(u)) / 2.0)])
+
+    @pytest.mark.parametrize("variant", ["derived", "paper"])
+    def test_weighted_normal_equations_on_mu_squared(self, variant):
+        rng = np.random.default_rng(21)
+        theta, mu, sigma = np.array(synthetic_curve(rng, theta0=1.0, variant=variant)).T
+        w = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
+        design = np.column_stack((np.ones_like(theta), np.cos(4 * theta), np.sin(4 * theta)))
+        normal = design.T @ (w[:, None] * design)
+        coef = np.linalg.solve(normal, design.T @ (w * mu ** 2))
+        resid = mu ** 2 - design @ coef
+        jac = np.column_stack([(self.closed_form(coef + h, variant)
+                                - self.closed_form(coef - h, variant)) / 2e-7
+                               for h in 1e-7 * np.eye(3)])
+        cov = jac @ np.linalg.inv(normal) @ jac.T * float(resid @ (w * resid)) / (theta.size - 3)
+        fit = fit_visibility_curve(list(zip(theta, mu, sigma)), variant=variant)
         assert fit.converged
-        with pytest.raises(ValueError):
-            fit_visibility_curve(points, init_overrides={"nope": 1.0})
+        assert np.allclose(fit.params, self.closed_form(coef, variant), rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.covariance, cov, rtol=1e-6, atol=1e-9 * np.abs(cov).max())
+
+    def test_linear_pump_clips_to_eps1_one_with_finite_error(self):
+        # a linear-pump curve with 2% deeper flanks fits A < R, so u clips at 1
+        theta = np.linspace(0.0, math.pi, 19)
+        theta0 = theta[5]
+        truth = VisibilityCurveParams(0.77, theta0, 1.0)
+        mu = mu_eff_model(theta, truth) * (1.0 - 0.02 * np.cos(4.0 * (theta - theta0)))
+        sigma = np.full(19, 0.01)
+        sigma[9] = 0.0
+        assert mu[5] == 0.0
+        fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
+        p = visibility_curve_params(fit)
+        assert fit.converged
+        assert p.eps1 == 1.0
+        assert 0.0 < fit.stderr[2] < np.inf
+        assert theta0_distance(p.theta0, theta0) < 1e-3
+
+    def test_paper_linear_pump_at_the_vertical_tangent(self):
+        # A = R to rounding, where u(A, R) has an infinite slope: no division error
+        theta = np.linspace(0.0, math.pi, 19)
+        truth = VisibilityCurveParams(0.8, 0.3, 1.0, "paper")
+        points = np.column_stack((theta, mu_eff_model(theta, truth), np.full(19, 0.01)))
+        fit = fit_visibility_curve(points, variant="paper")
+        assert fit.converged
+        assert visibility_curve_params(fit, "paper").eps1 == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_input_raises(self, column, bad):
+        rows = np.array(synthetic_curve(np.random.default_rng(1)))
+        rows[4, column] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_visibility_curve(rows)
+
+    def test_angles_45_degrees_apart_rejected(self):
+        # cos 4 theta reads +-1 at every angle and sin 4 theta ~ 0: B and C are confounded
+        theta = np.radians([0.0, 45.0, 90.0, 135.0, 180.0])
+        with pytest.raises(IllPosedError, match="4 theta"):
+            fit_visibility_curve([(t, 0.5 + 0.2 * math.cos(4 * t), 0.01) for t in theta])
+
+    def test_array_and_triples_give_identical_fits(self):
+        points = synthetic_curve(np.random.default_rng(3))
+        from_rows = fit_visibility_curve(points)
+        from_array = fit_visibility_curve(np.array(points))
+        assert np.array_equal(from_rows.params, from_array.params)
+        assert np.array_equal(from_rows.covariance, from_array.covariance)
+
+    def test_rows_must_be_triples(self):
+        with pytest.raises(ValueError, match="triples"):
+            fit_visibility_curve(np.ones((10, 2)))
