@@ -2,7 +2,9 @@
 
 The double-slit fringe (visibility from one scan) is linear at a fixed
 period, so it is fitted by variable projection: a weighted linear solve
-inside a Gauss-Newton search over the wavenumber alone.  The visibility vs
+inside a Gauss-Newton search over the wavenumber alone.  The same search
+runs on a stack of scans that share one period (a pump-angle sweep), each
+scan with its own linear solve, to find that period once.  The visibility vs
 pump-angle curve (entanglement sweep) is linear in {1, cos 4 theta,
 sin 4 theta} once mu is squared, so it is one weighted linear solve whose
 coefficients map to (mu_max, theta0, eps1) in closed form.
@@ -136,31 +138,135 @@ def _as_arrays(data):
 _ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
 
 
+def _is_flat(c0: float, a: float, b: float) -> bool:
+    """Whether the coefficients of c0 + a cos kx + b sin kx leave zero contrast."""
+    return math.hypot(a, b) <= _ZERO_CONTRAST * abs(c0)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., n) stacks."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _scan_columns(scan, min_points: int):
+    """Positions, observations, weights and integration times of one scan, by position.
+
+    A counting scan (a record array with position, counts and
+    integration_time fields, such as sample_counts returns) is Poisson data
+    with weights 1/max(counts, 1) in counts space; (position, rate) rows are
+    noise-free curves with unit weights and times.
+    """
+    if isinstance(scan, np.ndarray) and scan.dtype.names:
+        fields = np.asarray(scan)
+        x = fields["position"].astype(float)
+        y = fields["counts"].astype(float)
+        t = fields["integration_time"].astype(float)
+        if (t <= 0.0).any():
+            raise IllPosedError("counting scans need integration_time > 0; "
+                                "fit (position, rate) rows for noise-free curves")
+        w = 1.0 / np.maximum(y, 1.0)
+    else:
+        x, y = np.asarray(scan, dtype=float).reshape(len(scan), 2).T
+        t = w = np.ones_like(x)
+    if x.size < min_points:
+        raise IllPosedError(f"need at least {min_points} points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("data contains non-finite values")
+    order = np.argsort(x)
+    return x[order], y[order], w[order], t[order]
+
+
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
-    """Wavenumber of the strongest nonzero Fourier component, on a uniform resample."""
+    """Wavenumber of the strongest nonzero Fourier component on a uniform resample,
+    the amplitude spectra of the rows of y (one scan per row) summed."""
     n = max(x.size, 16)
     grid = np.linspace(x[0], x[-1], n)
-    resampled = np.interp(grid, x, y)
-    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean()))
-    k = 1 + int(np.argmax(spectrum[1:]))
+    resampled = np.array([np.interp(grid, x, row) for row in np.atleast_2d(y)])
+    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
+    k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
     return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
 
 
 def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray):
     """Weighted least squares for (c0, a, b) in t * (c0 + a cos kx + b sin kx).
 
-    Returns the coefficients, the design, its inverse weighted normal matrix
-    and the weighted SSE; coefficients None and SSE inf if singular.
+    y and w are one scan, (n,), or a stack of scans, (m, n), against the one
+    design they share.  Returns the coefficients, the design, the inverse
+    weighted normal matrices, the residuals and the weighted SSE, per scan;
+    coefficients None and SSE inf if singular.
     """
-    design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
-    weighted = design * w[:, None]
+    kx = k * x
+    design = np.column_stack((t, t * np.cos(kx), t * np.sin(kx)))
+    weighted = design * w[..., None]
     try:
         normal_inv = np.linalg.inv(design.T @ weighted)
     except np.linalg.LinAlgError:
-        return None, design, None, math.inf
-    coef = normal_inv @ (weighted.T @ y)
-    resid = y - design @ coef
-    return coef, design, normal_inv, float(resid @ (w * resid))
+        return None, design, None, None, np.full(y.shape[:-1], math.inf)
+    coef = (normal_inv @ (weighted.swapaxes(-1, -2) @ y[..., None]))[..., 0]
+    resid = y - (design @ coef[..., None])[..., 0]
+    return coef, design, normal_inv, resid, _dot(resid, w * resid)
+
+
+def _projected_curvature(design, normal_inv, jk, wjk) -> np.ndarray:
+    """Kaufman's projected J'J in k per scan: jk' W jk less its part the linear
+    coefficients absorb."""
+    proj = wjk[..., None, :] @ design
+    return _dot(jk, wjk) - (proj @ normal_inv @ proj.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _search_wavenumber(k: float, x, y, w, t):
+    """Gauss-Newton search over the one wavenumber a stack of scans shares.
+
+    y and w are (m, n): one scan per row over the shared positions x and
+    integration times t.  At each k every scan's (c0, a, b) is solved by
+    _linear_fit; the stack's SSE, gradient and projected curvature are sums
+    over scans, and a step is halved until the SSE does not rise.  The
+    search starts at k clipped into [2 pi / span, pi (n - 1) / span], the
+    wavenumbers n points over the span resolve, and a step that would leave
+    them ends it unconverged; it ends without a step when every scan is flat.
+
+    Returns k, the _linear_fit tuple there, d model / dk at fixed (c0, a, b)
+    per scan, the number of steps, whether the search converged, and why not.
+    """
+    span = x[-1] - x[0]
+    k_lo, k_hi = 2.0 * math.pi / span, math.pi * (x.size - 1) / span
+    k = min(max(k, k_lo), k_hi)
+    fit = _linear_fit(k, x, y, w, t)
+    if fit[0] is None:
+        raise IllPosedError("the fringe design is singular at the starting period")
+    sse = sum(fit[4].tolist())
+    iterations, converged, message = 0, False, ""
+    while True:
+        coef, design, normal_inv, resid, _ = fit
+        # d model / dk at fixed (c0, a, b), per scan
+        jk = x * (coef[:, 2, None] * design[:, 1] - coef[:, 1, None] * design[:, 2])
+        if converged or all(_is_flat(*row) for row in coef.tolist()):
+            break
+        if iterations == _MAX_ITERATIONS:
+            message = "iteration limit reached"
+            break
+        iterations += 1
+        wjk = w * jk
+        curvature = sum(_projected_curvature(design, normal_inv, jk, wjk).tolist())
+        step = sum(_dot(wjk, resid).tolist()) / curvature if curvature > 0.0 else math.nan
+        if not math.isfinite(step):
+            message = "singular curvature in the period search"
+            break
+        if not k_lo <= k + step <= k_hi:
+            message = "the period search left the wavenumbers the scan resolves"
+            break
+        trial = _linear_fit(k + step, x, y, w, t)
+        trial_sse = sum(trial[4].tolist())
+        while not trial_sse <= sse and abs(step) >= _TOL * k:
+            step *= 0.5
+            trial = _linear_fit(k + step, x, y, w, t)
+            trial_sse = sum(trial[4].tolist())
+        decrease = 0.0  # a rejected step is below the step tolerance
+        if trial_sse <= sse:
+            decrease = (sse - trial_sse) / max(sse, 1e-300)
+            k, fit, sse = k + step, trial, trial_sse
+        converged = abs(step) < _TOL * k and decrease < _TOL
+    return k, fit, jk, iterations, converged, message
 
 
 def fit_fringe(scan, fix_period: Optional[float] = None,
@@ -174,30 +280,14 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     [c0, mu, period, psi] in rate units, with mu = hypot(a, b) / c0 and
     psi = atan2(-b, a) from the linear coefficients of c0 + a cos(kx) +
     b sin(kx).  fix_period pins k = 2 pi / period (zero period variance); a
-    free k starts at the FFT peak or at init_overrides["period"] and stays in
-    [2 pi / span, pi (n - 1) / span], the wavenumbers n points over the span
-    resolve: a step that would leave it ends the search unconverged.  A zero
-    contrast reports mu = psi = 0 with NaN errors for mu, period and psi, unconverged.
+    free k is found by the search fit_shared_period runs, on this one scan,
+    starting at the FFT peak or at init_overrides["period"].  A zero
+    contrast reports mu = psi = 0 with NaN errors for mu, period and psi,
+    unconverged.
     """
-    if isinstance(scan, np.ndarray) and scan.dtype.names:
-        x = scan["position"].astype(float)
-        y = scan["counts"].astype(float)
-        t = scan["integration_time"].astype(float)
-        if np.any(t <= 0.0):
-            raise IllPosedError("counting scans need integration_time > 0; "
-                                "fit (position, rate) rows for noise-free curves")
-        weights = 1.0 / np.maximum(y, 1.0)
-    else:
-        x, y = np.asarray(scan, dtype=float).reshape(len(scan), 2).T
-        t = weights = np.ones_like(x)
-
     fixed = fix_period is not None
     n_params = 3 if fixed else 4
-    if x.size < n_params:
-        raise IllPosedError(f"need at least {n_params} points")
-    order = np.argsort(x)
-    x, y, w = _as_arrays(np.column_stack((x, y, weights))[order])
-    t = t[order]
+    x, y, w, t = _scan_columns(scan, n_params)
     if not fixed and x[-1] - x[0] <= 0.0:
         raise IllPosedError("positions must span at least one period to fit a free period")
 
@@ -209,49 +299,21 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     if period is not None and not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period!r}")
     k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period
-    if not fixed:  # the search starts and stays within the wavenumbers the grid resolves
-        span = x[-1] - x[0]
-        k_lo, k_hi = 2.0 * math.pi / span, math.pi * (x.size - 1) / span
-        k = min(max(k, k_lo), k_hi)
+    if fixed:
+        coef, design, normal_inv, _, sse = _linear_fit(k, x, y, w, t)
+        if coef is None:
+            raise IllPosedError("the fringe design is singular at the starting period")
+        iterations, converged, message = 0, True, ""
+    else:
+        k, (coef, design, normal_inv, _, sse), jk, iterations, converged, message = \
+            _search_wavenumber(k, x, y[None], w[None], t)
+        coef, normal_inv, sse, jk = coef[0], normal_inv[0], float(sse[0]), jk[0]
+        period = 2.0 * math.pi / k
 
-    coef, design, normal_inv, sse = _linear_fit(k, x, y, w, t)
-    if coef is None:
-        raise IllPosedError("the fringe design is singular at the starting period")
-    iterations, converged, message = 0, fixed, ""
-    while True:
-        c0, a, b = coef
-        h = math.hypot(a, b)
-        jk = x * (b * design[:, 1] - a * design[:, 2])  # d model / dk at fixed (c0, a, b)
-        flat = h <= _ZERO_CONTRAST * abs(c0)
-        if converged or flat:
-            break
-        if iterations == _MAX_ITERATIONS:
-            message = "iteration limit reached"
-            break
-        iterations += 1
-        wjk = w * jk
-        proj = design.T @ wjk
-        curvature = float(jk @ wjk - proj @ normal_inv @ proj)  # Kaufman's projected J'J
-        step = float(wjk @ (y - design @ coef)) / curvature if curvature > 0.0 else math.nan
-        if not math.isfinite(step):
-            message = "singular curvature in the period search"
-            break
-        if not k_lo <= k + step <= k_hi:
-            message = "the period search left the wavenumbers the scan resolves"
-            break
-        trial = _linear_fit(k + step, x, y, w, t)
-        while not trial[3] <= sse and abs(step) >= _TOL * k:
-            step *= 0.5
-            trial = _linear_fit(k + step, x, y, w, t)
-        decrease = 0.0  # a rejected step is below the step tolerance
-        if trial[3] <= sse:
-            decrease = (sse - trial[3]) / max(sse, 1e-300)
-            k, (coef, design, normal_inv, sse) = k + step, trial
-        converged = abs(step) < _TOL * k and decrease < _TOL
-
+    c0, a, b = coef
+    h = math.hypot(a, b)
     dof = max(y.size - n_params, 1)
-    period = fix_period if fixed else 2.0 * math.pi / k
-    if flat:
+    if _is_flat(c0, a, b):
         cov = np.full((4, 4), np.nan)
         cov[0, 0] = normal_inv[0, 0] * sse / dof
         return FitResult(np.array([c0, 0.0, period, 0.0]), cov, math.sqrt(sse), iterations,
@@ -260,13 +322,55 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
                      [-h / c0 ** 2, a / (c0 * h), b / (c0 * h), 0.0],
                      [0.0, 0.0, 0.0, -2.0 * math.pi / k ** 2],
                      [0.0, b / h ** 2, -a / h ** 2, 0.0]])
-    jac = design if fixed else np.column_stack((design, jk))
-    try:
-        lin_cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
-    except np.linalg.LinAlgError:
-        lin_cov = np.full((jac.shape[1],) * 2, np.nan)
-    cov = grad[:, :jac.shape[1]] @ lin_cov @ grad[:, :jac.shape[1]].T * (sse / dof)
+    if fixed:  # the design is the Jacobian, so its inverse normal matrix is in hand
+        lin_cov = normal_inv
+    else:
+        jac = np.column_stack((design, jk))
+        try:
+            lin_cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
+        except np.linalg.LinAlgError:
+            lin_cov = np.full((4, 4), np.nan)
+    n_lin = lin_cov.shape[0]
+    cov = grad[:, :n_lin] @ lin_cov @ grad[:, :n_lin].T * (sse / dof)
     return FitResult(np.array([c0, h / c0, period, math.atan2(-b, a)]), 0.5 * (cov + cov.T),
+                     math.sqrt(sse), iterations, converged, message)
+
+
+def fit_shared_period(scans) -> FitResult:
+    """Search the one fringe period a stack of scans shares.
+
+    The scans (each as fit_fringe accepts it) must share positions and
+    integration times, as the scans of one pump-angle sweep do: the geometry
+    fixes the period, and only contrast and phase vary from scan to scan.
+    Each scan keeps its own (c0, a, b) and weights; one Gauss-Newton search
+    over k minimises the summed SSE, starting at the peak of the summed
+    amplitude spectra.  A one-scan stack finds fit_fringe's free period bit
+    for bit.  Returns params [period] with its variance from the stack's
+    projected curvature scaled by SSE/dof; a stack of flat scans reports a
+    NaN variance, unconverged.  Fit each scan's contrast at the period with
+    fit_fringe(scan, fix_period=period).
+    """
+    columns = [_scan_columns(scan, 4) for scan in scans]
+    if not columns:
+        raise IllPosedError("need at least one scan")
+    if len({c[0].size for c in columns}) > 1:
+        raise IllPosedError("scans must share positions and integration times")
+    x, y, w, t = (np.array(c) for c in zip(*columns))
+    if not ((x == x[0]).all() and (t == t[0]).all()):
+        raise IllPosedError("scans must share positions and integration times")
+    x, t = x[0], t[0]
+    if x[-1] - x[0] <= 0.0:
+        raise IllPosedError("positions must span at least one period to fit a free period")
+    k, (coef, design, normal_inv, _, sse), jk, iterations, converged, message = \
+        _search_wavenumber(_dominant_wavenumber(x, y / t), x, y, w, t)
+    if all(_is_flat(*row) for row in coef.tolist()):
+        message = "zero contrast: the fringe period is undefined"
+    sse = sum(sse.tolist())
+    curvature = sum(_projected_curvature(design, normal_inv, jk, w * jk).tolist())
+    dof = max(y.size - 3 * len(y) - 1, 1)
+    var_k = sse / dof / curvature if curvature > 0.0 else math.nan
+    return FitResult(np.array([2.0 * math.pi / k]),
+                     np.array([[var_k * (2.0 * math.pi / k ** 2) ** 2]]),
                      math.sqrt(sse), iterations, converged, message)
 
 
@@ -311,8 +415,8 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
     positive = sigma[sigma > 0.0]
     sigma = np.where(sigma > 0.0, sigma, positive.min() if positive.size else 1.0)
     weights = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
-    coef, design, normal_inv, sse = _linear_fit(4.0, theta, mu ** 2, weights,
-                                                np.ones_like(theta))
+    coef, design, normal_inv, _, sse = _linear_fit(4.0, theta, mu ** 2, weights,
+                                                   np.ones_like(theta))
     # rank at np.linalg.matrix_rank's default tolerance: angles 45 degrees
     # apart sample cos 4 theta = +-1 only and cannot separate B from C
     if coef is None or np.linalg.matrix_rank(design) < 3:

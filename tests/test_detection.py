@@ -22,7 +22,8 @@ def boxcar_average_contrast(width, period, n=20001):
     if width == 0.0:
         return 1.0
     u = np.linspace(-width / 2, width / 2, n)
-    return float(np.trapezoid(np.cos(2 * np.pi * u / period), u) / width)
+    f = np.cos(2 * np.pi * u / period)
+    return float((np.diff(u) * (f[1:] + f[:-1]) / 2.0).sum() / width)  # trapezoid rule
 
 
 def make_scan(**overrides):

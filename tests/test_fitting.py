@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from twinfringe.analysis import phi_scan_oracle
-from twinfringe.config import default_config
-from twinfringe.detection import sample_counts
+from twinfringe.config import default_config, entangled_sweep_config
+from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import IllPosedError
 from twinfringe.fitting import (FitResult, FringeModelParams,
                                 VisibilityCurveParams, fit_fringe,
-                                fit_visibility_curve, fringe_model,
-                                fringe_params, mu_eff_model,
+                                fit_shared_period, fit_visibility_curve,
+                                fringe_model, fringe_params, mu_eff_model,
                                 visibility_curve_params)
 from twinfringe.pipeline import simulate_scan, theta0_distance
-from twinfringe.polarization import DIAGONAL, HORIZONTAL, VERTICAL
-from twinfringe.spdc import TwoPhotonState
+from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
+                                     PolarizationAngle, PumpState)
+from twinfringe.spdc import TwoPhotonState, build_two_photon_state
 
 SQ2 = math.sqrt(2.0)
 ANA45 = (DIAGONAL, DIAGONAL)
@@ -270,6 +271,65 @@ class TestFitFringe:
         assert np.all(fit.stderr != 0.0)
         assert 2.0 * math.pi / span * (1 - 1e-12) <= k
         assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
+
+
+class TestFitSharedPeriod:
+    def test_noise_free_pump_angles_recover_the_period(self):
+        # one geometry, five pump angles: five contrasts and phases, one period;
+        # a sixth scan pumps one crystal only and has no fringe to contribute
+        config = entangled_sweep_config()
+        period = config.geometry.fringe_period
+        pumps = [PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
+                 for theta in np.linspace(0.1, 3.0, 5)]
+        scans = [expected_scan(build_two_photon_state(pump, config.source), config.source,
+                               config.geometry, config.analyzers, config.scan)
+                 for pump in pumps + [PumpState.linear(VERTICAL)]]
+        pinned = [fringe_params(fit_fringe(scan, fix_period=period)) for scan in scans]
+        assert len({round(p.mu, 3) for p in pinned[:5]}) == 5
+        assert len({round(p.psi, 3) for p in pinned[:5]}) == 5
+        assert pinned[5].mu == 0.0
+        fit = fit_shared_period(scans)
+        assert fit.converged
+        assert fit.params[0] == pytest.approx(period, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("peak_rate, seeds", [(100.0, range(20)),
+                                                  (0.5, (737, 757, 1293))])
+    def test_one_scan_stack_is_the_free_fit(self, peak_rate, seeds):
+        config = default_config()
+        config = dataclasses.replace(
+            config, scan=dataclasses.replace(config.scan, peak_rate=peak_rate))
+        for seed in seeds:
+            scan = simulate_scan(config, seed=seed)
+            free, shared = fit_fringe(scan), fit_shared_period([scan])
+            assert shared.params[0] == free.params[2]
+            assert (shared.iterations, shared.converged, shared.message) == \
+                   (free.iterations, free.converged, free.message)
+            if free.converged:  # the projected curvature is the free fit's period variance
+                assert shared.covariance[0, 0] == pytest.approx(free.covariance[2, 2],
+                                                                rel=1e-8, abs=0.0)
+
+    def test_flat_stack_is_unconverged(self):
+        scan = sample_counts([(pos, 0.0) for pos in np.linspace(-6e-3, 6e-3, 61)], 10.0, 0)
+        fit = fit_shared_period([scan, scan.copy()])
+        assert not fit.converged
+        assert "zero contrast" in fit.message
+        assert np.isfinite(fit.params[0]) and np.isnan(fit.stderr[0])
+
+    def test_scans_must_share_positions_and_times(self):
+        x = np.linspace(-6e-3, 6e-3, 61)
+        rates = fringe_model(x, FringeModelParams(c0=50.0, mu=0.5, period=5e-3))
+        scan = sample_counts(list(zip(x, rates)), 10.0, seed=1)
+        shifted = scan.copy()
+        shifted.position += 1e-4
+        longer = scan.copy()
+        longer.integration_time *= 2.0
+        for other in (shifted, longer, scan[:-1]):
+            with pytest.raises(IllPosedError, match="share positions"):
+                fit_shared_period([scan, other])
+        with pytest.raises(IllPosedError):
+            fit_shared_period([])
+        with pytest.raises(IllPosedError):
+            fit_shared_period([scan[:3]])
 
 
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,

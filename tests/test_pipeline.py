@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.config import entangled_sweep_config
-from twinfringe.fitting import fit_fringe, fringe_params
+from twinfringe.config import default_config, entangled_sweep_config
+from twinfringe.errors import IllPosedError
+from twinfringe.fitting import fit_fringe, fit_shared_period, fringe_params
 from twinfringe.pipeline import (FIG5_TRUTH, derived_seed, reproduce_fig5,
                                  simulate_scan, sweep_pump_angle,
                                  theta0_distance)
-from twinfringe.polarization import VERTICAL, PumpState
+from twinfringe.polarization import VERTICAL, PolarizationAngle, PumpState
 
 
 class TestSeedDerivation:
@@ -70,6 +71,47 @@ class TestSweep:
         b = sweep_pump_angle(config, thetas, seed=3)
         assert [(p.theta, p.mu, p.sigma_mu) for p in a] == \
                [(p.theta, p.mu, p.sigma_mu) for p in b]
+
+    def test_each_angle_is_fitted_at_the_shared_period(self):
+        config = entangled_sweep_config()
+        thetas = np.linspace(0.0, math.pi, 5)
+        scans = []
+        for i, theta in enumerate(thetas):
+            pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
+            scans.append(simulate_scan(dataclasses.replace(config, pump=pump),
+                                       derived_seed(3, i)))
+        period = fit_shared_period(scans).params[0]
+        points = sweep_pump_angle(config, thetas, seed=3)
+        assert [p.mu for p in points] == \
+               [fringe_params(fit_fringe(scan, fix_period=period)).mu for scan in scans]
+
+    def test_angle_without_fringe_reads_near_zero(self):
+        # 90 degrees pumps one crystal: no fringe, so a free period search there
+        # has nothing to lock onto; at the sweep's shared period it reads ~0
+        points = sweep_pump_angle(default_config(), np.linspace(0.0, math.pi, 19), seed=99)
+        flat = points[9]
+        assert flat.theta == pytest.approx(math.pi / 2)
+        assert flat.converged
+        assert flat.mu < 0.05 and flat.sigma_mu < 0.02
+
+    def test_sweep_without_fringes_is_unconverged(self):
+        config = default_config()
+        config = dataclasses.replace(
+            config, scan=dataclasses.replace(config.scan, peak_rate=0.0))
+        points = sweep_pump_angle(config, np.linspace(0.0, math.pi, 5), seed=1)
+        assert len(points) == 5
+        assert not any(p.converged for p in points)
+        assert all(math.isfinite(p.mu) for p in points)
+
+    def test_empty_sweep(self):
+        assert sweep_pump_angle(entangled_sweep_config(), []) == []
+
+    def test_too_few_points_rejected(self):
+        config = default_config()
+        config = dataclasses.replace(config, scan=dataclasses.replace(
+            config.scan, positions=(-1e-3, 0.0, 1e-3)))
+        with pytest.raises(IllPosedError):
+            sweep_pump_angle(config, [0.0, 1.0])
 
 
 class TestFig5:
