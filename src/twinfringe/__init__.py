@@ -13,7 +13,7 @@ from .errors import (ConfigurationError, DegenerateInputError, IllPosedError,
                      NotTwoQubitStateError, TwinfringeError,
                      UndefinedVisibilityError)
 from .fitting import (FitResult, FringeModelParams, VisibilityCurveParams,
-                      fit_fringe, fit_shared_period, fit_visibility_curve,
+                      fit_fringe, fit_visibility_curve,
                       fringe_model, fringe_params, mu_eff_model,
                       visibility_curve_params)
 from .polarization import (DIAGONAL, HORIZONTAL, VERTICAL, JonesVector,
@@ -34,7 +34,7 @@ __all__ = [
     "ConfigurationError", "DegenerateInputError", "IllPosedError",
     "NotTwoQubitStateError", "TwinfringeError", "UndefinedVisibilityError",
     "FitResult", "FringeModelParams", "VisibilityCurveParams",
-    "fit_fringe", "fit_shared_period", "fit_visibility_curve", "fringe_model",
+    "fit_fringe", "fit_visibility_curve", "fringe_model",
     "fringe_params", "mu_eff_model", "visibility_curve_params",
     "DIAGONAL", "HORIZONTAL", "VERTICAL", "JonesVector", "PolarizationAngle",
     "PumpState", "malus_amplitude", "normalize", "pump_jones",

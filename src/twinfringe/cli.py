@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -64,10 +65,10 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 def write_scan_csv(scan: np.recarray, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SCAN_HEADER) + "\n")
-        # SCAN_DTYPE's fields are in SCAN_HEADER's order
-        fh.writelines(f"{_fmt(x)},{n},{_fmt(t)},{_fmt(rate)}\n"
-                      for x, n, t, rate in scan.tolist())
+        # SCAN_DTYPE's fields are in SCAN_HEADER's order; tolist() gives Python
+        # floats and ints, so !r writes what _fmt would
+        fh.write(",".join(SCAN_HEADER) + "\n"
+                 + "".join([f"{x!r},{n},{t!r},{rate!r}\n" for x, n, t, rate in scan.tolist()]))
 
 
 def write_sweep_csv(points, path: str) -> None:
@@ -330,7 +331,10 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_NOCONV
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, and building it costs ~30x a parse."""
     parser = argparse.ArgumentParser(
         prog="twinfringe",
         description="Simulate two-crystal pair-source fringe scans and "
@@ -351,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_scan)
 
     p = sub.add_parser("sweep-pump-angle",
-                       help="visibility vs pump angle (simulate + fit per angle)")
+                       help="visibility vs pump angle (one scan per angle, "
+                            "fitted as one stack)")
     add_common(p)
     p.add_argument("--theta-deg", help="comma-separated pump angles in degrees "
                    "(default: 19 angles over [0, 180])")

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .polarization import PolarizationAngle
 from .spdc import (GeometryConfig, SourceConfig, TwoPhotonState,
-                   coincidence_probability, fringe_phase,
-                   _projected_amplitudes)
+                   fringe_phase, _projected_amplitudes)
 
 SCAN_MODES = ("signal_only", "idler_only", "both")
 
@@ -82,8 +81,8 @@ def _detector_positions(x: np.ndarray, scan_mode: str):
     return x, x
 
 
-def expected_scan(state: TwoPhotonState, source: SourceConfig,
-                  geometry: GeometryConfig,
+def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
+                  source: SourceConfig, geometry: GeometryConfig,
                   analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]],
                   scan: ScanConfig):
     """Noise-free expected coincidence rate at each scan position.
@@ -92,54 +91,76 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig,
     instrument_factor * slit_visibility_factor, then mapped so the global
     fringe maximum corresponds to peak_rate, on top of background_rate.
 
-    Returns an (n, 2) float64 array of (position, expected_rate) rows.
+    Returns an (n, 2) float64 array of (position, expected_rate) rows for
+    one state, or an (m, n, 2) stack of them for a sequence of m states
+    (a pump-angle sweep: one geometry and scan, m pair states).  The
+    phases, their cos/sin and the slit factor are computed once for the
+    stack; each row is bit-identical to a one-state call.
     """
+    states = [state] if isinstance(state, TwoPhotonState) else list(state)
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     x = np.asarray(scan.positions, dtype=np.float64)
     xs, xi = _detector_positions(x, scan.scan_mode)
     phases = fringe_phase(xs, xi, geometry, source.phi0)
-    c = coincidence_probability(state, phases, ana_s, ana_i)
-
-    b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
-    mean_c = 0.5 * (abs(b1) ** 2 + abs(b2) ** 2)
-    amp_c = abs(overlap) * abs(b1) * abs(b2)
-
+    cos, sin = np.cos(phases), np.sin(phases)
     f = scan.instrument_factor * slit_visibility_factor(
         scan.slit_width, geometry.fringe_period)
+
+    # per state: mean and amplitude of the ideal curve, the cross term of
+    # coincidence_probability, and the smoothed curve's top
+    mean_c, cross_re, cross_im, top = np.empty((4, len(states), 1))
+    for i, s in enumerate(states):
+        b1, b2, overlap = _projected_amplitudes(s, ana_s, ana_i)
+        cross = overlap * (b1.conjugate() * b2)
+        mean_c[i] = 0.5 * (abs(b1) ** 2 + abs(b2) ** 2)
+        cross_re[i], cross_im[i] = cross.real, cross.imag
+        top[i] = mean_c[i] + abs(f) * (abs(overlap) * abs(b1) * abs(b2))
+    c = mean_c + cross_re * cos - cross_im * sin
     smoothed = mean_c + f * (c - mean_c)
-    top = mean_c + abs(f) * amp_c
-    if top > 0.0:
-        shape = smoothed / top
-    else:
-        shape = np.zeros_like(smoothed)
+    shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
     rates = scan.background_rate + scan.peak_rate * shape
-    return np.column_stack((x, rates))
+    out = np.stack(np.broadcast_arrays(x, rates), axis=-1)
+    return out[0] if isinstance(state, TwoPhotonState) else out
 
 
-def sample_counts(expected: Sequence[Tuple[float, float]],
-                  integration_time: float, seed: int) -> np.recarray:
+def sample_counts(expected, integration_time: float,
+                  seed: Union[int, Sequence[int]]) -> np.recarray:
     """Draw Poisson counts for each expected (position, rate) point.
 
-    All counts come from one random stream per scan, seeded by `seed` and
+    All counts of a scan come from one random stream, seeded by `seed` and
     drawn in point-index order, so a point's count depends only on the seed
     and on the rates at that index and before it: dropping trailing points
     leaves the remaining counts unchanged, and repeated runs with the same
     inputs are identical.
 
-    Returns a record array of SCAN_DTYPE, one row per point.
+    expected is one scan of (position, rate) rows with one seed, or an
+    (m, n, 2) stack of scans, such as expected_scan returns for m states,
+    with a sequence of m seeds: row i is drawn from seed[i] exactly as a
+    one-scan call with that seed draws it.
+
+    Returns a record array of SCAN_DTYPE, one row per point: (n,) for one
+    scan, (m, n) for a stack.
     """
     if not (math.isfinite(integration_time) and integration_time >= 0.0):
         raise ConfigurationError("integration_time must be finite and >= 0")
-    points = np.asarray(expected, dtype=np.float64).reshape(-1, 2)
-    rates = points[:, 1]
+    points = np.asarray(expected, dtype=np.float64)
+    if points.ndim == 3:
+        if np.ndim(seed) != 1 or len(seed) != len(points):
+            raise ConfigurationError(f"a stack of {len(points)} scans needs one seed "
+                                     f"per scan, got {seed!r}")
+        seeds = seed
+    else:
+        points, seeds = points.reshape(-1, 2), [seed]
+    rates = points[..., 1]
     if not np.all(np.isfinite(rates)):
         raise ConfigurationError("expected rates must be finite")
     if np.any(rates < 0.0):
         raise ConfigurationError("expected rates must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    means = (rates * integration_time).reshape(len(seeds), rates.shape[-1])
     try:
-        counts = rng.poisson(rates * integration_time)
+        counts = np.array([np.random.default_rng(np.random.SeedSequence(s)).poisson(row)
+                           for s, row in zip(seeds, means)], dtype=np.int64)
     except ValueError as exc:  # means beyond the generator's range
         raise ConfigurationError(f"expected counts out of range: {exc}") from exc
-    return np.rec.fromarrays((points[:, 0], counts, np.full_like(rates, integration_time),
-                              rates), dtype=SCAN_DTYPE)
+    return np.rec.fromarrays((points[..., 0], counts.reshape(rates.shape),
+                              np.full_like(rates, integration_time), rates), dtype=SCAN_DTYPE)

@@ -2,19 +2,19 @@
 
 The double-slit fringe (visibility from one scan) is linear at a fixed
 period, so it is fitted by variable projection: a weighted linear solve
-inside a Gauss-Newton search over the wavenumber alone.  The same search
-runs on a stack of scans that share one period (a pump-angle sweep), each
-scan with its own linear solve, to find that period once.  The visibility vs
-pump-angle curve (entanglement sweep) is linear in {1, cos 4 theta,
-sin 4 theta} once mu is squared, so it is one weighted linear solve whose
-coefficients map to (mu_max, theta0, eps1) in closed form.
+inside a Gauss-Newton search over the wavenumber alone.  A stack of scans
+that share one period (a pump-angle sweep) is fitted in one call: one
+search over the shared wavenumber, with a linear solve per scan.  The
+visibility vs pump-angle curve (entanglement sweep) is linear in {1, cos 4
+theta, sin 4 theta} once mu is squared, so it is one weighted linear solve
+whose coefficients map to (mu_max, theta0, eps1) in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -73,19 +73,25 @@ class VisibilityCurveParams:
 
 @dataclass
 class FitResult:
-    """Solver output: parameters, covariance estimate, and bookkeeping."""
+    """Solver output: parameters, covariance estimate, and bookkeeping.
+
+    A fit of a stack of scans carries a leading row axis: params (m, p),
+    covariance (m, p, p) and residual_norm (m,), one row per scan, while
+    iterations, converged and message describe the one fit of the stack.
+    """
 
     params: np.ndarray
     covariance: np.ndarray
-    residual_norm: float
+    residual_norm: Union[float, np.ndarray]
     iterations: int
     converged: bool
     message: str = ""
 
     @property
     def stderr(self) -> np.ndarray:
-        """Square roots of the variances; NaN where a variance is negative or non-finite."""
-        var = np.diag(self.covariance)
+        """Square roots of the variances, per row of a stack; NaN where a variance
+        is negative or non-finite."""
+        var = np.diagonal(self.covariance, axis1=-2, axis2=-1)
         return np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, np.nan))
 
 
@@ -136,11 +142,13 @@ def _as_arrays(data):
 # --- fringe fitting -----------------------------------------------------------
 
 _ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
+_FLAT_GRADIENT = ((1.0, 0.0, 0.0),) + ((math.nan,) * 3,) * 3
 
 
-def _is_flat(c0: float, a: float, b: float) -> bool:
-    """Whether the coefficients of c0 + a cos kx + b sin kx leave zero contrast."""
-    return math.hypot(a, b) <= _ZERO_CONTRAST * abs(c0)
+def _contrast(c0: float, a: float, b: float) -> float:
+    """hypot(a, b) of c0 + a cos kx + b sin kx, or 0.0 where that is zero contrast."""
+    h = math.hypot(a, b)
+    return 0.0 if h <= _ZERO_CONTRAST * abs(c0) else h
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -149,31 +157,51 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _scan_columns(scan, min_points: int):
-    """Positions, observations, weights and integration times of one scan, by position.
+    """Positions, observations, weights and integration times of a scan stack,
+    by position, and whether the input was one scan rather than a stack.
 
     A counting scan (a record array with position, counts and
     integration_time fields, such as sample_counts returns) is Poisson data
     with weights 1/max(counts, 1) in counts space; (position, rate) rows are
-    noise-free curves with unit weights and times.
+    noise-free curves with unit weights and times.  One scan, (n,) records
+    or (n, 2) rows, is the one-row stack; an (m, n) record array or an
+    (m, n, 2) rate stack is m scans, which must share positions and
+    integration times.  Observations and weights come back (m, n),
+    positions and times (n,).
     """
-    if isinstance(scan, np.ndarray) and scan.dtype.names:
+    counting = isinstance(scan, np.ndarray) and bool(scan.dtype.names)
+    if counting:
         fields = np.asarray(scan)
+        one_scan = fields.ndim == 1
+        if one_scan:
+            fields = fields[None]
         x = fields["position"].astype(float)
         y = fields["counts"].astype(float)
         t = fields["integration_time"].astype(float)
         if (t <= 0.0).any():
             raise IllPosedError("counting scans need integration_time > 0; "
                                 "fit (position, rate) rows for noise-free curves")
-        w = 1.0 / np.maximum(y, 1.0)
     else:
-        x, y = np.asarray(scan, dtype=float).reshape(len(scan), 2).T
-        t = w = np.ones_like(x)
-    if x.size < min_points:
+        rows = np.asarray(scan, dtype=float)
+        one_scan = rows.ndim != 3
+        if one_scan:
+            rows = rows.reshape(1, len(rows), 2)
+        x, y = rows[..., 0], rows[..., 1]
+        t = np.ones_like(x)
+    if not y.shape[0]:
+        raise IllPosedError("need at least one scan")
+    if y.shape[1] < min_points:
         raise IllPosedError(f"need at least {min_points} points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("data contains non-finite values")
-    order = np.argsort(x)
-    return x[order], y[order], w[order], t[order]
+    if not one_scan and not ((x == x[0]).all() and (t == t[0]).all()):
+        raise IllPosedError("scans must share positions and integration times")
+    order = np.argsort(x[0])
+    # take keeps rows C-contiguous, where y[:, order] would not, so a row
+    # rounds as it does alone
+    y = np.take(y, order, axis=1)
+    w = 1.0 / np.maximum(y, 1.0) if counting else np.ones_like(y)
+    return x[0][order], y, w, t[0][order], one_scan
 
 
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
@@ -181,7 +209,7 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     the amplitude spectra of the rows of y (one scan per row) summed."""
     n = max(x.size, 16)
     grid = np.linspace(x[0], x[-1], n)
-    resampled = np.array([np.interp(grid, x, row) for row in np.atleast_2d(y)])
+    resampled = np.array([np.interp(grid, x, row) for row in y])
     spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
     k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
     return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
@@ -196,7 +224,8 @@ def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.nda
     coefficients None and SSE inf if singular.
     """
     kx = k * x
-    design = np.column_stack((t, t * np.cos(kx), t * np.sin(kx)))
+    design = np.empty((x.size, 3))  # the column_stack of the three, at less call overhead
+    design[:, 0], design[:, 1], design[:, 2] = t, t * np.cos(kx), t * np.sin(kx)
     weighted = design * w[..., None]
     try:
         normal_inv = np.linalg.inv(design.T @ weighted)
@@ -207,11 +236,13 @@ def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.nda
     return coef, design, normal_inv, resid, _dot(resid, w * resid)
 
 
-def _projected_curvature(design, normal_inv, jk, wjk) -> np.ndarray:
+def _projected_curvature(design, normal_inv, jk, wjk):
     """Kaufman's projected J'J in k per scan: jk' W jk less its part the linear
-    coefficients absorb."""
+    coefficients absorb; and that part's coefficients q' = (D' W jk)' N^-1, the
+    shift of each scan's (c0, a, b) per unit k."""
     proj = wjk[..., None, :] @ design
-    return _dot(jk, wjk) - (proj @ normal_inv @ proj.swapaxes(-1, -2))[..., 0, 0]
+    q = proj @ normal_inv
+    return _dot(jk, wjk) - (q @ proj.swapaxes(-1, -2))[..., 0, 0], q[..., 0, :]
 
 
 def _search_wavenumber(k: float, x, y, w, t):
@@ -240,14 +271,14 @@ def _search_wavenumber(k: float, x, y, w, t):
         coef, design, normal_inv, resid, _ = fit
         # d model / dk at fixed (c0, a, b), per scan
         jk = x * (coef[:, 2, None] * design[:, 1] - coef[:, 1, None] * design[:, 2])
-        if converged or all(_is_flat(*row) for row in coef.tolist()):
+        if converged or not any(_contrast(*row) for row in coef.tolist()):
             break
         if iterations == _MAX_ITERATIONS:
             message = "iteration limit reached"
             break
         iterations += 1
         wjk = w * jk
-        curvature = sum(_projected_curvature(design, normal_inv, jk, wjk).tolist())
+        curvature = sum(_projected_curvature(design, normal_inv, jk, wjk)[0].tolist())
         step = sum(_dot(wjk, resid).tolist()) / curvature if curvature > 0.0 else math.nan
         if not math.isfinite(step):
             message = "singular curvature in the period search"
@@ -271,23 +302,38 @@ def _search_wavenumber(k: float, x, y, w, t):
 
 def fit_fringe(scan, fix_period: Optional[float] = None,
                init_overrides: Optional[dict] = None) -> FitResult:
-    """Fit the double-slit pattern to one scan and report its visibility.
+    """Fit the double-slit pattern to one scan, or to a stack of scans at the
+    one period they share, and report each scan's visibility.
 
     Accepts either a counting scan, a record array with position, counts
     and integration_time fields such as sample_counts returns (Poisson data;
     weights are 1/max(counts, 1) in counts space), or (position, rate) rows
-    (noise-free curves; unit weights in rate space).  Parameter order is
-    [c0, mu, period, psi] in rate units, with mu = hypot(a, b) / c0 and
-    psi = atan2(-b, a) from the linear coefficients of c0 + a cos(kx) +
-    b sin(kx).  fix_period pins k = 2 pi / period (zero period variance); a
-    free k is found by the search fit_shared_period runs, on this one scan,
-    starting at the FFT peak or at init_overrides["period"].  A zero
-    contrast reports mu = psi = 0 with NaN errors for mu, period and psi,
-    unconverged.
+    (noise-free curves; unit weights in rate space).  An (m, n) record array
+    or an (m, n, 2) rate stack is m scans that share positions and
+    integration times, as the scans of one pump-angle sweep do: the geometry
+    fixes the period, and only contrast and phase vary from row to row.
+    Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
+    over k minimises the summed SSE, starting at the peak of the summed
+    amplitude spectra or at init_overrides["period"].  fix_period pins
+    k = 2 pi / period instead (zero period variance).  One scan is the
+    one-row stack.
+
+    Parameter order is [c0, mu, period, psi] in rate units, with
+    mu = hypot(a, b) / c0 and psi = atan2(-b, a) from the linear
+    coefficients of c0 + a cos(kx) + b sin(kx).  Each row's covariance is
+    its block of the inverse of the joint (3m + 1) weighted normal matrix in
+    (c0, a, b per row; k), by the Schur complement on k, scaled by that
+    row's SSE / (n - 3 - 1/m) (n - 3 with the period pinned) and carried to
+    the parameters by the delta method.  A row of zero contrast reports
+    mu = psi = 0 with NaN errors for mu, period and psi.
+
+    Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
+    (4, 4) for one scan; iterations, converged and message describe the
+    one search.  converged is True when the search converged (a pinned
+    period always does) and at least one row has contrast.
     """
     fixed = fix_period is not None
-    n_params = 3 if fixed else 4
-    x, y, w, t = _scan_columns(scan, n_params)
+    x, y, w, t, one_scan = _scan_columns(scan, 3 if fixed else 4)
     if not fixed and x[-1] - x[0] <= 0.0:
         raise IllPosedError("positions must span at least one period to fit a free period")
 
@@ -300,78 +346,54 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         raise ValueError(f"period must be finite and > 0, got {period!r}")
     k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period
     if fixed:
-        coef, design, normal_inv, _, sse = _linear_fit(k, x, y, w, t)
-        if coef is None:
+        fit = _linear_fit(k, x, y, w, t)
+        if fit[0] is None:
             raise IllPosedError("the fringe design is singular at the starting period")
         iterations, converged, message = 0, True, ""
     else:
-        k, (coef, design, normal_inv, _, sse), jk, iterations, converged, message = \
-            _search_wavenumber(k, x, y[None], w[None], t)
-        coef, normal_inv, sse, jk = coef[0], normal_inv[0], float(sse[0]), jk[0]
+        k, fit, jk, iterations, converged, message = _search_wavenumber(k, x, y, w, t)
         period = 2.0 * math.pi / k
+    coef, design, normal_inv, _, sse = fit
+    m, n = y.shape
 
-    c0, a, b = coef
-    h = math.hypot(a, b)
-    dof = max(y.size - n_params, 1)
-    if _is_flat(c0, a, b):
-        cov = np.full((4, 4), np.nan)
-        cov[0, 0] = normal_inv[0, 0] * sse / dof
-        return FitResult(np.array([c0, 0.0, period, 0.0]), cov, math.sqrt(sse), iterations,
-                         False, "zero contrast: fringe period and phase are undefined")
-    grad = np.array([[1.0, 0.0, 0.0, 0.0],
-                     [-h / c0 ** 2, a / (c0 * h), b / (c0 * h), 0.0],
-                     [0.0, 0.0, 0.0, -2.0 * math.pi / k ** 2],
-                     [0.0, b / h ** 2, -a / h ** 2, 0.0]])
-    if fixed:  # the design is the Jacobian, so its inverse normal matrix is in hand
-        lin_cov = normal_inv
-    else:
-        jac = np.column_stack((design, jk))
-        try:
-            lin_cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
-        except np.linalg.LinAlgError:
-            lin_cov = np.full((4, 4), np.nan)
-    n_lin = lin_cov.shape[0]
-    cov = grad[:, :n_lin] @ lin_cov @ grad[:, :n_lin].T * (sse / dof)
-    return FitResult(np.array([c0, h / c0, period, math.atan2(-b, a)]), 0.5 * (cov + cov.T),
-                     math.sqrt(sse), iterations, converged, message)
+    # d (c0, mu, period, psi) / d (c0, a, b) per row; undefined beyond c0 where
+    # a row has zero contrast
+    params, grad = [], []
+    rows = coef.tolist()
+    contrast = [_contrast(*row) for row in rows]
+    for (c0, a, b), h in zip(rows, contrast):
+        if h:
+            params.append((c0, h / c0, period, math.atan2(-b, a)))
+            grad.append(((1.0, 0.0, 0.0), (-h / c0 ** 2, a / (c0 * h), b / (c0 * h)),
+                         (0.0, 0.0, 0.0), (0.0, b / h ** 2, -a / h ** 2)))
+        else:
+            params.append((c0, 0.0, period, 0.0))
+            grad.append(_FLAT_GRADIENT)
+    grad = np.array(grad)
+    cov = grad @ normal_inv @ grad.swapaxes(-1, -2)
+    if not fixed and any(contrast):
+        # Row i's block of the joint (3m + 1) inverse normal matrix is, by the
+        # Schur complement on k, N_i^-1 + var_k q_i q_i' in (c0, a, b), -var_k q_i
+        # against k, and var_k = 1 / (summed projected curvature) for k, with q_i
+        # the shift of (c0, a, b) per unit k.  Through the delta method that is
+        # the pinned covariance G N_i^-1 G' plus var_k s_i s_i', where
+        # s_i = d params / dk - G q_i.
+        curvature, q = _projected_curvature(design, normal_inv, jk, w * jk)
+        curvature = sum(curvature.tolist())
+        var_k = 1.0 / curvature if curvature > 0.0 else math.nan
+        s = -(grad @ q[:, :, None])[:, :, 0]
+        s[:, 2] -= 2.0 * math.pi / k ** 2
+        cov += var_k * (s[:, :, None] * s[:, None, :])
+    dof = n - 3 - (0.0 if fixed else 1.0 / m)  # the rows' dof sum to the stack's
+    scale = sse * (0.5 / (dof if dof > 0.0 else 1.0))
+    cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
 
-
-def fit_shared_period(scans) -> FitResult:
-    """Search the one fringe period a stack of scans shares.
-
-    The scans (each as fit_fringe accepts it) must share positions and
-    integration times, as the scans of one pump-angle sweep do: the geometry
-    fixes the period, and only contrast and phase vary from scan to scan.
-    Each scan keeps its own (c0, a, b) and weights; one Gauss-Newton search
-    over k minimises the summed SSE, starting at the peak of the summed
-    amplitude spectra.  A one-scan stack finds fit_fringe's free period bit
-    for bit.  Returns params [period] with its variance from the stack's
-    projected curvature scaled by SSE/dof; a stack of flat scans reports a
-    NaN variance, unconverged.  Fit each scan's contrast at the period with
-    fit_fringe(scan, fix_period=period).
-    """
-    columns = [_scan_columns(scan, 4) for scan in scans]
-    if not columns:
-        raise IllPosedError("need at least one scan")
-    if len({c[0].size for c in columns}) > 1:
-        raise IllPosedError("scans must share positions and integration times")
-    x, y, w, t = (np.array(c) for c in zip(*columns))
-    if not ((x == x[0]).all() and (t == t[0]).all()):
-        raise IllPosedError("scans must share positions and integration times")
-    x, t = x[0], t[0]
-    if x[-1] - x[0] <= 0.0:
-        raise IllPosedError("positions must span at least one period to fit a free period")
-    k, (coef, design, normal_inv, _, sse), jk, iterations, converged, message = \
-        _search_wavenumber(_dominant_wavenumber(x, y / t), x, y, w, t)
-    if all(_is_flat(*row) for row in coef.tolist()):
-        message = "zero contrast: the fringe period is undefined"
-    sse = sum(sse.tolist())
-    curvature = sum(_projected_curvature(design, normal_inv, jk, w * jk).tolist())
-    dof = max(y.size - 3 * len(y) - 1, 1)
-    var_k = sse / dof / curvature if curvature > 0.0 else math.nan
-    return FitResult(np.array([2.0 * math.pi / k]),
-                     np.array([[var_k * (2.0 * math.pi / k ** 2) ** 2]]),
-                     math.sqrt(sse), iterations, converged, message)
+    params, norm = np.array(params), np.sqrt(sse)
+    if not any(contrast):
+        converged, message = False, "zero contrast: fringe period and phase are undefined"
+    if one_scan:
+        params, cov, norm = params[0], cov[0], float(norm[0])
+    return FitResult(params, cov, norm, iterations, bool(converged), message)
 
 
 def fringe_params(result: FitResult) -> FringeModelParams:

@@ -5,15 +5,14 @@ entanglement-sweep reproduction with its pass/fail comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .config import RunConfig, entangled_sweep_config
 from .detection import expected_scan, sample_counts
-from .fitting import (FitResult, fit_fringe, fit_shared_period,
-                      fit_visibility_curve, fringe_params,
+from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
                       visibility_curve_params)
 from .polarization import PolarizationAngle, PumpState
 from .spdc import build_two_photon_state
@@ -50,30 +49,33 @@ class SweepPoint:
 
 def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
                      seed: Optional[int] = None) -> List[SweepPoint]:
-    """Visibility versus pump angle: simulate each angle, search the one
-    fringe period the scans share, then fit each angle's contrast at it.
+    """Visibility versus pump angle: simulate every angle as one row of a
+    scan stack, then fit the stack at the one fringe period its rows share.
 
-    Each angle gets its own derived seed so the sweep is reproducible
-    regardless of evaluation order.  Every angle has the same geometry and
-    so the same fringe period; only contrast and phase change with the
-    angle.  A point is converged only if the shared period search converged
-    and its own fit at that period did.
+    Every angle has the same geometry and so the same positions, times and
+    fringe period; only contrast and phase change with the angle.  One
+    expected_scan call gives the stack's rates, one sample_counts call
+    draws row i from its own derived seed, derived_seed(master, i), so the
+    sweep is reproducible regardless of evaluation order, and one
+    fit_fringe call searches the shared period and fits each row's
+    contrast at it.  A point is converged when that fit converged and its
+    sigma_mu is finite (a row without contrast has none).
     """
     master = config.scan.seed if seed is None else seed
-    scans = []
-    for i, theta in enumerate(thetas):
-        pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
-        scans.append(simulate_scan(replace(config, pump=pump), derived_seed(master, i)))
-    if not scans:
+    states = [build_two_photon_state(PumpState.from_eps2(config.pump.eps2,
+                                                         PolarizationAngle(theta)),
+                                     config.source) for theta in thetas]
+    if not states:
         return []
-    shared = fit_shared_period(scans)
-    points = []
-    for theta, scan in zip(thetas, scans):
-        fit = fit_fringe(scan, fix_period=float(shared.params[0]))
-        points.append(SweepPoint(theta=float(theta), mu=fringe_params(fit).mu,
-                                 sigma_mu=float(fit.stderr[1]),
-                                 converged=shared.converged and fit.converged))
-    return points
+    expected = expected_scan(states, config.source, config.geometry, config.analyzers,
+                             config.scan)
+    scans = sample_counts(expected, config.scan.integration_time,
+                          [derived_seed(master, i) for i in range(len(states))])
+    fit = fit_fringe(scans)
+    return [SweepPoint(theta=float(theta), mu=mu, sigma_mu=sigma_mu,
+                       converged=fit.converged and math.isfinite(sigma_mu))
+            for theta, mu, sigma_mu in zip(thetas, fit.params[:, 1].tolist(),
+                                           fit.stderr[:, 1].tolist())]
 
 
 def theta0_distance(theta0: float, reference: float) -> float:
@@ -109,7 +111,7 @@ def reproduce_fig5(seed: int = FIG5_SEED, variant: str = "derived",
 
     Simulates a scan at each of n_angles pump dial angles over [0, pi] with
     a 0.77 instrument ceiling and a 0.08 quadrature pump component, fits
-    the fringe period the scans share and each scan's contrast at it, fits
+    the stack of scans at the fringe period they share, fits
     the visibility curve, and checks the recovered
     parameters against the references at the standard tolerances
     (+-0.05, +-0.1 rad modulo pi/2, +-0.03).

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from twinfringe.config import default_config
-from twinfringe.detection import (ScanConfig, expected_scan,
+from twinfringe.detection import (SCAN_DTYPE, ScanConfig, expected_scan,
                                   sample_counts, slit_visibility_factor)
 from twinfringe.errors import ConfigurationError
 from twinfringe.fitting import fit_fringe, fringe_params
-from twinfringe.polarization import DIAGONAL, HORIZONTAL, VERTICAL, PumpState
-from twinfringe.spdc import (GeometryConfig, build_two_photon_state,
-                             default_source,
+from twinfringe.pipeline import derived_seed
+from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
+                                     PolarizationAngle, PumpState)
+from twinfringe.spdc import (GeometryConfig, _projected_amplitudes,
+                             build_two_photon_state, coincidence_probability,
+                             default_source, fringe_phase,
                              predicted_visibility_with_analyzers)
 
 SQ2 = math.sqrt(2.0)
@@ -132,6 +135,66 @@ class TestExpectedScan:
                                           make_scan(scan_mode="both")))
         ratio = fringe_params(double).period / fringe_params(single).period
         assert ratio == pytest.approx(0.5, rel=1e-6)
+
+
+def reference_expected_scan(state, source, geometry, analyzers, scan):
+    """expected_scan of one state, as the coincidence_probability curve rescaled."""
+    ana = analyzers if analyzers is not None else (None, None)
+    x = np.asarray(scan.positions, dtype=np.float64)
+    xi = x if scan.scan_mode == "both" else np.zeros_like(x)
+    c = coincidence_probability(state, fringe_phase(x, xi, geometry, source.phi0), *ana)
+    b1, b2, overlap = _projected_amplitudes(state, *ana)
+    mean_c = 0.5 * (abs(b1) ** 2 + abs(b2) ** 2)
+    f = scan.instrument_factor * slit_visibility_factor(scan.slit_width, geometry.fringe_period)
+    top = mean_c + abs(f) * (abs(overlap) * abs(b1) * abs(b2))
+    shape = (mean_c + f * (c - mean_c)) / top if top > 0.0 else np.zeros_like(c)
+    return np.column_stack((x, scan.background_rate + scan.peak_rate * shape))
+
+
+class TestStackedScans:
+    """A sequence of states is one (m, n, 2) stack; a stack with m seeds is
+    sampled into one (m, n) record array."""
+
+    @staticmethod
+    def states():
+        source = default_source()
+        pumps = [PumpState.from_eps2(0.08, PolarizationAngle(theta))
+                 for theta in np.linspace(0.0, math.pi, 7)]
+        return source, [build_two_photon_state(p, source) for p in pumps]
+
+    @pytest.mark.parametrize("analyzers", [ANA45, None, (VERTICAL, HORIZONTAL)])
+    @pytest.mark.parametrize("scan_mode, slit, background",
+                             [("signal_only", 0.5e-3, 0.0), ("both", 0.0, 3.5)])
+    def test_rows_are_one_state_calls(self, analyzers, scan_mode, slit, background):
+        source, states = self.states()
+        geometry = GeometryConfig(fringe_period=5e-3)
+        scan = make_scan(scan_mode=scan_mode, slit_width=slit, background_rate=background,
+                         instrument_factor=0.77)
+        stack = expected_scan(states, source, geometry, analyzers, scan)
+        assert stack.shape == (len(states), 61, 2)
+        for row, state in zip(stack, states):
+            one = expected_scan(state, source, geometry, analyzers, scan)
+            assert row.tobytes() == one.tobytes()
+            assert one.tobytes() == reference_expected_scan(state, source, geometry,
+                                                            analyzers, scan).tobytes()
+
+    def test_sampled_rows_are_one_scan_calls(self):
+        source, states = self.states()
+        stack = expected_scan(states, source, GeometryConfig(fringe_period=5e-3), ANA45,
+                              make_scan())
+        seeds = [derived_seed(7, i) for i in range(len(states))]
+        records = sample_counts(stack, 10.0, seeds)
+        assert records.shape == (len(states), 61) and records.dtype == SCAN_DTYPE
+        for row, expected, seed in zip(records, stack, seeds):
+            assert row.tobytes() == sample_counts(expected, 10.0, seed).tobytes()
+
+    def test_one_seed_per_row(self):
+        source, states = self.states()
+        stack = expected_scan(states[:3], source, GeometryConfig(fringe_period=5e-3), ANA45,
+                              make_scan())
+        for seeds in ([1, 2], [1, 2, 3, 4], 5):
+            with pytest.raises(ConfigurationError, match="one seed per scan"):
+                sample_counts(stack, 10.0, seeds)
 
 
 class TestSampleCounts:

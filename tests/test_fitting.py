@@ -10,7 +10,7 @@ from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import IllPosedError
 from twinfringe.fitting import (FitResult, FringeModelParams,
                                 VisibilityCurveParams, fit_fringe,
-                                fit_shared_period, fit_visibility_curve,
+                                fit_visibility_curve,
                                 fringe_model, fringe_params, mu_eff_model,
                                 visibility_curve_params)
 from twinfringe.pipeline import simulate_scan, theta0_distance
@@ -273,7 +273,60 @@ class TestFitFringe:
         assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
 
 
+def joint_covariance(scans, coef, k, free=True):
+    """Brute force: per-row blocks of the inverse of the full weighted normal
+    matrix in (c0, a, b per row; k if free), each scaled by the row's
+    SSE / (n - 3 - 1/m), or SSE / (n - 3) with k pinned, as 4 x 4 blocks in
+    (c0, a, b, k) with a zero k row and column when pinned."""
+    x = scans.position[0]
+    t = scans.integration_time[0]
+    y = scans.counts.astype(float)
+    m, n = y.shape
+    w = 1.0 / np.maximum(y, 1.0)
+    design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
+    jac = np.zeros((m * n, 3 * m + free))
+    for i, (c0, a, b) in enumerate(coef):
+        rows = slice(i * n, (i + 1) * n)
+        jac[rows, 3 * i:3 * i + 3] = design
+        if free:
+            jac[rows, -1] = x * (b * design[:, 1] - a * design[:, 2])
+    inverse = np.linalg.inv(jac.T @ (w.reshape(-1, 1) * jac))
+    dof = n - 3 - (1 / m if free else 0)
+    blocks = np.zeros((m, 4, 4))
+    for i in range(m):
+        keep = [3 * i, 3 * i + 1, 3 * i + 2] + ([3 * m] if free else [])
+        resid = y[i] - design @ coef[i]
+        size = len(keep)
+        blocks[i, :size, :size] = inverse[np.ix_(keep, keep)] * float(resid @ (w[i] * resid)) / dof
+    return blocks
+
+
+def to_fringe_covariance(lin_cov, coef, k):
+    """Delta method from (c0, a, b, k) to (c0, mu, period, psi)."""
+    c0, a, b = coef
+    h = math.hypot(a, b)
+    grad = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [-h / c0 ** 2, a / (c0 * h), b / (c0 * h), 0.0],
+                     [0.0, 0.0, 0.0, -2.0 * math.pi / k ** 2],
+                     [0.0, b / h ** 2, -a / h ** 2, 0.0]])
+    return grad @ lin_cov @ grad.T
+
+
+def sweep_scans(thetas):
+    """Counting scans of a pump-angle sweep on the entangled config, one per angle."""
+    config = entangled_sweep_config()
+    states = [build_two_photon_state(PumpState.from_eps2(config.pump.eps2,
+                                                         PolarizationAngle(theta)),
+                                     config.source) for theta in thetas]
+    expected = expected_scan(states, config.source, config.geometry, config.analyzers,
+                             config.scan)
+    return sample_counts(expected, config.scan.integration_time,
+                         [300 + i for i in range(len(states))])
+
+
 class TestFitSharedPeriod:
+    """fit_fringe on an (m, n) stack of scans that share one period."""
+
     def test_noise_free_pump_angles_recover_the_period(self):
         # one geometry, five pump angles: five contrasts and phases, one period;
         # a sixth scan pumps one crystal only and has no fringe to contribute
@@ -281,16 +334,18 @@ class TestFitSharedPeriod:
         period = config.geometry.fringe_period
         pumps = [PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
                  for theta in np.linspace(0.1, 3.0, 5)]
-        scans = [expected_scan(build_two_photon_state(pump, config.source), config.source,
-                               config.geometry, config.analyzers, config.scan)
-                 for pump in pumps + [PumpState.linear(VERTICAL)]]
-        pinned = [fringe_params(fit_fringe(scan, fix_period=period)) for scan in scans]
-        assert len({round(p.mu, 3) for p in pinned[:5]}) == 5
-        assert len({round(p.psi, 3) for p in pinned[:5]}) == 5
-        assert pinned[5].mu == 0.0
-        fit = fit_shared_period(scans)
+        scans = expected_scan([build_two_photon_state(pump, config.source)
+                               for pump in pumps + [PumpState.linear(VERTICAL)]],
+                              config.source, config.geometry, config.analyzers, config.scan)
+        pinned = fit_fringe(scans, fix_period=period).params
+        assert len({round(mu, 3) for mu in pinned[:5, 1]}) == 5
+        assert len({round(psi, 3) for psi in pinned[:5, 3]}) == 5
+        assert pinned[5, 1] == 0.0
+        fit = fit_fringe(scans)
         assert fit.converged
-        assert fit.params[0] == pytest.approx(period, rel=1e-10, abs=0.0)
+        assert fit.params.shape == (6, 4)
+        assert np.all(fit.params[:, 2] == fit.params[0, 2])
+        assert fit.params[0, 2] == pytest.approx(period, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("peak_rate, seeds", [(100.0, range(20)),
                                                   (0.5, (737, 757, 1293))])
@@ -300,20 +355,30 @@ class TestFitSharedPeriod:
             config, scan=dataclasses.replace(config.scan, peak_rate=peak_rate))
         for seed in seeds:
             scan = simulate_scan(config, seed=seed)
-            free, shared = fit_fringe(scan), fit_shared_period([scan])
-            assert shared.params[0] == free.params[2]
+            free, shared = fit_fringe(scan), fit_fringe(scan[None])
+            assert shared.params.shape == (1, 4) and shared.covariance.shape == (1, 4, 4)
+            assert np.array_equal(shared.params[0], free.params)
+            assert np.array_equal(shared.covariance[0], free.covariance, equal_nan=True)
             assert (shared.iterations, shared.converged, shared.message) == \
                    (free.iterations, free.converged, free.message)
-            if free.converged:  # the projected curvature is the free fit's period variance
-                assert shared.covariance[0, 0] == pytest.approx(free.covariance[2, 2],
-                                                                rel=1e-8, abs=0.0)
+            if free.converged:  # the Schur blocks are the 4 x 4 [design, jk] inverse
+                k = 2.0 * math.pi / free.params[2]
+                x = scan.position
+                design = 10.0 * np.column_stack((np.ones_like(x), np.cos(k * x),
+                                                 np.sin(k * x)))
+                w = 1.0 / np.maximum(scan.counts, 1.0)
+                coef = np.linalg.solve(design.T @ (w[:, None] * design),
+                                       design.T @ (w * scan.counts))
+                want = to_fringe_covariance(joint_covariance(scan[None], coef[None], k)[0],
+                                            coef, k)
+                assert np.allclose(shared.covariance[0], want, rtol=1e-10, atol=0.0)
 
     def test_flat_stack_is_unconverged(self):
         scan = sample_counts([(pos, 0.0) for pos in np.linspace(-6e-3, 6e-3, 61)], 10.0, 0)
-        fit = fit_shared_period([scan, scan.copy()])
+        fit = fit_fringe(np.stack([scan, scan.copy()]))
         assert not fit.converged
         assert "zero contrast" in fit.message
-        assert np.isfinite(fit.params[0]) and np.isnan(fit.stderr[0])
+        assert np.isfinite(fit.params[:, 2]).all() and np.isnan(fit.stderr[:, 2]).all()
 
     def test_scans_must_share_positions_and_times(self):
         x = np.linspace(-6e-3, 6e-3, 61)
@@ -323,13 +388,41 @@ class TestFitSharedPeriod:
         shifted.position += 1e-4
         longer = scan.copy()
         longer.integration_time *= 2.0
-        for other in (shifted, longer, scan[:-1]):
+        for other in (shifted, longer):
             with pytest.raises(IllPosedError, match="share positions"):
-                fit_shared_period([scan, other])
+                fit_fringe(np.stack([scan, other]))
+            with pytest.raises(IllPosedError, match="share positions"):
+                fit_fringe(np.stack([scan, other]), fix_period=5e-3)
+        with pytest.raises(IllPosedError, match="at least one scan"):
+            fit_fringe(scan[None][:0])
         with pytest.raises(IllPosedError):
-            fit_shared_period([])
-        with pytest.raises(IllPosedError):
-            fit_shared_period([scan[:3]])
+            fit_fringe(scan[:3][None])
+
+    @pytest.mark.parametrize("fix_period", [None, 5e-3])
+    def test_row_covariance_is_the_joint_inverse_block(self, fix_period):
+        scans = sweep_scans([0.3, 1.1, 2.0])
+        fit = fit_fringe(scans, fix_period=fix_period)
+        assert fit.converged
+        k = 2.0 * math.pi / fit.params[0, 2]
+        c0, mu, psi = fit.params[:, 0], fit.params[:, 1], fit.params[:, 3]
+        coef = np.column_stack((c0, c0 * mu * np.cos(psi), -c0 * mu * np.sin(psi)))
+        blocks = joint_covariance(scans, coef, k, free=fix_period is None)
+        for i in range(3):
+            want = to_fringe_covariance(blocks[i], coef[i], k)
+            assert np.allclose(fit.covariance[i], want, rtol=1e-10, atol=0.0)
+
+    def test_flat_row_keeps_the_other_rows(self):
+        scans = sweep_scans([0.3, 1.1, 2.0])
+        scans.counts[1] = 0
+        fit = fit_fringe(scans)
+        alone = fit_fringe(scans[[0, 2]])
+        assert fit.converged and fit.message == ""
+        assert fit.params[1, 1] == 0.0 and fit.params[1, 3] == 0.0
+        assert np.isnan(fit.stderr[1, 1:]).all() and np.isfinite(fit.stderr[1, 0])
+        assert np.isfinite(fit.stderr[[0, 2]]).all()
+        # the flat row carries no information on the period
+        assert fit.params[0, 2] == pytest.approx(alone.params[0, 2], rel=1e-9, abs=0.0)
+        assert np.allclose(fit.params[[0, 2]], alone.params, rtol=1e-8, atol=0.0)
 
 
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,

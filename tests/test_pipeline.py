@@ -6,7 +6,7 @@ import pytest
 
 from twinfringe.config import default_config, entangled_sweep_config
 from twinfringe.errors import IllPosedError
-from twinfringe.fitting import fit_fringe, fit_shared_period, fringe_params
+from twinfringe.fitting import fit_fringe, fringe_params
 from twinfringe.pipeline import (FIG5_TRUTH, derived_seed, reproduce_fig5,
                                  simulate_scan, sweep_pump_angle,
                                  theta0_distance)
@@ -73,6 +73,7 @@ class TestSweep:
                [(p.theta, p.mu, p.sigma_mu) for p in b]
 
     def test_each_angle_is_fitted_at_the_shared_period(self):
+        # the sweep is one stacked fit of scans simulated angle by angle
         config = entangled_sweep_config()
         thetas = np.linspace(0.0, math.pi, 5)
         scans = []
@@ -80,10 +81,12 @@ class TestSweep:
             pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
             scans.append(simulate_scan(dataclasses.replace(config, pump=pump),
                                        derived_seed(3, i)))
-        period = fit_shared_period(scans).params[0]
+        fit = fit_fringe(np.stack(scans))
         points = sweep_pump_angle(config, thetas, seed=3)
-        assert [p.mu for p in points] == \
-               [fringe_params(fit_fringe(scan, fix_period=period)).mu for scan in scans]
+        assert [p.mu for p in points] == fit.params[:, 1].tolist()
+        assert [p.sigma_mu for p in points] == fit.stderr[:, 1].tolist()
+        assert [p.converged for p in points] == [True] * 5
+        assert np.all(fit.params[:, 2] == fit.params[0, 2])
 
     def test_angle_without_fringe_reads_near_zero(self):
         # 90 degrees pumps one crystal: no fringe, so a free period search there
