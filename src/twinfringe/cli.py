@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -78,55 +79,80 @@ def write_sweep_csv(points, path: str) -> None:
             fh.write(f"{_fmt(p.theta)},{_fmt(p.mu)},{_fmt(p.sigma_mu)}\n")
 
 
-def _read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
+def _read_header(fh, path: str, columns: List[str], kind: str) -> None:
+    """Check the first non-empty row of fh against columns; fh is left after it."""
+    header = next((row for row in csv.reader(fh) if row), None)
+    if header is None:
         raise TwinfringeError(f"{path}: empty data file")
-    return [cell.strip() for cell in rows[0]], rows[1:]
+    header = [cell.strip() for cell in header]
+    if header != columns:
+        raise TwinfringeError(f"{path}: expected {kind} columns {columns}, got {header}")
 
 
-def read_scan_csv(path: str) -> np.recarray:
-    header, rows = _read_csv(path)
-    if header != SCAN_HEADER:
-        raise TwinfringeError(
-            f"{path}: expected scan columns {SCAN_HEADER}, got {header}")
-    scan = np.recarray(len(rows), dtype=SCAN_DTYPE)
-    for i, row in enumerate(rows):
+def _read_rows(path: str, columns: List[str], kind: str) -> List[List[str]]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _read_header(fh, path, columns, kind)
+        return [row for row in csv.reader(fh) if row]
+
+
+def _check_scan_rows(path: str, rows: List[List[str]]) -> None:
+    """Raise the `path:line` error of the first bad row, if any."""
+    for i, row in enumerate(rows, start=2):
         try:
+            if len(row) != len(SCAN_HEADER):
+                raise ValueError(f"expected {len(SCAN_HEADER)} cells, got {len(row)}")
             point = (float(row[0]), int(row[1]), float(row[2]), float(row[3]))
             if point[1] < 0:
                 raise ValueError("counts must be >= 0")
             if point[3] < 0.0:
                 raise ValueError("expected_rate must be >= 0")
-            scan[i] = point
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise TwinfringeError(f"{path}:{i + 2}: bad scan row: {exc}") from exc
-    # checked on whole columns, far cheaper than per row on a long scan
-    finite = (np.isfinite(scan.position) & np.isfinite(scan.integration_time)
-              & np.isfinite(scan.expected_rate))
+            np.array(point, dtype=SCAN_DTYPE)  # a count beyond int64 overflows
+        except (ValueError, OverflowError) as exc:
+            raise TwinfringeError(f"{path}:{i}: bad scan row: {exc}") from exc
+
+
+def read_scan_csv(path: str) -> np.recarray:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _read_header(fh, path, SCAN_HEADER, "scan")
+        body = fh.read()
+    if not body.strip("\r\n"):  # header only: loadtxt would warn "no data"
+        return np.recarray(0, dtype=SCAN_DTYPE)
+    try:
+        scan = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=SCAN_DTYPE,
+                          quotechar='"', comments=None, ndmin=1)
+    except ValueError as exc:
+        # numpy's reason names no csv line: find the bad row by the per-row
+        # checks; a file that passes them (`1_0` suits float()) gets the reason
+        _check_scan_rows(path, _read_rows(path, SCAN_HEADER, "scan"))
+        raise TwinfringeError(f"{path}: bad scan file: {exc}") from exc
+    # blank lines are skipped by both readers, so index + 2 is the csv line
+    # number counted over non-empty rows
+    negative = (scan["counts"] < 0) | (scan["expected_rate"] < 0.0)
+    if negative.any():
+        i = int(np.argmax(negative))
+        reason = "counts" if scan["counts"][i] < 0 else "expected_rate"
+        raise TwinfringeError(f"{path}:{i + 2}: bad scan row: {reason} must be >= 0")
+    finite = (np.isfinite(scan["position"]) & np.isfinite(scan["integration_time"])
+              & np.isfinite(scan["expected_rate"]))
     if not finite.all():
         raise TwinfringeError(f"{path}:{int(np.argmin(finite)) + 2}: bad scan row: "
                               "position_m, integration_s and expected_rate must be finite")
-    return scan
+    return scan.view(np.recarray)
 
 
 def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
-    header, rows = _read_csv(path)
-    if header != SWEEP_HEADER:
-        raise TwinfringeError(
-            f"{path}: expected sweep columns {SWEEP_HEADER}, got {header}")
     points = []
-    for i, row in enumerate(rows, start=2):
+    for i, row in enumerate(_read_rows(path, SWEEP_HEADER, "sweep"), start=2):
         try:
+            if len(row) != len(SWEEP_HEADER):
+                raise ValueError(f"expected {len(SWEEP_HEADER)} cells, got {len(row)}")
             point = (float(row[0]), float(row[1]), float(row[2]))
             if not all(math.isfinite(v) for v in point):
                 raise ValueError("theta_rad, mu and sigma_mu must be finite")
             if point[1] < 0.0 or point[2] < 0.0:
                 raise ValueError("mu and sigma_mu must be >= 0")
             points.append(point)
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise TwinfringeError(f"{path}:{i}: bad sweep row: {exc}") from exc
     return points
 

@@ -52,13 +52,14 @@ def _resolve_positions(spec, path: str):
             if key not in spec:
                 raise ConfigError(f"{path}: grid spec needs 'start', 'stop', 'num'")
         num = spec["num"]
-        if not isinstance(num, int) or num < 1:
+        if not isinstance(num, int) or isinstance(num, bool) or num < 1:
             raise ConfigError(f"{path}.num: must be an integer >= 1")
-        return tuple(np.linspace(float(spec["start"]), float(spec["stop"]), num))
+        start, stop = _number(spec, "start", path), _number(spec, "stop", path)
+        return tuple(np.linspace(start, stop, num).tolist())
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}: position list must not be empty")
-        return tuple(float(v) for v in spec)
+        return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(spec))
     raise ConfigError(f"{path}: must be a list of meters or a start/stop/num grid")
 
 
@@ -73,15 +74,18 @@ def _number(d: dict, key: str, path: str, default=None) -> float:
         if default is not None:
             return default
         raise ConfigError(f"{path}.{key}: missing required key")
-    v = d[key]
+    return _as_number(d[key], f"{path}.{key}")
+
+
+def _as_number(v, where: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(v).__name__}")
+        raise ConfigError(f"{where}: expected a number, got {type(v).__name__}")
     try:
         value = float(v)
     except OverflowError:  # an integer literal beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
+        raise ConfigError(f"{where}: must be finite")
     return value
 
 

@@ -42,10 +42,10 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        if len(self.positions) == 0:
+        object.__setattr__(self, "positions", tuple(map(float, self.positions)))
+        if not self.positions:
             raise ConfigurationError("scan needs at least one position")
-        if not all(math.isfinite(x) for x in self.positions):
+        if not all(map(math.isfinite, self.positions)):
             raise ConfigurationError("scan positions must be finite")
         if self.scan_mode not in SCAN_MODES:
             raise ConfigurationError(

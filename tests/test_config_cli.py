@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from twinfringe.cli import main, read_scan_csv, read_sweep_csv, write_scan_csv
+from twinfringe.detection import SCAN_DTYPE
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
@@ -136,6 +138,29 @@ class TestCliScan:
         assert f"scan.{key}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("positions, where, reason", [
+        (["a", 0.001], "[0]", "expected a number, got str"),
+        ([None, 0.001], "[0]", "expected a number, got NoneType"),
+        ([True, 0.001], "[0]", "expected a number, got bool"),
+        ([0.001, [0.002]], "[1]", "expected a number, got list"),
+        ([0.001, math.nan], "[1]", "must be finite"),
+        ({"start": "x", "stop": 6e-3, "num": 61}, ".start", "expected a number, got str"),
+        ({"start": -6e-3, "stop": None, "num": 61}, ".stop", "expected a number, got NoneType"),
+        ({"start": -6e-3, "stop": math.inf, "num": 61}, ".stop", "must be finite"),
+        ({"start": -6e-3, "stop": 6e-3, "num": True}, ".num", "must be an integer >= 1"),
+    ])
+    def test_bad_position_entry_exits_2_with_key_path(self, tmp_path, capsys,
+                                                      positions, where, reason):
+        doc = config_to_dict(default_config())
+        doc["scan"]["positions_m"] = positions
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "scan.csv"
+        code = main(["simulate-scan", "--config", str(path), "--output", str(out)])
+        assert code == 2
+        assert f"scan.positions_m{where}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("peak_rate_hz", 1e19),
         ("integration_time_s", 1e300),
@@ -208,6 +233,9 @@ class TestScanCsvReader:
         "0.001,12,10.0,-0.5",       # negative expected rate
         "0.001,twelve,10.0,1.5",    # non-numeric cell
         "0.001,12,10.0",            # short row
+        "0.001,12,10.0,1.5,999",    # extra cell
+        "0.001,12,10.0,1.5,",       # trailing comma
+        "# x",                      # not a comment: the reader has none
     ])
     def test_bad_row_exits_2_with_path_and_line(self, tmp_path, capsys, bad_row):
         scan = tmp_path / "scan.csv"
@@ -251,12 +279,94 @@ class TestScanCsvReader:
         assert counts.dtype.kind == "i" and counts.sum() > 0
 
 
+    @staticmethod
+    def assert_same_scan(back, scan):
+        assert isinstance(back, np.recarray) and back.dtype == SCAN_DTYPE
+        assert back.shape == scan.shape
+        for name in SCAN_DTYPE.names:  # bytes, so -0.0 and 0.0 differ
+            assert back[name].tobytes() == scan[name].tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_long_scan_round_trips_exactly(self, tmp_path, seed):
+        doc = config_to_dict(default_config())
+        doc["scan"]["positions_m"] = {"start": -6e-3, "stop": 6e-3, "num": 2001}
+        scan = simulate_scan(config_from_dict(doc), seed=seed)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, str(path))
+        self.assert_same_scan(read_scan_csv(str(path)), scan)
+
+    def test_extreme_values_round_trip_exactly(self, tmp_path):
+        big = np.iinfo(np.int64).max
+        scan = np.rec.fromrecords([
+            (5e-324, 0, 1.7976931348623157e308, 0.0),
+            (-0.0, big, 5e-324, -0.0),
+            (1.7976931348623157e308, big - 1, 10.0, 1.7976931348623157e308),
+            (-1.7976931348623157e308, 0, -0.0, 5e-324),
+        ], dtype=SCAN_DTYPE)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, str(path))
+        self.assert_same_scan(read_scan_csv(str(path)), scan)
+
+    def test_header_only_file_is_an_empty_scan_without_warning(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("position_m,counts,integration_s,expected_rate\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan = read_scan_csv(str(path))
+        assert caught == []
+        assert isinstance(scan, np.recarray) and scan.dtype == SCAN_DTYPE
+        assert scan.shape == (0,)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_quotes_blank_lines_and_line_endings(self, tmp_path, eol):
+        lines = ['"position_m", counts ,integration_s,"expected_rate"', "",
+                 '"-0.001","12",10.0," 1.5 "', "", "",
+                 " 0.002 , 7 ,10.0,2.5", "0.003,0,10.0,0.0"]
+        path = tmp_path / "scan.csv"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        expected = np.rec.fromrecords([(-0.001, 12, 10.0, 1.5), (0.002, 7, 10.0, 2.5),
+                                       (0.003, 0, 10.0, 0.0)], dtype=SCAN_DTYPE)
+        self.assert_same_scan(read_scan_csv(str(path)), expected)
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("0.001,-1,10.0,1.5", "counts must be >= 0"),        # checked on columns
+        ("0.001,12,10.0,-0.5", "expected_rate must be >= 0"),  # checked on columns
+        ("0.001,12,inf,1.5", "must be finite"),              # checked on columns
+        ("0.001,twelve,10.0,1.5", "invalid literal for int"),  # checked per row
+        ("0.001,12,10.0,1.5,9", "expected 4 cells, got 5"),   # checked per row
+    ])
+    def test_column_and_row_checks_number_lines_alike(self, tmp_path, capsys,
+                                                      bad_row, reason):
+        # a blank line above the bad row: both checks count non-empty rows
+        rows = [f"{float(x)!r},12,10.0,1.5" for x in np.linspace(-6e-3, 6e-3, 9)]
+        rows[2:3] = ["", bad_row]
+        scan = tmp_path / "scan.csv"
+        scan.write_text("position_m,counts,integration_s,expected_rate\n"
+                        + "".join(row + "\n" for row in rows))
+        assert main(["fit", str(scan), "--model", "fringe"]) == 2
+        err = capsys.readouterr().err
+        assert f"{scan}:4: bad scan row: " in err and reason in err
+
+    def test_numeral_numpy_cannot_read_exits_2(self, tmp_path, capsys):
+        # Python's float() takes "1_000.0"; numpy's reader does not
+        scan = tmp_path / "scan.csv"
+        self.write_scan(scan, "0.001,12,1_000.0,1.5")
+        out = tmp_path / "r.json"
+        assert main(["fit", str(scan), "--model", "fringe", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{scan}: bad scan file: " in err and "1_000.0" in err
+        assert not out.exists()
+
+
 class TestSweepCsvReader:
     @pytest.mark.parametrize("bad_row, reason", [
         ("0.5,nan,0.01", "must be finite"),
         ("inf,0.5,0.01", "must be finite"),
         ("0.5,-0.2,0.01", "must be >= 0"),
         ("0.5,0.2,-0.01", "must be >= 0"),
+        ("0.5,0.2,0.01,oops", "expected 3 cells, got 4"),
+        ("0.5,0.2,0.01,", "expected 3 cells, got 4"),
+        ("0.5,0.2", "expected 3 cells, got 2"),
     ])
     def test_bad_row_exits_2_with_path_and_line(self, tmp_path, capsys, bad_row, reason):
         rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
