@@ -9,6 +9,7 @@ to radians at this boundary only.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -79,25 +80,39 @@ def write_sweep_csv(points, path: str) -> None:
             fh.write(f"{_fmt(p.theta)},{_fmt(p.mu)},{_fmt(p.sigma_mu)}\n")
 
 
-def _read_header(fh, path: str, columns: List[str], kind: str) -> None:
-    """Check the first non-empty row of fh against columns; fh is left after it."""
-    header = next((row for row in csv.reader(fh) if row), None)
+@contextlib.contextmanager
+def _utf8_text(path: str):
+    """Report a file that does not decode as the input error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise TwinfringeError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_header(fh, path: str, columns: List[str], kind: str) -> int:
+    """Check the first non-empty row of fh against columns and return its
+    line number; fh is left after it."""
+    reader = csv.reader(fh)
+    header = next((row for row in reader if row), None)
     if header is None:
         raise TwinfringeError(f"{path}: empty data file")
     header = [cell.strip() for cell in header]
     if header != columns:
         raise TwinfringeError(f"{path}: expected {kind} columns {columns}, got {header}")
+    return reader.line_num
 
 
-def _read_rows(path: str, columns: List[str], kind: str) -> List[List[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        _read_header(fh, path, columns, kind)
-        return [row for row in csv.reader(fh) if row]
+def _read_rows(path: str, columns: List[str], kind: str) -> List[Tuple[int, List[str]]]:
+    """The non-empty rows after the header, each with its line in the file."""
+    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        above = _read_header(fh, path, columns, kind)
+        reader = csv.reader(fh)
+        return [(above + reader.line_num, row) for row in reader if row]
 
 
-def _check_scan_rows(path: str, rows: List[List[str]]) -> None:
+def _check_scan_rows(path: str, rows: List[Tuple[int, List[str]]]) -> None:
     """Raise the `path:line` error of the first bad row, if any."""
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         try:
             if len(row) != len(SCAN_HEADER):
                 raise ValueError(f"expected {len(SCAN_HEADER)} cells, got {len(row)}")
@@ -112,7 +127,7 @@ def _check_scan_rows(path: str, rows: List[List[str]]) -> None:
 
 
 def read_scan_csv(path: str) -> np.recarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
         _read_header(fh, path, SCAN_HEADER, "scan")
         body = fh.read()
     if not body.strip("\r\n"):  # header only: loadtxt would warn "no data"
@@ -125,24 +140,30 @@ def read_scan_csv(path: str) -> np.recarray:
         # checks; a file that passes them (`1_0` suits float()) gets the reason
         _check_scan_rows(path, _read_rows(path, SCAN_HEADER, "scan"))
         raise TwinfringeError(f"{path}: bad scan file: {exc}") from exc
-    # blank lines are skipped by both readers, so index + 2 is the csv line
-    # number counted over non-empty rows
     negative = (scan["counts"] < 0) | (scan["expected_rate"] < 0.0)
     if negative.any():
         i = int(np.argmax(negative))
         reason = "counts" if scan["counts"][i] < 0 else "expected_rate"
-        raise TwinfringeError(f"{path}:{i + 2}: bad scan row: {reason} must be >= 0")
+        raise TwinfringeError(f"{path}:{_line_of_row(path, i)}: bad scan row: "
+                              f"{reason} must be >= 0")
     finite = (np.isfinite(scan["position"]) & np.isfinite(scan["integration_time"])
               & np.isfinite(scan["expected_rate"]))
     if not finite.all():
-        raise TwinfringeError(f"{path}:{int(np.argmin(finite)) + 2}: bad scan row: "
-                              "position_m, integration_s and expected_rate must be finite")
+        raise TwinfringeError(f"{path}:{_line_of_row(path, int(np.argmin(finite)))}: bad "
+                              "scan row: position_m, integration_s and expected_rate "
+                              "must be finite")
     return scan.view(np.recarray)
+
+
+def _line_of_row(path: str, i: int) -> int:
+    """The line of the scan file holding row i of what loadtxt read: both
+    readers skip blank lines, so it is the line of the i-th non-empty row."""
+    return _read_rows(path, SCAN_HEADER, "scan")[i][0]
 
 
 def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
     points = []
-    for i, row in enumerate(_read_rows(path, SWEEP_HEADER, "sweep"), start=2):
+    for i, row in _read_rows(path, SWEEP_HEADER, "sweep"):
         try:
             if len(row) != len(SWEEP_HEADER):
                 raise ValueError(f"expected {len(SWEEP_HEADER)} cells, got {len(row)}")
@@ -424,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise TwinfringeError("--seed: must be a nonnegative integer")
         return args.func(args)
     except TwinfringeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -233,6 +233,8 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return config_from_dict(doc)
     except ConfigError as exc:
@@ -251,14 +253,11 @@ def default_config_path() -> Optional[str]:
     return path or None
 
 
-def default_config() -> RunConfig:
-    """Built-in defaults: same-polarization crystals, 45-degree pump.
-
-    The instrument factor is set so the effective visibility ceiling through
-    the default slit is 0.83.
-    """
+def _default_document(ceiling: float) -> dict:
+    """The built-in config document, with the instrument factor set so the
+    visibility ceiling through the default slit is `ceiling`."""
     slit_loss = float(np.sinc(_DEFAULT_SLIT / _DEFAULT_PERIOD))
-    return config_from_dict({
+    return {
         "schema_version": SCHEMA_VERSION,
         "pump": {"eps1": 1.0, "eps2": 0.0, "theta_p_rad": math.pi / 4.0},
         "source": {
@@ -280,10 +279,19 @@ def default_config() -> RunConfig:
             "peak_rate_hz": 100.0,
             "background_rate_hz": 0.0,
             "slit_width_m": _DEFAULT_SLIT,
-            "instrument_factor": 0.83 / slit_loss,
+            "instrument_factor": ceiling / slit_loss,
             "seed": 12345,
         },
-    })
+    }
+
+
+def default_config() -> RunConfig:
+    """Built-in defaults: same-polarization crystals, 45-degree pump.
+
+    The instrument factor is set so the effective visibility ceiling through
+    the default slit is 0.83.
+    """
+    return config_from_dict(_default_document(0.83))
 
 
 def entangled_sweep_config(ceiling: float = 0.77, eps2: float = 0.08,
@@ -293,11 +301,8 @@ def entangled_sweep_config(ceiling: float = 0.77, eps2: float = 0.08,
     The instrument factor is set so the visibility ceiling behind the
     45-degree analyzers is `ceiling`.
     """
-    slit_loss = float(np.sinc(_DEFAULT_SLIT / _DEFAULT_PERIOD))
-    base = config_to_dict(default_config())
-    base["pump"] = {"eps1": None, "eps2": eps2, "theta_p_rad": math.pi / 4.0}
-    base["source"]["crystal1"]["pair_polarization_rad"] = 0.0
-    base["source"]["crystal2"]["pair_polarization_rad"] = math.pi / 2.0
-    base["scan"]["instrument_factor"] = ceiling / slit_loss
-    base["scan"]["seed"] = seed
-    return config_from_dict(base)
+    doc = _default_document(ceiling)
+    doc["pump"] = {"eps1": None, "eps2": eps2, "theta_p_rad": math.pi / 4.0}
+    doc["source"]["crystal2"]["pair_polarization_rad"] = math.pi / 2.0
+    doc["scan"]["seed"] = seed
+    return config_from_dict(doc)

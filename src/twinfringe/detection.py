@@ -2,12 +2,14 @@
 
 Models the instrument chain as three independent effects: a boxcar slit
 average that smooths the fringe, a scalar mode-match factor that caps the
-visibility, and Poisson counting noise from one reproducible stream per scan.
+visibility, and Poisson counting noise from one reproducible stream per scan
+(or per stack of scans).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -123,44 +125,42 @@ def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
     return out[0] if isinstance(state, TwoPhotonState) else out
 
 
-def sample_counts(expected, integration_time: float,
-                  seed: Union[int, Sequence[int]]) -> np.recarray:
+def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:
     """Draw Poisson counts for each expected (position, rate) point.
 
-    All counts of a scan come from one random stream, seeded by `seed` and
-    drawn in point-index order, so a point's count depends only on the seed
-    and on the rates at that index and before it: dropping trailing points
-    leaves the remaining counts unchanged, and repeated runs with the same
-    inputs are identical.
+    All counts come from one random stream, seeded by `seed` and drawn in
+    point-index order, so a point's count depends only on the seed and on
+    the rates at that index and before it: dropping trailing points leaves
+    the remaining counts unchanged, and repeated runs with the same inputs
+    are identical.
 
-    expected is one scan of (position, rate) rows with one seed, or an
-    (m, n, 2) stack of scans, such as expected_scan returns for m states,
-    with a sequence of m seeds: row i is drawn from seed[i] exactly as a
-    one-scan call with that seed draws it.
+    expected is one scan of (position, rate) rows, or an (m, n, 2) stack of
+    scans such as expected_scan returns for m states.  A stack is drawn as
+    one scan of its m*n points in row order: row 0 equals a one-scan call
+    with the same seed, and the first k rows equal those of a stack of
+    their k scans.  The rows share the one stream; none has its own.
 
     Returns a record array of SCAN_DTYPE, one row per point: (n,) for one
     scan, (m, n) for a stack.
     """
+    try:  # SeedSequence would take a list as entropy and a bool as 0 or 1
+        entropy = -1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
+    except TypeError:
+        entropy = -1
+    if entropy < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (math.isfinite(integration_time) and integration_time >= 0.0):
         raise ConfigurationError("integration_time must be finite and >= 0")
     points = np.asarray(expected, dtype=np.float64)
-    if points.ndim == 3:
-        if np.ndim(seed) != 1 or len(seed) != len(points):
-            raise ConfigurationError(f"a stack of {len(points)} scans needs one seed "
-                                     f"per scan, got {seed!r}")
-        seeds = seed
-    else:
-        points, seeds = points.reshape(-1, 2), [seed]
     rates = points[..., 1]
     if not np.all(np.isfinite(rates)):
         raise ConfigurationError("expected rates must be finite")
     if np.any(rates < 0.0):
         raise ConfigurationError("expected rates must be >= 0")
-    means = (rates * integration_time).reshape(len(seeds), rates.shape[-1])
     try:
-        counts = np.array([np.random.default_rng(np.random.SeedSequence(s)).poisson(row)
-                           for s, row in zip(seeds, means)], dtype=np.int64)
+        counts = np.random.default_rng(np.random.SeedSequence(entropy)).poisson(
+            rates * integration_time)
     except ValueError as exc:  # means beyond the generator's range
         raise ConfigurationError(f"expected counts out of range: {exc}") from exc
-    return np.rec.fromarrays((points[..., 0], counts.reshape(rates.shape),
-                              np.full_like(rates, integration_time), rates), dtype=SCAN_DTYPE)
+    return np.rec.fromarrays((points[..., 0], counts, np.full_like(rates, integration_time),
+                              rates), dtype=SCAN_DTYPE)

@@ -55,9 +55,9 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
     Every angle has the same geometry and so the same positions, times and
     fringe period; only contrast and phase change with the angle.  One
     expected_scan call gives the stack's rates, one sample_counts call
-    draws row i from its own derived seed, derived_seed(master, i), so the
-    sweep is reproducible regardless of evaluation order, and one
-    fit_fringe call searches the shared period and fits each row's
+    draws the whole stack from the master seed in angle order (so the first
+    k angles of a sweep draw the same counts as a sweep of those k angles),
+    and one fit_fringe call searches the shared period and fits each row's
     contrast at it.  A point is converged when that fit converged and its
     sigma_mu is finite (a row without contrast has none).
     """
@@ -69,8 +69,7 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
         return []
     expected = expected_scan(states, config.source, config.geometry, config.analyzers,
                              config.scan)
-    scans = sample_counts(expected, config.scan.integration_time,
-                          [derived_seed(master, i) for i in range(len(states))])
+    scans = sample_counts(expected, config.scan.integration_time, master)
     fit = fit_fringe(scans)
     return [SweepPoint(theta=float(theta), mu=mu, sigma_mu=sigma_mu,
                        converged=fit.converged and math.isfinite(sigma_mu))

@@ -56,6 +56,19 @@ class TestConfigRoundTrip:
         config = config_from_dict(doc)
         assert config.scan.positions == tuple(np.linspace(0.0, 1e-3, 5))
 
+    @pytest.mark.parametrize("ceiling, eps2, seed", [(0.77, 0.08, 777), (0.5, 0.0, 0),
+                                                     (0.95, 0.3, 2 ** 40), (0.9, 0.99, 5)])
+    def test_sweep_config_is_the_edited_default(self, ceiling, eps2, seed):
+        # the sweep config is the default document with the pump, crystal 2,
+        # ceiling and seed edited, as it was when built from default_config()
+        slit_loss = float(np.sinc(0.5e-3 / 5e-3))
+        doc = config_to_dict(default_config())
+        doc["pump"] = {"eps1": None, "eps2": eps2, "theta_p_rad": math.pi / 4.0}
+        doc["source"]["crystal2"]["pair_polarization_rad"] = math.pi / 2.0
+        doc["scan"]["instrument_factor"] = ceiling / slit_loss
+        doc["scan"]["seed"] = seed
+        assert entangled_sweep_config(ceiling, eps2, seed) == config_from_dict(doc)
+
     def test_eps1_autocompleted(self):
         doc = config_to_dict(default_config())
         doc["pump"] = {"eps1": None, "eps2": 0.08, "theta_p_rad": 0.0}
@@ -90,6 +103,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="source"):
             config_from_dict(doc)
 
+    def test_non_utf8_config_exits_2_with_path(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"schema_version": 1, "pump": "\xff"}\n')
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            load_config(str(path))
+        out = tmp_path / "scan.csv"
+        assert main(["simulate-scan", "--config", str(path), "--output", str(out)]) == 2
+        assert f"error: {path}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "schema_version": 1,\n  oops\n}\n')
@@ -112,6 +135,12 @@ class TestCliScan:
         assert abs(mu - 0.83) < 0.05
         records = read_scan_csv(str(out))
         assert len(records) == 61
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["simulate-scan", "--seed", "-1", "--output", str(out)]) == 2
+        assert "error: --seed: must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -337,7 +366,7 @@ class TestScanCsvReader:
     ])
     def test_column_and_row_checks_number_lines_alike(self, tmp_path, capsys,
                                                       bad_row, reason):
-        # a blank line above the bad row: both checks count non-empty rows
+        # a blank line above the bad row: both checks name its line, 5
         rows = [f"{float(x)!r},12,10.0,1.5" for x in np.linspace(-6e-3, 6e-3, 9)]
         rows[2:3] = ["", bad_row]
         scan = tmp_path / "scan.csv"
@@ -345,7 +374,28 @@ class TestScanCsvReader:
                         + "".join(row + "\n" for row in rows))
         assert main(["fit", str(scan), "--model", "fringe"]) == 2
         err = capsys.readouterr().err
-        assert f"{scan}:4: bad scan row: " in err and reason in err
+        assert f"{scan}:5: bad scan row: " in err and reason in err
+
+    @pytest.mark.parametrize("bad_row", ["0.001,-1,10.0,1.5", "0.001,12,nan,1.5",
+                                         "0.001,12,10.0,1.5,9"])
+    def test_line_counts_blank_lines_above_the_header(self, tmp_path, capsys, bad_row):
+        rows = [f"{float(x)!r},12,10.0,1.5" for x in np.linspace(-6e-3, 6e-3, 9)]
+        rows[6] = bad_row
+        scan = tmp_path / "scan.csv"
+        scan.write_bytes(("\r\n\r\nposition_m,counts,integration_s,expected_rate\r\n"
+                          + "".join(row + "\r\n\r\n" for row in rows)).encode())
+        assert main(["fit", str(scan), "--model", "fringe"]) == 2
+        assert f"{scan}:16: bad scan row: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [2, 2000])  # in the header's read or the body's
+    def test_non_utf8_file_exits_2_with_path(self, tmp_path, capsys, rows):
+        scan = tmp_path / "scan.csv"
+        scan.write_bytes(("position_m,counts,integration_s,expected_rate\n"
+                          + "0.001,12,10.0,1.5\n" * rows).encode() + b"\xff")
+        out = tmp_path / "r.json"
+        assert main(["fit", str(scan), "--model", "fringe", "--output", str(out)]) == 2
+        assert f"error: {scan}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeral_numpy_cannot_read_exits_2(self, tmp_path, capsys):
         # Python's float() takes "1_000.0"; numpy's reader does not
@@ -379,6 +429,23 @@ class TestSweepCsvReader:
         err = capsys.readouterr().err
         assert f"{sweep}:5: bad sweep row: " in err and reason in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_line_counts_blank_lines(self, tmp_path, capsys):
+        rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
+        rows[3] = "0.5,-0.2,0.01"
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("\ntheta_rad,mu,sigma_mu\n\n" + "".join(row + "\n" for row in rows))
+        assert main(["fit", str(sweep), "--model", "viscurve",
+                     "--output", str(tmp_path / "r.json")]) == 2
+        assert f"{sweep}:7: bad sweep row: " in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2_with_path(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_bytes(b"theta_rad,mu,sigma_mu\n0.0,0.5,0.01\n\xff\n")
+        out = tmp_path / "r.json"
+        assert main(["fit", str(sweep), "--model", "viscurve", "--output", str(out)]) == 2
+        assert f"error: {sweep}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSweepAndFit:
@@ -415,6 +482,12 @@ class TestCliSweepAndFit:
         assert "--theta-deg" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-pump-angle", "--seed", "-1", "--output", str(out)]) == 2
+        assert "error: --seed: must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_model_for_file_shape_exits_2(self, tmp_path, config_path):
         out = tmp_path / "scan.csv"

@@ -8,7 +8,6 @@ from twinfringe.detection import (SCAN_DTYPE, ScanConfig, expected_scan,
                                   sample_counts, slit_visibility_factor)
 from twinfringe.errors import ConfigurationError
 from twinfringe.fitting import fit_fringe, fringe_params
-from twinfringe.pipeline import derived_seed
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (GeometryConfig, _projected_amplitudes,
@@ -152,7 +151,7 @@ def reference_expected_scan(state, source, geometry, analyzers, scan):
 
 
 class TestStackedScans:
-    """A sequence of states is one (m, n, 2) stack; a stack with m seeds is
+    """A sequence of states is one (m, n, 2) stack; a stack and one seed are
     sampled into one (m, n) record array."""
 
     @staticmethod
@@ -179,22 +178,35 @@ class TestStackedScans:
                                                             analyzers, scan).tobytes()
 
     def test_sampled_rows_are_one_scan_calls(self):
+        # a stack is one scan of its m * n points in row order, from one seed
         source, states = self.states()
         stack = expected_scan(states, source, GeometryConfig(fringe_period=5e-3), ANA45,
                               make_scan())
-        seeds = [derived_seed(7, i) for i in range(len(states))]
-        records = sample_counts(stack, 10.0, seeds)
+        records = sample_counts(stack, 10.0, 7)
         assert records.shape == (len(states), 61) and records.dtype == SCAN_DTYPE
-        for row, expected, seed in zip(records, stack, seeds):
-            assert row.tobytes() == sample_counts(expected, 10.0, seed).tobytes()
+        flat = sample_counts(stack.reshape(-1, 2), 10.0, 7)
+        assert records.tobytes() == flat.tobytes()
+        want = np.random.default_rng(np.random.SeedSequence(7)).poisson(stack[..., 1] * 10.0)
+        assert np.array_equal(records.counts, want)
+        assert records[0].tobytes() == sample_counts(stack[0], 10.0, 7).tobytes()
 
     def test_one_seed_per_row(self):
+        # one integer seed for any shape; SeedSequence would quietly take a
+        # list of them as entropy
         source, states = self.states()
         stack = expected_scan(states[:3], source, GeometryConfig(fringe_period=5e-3), ANA45,
                               make_scan())
-        for seeds in ([1, 2], [1, 2, 3, 4], 5):
-            with pytest.raises(ConfigurationError, match="one seed per scan"):
-                sample_counts(stack, 10.0, seeds)
+        for seed in ([1, 2, 3], (4,), np.array([5]), -1, True, np.bool_(False), 2.0, "3",
+                     None):
+            for expected in (stack, stack[0]):
+                with pytest.raises(ConfigurationError,
+                                   match="seed must be a nonnegative integer"):
+                    sample_counts(expected, 10.0, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        expected = [(float(i), 30.0) for i in range(20)]
+        assert sample_counts(expected, 1.0, np.uint64(2 ** 63)).tobytes() == \
+               sample_counts(expected, 1.0, 2 ** 63).tobytes()
 
 
 class TestSampleCounts:

@@ -320,8 +320,7 @@ def sweep_scans(thetas):
                                      config.source) for theta in thetas]
     expected = expected_scan(states, config.source, config.geometry, config.analyzers,
                              config.scan)
-    return sample_counts(expected, config.scan.integration_time,
-                         [300 + i for i in range(len(states))])
+    return sample_counts(expected, config.scan.integration_time, 300)
 
 
 class TestFitSharedPeriod:

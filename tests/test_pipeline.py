@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from twinfringe import pipeline
 from twinfringe.config import default_config, entangled_sweep_config
+from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import IllPosedError
 from twinfringe.fitting import fit_fringe, fringe_params
 from twinfringe.pipeline import (FIG5_TRUTH, derived_seed, reproduce_fig5,
                                  simulate_scan, sweep_pump_angle,
                                  theta0_distance)
 from twinfringe.polarization import VERTICAL, PolarizationAngle, PumpState
+from twinfringe.spdc import build_two_photon_state
 
 
 class TestSeedDerivation:
@@ -46,8 +49,6 @@ class TestDisentangledSource:
         assert float(np.mean(mus)) < 0.02
 
     def test_noiseless_visibility_is_zero(self):
-        from twinfringe.detection import expected_scan
-        from twinfringe.spdc import build_two_photon_state
         config = entangled_sweep_config()
         state = build_two_photon_state(PumpState.linear(VERTICAL), config.source)
         expected = expected_scan(state, config.source, config.geometry,
@@ -73,20 +74,42 @@ class TestSweep:
                [(p.theta, p.mu, p.sigma_mu) for p in b]
 
     def test_each_angle_is_fitted_at_the_shared_period(self):
-        # the sweep is one stacked fit of scans simulated angle by angle
+        # the sweep is one stacked fit of scans expected angle by angle and
+        # drawn as one stack from the master seed
         config = entangled_sweep_config()
         thetas = np.linspace(0.0, math.pi, 5)
-        scans = []
-        for i, theta in enumerate(thetas):
-            pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
-            scans.append(simulate_scan(dataclasses.replace(config, pump=pump),
-                                       derived_seed(3, i)))
-        fit = fit_fringe(np.stack(scans))
+        expected = []
+        for theta in thetas:
+            state = build_two_photon_state(
+                PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta)), config.source)
+            expected.append(expected_scan(state, config.source, config.geometry,
+                                          config.analyzers, config.scan))
+        fit = fit_fringe(sample_counts(np.stack(expected), config.scan.integration_time, 3))
         points = sweep_pump_angle(config, thetas, seed=3)
         assert [p.mu for p in points] == fit.params[:, 1].tolist()
         assert [p.sigma_mu for p in points] == fit.stderr[:, 1].tolist()
         assert [p.converged for p in points] == [True] * 5
         assert np.all(fit.params[:, 2] == fit.params[0, 2])
+
+    def test_first_angles_draw_the_counts_of_a_longer_sweep(self, monkeypatch):
+        # the stack is one stream in angle order: a sweep over the first k
+        # angles draws the first k rows of a longer sweep, and row 0 is the
+        # one-scan draw at the master seed
+        drawn = []
+
+        def fit_and_keep(scans):
+            drawn.append(scans.copy())
+            return fit_fringe(scans)
+
+        monkeypatch.setattr(pipeline, "fit_fringe", fit_and_keep)
+        config = entangled_sweep_config()
+        thetas = np.linspace(0.0, math.pi, 7)
+        sweep_pump_angle(config, thetas, seed=5)
+        sweep_pump_angle(config, thetas[:3], seed=5)
+        assert drawn[1].tobytes() == drawn[0][:3].tobytes()
+        pump = PumpState.from_eps2(config.pump.eps2, PolarizationAngle(thetas[0]))
+        one = simulate_scan(dataclasses.replace(config, pump=pump), 5)
+        assert drawn[0][0].tobytes() == one.tobytes()
 
     def test_angle_without_fringe_reads_near_zero(self):
         # 90 degrees pumps one crystal: no fringe, so a free period search there
