@@ -9,21 +9,19 @@ from .analysis import (VisibilityReport, concurrence, phi_scan_oracle,
                        visibility_from_extrema)
 from .detection import (SCAN_DTYPE, ScanConfig, expected_scan, sample_counts,
                         slit_visibility_factor)
-from .errors import (ConfigurationError, DegenerateInputError, IllPosedError,
-                     NotTwoQubitStateError, TwinfringeError,
-                     UndefinedVisibilityError)
+from .errors import (ConfigurationError, IllPosedError, NotTwoQubitStateError,
+                     TwinfringeError, UndefinedVisibilityError)
 from .fitting import (FitResult, FringeModelParams, VisibilityCurveParams,
                       fit_fringe, fit_visibility_curve,
                       fringe_model, fringe_params, mu_eff_model,
                       visibility_curve_params)
 from .polarization import (DIAGONAL, HORIZONTAL, VERTICAL, JonesVector,
                            PolarizationAngle, PumpState, malus_amplitude,
-                           normalize, pump_jones)
+                           pump_jones)
 from .spdc import (CrystalConfig, GeometryConfig, SourceConfig,
                    TwoPhotonState, build_two_photon_state,
                    coincidence_probability, default_source, fringe_phase,
-                   phase_from_paths, predicted_visibility,
-                   predicted_visibility_with_analyzers)
+                   predicted_visibility, predicted_visibility_with_analyzers)
 
 __version__ = "0.1.0"
 
@@ -31,15 +29,15 @@ __all__ = [
     "VisibilityReport", "concurrence", "phi_scan_oracle", "visibility_from_extrema",
     "SCAN_DTYPE", "ScanConfig", "expected_scan", "sample_counts",
     "slit_visibility_factor",
-    "ConfigurationError", "DegenerateInputError", "IllPosedError",
+    "ConfigurationError", "IllPosedError",
     "NotTwoQubitStateError", "TwinfringeError", "UndefinedVisibilityError",
     "FitResult", "FringeModelParams", "VisibilityCurveParams",
     "fit_fringe", "fit_visibility_curve", "fringe_model",
     "fringe_params", "mu_eff_model", "visibility_curve_params",
     "DIAGONAL", "HORIZONTAL", "VERTICAL", "JonesVector", "PolarizationAngle",
-    "PumpState", "malus_amplitude", "normalize", "pump_jones",
+    "PumpState", "malus_amplitude", "pump_jones",
     "CrystalConfig", "GeometryConfig", "SourceConfig", "TwoPhotonState",
     "build_two_photon_state", "coincidence_probability", "default_source",
-    "fringe_phase", "phase_from_paths", "predicted_visibility",
+    "fringe_phase", "predicted_visibility",
     "predicted_visibility_with_analyzers",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -19,11 +18,12 @@ import numpy as np
 from .errors import NotTwoQubitStateError, UndefinedVisibilityError
 from .fitting import FringeModelParams, fringe_model
 from .polarization import PolarizationAngle
-from .spdc import (TwoPhotonState, _projected_amplitudes, predicted_visibility,
-                   predicted_visibility_with_analyzers)
+from .spdc import (_ORTHO_TOL, TwoPhotonState, _projected_amplitudes,
+                   predicted_visibility, predicted_visibility_with_analyzers)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK = 16384  # grid points per scan block: two 128 KB buffers stay in cache
+_N_GRID = 100_000  # phases in the oracle's uniform grid over [0, 2pi)
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class VisibilityReport:
     mu: float
     c_max: float
     c_min: float
-    method: str = "extrema"
 
 
 def visibility_from_extrema(c_max: float, c_min: float) -> float:
@@ -109,43 +108,35 @@ def _grid_extrema(pair_sum: float, cross_re: float, cross_im: float,
 
 
 def phi_scan_oracle(state: TwoPhotonState,
-                    analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]] = None,
-                    n_grid: int = 100_000) -> VisibilityReport:
+                    analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]] = None
+                    ) -> VisibilityReport:
     """Brute-force fringe visibility from a phase scan of the coincidence curve.
 
     Evaluates the coincidence probability at every point of a uniform grid
-    of n_grid (an integer >= 1000) phases over [0, 2pi), refines both
-    extrema with a local golden-section search on the same projected
-    amplitudes, and reports the contrast.  Never touches the closed-form
-    visibility expressions.
+    of _N_GRID phases over [0, 2pi), refines both extrema with a local
+    golden-section search on the same projected amplitudes, and reports the
+    contrast.  Never touches the closed-form visibility expressions.
     """
-    try:
-        n = operator.index(n_grid)  # rejects floats and strings; a bool is below 1000
-    except TypeError:
-        n = 0
-    if n < 1000:
-        raise ValueError(f"n_grid must be an integer of at least 1000, got {n_grid!r}")
-    n_grid = n
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
     pair_sum = abs(b1) ** 2 + abs(b2) ** 2
     cross = overlap * (b1.conjugate() * b2)
     phi_hi, c_hi, phi_lo, c_lo = _grid_extrema(
-        pair_sum, cross.real, cross.imag, n_grid)
+        pair_sum, cross.real, cross.imag, _N_GRID)
 
     # the scalar branch of coincidence_probability, on the amplitudes above
     half_sum, cross_re, cross_im = 0.5 * pair_sum, cross.real, cross.imag
     curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
-    half = math.pi / n_grid  # bracket each extremum by one grid step either side
+    half = math.pi / _N_GRID  # bracket each extremum by one grid step either side
     phi_hi = _golden_section(curve, phi_hi - 2 * half, phi_hi + 2 * half, minimize=False)
     phi_lo = _golden_section(curve, phi_lo - 2 * half, phi_lo + 2 * half, minimize=True)
     c_max = max(curve(phi_hi), c_hi)
     c_min = min(curve(phi_lo), c_lo)
 
     if c_max + c_min == 0.0:
-        return VisibilityReport(mu=0.0, c_max=0.0, c_min=0.0, method="oracle")
+        return VisibilityReport(mu=0.0, c_max=0.0, c_min=0.0)
     mu = (c_max - c_min) / (c_max + c_min)
-    return VisibilityReport(mu=mu, c_max=c_max, c_min=c_min, method="oracle")
+    return VisibilityReport(mu=mu, c_max=c_max, c_min=c_min)
 
 
 def concurrence(state: TwoPhotonState) -> float:
@@ -158,7 +149,7 @@ def concurrence(state: TwoPhotonState) -> float:
     readout.
     """
     gap = math.cos(state.chi2.radians - state.chi1.radians)
-    if abs(gap) > 1e-9:
+    if abs(gap) > _ORTHO_TOL:
         raise NotTwoQubitStateError(
             "pair polarizations must be orthogonal to define the polarization "
             f"qubit; |cos(chi2 - chi1)| = {abs(gap):.3e}")

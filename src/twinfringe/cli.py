@@ -356,9 +356,10 @@ def cmd_reproduce_fig5(args) -> int:
               f"{result.deltas[key]:>9.4f} {FIG5_TOLERANCE[key]:>10.4f} "
               f"{'yes' if result.checks[key] else 'NO':>4}{note}")
     if result.variant == "paper":
-        floor_pred = result.mu_max * (2.0 * math.sqrt(1 - 0.08 ** 2) * 0.08) ** 2
+        eps2 = FIG5_TRUTH["eps2"]
+        floor_pred = result.mu_max * (2.0 * math.sqrt(1 - eps2 ** 2) * eps2) ** 2
         floor_obs = min(p.mu for p in result.points)
-        print(f"note: at eps2 = 0.08 the paper-variant floor would be "
+        print(f"note: at eps2 = {eps2} the paper-variant floor would be "
               f"{floor_pred:.4f}, but the simulated sweep bottoms out at "
               f"{floor_obs:.4f}; the fit compensates with an inflated eps2")
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
@@ -447,6 +448,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise TwinfringeError("--seed: must be a nonnegative integer")
+        if getattr(args, "draws", 1) < 1:
+            raise TwinfringeError("--draws: must be an integer >= 1")
         return args.func(args)
     except TwinfringeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,6 @@ class RunConfig:
     analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]]
     scan: ScanConfig
     positions_spec: object = None  # raw grid/list spec, kept for round-trips
-    schema_version: int = SCHEMA_VERSION
 
 
 def _resolve_positions(spec, path: str):
@@ -178,7 +177,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     return RunConfig(pump=pump, source=source, geometry=geometry,
                      analyzers=analyzers, scan=scan,
-                     positions_spec=positions_spec, schema_version=version)
+                     positions_spec=positions_spec)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -187,7 +186,7 @@ def config_to_dict(config: RunConfig) -> dict:
     if positions_spec is None:
         positions_spec = list(config.scan.positions)
     return {
-        "schema_version": config.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "pump": {
             "eps1": config.pump.eps1,
             "eps2": config.pump.eps2,

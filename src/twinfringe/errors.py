@@ -5,10 +5,6 @@ class TwinfringeError(ValueError):
     """Base class for all package errors."""
 
 
-class DegenerateInputError(TwinfringeError):
-    """An input has no usable content (zero vector, empty scan, ...)."""
-
-
 class ConfigurationError(TwinfringeError):
     """A configuration violates a structural constraint."""
 

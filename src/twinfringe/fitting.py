@@ -35,10 +35,6 @@ class FringeModelParams:
     period: float
     psi: float = 0.0
 
-    @classmethod
-    def from_vector(cls, v) -> "FringeModelParams":
-        return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
-
 
 @dataclass(frozen=True)
 class VisibilityCurveParams:
@@ -65,10 +61,6 @@ class VisibilityCurveParams:
     @property
     def eps2(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.eps1 ** 2))
-
-    @classmethod
-    def from_vector(cls, v, variant: str = "derived") -> "VisibilityCurveParams":
-        return cls(float(v[0]), float(v[1]), float(v[2]), variant)
 
 
 @dataclass
@@ -398,7 +390,8 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
 
 def fringe_params(result: FitResult) -> FringeModelParams:
     """View a fit_fringe result as FringeModelParams."""
-    return FringeModelParams.from_vector(result.params)
+    c0, mu, period, psi = result.params
+    return FringeModelParams(float(c0), float(mu), float(period), float(psi))
 
 
 # --- visibility-curve fitting ---------------------------------------------------
@@ -482,4 +475,5 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
 
 def visibility_curve_params(result: FitResult, variant: str = "derived") -> VisibilityCurveParams:
     """View a fit_visibility_curve result as VisibilityCurveParams."""
-    return VisibilityCurveParams.from_vector(result.params, variant)
+    mu_max, theta0, eps1 = result.params
+    return VisibilityCurveParams(float(mu_max), float(theta0), float(eps1), variant)

@@ -24,12 +24,6 @@ FIG5_SEED = 777
 FIG5_N_ANGLES = 19
 
 
-def derived_seed(master: int, index: int) -> int:
-    """Independent child seed for sub-run `index` of a master seed."""
-    ss = np.random.SeedSequence(master, spawn_key=(index,))
-    return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])
-
-
 def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> np.recarray:
     """Simulate one detector sweep under a config, Poisson noise included."""
     state = build_two_photon_state(config.pump, config.source)
@@ -102,26 +96,23 @@ class Fig5Result:
     passed: bool = False
 
 
-def reproduce_fig5(seed: int = FIG5_SEED, variant: str = "derived",
-                   n_angles: int = FIG5_N_ANGLES,
-                   config: Optional[RunConfig] = None) -> Fig5Result:
+def reproduce_fig5(seed: int = FIG5_SEED, variant: str = "derived") -> Fig5Result:
     """Run the full visibility-sweep reproduction and compare to the
     reference values (mu_max = 0.77, theta0 = pi, eps2 = 0.08).
 
-    Simulates a scan at each of n_angles pump dial angles over [0, pi] with
-    a 0.77 instrument ceiling and a 0.08 quadrature pump component, fits
-    the stack of scans at the fringe period they share, fits
-    the visibility curve, and checks the recovered
-    parameters against the references at the standard tolerances
-    (+-0.05, +-0.1 rad modulo pi/2, +-0.03).
+    Simulates a scan at each of FIG5_N_ANGLES pump dial angles over [0, pi]
+    with a 0.77 instrument ceiling and a 0.08 quadrature pump component,
+    fits the stack of scans at the fringe period they share, fits the
+    visibility curve, and checks the recovered parameters against the
+    references at the standard tolerances (+-0.05, +-0.1 rad modulo pi/2,
+    +-0.03).
     """
-    if config is None:
-        config = entangled_sweep_config(ceiling=FIG5_TRUTH["mu_max"],
-                                        eps2=FIG5_TRUTH["eps2"], seed=seed)
+    config = entangled_sweep_config(ceiling=FIG5_TRUTH["mu_max"],
+                                    eps2=FIG5_TRUTH["eps2"], seed=seed)
     # theta0 acts as an offset between the pump dial and the crystal frame
-    dial = np.linspace(0.0, math.pi, n_angles)
+    dial = np.linspace(0.0, math.pi, FIG5_N_ANGLES)
     true_angles = (dial - FIG5_TRUTH["theta0"]) % math.pi
-    points = sweep_pump_angle(config, true_angles, seed=seed)
+    points = sweep_pump_angle(config, true_angles)
     for point, d in zip(points, dial):
         point.theta = float(d)
 

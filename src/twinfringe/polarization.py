@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError
 
 _NORM_TOL = 1e-12
 _CROSSED = 1e-15  # |cos| at or below: crossed polarizers (cos(pi/2) rounds to ~6e-17)
@@ -36,14 +36,6 @@ class PolarizationAngle:
             r += math.pi
         object.__setattr__(self, "radians", r)
 
-    @classmethod
-    def from_degrees(cls, degrees: float) -> "PolarizationAngle":
-        return cls(math.radians(degrees))
-
-    @property
-    def degrees(self) -> float:
-        return math.degrees(self.radians)
-
     def orthogonal(self) -> "PolarizationAngle":
         return PolarizationAngle(self.radians + math.pi / 2.0)
 
@@ -59,10 +51,6 @@ class JonesVector:
 
     v_component: complex
     h_component: complex
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(abs(self.v_component) ** 2 + abs(self.h_component) ** 2)
 
     def project_onto(self, direction: PolarizationAngle) -> complex:
         """Amplitude along a real linear-polarization direction."""
@@ -125,11 +113,3 @@ def malus_amplitude(state_pol: PolarizationAngle, analyzer: PolarizationAngle) -
     """
     c = math.cos(analyzer.radians - state_pol.radians)
     return 0.0 if abs(c) <= _CROSSED else c
-
-
-def normalize(v: JonesVector) -> JonesVector:
-    """Rescale to unit norm, keeping the ray."""
-    n = v.norm
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize a zero Jones vector")
-    return JonesVector(v.v_component / n, v.h_component / n)

@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .polarization import (HORIZONTAL, VERTICAL, PolarizationAngle,
+from .polarization import (_NORM_TOL, HORIZONTAL, VERTICAL, PolarizationAngle,
                            PumpState, malus_amplitude, pump_jones)
 
-_NORM_TOL = 1e-12
 _ORTHO_TOL = 1e-9
 
 
@@ -107,11 +106,6 @@ class GeometryConfig:
         if not self.fringe_period > 0.0:
             raise ConfigurationError("fringe_period must be strictly positive")
 
-    @property
-    def k(self) -> float:
-        """Wavenumber of the down-converted fields."""
-        return 2.0 * math.pi / self.wavelength
-
 
 def build_two_photon_state(pump: PumpState, source: SourceConfig) -> TwoPhotonState:
     """Project the pump onto each crystal's conversion axis.
@@ -127,12 +121,6 @@ def build_two_photon_state(pump: PumpState, source: SourceConfig) -> TwoPhotonSt
     return TwoPhotonState(a1 / n, a2 / n,
                           source.crystal1.pair_polarization,
                           source.crystal2.pair_polarization)
-
-
-def phase_from_paths(dx1: float, dx2: float, geometry: GeometryConfig,
-                     phi0: float = 0.0) -> float:
-    """Interferometric phase k*(dx1 - dx2) + phi0 from the summed path lengths."""
-    return geometry.k * (dx1 - dx2) + phi0
 
 
 def fringe_phase(x_signal: float, x_idler: float, geometry: GeometryConfig,

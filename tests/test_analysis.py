@@ -68,25 +68,8 @@ class TestPhiScanOracle:
         rng = np.random.default_rng(8)
         state = random_state(rng)
         report = phi_scan_oracle(state)
-        assert report.method == "oracle"
         assert report.mu == pytest.approx(
             (report.c_max - report.c_min) / (report.c_max + report.c_min))
-
-    def test_minimum_grid_size_enforced(self):
-        state = TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)
-        with pytest.raises(ValueError):
-            phi_scan_oracle(state, n_grid=10)
-
-    @pytest.mark.parametrize("n_grid", [100_000.5, 5000.0, "5000", True, None])
-    def test_grid_size_must_be_an_integer_of_at_least_1000(self, n_grid):
-        state = TwoPhotonState(1.0, 0.0, VERTICAL, HORIZONTAL)
-        with pytest.raises(ValueError, match="n_grid"):
-            phi_scan_oracle(state, n_grid=n_grid)
-
-    def test_integer_like_grid_size_accepted(self):
-        state = TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), VERTICAL, HORIZONTAL)
-        assert phi_scan_oracle(state, ANA45, n_grid=np.int64(5000)) == \
-            phi_scan_oracle(state, ANA45, n_grid=5000)
 
     def test_invariant_under_global_phase_and_fringe_shift(self):
         rng = np.random.default_rng(15)

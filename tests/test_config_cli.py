@@ -623,3 +623,10 @@ class TestCliFig5AndOracle:
         proc = run_cli(["oracle-check", "--draws", "60"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "conformance: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_oracle_check_without_draws_exits_2(self, draws, capsys):
+        assert main(["oracle-check", "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert "error: --draws: must be an integer >= 1" in captured.err
+        assert "conformance:" not in captured.out

@@ -9,8 +9,7 @@ from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
 from twinfringe.spdc import (CrystalConfig, GeometryConfig, SourceConfig,
                              TwoPhotonState, build_two_photon_state,
                              coincidence_probability, default_source,
-                             fringe_phase, phase_from_paths,
-                             predicted_visibility,
+                             fringe_phase, predicted_visibility,
                              predicted_visibility_with_analyzers)
 
 SQ2 = math.sqrt(2.0)
@@ -66,15 +65,6 @@ class TestBuildState:
                 TwoPhotonState(a1, 0.0, VERTICAL, HORIZONTAL)
 
 class TestPhases:
-    def test_equal_paths_give_constant_offset(self):
-        geo = GeometryConfig()
-        assert phase_from_paths(0.37, 0.37, geo, phi0=1.25) == pytest.approx(1.25)
-
-    def test_half_wavelength_path_difference(self):
-        geo = GeometryConfig(wavelength=884e-9)
-        phi = phase_from_paths(442e-9, 0.0, geo, phi0=0.5)
-        assert phi == pytest.approx(0.5 + math.pi)
-
     def test_fringe_phase_origin(self):
         geo = GeometryConfig(fringe_period=5e-3)
         assert fringe_phase(0.0, 0.0, geo, phi0=0.2) == pytest.approx(0.2)
