@@ -16,17 +16,31 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .detection import MAX_POISSON_MEAN, SCAN_MODES, ScanConfig
+from .detection import MAX_POISSON_MEAN, SCAN_MODES, ScanConfig, slit_visibility_factor
 from .errors import ConfigurationError
-from .polarization import DIAGONAL, PolarizationAngle, PumpState
-from .spdc import CrystalConfig, GeometryConfig, SourceConfig
+from .polarization import DIAGONAL, VERTICAL, PolarizationAngle, PumpState
+from .spdc import CrystalConfig, GeometryConfig, SourceConfig, default_source
 
 SCHEMA_VERSION = 1
 ENV_CONFIG_PATH = "TWINFRINGE_CONFIG"
 
-# ceiling 0.83 visibility through a 0.5 mm slit on a 5 mm fringe
+# the built-in configs' fringe period, ten default slit widths
 _DEFAULT_PERIOD = 5e-3
-_DEFAULT_SLIT = 0.5e-3
+
+# The keys each document object may hold. A number key mapped to a dataclass
+# field is read and written through that field, in this order, and an absent
+# one keeps the field's default; a key mapped to None is handled on its own.
+_TOP = ("schema_version", "pump", "source", "geometry", "analyzers", "scan")
+_PUMP = ("eps1", "eps2", "theta_p_rad")
+_CRYSTAL = ("pair_polarization_rad", "pump_axis_rad")
+_SOURCE = {"crystal1": None, "crystal2": None, "phi0_rad": "phi0"}
+_GEOMETRY = {"wavelength_m": "wavelength", "crystal_separation_m": "crystal_separation",
+             "detector_distance_m": "detector_distance", "fringe_period_m": "fringe_period"}
+_ANALYZERS = ("signal_rad", "idler_rad")
+_SCAN = {"scan_mode": None, "positions_m": None, "integration_time_s": "integration_time",
+         "peak_rate_hz": "peak_rate", "background_rate_hz": "background_rate",
+         "slit_width_m": "slit_width", "instrument_factor": "instrument_factor", "seed": None}
+_GRID = ("start", "stop", "num")
 
 
 class ConfigError(ConfigurationError):
@@ -47,7 +61,8 @@ class RunConfig:
 
 def _resolve_positions(spec, path: str):
     if isinstance(spec, dict):
-        for key in ("start", "stop", "num"):
+        _object(spec, _GRID, path)
+        for key in _GRID:
             if key not in spec:
                 raise ConfigError(f"{path}: grid spec needs 'start', 'stop', 'num'")
         num = spec["num"]
@@ -62,18 +77,24 @@ def _resolve_positions(spec, path: str):
     raise ConfigError(f"{path}: must be a list of meters or a start/stop/num grid")
 
 
+def _object(d, keys, path: str) -> dict:
+    """`d`, checked to be an object that holds no key outside `keys`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    return d
+
+
 def _require(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}: missing required key")
     return d[key]
 
 
-def _number(d: dict, key: str, path: str, default=None) -> float:
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required key")
-    return _as_number(d[key], f"{path}.{key}")
+def _number(d: dict, key: str, path: str) -> float:
+    return _as_number(_require(d, key, path), f"{path}.{key}")
 
 
 def _as_number(v, where: str) -> float:
@@ -86,6 +107,22 @@ def _as_number(v, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where}: must be finite")
     return value
+
+
+def _fields(d: dict, table: dict, path: str) -> dict:
+    """The dataclass fields that the number keys present in `d` set."""
+    return {field: _number(d, key, path) for key, field in table.items() if field and key in d}
+
+
+def _values(obj, table: dict) -> dict:
+    """The number keys of `table`, read from the fields of `obj`."""
+    return {key: getattr(obj, field) for key, field in table.items() if field}
+
+
+def _seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("scan.seed: must be a nonnegative integer")
+    return seed
 
 
 @contextmanager
@@ -106,11 +143,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    _object(doc, _TOP, "top level")
 
     with _section("pump"):
-        pump_doc = _require(doc, "pump", "top level")
+        pump_doc = _object(_require(doc, "pump", "top level"), _PUMP, "pump")
         eps2 = _number(pump_doc, "eps2", "pump")
         theta_p = PolarizationAngle(_number(pump_doc, "theta_p_rad", "pump"))
         if pump_doc.get("eps1") is None:
@@ -118,58 +156,39 @@ def config_from_dict(doc: dict) -> RunConfig:
         else:
             pump = PumpState(_number(pump_doc, "eps1", "pump"), eps2, theta_p)
 
-    src_doc = _require(doc, "source", "top level")
+    src_doc = _object(_require(doc, "source", "top level"), _SOURCE, "source")
     with _section("source"):
         crystals = []
         for label in ("crystal1", "crystal2"):
-            c_doc = _require(src_doc, label, "source")
-            crystals.append(CrystalConfig(
-                pair_polarization=PolarizationAngle(
-                    _number(c_doc, "pair_polarization_rad", f"source.{label}")),
-                pump_axis=PolarizationAngle(
-                    _number(c_doc, "pump_axis_rad", f"source.{label}")),
-                label=label,
-            ))
-        source = SourceConfig(crystals[0], crystals[1],
-                              phi0=_number(src_doc, "phi0_rad", "source", default=0.0))
+            path = f"source.{label}"
+            c_doc = _object(_require(src_doc, label, "source"), _CRYSTAL, path)
+            pair, axis = (PolarizationAngle(_number(c_doc, key, path)) for key in _CRYSTAL)
+            crystals.append(CrystalConfig(pair, axis, label))
+        source = SourceConfig(*crystals, **_fields(src_doc, _SOURCE, "source"))
 
-    geo_doc = doc.get("geometry", {})
+    geo_doc = dict(_object(doc.get("geometry", {}), _GEOMETRY, "geometry"))
+    if "fringe_period_m" in geo_doc and geo_doc["fringe_period_m"] is None:
+        del geo_doc["fringe_period_m"]  # null: the double-slit period
     with _section("geometry"):
-        geometry = GeometryConfig(
-            wavelength=_number(geo_doc, "wavelength_m", "geometry", default=884e-9),
-            crystal_separation=_number(geo_doc, "crystal_separation_m", "geometry", default=0.01),
-            detector_distance=_number(geo_doc, "detector_distance_m", "geometry", default=1.0),
-            fringe_period=(None if geo_doc.get("fringe_period_m") is None
-                           else _number(geo_doc, "fringe_period_m", "geometry")),
-        )
+        geometry = GeometryConfig(**_fields(geo_doc, _GEOMETRY, "geometry"))
 
-    ana_doc = doc.get("analyzers")
-    if ana_doc is None:
-        analyzers = None
-    else:
-        analyzers = (PolarizationAngle(_number(ana_doc, "signal_rad", "analyzers")),
-                     PolarizationAngle(_number(ana_doc, "idler_rad", "analyzers")))
+    analyzers = doc.get("analyzers")
+    if analyzers is not None:
+        _object(analyzers, _ANALYZERS, "analyzers")
+        analyzers = tuple(PolarizationAngle(_number(analyzers, key, "analyzers"))
+                          for key in _ANALYZERS)
 
-    scan_doc = _require(doc, "scan", "top level")
+    scan_doc = _object(_require(doc, "scan", "top level"), _SCAN, "scan")
     positions_spec = _require(scan_doc, "positions_m", "scan")
-    positions = _resolve_positions(positions_spec, "scan.positions_m")
-    mode = scan_doc.get("scan_mode", "signal_only")
-    if mode not in SCAN_MODES:
-        raise ConfigError(f"scan.scan_mode: must be one of {SCAN_MODES}, got {mode!r}")
-    seed = scan_doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("scan.seed: must be a nonnegative integer")
+    fields = {"positions": _resolve_positions(positions_spec, "scan.positions_m")}
+    if "scan_mode" in scan_doc:
+        fields["scan_mode"] = mode = scan_doc["scan_mode"]
+        if mode not in SCAN_MODES:
+            raise ConfigError(f"scan.scan_mode: must be one of {SCAN_MODES}, got {mode!r}")
+    if "seed" in scan_doc:
+        fields["seed"] = _seed(scan_doc["seed"])
     with _section("scan"):
-        scan = ScanConfig(
-            positions=positions,
-            scan_mode=mode,
-            integration_time=_number(scan_doc, "integration_time_s", "scan", default=10.0),
-            peak_rate=_number(scan_doc, "peak_rate_hz", "scan", default=100.0),
-            background_rate=_number(scan_doc, "background_rate_hz", "scan", default=0.0),
-            slit_width=_number(scan_doc, "slit_width_m", "scan", default=_DEFAULT_SLIT),
-            instrument_factor=_number(scan_doc, "instrument_factor", "scan", default=1.0),
-            seed=seed,
-        )
+        scan = ScanConfig(**fields, **_fields(scan_doc, _SCAN, "scan"))
     peak = (scan.peak_rate + scan.background_rate) * scan.integration_time
     if peak > MAX_POISSON_MEAN:
         raise ConfigError(f"scan.peak_rate_hz: (peak + background rate) * integration_time_s = "
@@ -185,44 +204,18 @@ def config_to_dict(config: RunConfig) -> dict:
     positions_spec = config.positions_spec
     if positions_spec is None:
         positions_spec = list(config.scan.positions)
+    pump, source, scan = config.pump, config.source, config.scan
+    crystals = {label: dict(zip(_CRYSTAL, (c.pair_polarization.radians, c.pump_axis.radians)))
+                for label, c in (("crystal1", source.crystal1), ("crystal2", source.crystal2))}
     return {
         "schema_version": SCHEMA_VERSION,
-        "pump": {
-            "eps1": config.pump.eps1,
-            "eps2": config.pump.eps2,
-            "theta_p_rad": config.pump.theta_p.radians,
-        },
-        "source": {
-            "crystal1": {
-                "pair_polarization_rad": config.source.crystal1.pair_polarization.radians,
-                "pump_axis_rad": config.source.crystal1.pump_axis.radians,
-            },
-            "crystal2": {
-                "pair_polarization_rad": config.source.crystal2.pair_polarization.radians,
-                "pump_axis_rad": config.source.crystal2.pump_axis.radians,
-            },
-            "phi0_rad": config.source.phi0,
-        },
-        "geometry": {
-            "wavelength_m": config.geometry.wavelength,
-            "crystal_separation_m": config.geometry.crystal_separation,
-            "detector_distance_m": config.geometry.detector_distance,
-            "fringe_period_m": config.geometry.fringe_period,
-        },
+        "pump": dict(zip(_PUMP, (pump.eps1, pump.eps2, pump.theta_p.radians))),
+        "source": {**crystals, **_values(source, _SOURCE)},
+        "geometry": _values(config.geometry, _GEOMETRY),
         "analyzers": None if config.analyzers is None else {
-            "signal_rad": config.analyzers[0].radians,
-            "idler_rad": config.analyzers[1].radians,
-        },
-        "scan": {
-            "scan_mode": config.scan.scan_mode,
-            "positions_m": positions_spec,
-            "integration_time_s": config.scan.integration_time,
-            "peak_rate_hz": config.scan.peak_rate,
-            "background_rate_hz": config.scan.background_rate,
-            "slit_width_m": config.scan.slit_width,
-            "instrument_factor": config.scan.instrument_factor,
-            "seed": config.scan.seed,
-        },
+            key: angle.radians for key, angle in zip(_ANALYZERS, config.analyzers)},
+        "scan": {"scan_mode": scan.scan_mode, "positions_m": positions_spec,
+                 **_values(scan, _SCAN), "seed": scan.seed},
     }
 
 
@@ -252,36 +245,21 @@ def default_config_path() -> Optional[str]:
     return path or None
 
 
-def _default_document(ceiling: float) -> dict:
-    """The built-in config document, with the instrument factor set so the
-    visibility ceiling through the default slit is `ceiling`."""
-    slit_loss = float(np.sinc(_DEFAULT_SLIT / _DEFAULT_PERIOD))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "pump": {"eps1": 1.0, "eps2": 0.0, "theta_p_rad": math.pi / 4.0},
-        "source": {
-            "crystal1": {"pair_polarization_rad": 0.0, "pump_axis_rad": 0.0},
-            "crystal2": {"pair_polarization_rad": 0.0, "pump_axis_rad": math.pi / 2.0},
-            "phi0_rad": 0.0,
-        },
-        "geometry": {
-            "wavelength_m": 884e-9,
-            "crystal_separation_m": 0.01,
-            "detector_distance_m": 1.0,
-            "fringe_period_m": _DEFAULT_PERIOD,
-        },
-        "analyzers": {"signal_rad": DIAGONAL.radians, "idler_rad": DIAGONAL.radians},
-        "scan": {
-            "scan_mode": "signal_only",
-            "positions_m": {"start": -6e-3, "stop": 6e-3, "num": 61},
-            "integration_time_s": 10.0,
-            "peak_rate_hz": 100.0,
-            "background_rate_hz": 0.0,
-            "slit_width_m": _DEFAULT_SLIT,
-            "instrument_factor": ceiling / slit_loss,
-            "seed": 12345,
-        },
-    }
+def _builtin_config(pump: PumpState, source: SourceConfig, ceiling: float,
+                    seed: int) -> RunConfig:
+    """`pump` and `source` behind 45-degree analyzers on a 5 mm fringe, with the
+    instrument factor set so the visibility ceiling through the default slit
+    is `ceiling`; every other setting keeps its dataclass default."""
+    positions_spec = {"start": -6e-3, "stop": 6e-3, "num": 61}
+    seed = _seed(seed)
+    factor = _as_number(ceiling / slit_visibility_factor(ScanConfig.slit_width, _DEFAULT_PERIOD),
+                        "scan.instrument_factor")
+    with _section("scan"):
+        scan = ScanConfig(_resolve_positions(positions_spec, "scan.positions_m"),
+                          instrument_factor=factor, seed=seed)
+    return RunConfig(pump=pump, source=source,
+                     geometry=GeometryConfig(fringe_period=_DEFAULT_PERIOD),
+                     analyzers=(DIAGONAL, DIAGONAL), scan=scan, positions_spec=positions_spec)
 
 
 def default_config() -> RunConfig:
@@ -290,7 +268,8 @@ def default_config() -> RunConfig:
     The instrument factor is set so the effective visibility ceiling through
     the default slit is 0.83.
     """
-    return config_from_dict(_default_document(0.83))
+    return _builtin_config(PumpState.linear(DIAGONAL), default_source(pair2=VERTICAL),
+                           0.83, 12345)
 
 
 def entangled_sweep_config(ceiling: float = 0.77, eps2: float = 0.08,
@@ -300,8 +279,6 @@ def entangled_sweep_config(ceiling: float = 0.77, eps2: float = 0.08,
     The instrument factor is set so the visibility ceiling behind the
     45-degree analyzers is `ceiling`.
     """
-    doc = _default_document(ceiling)
-    doc["pump"] = {"eps1": None, "eps2": eps2, "theta_p_rad": math.pi / 4.0}
-    doc["source"]["crystal2"]["pair_polarization_rad"] = math.pi / 2.0
-    doc["scan"]["seed"] = seed
-    return config_from_dict(doc)
+    with _section("pump"):
+        pump = PumpState.from_eps2(_as_number(eps2, "pump.eps2"), DIAGONAL)
+    return _builtin_config(pump, default_source(), ceiling, seed)

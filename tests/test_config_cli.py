@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from twinfringe.cli import main, read_scan_csv, read_sweep_csv, write_scan_csv
-from twinfringe.detection import SCAN_DTYPE
+from twinfringe.detection import SCAN_DTYPE, ScanConfig
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
 from twinfringe.pipeline import simulate_scan
+from twinfringe.spdc import GeometryConfig
 
 CLI = [sys.executable, "-m", "twinfringe.cli"]
 
@@ -33,6 +34,21 @@ def config_path(tmp_path):
 
 
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize("build", [default_config, entangled_sweep_config])
+    def test_saved_builtin_loads_equal(self, tmp_path, build):
+        path = tmp_path / "run.json"
+        save_config(build(), str(path))
+        assert load_config(str(path)) == build()
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        doc = config_to_dict(default_config())
+        del doc["geometry"], doc["source"]["phi0_rad"]
+        doc["scan"] = {"positions_m": [0.0, 1e-3]}
+        config = config_from_dict(doc)
+        assert config.geometry == GeometryConfig()
+        assert config.source.phi0 == 0.0
+        assert config.scan == ScanConfig((0.0, 1e-3))
+
     def test_load_serialize_load_identical(self, tmp_path):
         path = tmp_path / "a.json"
         save_config(default_config(), str(path))
@@ -77,9 +93,10 @@ class TestConfigRoundTrip:
 
 
 class TestConfigValidation:
-    def test_bad_schema_version(self):
+    @pytest.mark.parametrize("version", [99, 1.0, True, "1", None])
+    def test_bad_schema_version(self, version):
         doc = config_to_dict(default_config())
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict(doc)
 
@@ -111,6 +128,30 @@ class TestConfigValidation:
         out = tmp_path / "scan.csv"
         assert main(["simulate-scan", "--config", str(path), "--output", str(out)]) == 2
         assert f"error: {path}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(geometry=None), "geometry: expected an object, got NoneType"),
+        (lambda d: d.update(pump=5), "pump: expected an object, got int"),
+        (lambda d: d["source"].update(crystal1=3), "source.crystal1: expected an object, got int"),
+        (lambda d: d.update(analyzers=7), "analyzers: expected an object, got int"),
+        (lambda d: d.update(analyzers="x"), "analyzers: expected an object, got str"),
+        (lambda d: d.update(scan="x"), "scan: expected an object, got str"),
+        (lambda d: d["scan"].update(integration_time=1.0), "scan.integration_time: unknown key"),
+        (lambda d: d.update(seed=3), "top level.seed: unknown key"),
+        (lambda d: d["source"]["crystal2"].update(pump_axis=0.0),
+         "source.crystal2.pump_axis: unknown key"),
+        (lambda d: d["scan"]["positions_m"].update(step=2e-4), "scan.positions_m.step: unknown key"),
+    ], ids=["geometry-null", "pump-int", "crystal-int", "analyzers-int", "analyzers-str", "scan-str",
+            "scan-typo", "top-level-key", "crystal-key", "grid-key"])
+    def test_malformed_document_exits_2_with_key_path(self, tmp_path, capsys, edit, message):
+        doc = config_to_dict(default_config())
+        edit(doc)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "scan.csv"
+        assert main(["simulate-scan", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     def test_parse_error_reports_line(self, tmp_path):
