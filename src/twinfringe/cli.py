@@ -27,7 +27,7 @@ from .config import (ENV_CONFIG_PATH, RunConfig, default_config,
                      default_config_path, load_config)
 from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
-from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
+from .fitting import (VARIANTS, FitResult, fit_fringe, fit_visibility_curve,
                       fringe_params, visibility_curve_params)
 from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH,
                        reproduce_fig5, simulate_scan, sweep_pump_angle)
@@ -102,80 +102,71 @@ def _read_header(fh, path: str, columns: List[str], kind: str) -> int:
     return reader.line_num
 
 
-def _read_rows(path: str, columns: List[str], kind: str) -> List[Tuple[int, List[str]]]:
-    """The non-empty rows after the header, each with its line in the file."""
+_SWEEP_DTYPE = np.dtype([("theta", "f8"), ("mu", "f8"), ("sigma_mu", "f8")])
+
+
+def _scan_checks(scan: np.ndarray) -> List[Tuple[np.ndarray, str]]:
+    """(bad rows, reason) pairs in the order one row is checked: a negative
+    count or rate before a non-finite cell, and that before a negative time."""
+    finite = (np.isfinite(scan["position"]) & np.isfinite(scan["integration_time"])
+              & np.isfinite(scan["expected_rate"]))
+    return [(scan["counts"] < 0, "counts must be >= 0"),
+            (scan["expected_rate"] < 0.0, "expected_rate must be >= 0"),
+            (~finite, "position_m, integration_s and expected_rate must be finite"),
+            (scan["integration_time"] < 0.0, "integration_s must be >= 0")]
+
+
+def _sweep_checks(sweep: np.ndarray) -> List[Tuple[np.ndarray, str]]:
+    """(bad rows, reason) pairs in the order one row is checked."""
+    finite = np.logical_and.reduce([np.isfinite(sweep[name]) for name in sweep.dtype.names])
+    return [(~finite, "theta_rad, mu and sigma_mu must be finite"),
+            ((sweep["mu"] < 0.0) | (sweep["sigma_mu"] < 0.0), "mu and sigma_mu must be >= 0")]
+
+
+def _read_table(path: str, columns: List[str], dtype: np.dtype, kind: str,
+                checks) -> np.ndarray:
+    """The rows below the header as a 1-D array of dtype.  numpy's C reader
+    parses them and checks flags bad ones by column; if either fails, a walk
+    over the rows with int() or float() and the same checks names the first
+    bad row by its line, or else (`1_0` suits float()) gives numpy's reason."""
     with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
         above = _read_header(fh, path, columns, kind)
-        reader = csv.reader(fh)
-        return [(above + reader.line_num, row) for row in reader if row]
-
-
-def _check_scan_rows(path: str, rows: List[Tuple[int, List[str]]]) -> None:
-    """Raise the `path:line` error of the first bad row, if any."""
-    for i, row in rows:
+        body = fh.read()
+    if not body.strip("\r\n"):  # header only: loadtxt would warn "no data"
+        return np.zeros(0, dtype=dtype)
+    try:
+        table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=dtype,
+                           quotechar='"', comments=None, ndmin=1)
+    except ValueError as exc:
+        failure = str(exc)
+    else:
+        failure = next((reason for bad, reason in checks(table) if bad.any()), None)
+        if failure is None:
+            return table
+    parsers = [int if dtype[name].kind == "i" else float for name in dtype.names]
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for row in filter(None, reader):
         try:
-            if len(row) != len(SCAN_HEADER):
-                raise ValueError(f"expected {len(SCAN_HEADER)} cells, got {len(row)}")
-            point = (float(row[0]), int(row[1]), float(row[2]), float(row[3]))
-            if point[1] < 0:
-                raise ValueError("counts must be >= 0")
-            if point[3] < 0.0:
-                raise ValueError("expected_rate must be >= 0")
-            np.array(point, dtype=SCAN_DTYPE)  # a count beyond int64 overflows
+            if len(row) != len(columns):
+                raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
+            # through the dtype, so a count beyond int64 overflows
+            one = np.array([tuple(parse(cell) for parse, cell in zip(parsers, row))],
+                           dtype=dtype)
+            for bad, reason in checks(one):
+                if bad[0]:
+                    raise ValueError(reason)
         except (ValueError, OverflowError) as exc:
-            raise TwinfringeError(f"{path}:{i}: bad scan row: {exc}") from exc
+            raise TwinfringeError(f"{path}:{above + reader.line_num}: bad {kind} row: "
+                                  f"{exc}") from exc
+    raise TwinfringeError(f"{path}: bad {kind} file: {failure}")
 
 
 def read_scan_csv(path: str) -> np.recarray:
-    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        _read_header(fh, path, SCAN_HEADER, "scan")
-        body = fh.read()
-    if not body.strip("\r\n"):  # header only: loadtxt would warn "no data"
-        return np.recarray(0, dtype=SCAN_DTYPE)
-    try:
-        scan = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=SCAN_DTYPE,
-                          quotechar='"', comments=None, ndmin=1)
-    except ValueError as exc:
-        # numpy's reason names no csv line: find the bad row by the per-row
-        # checks; a file that passes them (`1_0` suits float()) gets the reason
-        _check_scan_rows(path, _read_rows(path, SCAN_HEADER, "scan"))
-        raise TwinfringeError(f"{path}: bad scan file: {exc}") from exc
-    negative = (scan["counts"] < 0) | (scan["expected_rate"] < 0.0)
-    if negative.any():
-        i = int(np.argmax(negative))
-        reason = "counts" if scan["counts"][i] < 0 else "expected_rate"
-        raise TwinfringeError(f"{path}:{_line_of_row(path, i)}: bad scan row: "
-                              f"{reason} must be >= 0")
-    finite = (np.isfinite(scan["position"]) & np.isfinite(scan["integration_time"])
-              & np.isfinite(scan["expected_rate"]))
-    if not finite.all():
-        raise TwinfringeError(f"{path}:{_line_of_row(path, int(np.argmin(finite)))}: bad "
-                              "scan row: position_m, integration_s and expected_rate "
-                              "must be finite")
-    return scan.view(np.recarray)
-
-
-def _line_of_row(path: str, i: int) -> int:
-    """The line of the scan file holding row i of what loadtxt read: both
-    readers skip blank lines, so it is the line of the i-th non-empty row."""
-    return _read_rows(path, SCAN_HEADER, "scan")[i][0]
+    return _read_table(path, SCAN_HEADER, SCAN_DTYPE, "scan", _scan_checks).view(np.recarray)
 
 
 def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
-    points = []
-    for i, row in _read_rows(path, SWEEP_HEADER, "sweep"):
-        try:
-            if len(row) != len(SWEEP_HEADER):
-                raise ValueError(f"expected {len(SWEEP_HEADER)} cells, got {len(row)}")
-            point = (float(row[0]), float(row[1]), float(row[2]))
-            if not all(math.isfinite(v) for v in point):
-                raise ValueError("theta_rad, mu and sigma_mu must be finite")
-            if point[1] < 0.0 or point[2] < 0.0:
-                raise ValueError("mu and sigma_mu must be >= 0")
-            points.append(point)
-        except ValueError as exc:
-            raise TwinfringeError(f"{path}:{i}: bad sweep row: {exc}") from exc
-    return points
+    return _read_table(path, SWEEP_HEADER, _SWEEP_DTYPE, "sweep", _sweep_checks).tolist()
 
 
 def _fringe_summary(fit: FitResult) -> str:
@@ -217,7 +208,7 @@ def _parse_theta_list(text: str) -> List[float]:
 
 def cmd_sweep_pump_angle(args) -> int:
     config = _apply_overrides(_resolve_config(args), args)
-    if args.theta_deg:
+    if args.theta_deg is not None:
         thetas = _parse_theta_list(args.theta_deg)
     else:
         thetas = list(np.linspace(0.0, math.pi, 19))
@@ -234,17 +225,21 @@ def cmd_sweep_pump_angle(args) -> int:
     return EXIT_OK
 
 
-def _parse_init_overrides(items) -> dict:
-    overrides = {}
+def _parse_start_period(items) -> Optional[float]:
+    """The starting period set by the last `--init period=VALUE`, if any."""
+    period = None
     for item in items or []:
         if "=" not in item:
             raise TwinfringeError(f"--init expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
+        if name.strip() != "period":
+            raise TwinfringeError(f"--init takes 'period' only (c0, mu and psi are "
+                                  f"solved in closed form), got {item!r}")
         try:
-            overrides[name.strip()] = float(value)
+            period = float(value)
         except ValueError as exc:
             raise TwinfringeError(f"--init {item!r}: {exc}") from exc
-    return overrides
+    return period
 
 
 def _null_non_finite(value):
@@ -267,7 +262,7 @@ def _write_report(report: dict, path: str) -> None:
 def cmd_fit(args) -> int:
     out_path = args.output or args.data + ".fit.json"
     if args.model == "fringe":
-        overrides = _parse_init_overrides(args.init)
+        start_period = _parse_start_period(args.init)
         scan = read_scan_csv(args.data)
         observable = args.observable
         if observable == "auto":
@@ -277,8 +272,7 @@ def cmd_fit(args) -> int:
         if observable == "expected":
             data = np.column_stack((scan.position, scan.expected_rate))
         try:
-            fit = fit_fringe(data, fix_period=args.fix_period,
-                             init_overrides=overrides)
+            fit = fit_fringe(data, fix_period=args.fix_period, start_period=start_period)
         except ValueError as exc:
             raise TwinfringeError(str(exc)) from exc
         p = fringe_params(fit)
@@ -414,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit an exported data file")
     p.add_argument("data", help="scan or sweep CSV")
     p.add_argument("--model", choices=["fringe", "viscurve"], required=True)
-    p.add_argument("--variant", choices=["paper", "derived"], default="derived")
+    p.add_argument("--variant", choices=VARIANTS, default="derived")
     p.add_argument("--fix-period", type=float, default=None,
                    help="pin the fringe period (meters)")
     p.add_argument("--observable", choices=["auto", "counts", "expected"],
@@ -429,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic end-to-end sweep reproduction "
                             "with pass/fail comparison")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", choices=["paper", "derived"], default="derived")
+    p.add_argument("--variant", choices=VARIANTS, default="derived")
     p.add_argument("--output", default="fig5_out", help="output directory")
     p.set_defaults(func=cmd_reproduce_fig5)
 

@@ -293,7 +293,7 @@ def _search_wavenumber(k: float, x, y, w, t):
 
 
 def fit_fringe(scan, fix_period: Optional[float] = None,
-               init_overrides: Optional[dict] = None) -> FitResult:
+               start_period: Optional[float] = None) -> FitResult:
     """Fit the double-slit pattern to one scan, or to a stack of scans at the
     one period they share, and report each scan's visibility.
 
@@ -306,8 +306,8 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     fixes the period, and only contrast and phase vary from row to row.
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
     over k minimises the summed SSE, starting at the peak of the summed
-    amplitude spectra or at init_overrides["period"].  fix_period pins
-    k = 2 pi / period instead (zero period variance).  One scan is the
+    amplitude spectra or at start_period.  fix_period pins k = 2 pi / period
+    instead (zero period variance) and wins over start_period.  One scan is the
     one-row stack.
 
     Parameter order is [c0, mu, period, psi] in rate units, with
@@ -329,11 +329,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     if not fixed and x[-1] - x[0] <= 0.0:
         raise IllPosedError("positions must span at least one period to fit a free period")
 
-    unknown = set(init_overrides or {}) - {"period"}
-    if unknown:
-        raise ValueError(f"fringe init overrides take 'period' only (c0, mu and psi "
-                         f"are solved in closed form), got {sorted(unknown)}")
-    period = fix_period if fixed else (init_overrides or {}).get("period")
+    period = fix_period if fixed else start_period
     if period is not None and not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period!r}")
     k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period

@@ -402,6 +402,7 @@ class TestScanCsvReader:
         ("0.001,-1,10.0,1.5", "counts must be >= 0"),        # checked on columns
         ("0.001,12,10.0,-0.5", "expected_rate must be >= 0"),  # checked on columns
         ("0.001,12,inf,1.5", "must be finite"),              # checked on columns
+        ("0.001,12,-10.0,1.5", "integration_s must be >= 0"),  # checked on columns
         ("0.001,twelve,10.0,1.5", "invalid literal for int"),  # checked per row
         ("0.001,12,10.0,1.5,9", "expected 4 cells, got 5"),   # checked per row
     ])
@@ -448,6 +449,17 @@ class TestScanCsvReader:
         assert f"{scan}: bad scan file: " in err and "1_000.0" in err
         assert not out.exists()
 
+    def test_first_bad_row_in_file_order(self, tmp_path, capsys):
+        # a non-finite row above a row numpy cannot parse is the one named
+        rows = [f"{float(x)!r},12,10.0,1.5" for x in np.linspace(-6e-3, 6e-3, 9)]
+        rows[2], rows[4] = "nan,12,10.0,1.5", "0.001,12,10.0,1.5,9"
+        scan = tmp_path / "scan.csv"
+        scan.write_text("position_m,counts,integration_s,expected_rate\n"
+                        + "".join(row + "\n" for row in rows))
+        assert main(["fit", str(scan), "--model", "fringe"]) == 2
+        err = capsys.readouterr().err
+        assert f"{scan}:4: bad scan row: " in err and "must be finite" in err
+
 
 class TestSweepCsvReader:
     @pytest.mark.parametrize("bad_row, reason", [
@@ -471,14 +483,26 @@ class TestSweepCsvReader:
         assert f"{sweep}:5: bad sweep row: " in err and reason in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_line_counts_blank_lines(self, tmp_path, capsys):
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_counts_blank_lines(self, tmp_path, capsys, eol):
         rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
         rows[3] = "0.5,-0.2,0.01"
         sweep = tmp_path / "sweep.csv"
-        sweep.write_text("\ntheta_rad,mu,sigma_mu\n\n" + "".join(row + "\n" for row in rows))
+        sweep.write_bytes((eol + "theta_rad,mu,sigma_mu" + eol + eol
+                           + "".join(row + eol for row in rows)).encode())
         assert main(["fit", str(sweep), "--model", "viscurve",
                      "--output", str(tmp_path / "r.json")]) == 2
         assert f"{sweep}:7: bad sweep row: " in capsys.readouterr().err
+
+    def test_numeral_numpy_cannot_read_exits_2(self, tmp_path, capsys):
+        # as in scan files: Python's float() takes "1_000.0", numpy's reader does not
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n1_000.0,0.5,0.01\n")
+        out = tmp_path / "r.json"
+        assert main(["fit", str(sweep), "--model", "viscurve", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{sweep}: bad sweep file: " in err and "1_000.0" in err
+        assert not out.exists()
 
     def test_non_utf8_file_exits_2_with_path(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -523,6 +547,12 @@ class TestCliSweepAndFit:
         assert "--theta-deg" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_empty_theta_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-pump-angle", "--theta-deg", "", "--output", str(out)]) == 2
+        assert "--theta-deg: no angles given" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

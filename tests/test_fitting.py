@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twinfringe.analysis import phi_scan_oracle
+from twinfringe.cli import main, write_scan_csv
 from twinfringe.config import default_config, entangled_sweep_config
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import IllPosedError
@@ -243,16 +244,22 @@ class TestFitFringe:
             with pytest.raises(ValueError, match="period"):
                 fit_fringe(scan, fix_period=bad)
             with pytest.raises(ValueError, match="period"):
-                fit_fringe(scan, init_overrides={"period": bad})
+                fit_fringe(scan, start_period=bad)
 
-    def test_init_overrides(self):
+    def test_init_overrides(self, tmp_path, capsys):
         truth = FringeModelParams(c0=55.0, mu=0.8, period=5e-3, psi=0.0)
-        fit = fit_fringe(make_noiseless_scan(truth),
-                         init_overrides={"period": 5.2e-3})
+        fit = fit_fringe(make_noiseless_scan(truth), start_period=5.2e-3)
         assert fringe_params(fit).period == pytest.approx(5e-3, rel=1e-6)
+        pinned = fit_fringe(make_noiseless_scan(truth), fix_period=5e-3, start_period=1.0)
+        assert fringe_params(pinned).period == 5e-3  # a pinned period wins
+        # the command line starts the search at a period and at nothing else
+        scan = tmp_path / "scan.csv"
+        write_scan_csv(simulate_scan(default_config(), seed=0), str(scan))
         for name in ("bogus", "c0", "mu", "psi"):
-            with pytest.raises(ValueError):
-                fit_fringe(make_noiseless_scan(truth), init_overrides={name: 1.0})
+            assert main(["fit", str(scan), "--model", "fringe", "--init", f"{name}=1.0",
+                         "--output", str(tmp_path / "r.json")]) == 2
+            assert "'period' only" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
     @pytest.mark.parametrize("seed", [737, 757, 1293])
