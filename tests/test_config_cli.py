@@ -483,8 +483,17 @@ class TestSweepCsvReader:
         assert f"{sweep}:5: bad sweep row: " in err and reason in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_line_counts_blank_lines(self, tmp_path, capsys):
+        rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
+        rows[3] = "0.5,-0.2,0.01"
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("\ntheta_rad,mu,sigma_mu\n\n" + "".join(row + "\n" for row in rows))
+        assert main(["fit", str(sweep), "--model", "viscurve",
+                     "--output", str(tmp_path / "r.json")]) == 2
+        assert f"{sweep}:7: bad sweep row: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
-    def test_line_counts_blank_lines(self, tmp_path, capsys, eol):
+    def test_line_counts_blank_lines_with_line_endings(self, tmp_path, capsys, eol):
         rows = [f"{float(t)!r},0.5,0.01" for t in np.linspace(0.0, math.pi, 19)]
         rows[3] = "0.5,-0.2,0.01"
         sweep = tmp_path / "sweep.csv"
