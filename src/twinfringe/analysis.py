@@ -24,6 +24,8 @@ from .spdc import (_ORTHO_TOL, TwoPhotonState, _projected_amplitudes,
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK = 16384  # grid points per scan block: two 128 KB buffers stay in cache
 _N_GRID = 100_000  # phases in the oracle's uniform grid over [0, 2pi)
+_STRIDE = 48  # grid points per coarse sample of the oracle's two-pass scan
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -75,34 +77,75 @@ def _phase_table(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
     return cos_t, sin_t
 
 
+@functools.lru_cache(maxsize=4)
+def _coarse_table(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only contiguous copies of every _STRIDE-th entry of _phase_table."""
+    cos_t, sin_t = _phase_table(n_grid)
+    cos_c, sin_c = cos_t[::_STRIDE].copy(), sin_t[::_STRIDE].copy()
+    cos_c.flags.writeable = False
+    sin_c.flags.writeable = False
+    return cos_c, sin_c
+
+
 def _grid_extrema(pair_sum: float, cross_re: float, cross_im: float,
                   n_grid: int) -> Tuple[float, float, float, float]:
     """Scan 0.5*pair_sum + cross_re*cos(phi) - cross_im*sin(phi) on the
     uniform grid over [0, 2pi).
 
-    Walks the cached table in blocks of _BLOCK points through two
-    block-sized buffers, so the working set stays in cache.  Returns
-    (phi_at_max, c_max, phi_at_min, c_min) at the first grid point attaining
-    each extremum.
+    A coarse pass evaluates every _STRIDE-th grid point; a fine pass then
+    evaluates only the blocks of _STRIDE points that can hold an extremum,
+    walking them in ascending order in chunks of _BLOCK points through two
+    reused buffers.  Returns (phi_at_max, c_max, phi_at_min, c_min) at the
+    first grid point attaining each extremum, bit-identical to a scan of
+    every grid point.
     """
     cos_t, sin_t = _phase_table(n_grid)
+    cos_c, sin_c = _coarse_table(n_grid)
     offset = 0.5 * pair_sum
+    # the fine pass's expression and operation order, so each sample is
+    # bit-equal to that grid point's fine value
+    coarse = cross_re * cos_c + offset - cross_im * sin_c
+    # Block j is the grid points [j*S, (j+1)*S), S = _STRIDE, each within S-1
+    # steps of sample j.  The curve's slope is at most r = hypot(re, im), so
+    # no exact value in block j exceeds sample j's by more than r*(S-1)*step.
+    # The slack bounds the rounding on top of that, in units of eps*m with
+    # m = |offset| + |re| + |im| >= r, for a grid of two or more blocks
+    # ((S-1)*step*r <= 2pi*r; one block is always kept):
+    #   table cos and sin, <= 4 eps each, at the point and the sample    8
+    #   the three operations, <= 1.5 eps*m at each of the two            3
+    #   the table phases i*step, each rounded by <= pi*eps               6.3
+    #   2pi and step rounded (<= eps relative on <= 2pi*r)               6.3
+    #   reach's own four roundings (<= 3 eps relative on <= 2pi*r)      18.9
+    #   reach + slack and max - reach (eps/2 of <= 6.3 m and 7.3 m)      6.8
+    # 49.3 in all, under the 64 used.  A larger slack only admits more blocks.
+    reach = (math.hypot(cross_re, cross_im) * (_STRIDE - 1) * (2.0 * math.pi / n_grid)
+             + 64.0 * _EPS * (abs(offset) + abs(cross_re) + abs(cross_im)))
+    # a dropped block holds no value >= the coarse maximum or <= the coarse
+    # minimum, so it cannot reach or tie either grid extremum (argmax and
+    # argmin, as they cost less than max and min)
+    top, bottom = coarse[coarse.argmax()], coarse[coarse.argmin()]
+    keep = np.concatenate(([False], (coarse >= top - reach) | (coarse <= bottom + reach),
+                           [False]))
+    # runs of consecutive kept blocks: [edges[2k], edges[2k+1]) in block units
+    edges = (keep[1:] != keep[:-1]).nonzero()[0].tolist()
     buf, tmp = np.empty(min(n_grid, _BLOCK)), np.empty(min(n_grid, _BLOCK))
     i_max = i_min = 0
     c_max, c_min = -math.inf, math.inf
-    for start in range(0, n_grid, _BLOCK):
-        stop = min(start + _BLOCK, n_grid)
-        c, s = buf[:stop - start], tmp[:stop - start]
-        np.multiply(cross_re, cos_t[start:stop], out=c)
-        c += offset
-        np.multiply(cross_im, sin_t[start:stop], out=s)
-        c -= s
-        j = int(c.argmax())
-        if c[j] > c_max:  # strict: an equal value in a later block loses
-            i_max, c_max = start + j, float(c[j])
-        j = int(c.argmin())
-        if c[j] < c_min:
-            i_min, c_min = start + j, float(c[j])
+    for first, end in zip(edges[::2], edges[1::2]):
+        end = min(end * _STRIDE, n_grid)
+        for start in range(first * _STRIDE, end, _BLOCK):
+            stop = min(start + _BLOCK, end)
+            c, s = buf[:stop - start], tmp[:stop - start]
+            np.multiply(cross_re, cos_t[start:stop], out=c)
+            c += offset
+            np.multiply(cross_im, sin_t[start:stop], out=s)
+            c -= s
+            j = int(c.argmax())
+            if c[j] > c_max:  # strict: an equal value in a later block loses
+                i_max, c_max = start + j, float(c[j])
+            j = int(c.argmin())
+            if c[j] < c_min:
+                i_min, c_min = start + j, float(c[j])
     step = 2.0 * np.pi / n_grid
     return i_max * step, c_max, i_min * step, c_min
 
@@ -112,8 +155,9 @@ def phi_scan_oracle(state: TwoPhotonState,
                     ) -> VisibilityReport:
     """Brute-force fringe visibility from a phase scan of the coincidence curve.
 
-    Evaluates the coincidence probability at every point of a uniform grid
-    of _N_GRID phases over [0, 2pi), refines both extrema with a local
+    Finds the first extrema of the coincidence probability on a uniform
+    grid of _N_GRID phases over [0, 2pi) (evaluating only the grid blocks
+    that can hold one), refines both extrema with a local
     golden-section search on the same projected amplitudes, and reports the
     contrast.  Never touches the closed-form visibility expressions.
     """

@@ -156,8 +156,10 @@ def _read_table(path: str, columns: List[str], dtype: np.dtype, kind: str,
                 if bad[0]:
                     raise ValueError(reason)
         except (ValueError, OverflowError) as exc:
+            # counts is the only integer column, so the only one that overflows
+            reason = "counts must fit in int64" if isinstance(exc, OverflowError) else exc
             raise TwinfringeError(f"{path}:{above + reader.line_num}: bad {kind} row: "
-                                  f"{exc}") from exc
+                                  f"{reason}") from exc
     raise TwinfringeError(f"{path}: bad {kind} file: {failure}")
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import (_BLOCK, _golden_section, _grid_extrema,
+from twinfringe.analysis import (_BLOCK, _STRIDE, _golden_section, _grid_extrema,
                                  _phase_table, concurrence, conformance_report,
                                  phi_scan_oracle, visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
@@ -153,6 +153,35 @@ class TestPhaseTable:
         for _ in range(20):
             pair_sum = rng.uniform(0.0, 1.0)
             re, im = rng.uniform(-0.5, 0.5, 2)
+            c = 0.5 * pair_sum + re * cos_p - im * sin_p
+            i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
+            assert _grid_extrema(pair_sum, re, im, n_grid) == (
+                phases[i_max], c[i_max], phases[i_min], c[i_min])
+
+    @pytest.mark.parametrize("n_grid", [7, _STRIDE - 1, _STRIDE + 1, 3 * _STRIDE + 5,
+                                        _BLOCK + 1, 100_000])
+    def test_pruned_scan_bit_equal_on_hard_curves(self, n_grid):
+        # curves whose candidate blocks wrap round phi = 0, and near-flat
+        # curves whose bound keeps every block; no n_grid is a multiple of
+        # _STRIDE, so the last block is short
+        assert n_grid % _STRIDE
+        step = 2.0 * np.pi / n_grid
+        phases = np.arange(n_grid) * step
+        cos_p, sin_p = np.cos(phases), np.sin(phases)
+        rng = np.random.default_rng(n_grid)
+        curves = []
+        # re*cos(phi) - im*sin(phi) = r*cos(phi - at) peaks at phi = at
+        for shift in (-_STRIDE + 1, -_STRIDE / 2, -1, -0.5, 0, 0.5, 1, _STRIDE / 2,
+                      _STRIDE - 1):
+            at = shift * step
+            for r in (0.4, -0.4):  # -r puts the minimum there
+                curves.append((1.0, r * math.cos(at), -r * math.sin(at)))
+        for rel in (0.0, 1e-20, 1e-17, 1e-16, 1e-15, 1e-13):
+            for _ in range(3):
+                pair_sum, angle = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2 * math.pi)
+                curves.append((pair_sum, rel * pair_sum * math.cos(angle),
+                               rel * pair_sum * math.sin(angle)))
+        for pair_sum, re, im in curves:
             c = 0.5 * pair_sum + re * cos_p - im * sin_p
             i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
             assert _grid_extrema(pair_sum, re, im, n_grid) == (

@@ -337,6 +337,17 @@ class TestScanCsvReader:
         assert main(["fit", str(scan), "--model", "fringe"]) == 2
         assert f"{scan}:4: bad scan row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["99999999999999999999", "-9223372036854775809"])
+    def test_count_beyond_int64_names_the_bound(self, tmp_path, capsys, count):
+        scan = tmp_path / "scan.csv"
+        self.write_scan(scan, f"0.001,{count},10.0,1.5")
+        code = main(["fit", str(scan), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {scan}:4: bad scan row: counts must fit in int64\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_sampled_scan_round_trips_exactly(self, tmp_path):
         sampled = simulate_scan(default_config(), seed=21)
         path = tmp_path / "scan.csv"
