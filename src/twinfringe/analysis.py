@@ -8,7 +8,6 @@ can arbitrate every closed-form visibility law in the package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -22,10 +21,14 @@ from .spdc import (_ORTHO_TOL, TwoPhotonState, _projected_amplitudes,
                    predicted_visibility, predicted_visibility_with_analyzers)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BLOCK = 16384  # grid points per scan block: two 128 KB buffers stay in cache
-_N_GRID = 100_000  # phases in the oracle's uniform grid over [0, 2pi)
-_STRIDE = 48  # grid points per coarse sample of the oracle's two-pass scan
-_EPS = float(np.finfo(float).eps)
+# Phases in the oracle's uniform grid over [0, 2pi).  The grid only has to
+# land within one step of each extremum: any step under pi/2 keeps the
+# +-1-step bracket of the refinement shorter than pi, and a sinusoid is
+# unimodal on such a bracket.
+_N_GRID = 64
+_PHASES = np.arange(_N_GRID) * (2.0 * np.pi / _N_GRID)
+_COS, _SIN = np.cos(_PHASES), np.sin(_PHASES)
+_PHASES.flags.writeable = _COS.flags.writeable = _SIN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,97 +70,13 @@ def _golden_section(f, lo: float, hi: float, minimize: bool, iters: int = 48) ->
     return 0.5 * (a + b)
 
 
-@functools.lru_cache(maxsize=4)
-def _phase_table(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only cos and sin of the uniform phase grid k * 2pi/n_grid."""
-    phases = np.arange(n_grid) * (2.0 * np.pi / n_grid)
-    cos_t, sin_t = np.cos(phases), np.sin(phases)
-    cos_t.flags.writeable = False
-    sin_t.flags.writeable = False
-    return cos_t, sin_t
-
-
-@functools.lru_cache(maxsize=4)
-def _coarse_table(n_grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only contiguous copies of every _STRIDE-th entry of _phase_table."""
-    cos_t, sin_t = _phase_table(n_grid)
-    cos_c, sin_c = cos_t[::_STRIDE].copy(), sin_t[::_STRIDE].copy()
-    cos_c.flags.writeable = False
-    sin_c.flags.writeable = False
-    return cos_c, sin_c
-
-
-def _grid_extrema(pair_sum: float, cross_re: float, cross_im: float,
-                  n_grid: int) -> Tuple[float, float, float, float]:
-    """Scan 0.5*pair_sum + cross_re*cos(phi) - cross_im*sin(phi) on the
-    uniform grid over [0, 2pi).
-
-    A coarse pass evaluates every _STRIDE-th grid point; a fine pass then
-    evaluates only the blocks of _STRIDE points that can hold an extremum,
-    walking them in ascending order in chunks of _BLOCK points through two
-    reused buffers.  Returns (phi_at_max, c_max, phi_at_min, c_min) at the
-    first grid point attaining each extremum, bit-identical to a scan of
-    every grid point.
-    """
-    cos_t, sin_t = _phase_table(n_grid)
-    cos_c, sin_c = _coarse_table(n_grid)
-    offset = 0.5 * pair_sum
-    # the fine pass's expression and operation order, so each sample is
-    # bit-equal to that grid point's fine value
-    coarse = cross_re * cos_c + offset - cross_im * sin_c
-    # Block j is the grid points [j*S, (j+1)*S), S = _STRIDE, each within S-1
-    # steps of sample j.  The curve's slope is at most r = hypot(re, im), so
-    # no exact value in block j exceeds sample j's by more than r*(S-1)*step.
-    # The slack bounds the rounding on top of that, in units of eps*m with
-    # m = |offset| + |re| + |im| >= r, for a grid of two or more blocks
-    # ((S-1)*step*r <= 2pi*r; one block is always kept):
-    #   table cos and sin, <= 4 eps each, at the point and the sample    8
-    #   the three operations, <= 1.5 eps*m at each of the two            3
-    #   the table phases i*step, each rounded by <= pi*eps               6.3
-    #   2pi and step rounded (<= eps relative on <= 2pi*r)               6.3
-    #   reach's own four roundings (<= 3 eps relative on <= 2pi*r)      18.9
-    #   reach + slack and max - reach (eps/2 of <= 6.3 m and 7.3 m)      6.8
-    # 49.3 in all, under the 64 used.  A larger slack only admits more blocks.
-    reach = (math.hypot(cross_re, cross_im) * (_STRIDE - 1) * (2.0 * math.pi / n_grid)
-             + 64.0 * _EPS * (abs(offset) + abs(cross_re) + abs(cross_im)))
-    # a dropped block holds no value >= the coarse maximum or <= the coarse
-    # minimum, so it cannot reach or tie either grid extremum (argmax and
-    # argmin, as they cost less than max and min)
-    top, bottom = coarse[coarse.argmax()], coarse[coarse.argmin()]
-    keep = np.concatenate(([False], (coarse >= top - reach) | (coarse <= bottom + reach),
-                           [False]))
-    # runs of consecutive kept blocks: [edges[2k], edges[2k+1]) in block units
-    edges = (keep[1:] != keep[:-1]).nonzero()[0].tolist()
-    buf, tmp = np.empty(min(n_grid, _BLOCK)), np.empty(min(n_grid, _BLOCK))
-    i_max = i_min = 0
-    c_max, c_min = -math.inf, math.inf
-    for first, end in zip(edges[::2], edges[1::2]):
-        end = min(end * _STRIDE, n_grid)
-        for start in range(first * _STRIDE, end, _BLOCK):
-            stop = min(start + _BLOCK, end)
-            c, s = buf[:stop - start], tmp[:stop - start]
-            np.multiply(cross_re, cos_t[start:stop], out=c)
-            c += offset
-            np.multiply(cross_im, sin_t[start:stop], out=s)
-            c -= s
-            j = int(c.argmax())
-            if c[j] > c_max:  # strict: an equal value in a later block loses
-                i_max, c_max = start + j, float(c[j])
-            j = int(c.argmin())
-            if c[j] < c_min:
-                i_min, c_min = start + j, float(c[j])
-    step = 2.0 * np.pi / n_grid
-    return i_max * step, c_max, i_min * step, c_min
-
-
 def phi_scan_oracle(state: TwoPhotonState,
                     analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]] = None
                     ) -> VisibilityReport:
     """Brute-force fringe visibility from a phase scan of the coincidence curve.
 
     Finds the first extrema of the coincidence probability on a uniform
-    grid of _N_GRID phases over [0, 2pi) (evaluating only the grid blocks
-    that can hold one), refines both extrema with a local
+    grid of _N_GRID phases over [0, 2pi), refines both extrema with a local
     golden-section search on the same projected amplitudes, and reports the
     contrast.  Never touches the closed-form visibility expressions.
     """
@@ -165,11 +84,15 @@ def phi_scan_oracle(state: TwoPhotonState,
     b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
     pair_sum = abs(b1) ** 2 + abs(b2) ** 2
     cross = overlap * (b1.conjugate() * b2)
-    phi_hi, c_hi, phi_lo, c_lo = _grid_extrema(
-        pair_sum, cross.real, cross.imag, _N_GRID)
+    half_sum, cross_re, cross_im = 0.5 * pair_sum, cross.real, cross.imag
+    # the array branch of coincidence_probability; argmax and argmin return
+    # the first grid point attaining each extremum
+    c = half_sum + cross_re * _COS - cross_im * _SIN
+    i_hi, i_lo = int(c.argmax()), int(c.argmin())
+    phi_hi, c_hi = float(_PHASES[i_hi]), float(c[i_hi])
+    phi_lo, c_lo = float(_PHASES[i_lo]), float(c[i_lo])
 
     # the scalar branch of coincidence_probability, on the amplitudes above
-    half_sum, cross_re, cross_im = 0.5 * pair_sum, cross.real, cross.imag
     curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
     half = math.pi / _N_GRID  # bracket each extremum by one grid step either side
     phi_hi = _golden_section(curve, phi_hi - 2 * half, phi_hi + 2 * half, minimize=False)

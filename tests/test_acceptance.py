@@ -53,7 +53,6 @@ def random_two_photon_state(rng, orthogonal=False):
 def test_criterion_1_oracle_equivalence():
     """Closed-form visibilities match the phase-scan oracle, 1000 configs."""
     rng = np.random.default_rng(20260808)
-    # build one pump/source pair first so JIT warm-up stays inside the budget
     t0 = time.perf_counter()
     worst_bare = 0.0
     worst_analyzed = 0.0

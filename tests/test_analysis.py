@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import (_BLOCK, _STRIDE, _golden_section, _grid_extrema,
-                                 _phase_table, concurrence, conformance_report,
-                                 phi_scan_oracle, visibility_from_extrema)
+from twinfringe.analysis import (_COS, _N_GRID, _SIN, _golden_section, concurrence,
+                                 conformance_report, phi_scan_oracle,
+                                 visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
@@ -136,79 +136,13 @@ class TestFringeExtremaIdentity:
 
 class TestPhaseTable:
     def test_cached_tables_are_read_only(self):
-        cos_t, sin_t = _phase_table(4096)
-        assert _phase_table(4096)[0] is cos_t
-        for table in (cos_t, sin_t):
+        for table in (_COS, _SIN):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 2.0
 
-    @pytest.mark.parametrize("n_grid", [1000, 4096, _BLOCK, _BLOCK + 1,
-                                        2 * _BLOCK + 7, 100_000])
-    def test_extrema_bit_equal_to_fresh_scan(self, n_grid):
-        rng = np.random.default_rng(n_grid)
-        step = 2.0 * np.pi / n_grid
-        phases = np.arange(n_grid) * step
-        cos_p, sin_p = np.cos(phases), np.sin(phases)
-        for _ in range(20):
-            pair_sum = rng.uniform(0.0, 1.0)
-            re, im = rng.uniform(-0.5, 0.5, 2)
-            c = 0.5 * pair_sum + re * cos_p - im * sin_p
-            i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
-            assert _grid_extrema(pair_sum, re, im, n_grid) == (
-                phases[i_max], c[i_max], phases[i_min], c[i_min])
 
-    @pytest.mark.parametrize("n_grid", [7, _STRIDE - 1, _STRIDE + 1, 3 * _STRIDE + 5,
-                                        _BLOCK + 1, 100_000])
-    def test_pruned_scan_bit_equal_on_hard_curves(self, n_grid):
-        # curves whose candidate blocks wrap round phi = 0, and near-flat
-        # curves whose bound keeps every block; no n_grid is a multiple of
-        # _STRIDE, so the last block is short
-        assert n_grid % _STRIDE
-        step = 2.0 * np.pi / n_grid
-        phases = np.arange(n_grid) * step
-        cos_p, sin_p = np.cos(phases), np.sin(phases)
-        rng = np.random.default_rng(n_grid)
-        curves = []
-        # re*cos(phi) - im*sin(phi) = r*cos(phi - at) peaks at phi = at
-        for shift in (-_STRIDE + 1, -_STRIDE / 2, -1, -0.5, 0, 0.5, 1, _STRIDE / 2,
-                      _STRIDE - 1):
-            at = shift * step
-            for r in (0.4, -0.4):  # -r puts the minimum there
-                curves.append((1.0, r * math.cos(at), -r * math.sin(at)))
-        for rel in (0.0, 1e-20, 1e-17, 1e-16, 1e-15, 1e-13):
-            for _ in range(3):
-                pair_sum, angle = rng.uniform(0.1, 1.0), rng.uniform(0.0, 2 * math.pi)
-                curves.append((pair_sum, rel * pair_sum * math.cos(angle),
-                               rel * pair_sum * math.sin(angle)))
-        for pair_sum, re, im in curves:
-            c = 0.5 * pair_sum + re * cos_p - im * sin_p
-            i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
-            assert _grid_extrema(pair_sum, re, im, n_grid) == (
-                phases[i_max], c[i_max], phases[i_min], c[i_min])
-
-    def test_flat_curve_extrema_at_first_grid_point(self):
-        n_grid = 2 * _BLOCK + 7
-        assert _grid_extrema(0.7, 0.0, 0.0, n_grid) == (0.0, 0.35, 0.0, 0.35)
-
-    def test_tie_in_a_later_block_keeps_the_earlier_index(self):
-        # 1 + eps*cos(phi) rounds to 1 + eps over a wide arc around phi = 0,
-        # so the maximum recurs at the end of the grid, two blocks later;
-        # the minimum 1 - eps spans the boundary of blocks 0 and 1
-        n_grid = 2 * _BLOCK + 7
-        eps = np.finfo(float).eps
-        cos_t, sin_t = _phase_table(n_grid)
-        c = eps * cos_t + 1.0 - 0.0 * sin_t
-        at_max = np.flatnonzero(c == c.max())
-        at_min = np.flatnonzero(c == c.min())
-        assert at_max[0] == 0 and at_max[-1] >= 2 * _BLOCK
-        assert at_min[0] < _BLOCK <= at_min[-1]
-        step = 2.0 * np.pi / n_grid
-        assert _grid_extrema(2.0, eps, 0.0, n_grid) == (
-            0.0, c.max(), at_min[0] * step, c.min())
-
-
-def reference_oracle(state, analyzers=None, n_grid=100_000):
+def reference_oracle(state, analyzers=None, n_grid=_N_GRID):
     """Phase-scan oracle built on coincidence_probability alone: one array
     evaluation on the grid, then golden-section refinement of each extremum
     with scalar evaluations."""
@@ -249,6 +183,37 @@ class TestOracleMatchesCoincidenceProbability:
             assert report.c_max < 1e-30
             assert (report.mu, report.c_max, report.c_min) == \
                 reference_oracle(state, (HORIZONTAL, HORIZONTAL))
+
+    def test_extrema_match_dense_reference_scan(self):
+        # The 64-point grid only has to land within one step of each
+        # extremum; the refinement must then agree with a 100 000-point scan.
+        step = 2.0 * math.pi / _N_GRID
+        states = []
+        # conj(a1) * a2 = +-0.4 exp(-i at) puts the maximum (+) or the
+        # minimum (-) of the curve at phi = at, so its bracket wraps round 0
+        for shift in (-1, -0.5, 0, 0.5, 1):
+            for sign in (1.0, -1.0):
+                a2 = sign * math.sqrt(0.2) * np.exp(-1j * shift * step)
+                states.append((TwoPhotonState(complex(math.sqrt(0.8)), complex(a2),
+                                              VERTICAL, VERTICAL), None))
+        # near-flat curves: |cross| = |a1||a2| = rel * pair_sum
+        rng = np.random.default_rng(64)
+        for rel in (0.0, 1e-20, 1e-17, 1e-16, 1e-15, 1e-13):
+            a2 = rel * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            states.append((TwoPhotonState(complex(math.sqrt(1.0 - rel ** 2)), complex(a2),
+                                          VERTICAL, VERTICAL), None))
+        for _ in range(500):
+            state = random_state(rng)
+            ana = (PolarizationAngle(rng.uniform(0, math.pi)),
+                   PolarizationAngle(rng.uniform(0, math.pi)))
+            states += [(state, None), (state, ana)]
+        eps = np.finfo(float).eps
+        for state, analyzers in states:
+            report = phi_scan_oracle(state, analyzers)
+            dense = reference_oracle(state, analyzers, n_grid=100_000)
+            assert abs(report.mu - dense[0]) <= 4 * eps
+        flat = phi_scan_oracle(TwoPhotonState(1.0, 0.0, VERTICAL, VERTICAL))
+        assert flat.c_max == flat.c_min == 0.5
 
     def test_crossed_analyzers_read_zero(self):
         # every pair blocked: an all-zero curve, not a rounding-level fringe
