@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotTwoQubitStateError, UndefinedVisibilityError
 from .fitting import FringeModelParams, fringe_model
 from .polarization import PolarizationAngle
-from .spdc import (_ORTHO_TOL, TwoPhotonState, _projected_amplitudes,
+from .spdc import (_ORTHO_TOL, TwoPhotonState, _curve_coefficients,
                    predicted_visibility, predicted_visibility_with_analyzers)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,14 +77,11 @@ def phi_scan_oracle(state: TwoPhotonState,
 
     Finds the first extrema of the coincidence probability on a uniform
     grid of _N_GRID phases over [0, 2pi), refines both extrema with a local
-    golden-section search on the same projected amplitudes, and reports the
+    golden-section search on the same curve coefficients, and reports the
     contrast.  Never touches the closed-form visibility expressions.
     """
-    ana_s, ana_i = analyzers if analyzers is not None else (None, None)
-    b1, b2, overlap = _projected_amplitudes(state, ana_s, ana_i)
-    pair_sum = abs(b1) ** 2 + abs(b2) ** 2
-    cross = overlap * (b1.conjugate() * b2)
-    half_sum, cross_re, cross_im = 0.5 * pair_sum, cross.real, cross.imag
+    half_sum, cross, _ = _curve_coefficients(state, *(analyzers or (None, None)))
+    cross_re, cross_im = cross.real, cross.imag
     # the array branch of coincidence_probability; argmax and argmin return
     # the first grid point attaining each extremum
     c = half_sum + cross_re * _COS - cross_im * _SIN
@@ -92,7 +89,7 @@ def phi_scan_oracle(state: TwoPhotonState,
     phi_hi, c_hi = float(_PHASES[i_hi]), float(c[i_hi])
     phi_lo, c_lo = float(_PHASES[i_lo]), float(c[i_lo])
 
-    # the scalar branch of coincidence_probability, on the amplitudes above
+    # the scalar branch of coincidence_probability, on the coefficients above
     curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
     half = math.pi / _N_GRID  # bracket each extremum by one grid step either side
     phi_hi = _golden_section(curve, phi_hi - 2 * half, phi_hi + 2 * half, minimize=False)

@@ -287,9 +287,11 @@ def cmd_fit(args) -> int:
             "stderr": {"c0": se[0], "mu": se[1], "period": se[2], "psi": se[3]},
         }
     else:
-        if args.init:
-            raise TwinfringeError("--init applies to fringe fits only: the visibility "
-                                  "curve is solved in closed form")
+        for flag, given in (("--init", args.init), ("--fix-period", args.fix_period is not None),
+                            ("--observable", args.observable != "auto")):
+            if given:
+                raise TwinfringeError(f"{flag} applies to fringe fits only: the visibility "
+                                      "curve is solved in closed form")
         points = read_sweep_csv(args.data)
         try:
             fit = fit_visibility_curve(points, variant=args.variant)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .polarization import PolarizationAngle
 from .spdc import (GeometryConfig, SourceConfig, TwoPhotonState,
-                   fringe_phase, _projected_amplitudes)
+                   _curve_coefficients, fringe_phase)
 
 SCAN_MODES = ("signal_only", "idler_only", "both")
 
@@ -108,17 +108,13 @@ def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
     f = scan.instrument_factor * slit_visibility_factor(
         scan.slit_width, geometry.fringe_period)
 
-    # per state: mean and amplitude of the ideal curve, the cross term of
-    # coincidence_probability, and the smoothed curve's top
-    mean_c, cross_re, cross_im, top = np.empty((4, len(states), 1))
-    for i, s in enumerate(states):
-        b1, b2, overlap = _projected_amplitudes(s, ana_s, ana_i)
-        cross = overlap * (b1.conjugate() * b2)
-        mean_c[i] = 0.5 * (abs(b1) ** 2 + abs(b2) ** 2)
-        cross_re[i], cross_im[i] = cross.real, cross.imag
-        top[i] = mean_c[i] + abs(f) * (abs(overlap) * abs(b1) * abs(b2))
+    # (m, 1) columns: each state's curve mean, cross term and modulation depth
+    mean_c, cross_re, cross_im, depth = np.reshape(
+        [(mean, z.real, z.imag, d) for mean, z, d in
+         (_curve_coefficients(s, ana_s, ana_i) for s in states)], (len(states), 4)).T[..., None]
     c = mean_c + cross_re * cos - cross_im * sin
     smoothed = mean_c + f * (c - mean_c)
+    top = mean_c + abs(f) * depth  # the smoothed curve's maximum
     shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
     rates = scan.background_rate + scan.peak_rate * shape
     out = np.stack(np.broadcast_arrays(x, rates), axis=-1)

@@ -24,13 +24,17 @@ FIG5_SEED = 777
 FIG5_N_ANGLES = 19
 
 
+def _simulate(config: RunConfig, pumps: Sequence[PumpState], seed: Optional[int]):
+    """An (m, n) stack of counting scans, one per pump, drawn from seed or the config's."""
+    states = [build_two_photon_state(pump, config.source) for pump in pumps]
+    expected = expected_scan(states, config.source, config.geometry, config.analyzers, config.scan)
+    return sample_counts(expected, config.scan.integration_time,
+                         config.scan.seed if seed is None else seed)
+
+
 def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> np.recarray:
     """Simulate one detector sweep under a config, Poisson noise included."""
-    state = build_two_photon_state(config.pump, config.source)
-    expected = expected_scan(state, config.source, config.geometry,
-                             config.analyzers, config.scan)
-    use_seed = config.scan.seed if seed is None else seed
-    return sample_counts(expected, config.scan.integration_time, use_seed)
+    return _simulate(config, [config.pump], seed)[0]
 
 
 @dataclass
@@ -47,24 +51,19 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
     scan stack, then fit the stack at the one fringe period its rows share.
 
     Every angle has the same geometry and so the same positions, times and
-    fringe period; only contrast and phase change with the angle.  One
-    expected_scan call gives the stack's rates, one sample_counts call
-    draws the whole stack from the master seed in angle order (so the first
-    k angles of a sweep draw the same counts as a sweep of those k angles),
-    and one fit_fringe call searches the shared period and fits each row's
-    contrast at it.  A point is converged when that fit converged and its
-    sigma_mu is finite (a row without contrast has none).
+    fringe period; only contrast and phase change with the angle.  The
+    simulate step behind simulate_scan draws the stack from one seed in
+    angle order (the first k angles of a sweep draw the same counts as a
+    sweep of those k angles); one fit_fringe call searches the shared
+    period and fits each row's contrast at it.  A point is converged when
+    that fit converged and its sigma_mu is finite (a row without contrast
+    has none).
     """
-    master = config.scan.seed if seed is None else seed
-    states = [build_two_photon_state(PumpState.from_eps2(config.pump.eps2,
-                                                         PolarizationAngle(theta)),
-                                     config.source) for theta in thetas]
-    if not states:
+    pumps = [PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
+             for theta in thetas]
+    if not pumps:
         return []
-    expected = expected_scan(states, config.source, config.geometry, config.analyzers,
-                             config.scan)
-    scans = sample_counts(expected, config.scan.integration_time, master)
-    fit = fit_fringe(scans)
+    fit = fit_fringe(_simulate(config, pumps, seed))
     return [SweepPoint(theta=float(theta), mu=mu, sigma_mu=sigma_mu,
                        converged=fit.converged and math.isfinite(sigma_mu))
             for theta, mu, sigma_mu in zip(thetas, fit.params[:, 1].tolist(),

@@ -152,6 +152,14 @@ def _projected_amplitudes(state: TwoPhotonState,
     return state.a1 * m1, state.a2 * m2, 1.0
 
 
+def _curve_coefficients(state: TwoPhotonState, analyzer_signal, analyzer_idler):
+    """Mean, complex cross term and modulation depth |cross| of the coincidence
+    curve c(phi) = mean + Re(cross) cos(phi) - Im(cross) sin(phi)."""
+    b1, b2, overlap = _projected_amplitudes(state, analyzer_signal, analyzer_idler)
+    return (0.5 * (abs(b1) ** 2 + abs(b2) ** 2), overlap * (b1.conjugate() * b2),
+            abs(overlap) * abs(b1) * abs(b2))
+
+
 def coincidence_probability(state: TwoPhotonState, phase,
                             analyzer_signal: Optional[PolarizationAngle] = None,
                             analyzer_idler: Optional[PolarizationAngle] = None):
@@ -162,14 +170,12 @@ def coincidence_probability(state: TwoPhotonState, phase,
     factor 1/2 keeps the value within [0, 1] for every normalized state.
     Accepts a scalar phase or an array and returns a matching shape.
     """
-    b1, b2, overlap = _projected_amplitudes(state, analyzer_signal, analyzer_idler)
-    pair_sum = abs(b1) ** 2 + abs(b2) ** 2
-    cross = overlap * (b1.conjugate() * b2)
+    mean, cross, _ = _curve_coefficients(state, analyzer_signal, analyzer_idler)
     if np.ndim(phase) == 0:
         phi = float(phase)
-        return 0.5 * pair_sum + cross.real * math.cos(phi) - cross.imag * math.sin(phi)
+        return mean + cross.real * math.cos(phi) - cross.imag * math.sin(phi)
     phases = np.asarray(phase, dtype=np.float64)
-    return 0.5 * pair_sum + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
+    return mean + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
 
 
 def predicted_visibility(state: TwoPhotonState) -> float:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle)
-from twinfringe.spdc import (TwoPhotonState, coincidence_probability,
-                             predicted_visibility)
+from twinfringe.spdc import (TwoPhotonState, _curve_coefficients,
+                             coincidence_probability, predicted_visibility)
 
 SQ2 = math.sqrt(2.0)
 ANA45 = (DIAGONAL, DIAGONAL)
@@ -142,14 +143,31 @@ class TestPhaseTable:
                 table[0] = 2.0
 
 
+@functools.cache
+def phase_grid(n_grid):
+    """The n_grid phases k * 2pi / n_grid with their cos and sin, computed once
+    and read-only, since every caller shares them."""
+    tables = np.arange(n_grid) * (2.0 * np.pi / n_grid)
+    tables = np.stack((tables, np.cos(tables), np.sin(tables)))
+    tables.flags.writeable = False
+    return tables
+
+
+def grid_curve(state, ana, n_grid):
+    """coincidence_probability on phase_grid(n_grid), from its cached cos and sin."""
+    _, cos, sin = phase_grid(n_grid)
+    mean, cross, _ = _curve_coefficients(state, *ana)
+    return mean + cross.real * cos - cross.imag * sin
+
+
 def reference_oracle(state, analyzers=None, n_grid=_N_GRID):
     """Phase-scan oracle built on coincidence_probability alone: one array
-    evaluation on the grid, then golden-section refinement of each extremum
-    with scalar evaluations."""
+    evaluation on the grid (grid_curve, bit-equal to it), then golden-section
+    refinement of each extremum with scalar evaluations."""
     ana = analyzers if analyzers is not None else (None, None)
     curve = lambda phi: coincidence_probability(state, phi, *ana)
     step = 2.0 * np.pi / n_grid
-    c = curve(np.arange(n_grid) * step)
+    c = grid_curve(state, ana, n_grid)
     i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
     half = math.pi / n_grid
     phi_hi = _golden_section(curve, i_max * step - 2 * half, i_max * step + 2 * half,
@@ -164,6 +182,18 @@ def reference_oracle(state, analyzers=None, n_grid=_N_GRID):
 
 
 class TestOracleMatchesCoincidenceProbability:
+    @pytest.mark.parametrize("n_grid", [_N_GRID, 100_000])
+    def test_grid_curve_bit_equal_to_coincidence_probability(self, n_grid):
+        rng = np.random.default_rng(5)
+        phases = phase_grid(n_grid)[0]
+        for _ in range(4):
+            state = random_state(rng)
+            ana = (PolarizationAngle(rng.uniform(0, math.pi)),
+                   PolarizationAngle(rng.uniform(0, math.pi)))
+            for analyzers in ((None, None), ana, (HORIZONTAL, HORIZONTAL)):
+                assert np.array_equal(grid_curve(state, analyzers, n_grid),
+                                      coincidence_probability(state, phases, *analyzers))
+
     def test_reports_equal_reference_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(200):

@@ -3,7 +3,9 @@
 Each case draws a few hundred seeded fits of a known truth and checks the
 z-scores (estimate - truth) / reported error: their mean must be near 0 and
 about 68.3% of them must fall within 1.  At 200 draws the binomial spread of
-the coverage is ~0.033, so the 0.10 bound is about 3 sigma.
+the coverage is ~0.033, so the 0.10 bound is about 3 sigma.  A last case
+checks the reported errors against the Cramer-Rao bound of the simulated
+experiment, an independent derivation of the same covariance.
 """
 
 import dataclasses
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from twinfringe.config import default_config, entangled_sweep_config
-from twinfringe.fitting import fit_fringe
+from twinfringe.detection import expected_scan
+from twinfringe.fitting import FringeModelParams, fit_fringe, fringe_model
 from twinfringe.pipeline import FIG5_TRUTH, reproduce_fig5, simulate_scan
 from twinfringe.polarization import PolarizationAngle, PumpState
 from twinfringe.spdc import build_two_photon_state, predicted_visibility_with_analyzers
@@ -69,3 +72,38 @@ def test_sweep_visibility():
                 build_two_photon_state(pump, config.source), *config.analyzers)
             z.append((point.mu - truth) / point.sigma_mu)
     assert_calibrated(z)
+
+
+def fringe_cramer_rao_bound(config):
+    """sqrt(diag I^-1) over (c0, mu, period, psi) for one counting scan.
+
+    I = sum t (dr/dp)(dr/dp)' / r is the Poisson Fisher information of the
+    scan (Kay, Fundamentals of Statistical Signal Processing: Estimation
+    Theory, ch. 3).  r is expected_scan's rate at each point, the truth p is
+    a noise-free fit of those rows, and dr/dp are central differences of the
+    fringe model at p.
+    """
+    state = build_two_photon_state(config.pump, config.source)
+    rows = expected_scan(state, config.source, config.geometry, config.analyzers,
+                         config.scan)
+    x, rate = rows[:, 0], rows[:, 1]
+    truth = fit_fringe(rows).params
+    jacobian = np.empty((x.size, 4))
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = 1e-6 * max(abs(truth[j]), 1e-3)
+        up = fringe_model(x, FringeModelParams(*(truth + step)))
+        down = fringe_model(x, FringeModelParams(*(truth - step)))
+        jacobian[:, j] = (up - down) / (2.0 * step[j])
+    info = config.scan.integration_time * (jacobian / rate[:, None]).T @ jacobian
+    return np.sqrt(np.diag(np.linalg.inv(info)))
+
+
+def test_fringe_errors_equal_the_cramer_rao_bound():
+    # default scan: 61 points, ~1000 counts per peak, free period
+    config = default_config()
+    bound = fringe_cramer_rao_bound(config)
+    reported = np.median([fit_fringe(simulate_scan(config, seed)).stderr
+                          for seed in range(300)], axis=0)
+    for name, j in (("mu", 1), ("period", 2)):
+        assert reported[j] / bound[j] == pytest.approx(1.0, abs=0.05), name

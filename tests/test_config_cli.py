@@ -590,7 +590,8 @@ class TestCliSweepAndFit:
     def test_noiseless_export_fits_expected_column(self, tmp_path, config_path):
         # zero integration time: counts are all zero, the expected_rate
         # column still carries the exact curve
-        doc = json.loads(open(config_path).read())
+        with open(config_path) as fh:
+            doc = json.load(fh)
         doc["scan"]["integration_time_s"] = 0.0
         noiseless = tmp_path / "noiseless.json"
         noiseless.write_text(json.dumps(doc))
@@ -661,6 +662,22 @@ class TestCliSweepAndFit:
         assert code == 2
         assert "closed form" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--fix-period", "0.005"], ["--fix-period", "0"],
+                                       ["--observable", "counts"],
+                                       ["--observable", "expected"]])
+    def test_viscurve_fringe_only_flags_exit_2(self, tmp_path, capsys, flags):
+        # a sweep has no period to pin and no observable to choose
+        sweep = tmp_path / "s.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t},{0.4 + 0.3 * math.cos(4 * t)},0.01\n" for t in np.linspace(0, math.pi, 19)))
+        out = tmp_path / "r.json"
+        code = main(["fit", str(sweep), "--model", "viscurve", *flags, "--output", str(out)])
+        assert code == 2
+        assert f"error: {flags[0]} applies to fringe fits only" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fit", str(sweep), "--model", "viscurve", "--observable", "auto",
+                     "--output", str(out)]) == 0
 
     def test_nonconvergence_exits_4(self, monkeypatch, tmp_path):
         import twinfringe.cli as cli_mod

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from twinfringe.errors import ConfigurationError
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (CrystalConfig, GeometryConfig, SourceConfig,
-                             TwoPhotonState, build_two_photon_state,
+                             TwoPhotonState, _curve_coefficients, build_two_photon_state,
                              coincidence_probability, default_source,
                              fringe_phase, predicted_visibility,
                              predicted_visibility_with_analyzers)
@@ -20,11 +21,26 @@ def bell_state(chi1=VERTICAL, chi2=HORIZONTAL):
     return TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), chi1, chi2)
 
 
+@functools.cache
+def dense_grid(n):
+    """n phases over [0, 2pi] with their cos and sin, computed once and
+    read-only, since every caller shares them."""
+    phis = np.linspace(0.0, 2.0 * math.pi, n)
+    tables = np.stack((phis, np.cos(phis), np.sin(phis)))
+    tables.flags.writeable = False
+    return tables
+
+
+def dense_curve(state, analyzers, n):
+    """coincidence_probability on dense_grid(n), from its cached cos and sin."""
+    _, cos, sin = dense_grid(n)
+    mean, cross, _ = _curve_coefficients(state, *analyzers)
+    return mean + cross.real * cos - cross.imag * sin
+
+
 def grid_visibility(state, analyzers=None, n=200_001):
     """Independent fringe-contrast oracle: dense scan, no refinement."""
-    phis = np.linspace(0.0, 2.0 * math.pi, n)
-    ana_s, ana_i = analyzers if analyzers is not None else (None, None)
-    c = coincidence_probability(state, phis, ana_s, ana_i)
+    c = dense_curve(state, analyzers if analyzers is not None else (None, None), n)
     hi, lo = float(c.max()), float(c.min())
     return (hi - lo) / (hi + lo) if hi + lo else 0.0
 
@@ -177,6 +193,14 @@ class TestPredictedVisibility:
         # so there is no fringe to see
         assert predicted_visibility_with_analyzers(
             bell_state(VERTICAL, VERTICAL), HORIZONTAL, HORIZONTAL) == 0.0
+
+    def test_dense_curve_bit_equal_to_coincidence_probability(self):
+        phis = dense_grid(200_001)[0]
+        for state in (bell_state(), TwoPhotonState(0.8, 0.6j, DIAGONAL, VERTICAL),
+                      TwoPhotonState(complex(0.6, 0.48), -0.64j, VERTICAL, DIAGONAL)):
+            for analyzers in ((None, None), ANA45, (VERTICAL, PolarizationAngle(0.3))):
+                assert np.array_equal(dense_curve(state, analyzers, 200_001),
+                                      coincidence_probability(state, phis, *analyzers))
 
     def test_closed_forms_match_dense_scan(self):
         rng = np.random.default_rng(2024)
