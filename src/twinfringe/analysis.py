@@ -20,15 +20,23 @@ from .polarization import PolarizationAngle
 from .spdc import (_ORTHO_TOL, TwoPhotonState, _curve_coefficients,
                    predicted_visibility, predicted_visibility_with_analyzers)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Phases in the oracle's uniform grid over [0, 2pi).  The grid only has to
 # land within one step of each extremum: any step under pi/2 keeps the
 # +-1-step bracket of the refinement shorter than pi, and a sinusoid is
 # unimodal on such a bracket.
 _N_GRID = 64
-_PHASES = np.arange(_N_GRID) * (2.0 * np.pi / _N_GRID)
+_STEP = 2.0 * np.pi / _N_GRID
+_PHASES = np.arange(_N_GRID) * _STEP
 _COS, _SIN = np.cos(_PHASES), np.sin(_PHASES)
 _PHASES.flags.writeable = _COS.flags.writeable = _SIN.flags.writeable = False
+# The refinement stops once a parabolic step is under _PHASE_TOL radians: the
+# best phase then lies within about _PHASE_TOL of the extremum, where the curve
+# is within |cross| * _PHASE_TOL**2 / 2 of its extreme value, so the contrast
+# is off by at most ~_PHASE_TOL**2 = 1e-16, under one eps.  Noise in the last
+# bits of a shallow curve can keep the steps wandering above the tolerance;
+# _MAX_STEPS ends those refinements (random states take ~3 steps).
+_PHASE_TOL = 1e-8
+_MAX_STEPS = 24
 
 
 @dataclass(frozen=True)
@@ -50,24 +58,41 @@ def visibility_from_extrema(c_max: float, c_min: float) -> float:
     return (c_max - c_min) / (c_max + c_min)
 
 
-def _golden_section(f, lo: float, hi: float, minimize: bool, iters: int = 48) -> float:
-    """Extremum of a unimodal f on [lo, hi] by golden-section search."""
+def _refine_extremum(curve, c, i: int, minimize: bool) -> float:
+    """Extreme value of curve near the grid extremum c[i], by successive
+    parabolic interpolation (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5) on curve values alone.
+
+    Starts from the bracket of c[i] and its two grid neighbours (indices
+    taken modulo _N_GRID), which the grid has already evaluated.  Each step
+    evaluates the vertex of the parabola through the bracket's three points,
+    which lies strictly inside the bracket, and shrinks the bracket round the
+    best point.  Returns the best value seen, so never one worse than c[i].
+    """
     sign = 1.0 if minimize else -1.0
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = sign * f(c)
-    fd = sign * f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * f(c)
+    x = float(_PHASES[i])
+    a, b = x - _STEP, x + _STEP
+    fa, fx, fb = (sign * float(c[(i + d) % _N_GRID]) for d in (-1, 0, 1))
+    for _ in range(_MAX_STEPS):
+        p = (x - a) * (fx - fb)
+        q = (x - b) * (fx - fa)
+        if p == q:  # three equal values: the curve is flat to rounding here
+            break
+        u = x + ((x - a) * p - (x - b) * q) / (2.0 * (q - p))
+        if not a < u < b or abs(u - x) <= _PHASE_TOL:
+            break
+        fu = sign * curve(u)
+        if fu <= fx:
+            if u < x:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
+            x, fx = u, fu
+        elif u < x:
+            a, fa = u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * f(d)
-    return 0.5 * (a + b)
+            b, fb = u, fu
+    return sign * fx
 
 
 def phi_scan_oracle(state: TwoPhotonState,
@@ -76,26 +101,22 @@ def phi_scan_oracle(state: TwoPhotonState,
     """Brute-force fringe visibility from a phase scan of the coincidence curve.
 
     Finds the first extrema of the coincidence probability on a uniform
-    grid of _N_GRID phases over [0, 2pi), refines both extrema with a local
-    golden-section search on the same curve coefficients, and reports the
-    contrast.  Never touches the closed-form visibility expressions.
+    grid of _N_GRID phases over [0, 2pi), refines both by parabolic
+    interpolation on the same curve coefficients (_refine_extremum), and
+    reports the contrast.  Never touches the closed-form visibility
+    expressions.
     """
     half_sum, cross, _ = _curve_coefficients(state, *(analyzers or (None, None)))
     cross_re, cross_im = cross.real, cross.imag
     # the array branch of coincidence_probability; argmax and argmin return
     # the first grid point attaining each extremum
     c = half_sum + cross_re * _COS - cross_im * _SIN
-    i_hi, i_lo = int(c.argmax()), int(c.argmin())
-    phi_hi, c_hi = float(_PHASES[i_hi]), float(c[i_hi])
-    phi_lo, c_lo = float(_PHASES[i_lo]), float(c[i_lo])
-
     # the scalar branch of coincidence_probability, on the coefficients above
     curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
-    half = math.pi / _N_GRID  # bracket each extremum by one grid step either side
-    phi_hi = _golden_section(curve, phi_hi - 2 * half, phi_hi + 2 * half, minimize=False)
-    phi_lo = _golden_section(curve, phi_lo - 2 * half, phi_lo + 2 * half, minimize=True)
-    c_max = max(curve(phi_hi), c_hi)
-    c_min = min(curve(phi_lo), c_lo)
+    c_max = _refine_extremum(curve, c, int(c.argmax()), minimize=False)
+    # the curve is |b1 + e^{i phi} b2|^2 / 2 >= 0, but its two-term form can
+    # round a full-contrast minimum below zero, which would read mu > 1
+    c_min = max(_refine_extremum(curve, c, int(c.argmin()), minimize=True), 0.0)
 
     if c_max + c_min == 0.0:
         return VisibilityReport(mu=0.0, c_max=0.0, c_min=0.0)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import (_COS, _N_GRID, _SIN, _golden_section, concurrence,
-                                 conformance_report, phi_scan_oracle,
+from twinfringe.analysis import (_COS, _MAX_STEPS, _N_GRID, _SIN, _refine_extremum,
+                                 concurrence, conformance_report, phi_scan_oracle,
                                  visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
@@ -64,6 +64,19 @@ class TestPhiScanOracle:
         report = phi_scan_oracle(state, ANA45)
         assert report.mu == pytest.approx(0.15949, abs=5e-6)
         assert report.mu == pytest.approx(2 * eps1 * eps2, abs=1e-9)
+
+    def test_full_contrast_minimum_not_below_zero(self):
+        # |a1| = |a2| and chi1 = chi2: the curve touches zero, and its
+        # two-term form rounds that minimum to either side of it
+        rng = np.random.default_rng(20)
+        for _ in range(10_000):
+            chi = PolarizationAngle(rng.uniform(0, math.pi))
+            pa, pb = rng.uniform(0, 2 * math.pi, 2)
+            state = TwoPhotonState(complex(np.exp(1j * pa) / SQ2),
+                                   complex(np.exp(1j * pb) / SQ2), chi, chi)
+            report = phi_scan_oracle(state)
+            assert report.c_min >= 0.0
+            assert report.mu <= 1.0
 
     def test_report_extrema_consistent(self):
         rng = np.random.default_rng(8)
@@ -160,25 +173,77 @@ def grid_curve(state, ana, n_grid):
     return mean + cross.real * cos - cross.imag * sin
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, lo, hi, minimize):
+    """Extremum of a unimodal f on [lo, hi] by 48 steps of golden-section search."""
+    sign = 1.0 if minimize else -1.0
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc = sign * f(c)
+    fd = sign * f(d)
+    for _ in range(48):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = sign * f(d)
+    return 0.5 * (a + b)
+
+
 def reference_oracle(state, analyzers=None, n_grid=_N_GRID):
     """Phase-scan oracle built on coincidence_probability alone: one array
-    evaluation on the grid (grid_curve, bit-equal to it), then golden-section
-    refinement of each extremum with scalar evaluations."""
+    evaluation on the grid (grid_curve, bit-equal to it), then each extremum
+    refined with scalar evaluations.  On the oracle's own grid it refines with
+    the package's _refine_extremum, so it mirrors phi_scan_oracle exactly; on
+    any other grid it refines by golden-section search within one grid step
+    either side, independently of the code under test."""
     ana = analyzers if analyzers is not None else (None, None)
     curve = lambda phi: coincidence_probability(state, phi, *ana)
-    step = 2.0 * np.pi / n_grid
     c = grid_curve(state, ana, n_grid)
     i_max, i_min = int(np.argmax(c)), int(np.argmin(c))
-    half = math.pi / n_grid
-    phi_hi = _golden_section(curve, i_max * step - 2 * half, i_max * step + 2 * half,
-                             minimize=False)
-    phi_lo = _golden_section(curve, i_min * step - 2 * half, i_min * step + 2 * half,
-                             minimize=True)
-    c_max = max(curve(phi_hi), float(c[i_max]))
-    c_min = min(curve(phi_lo), float(c[i_min]))
+    if n_grid == _N_GRID:
+        c_max = _refine_extremum(curve, c, i_max, minimize=False)
+        c_min = _refine_extremum(curve, c, i_min, minimize=True)
+    else:
+        step = 2.0 * np.pi / n_grid
+        half = math.pi / n_grid
+        phi_hi = golden_section(curve, i_max * step - 2 * half, i_max * step + 2 * half,
+                                 minimize=False)
+        phi_lo = golden_section(curve, i_min * step - 2 * half, i_min * step + 2 * half,
+                                 minimize=True)
+        c_max = max(curve(phi_hi), float(c[i_max]))
+        c_min = min(curve(phi_lo), float(c[i_min]))
+    # part of the contrast's definition: the curve is a squared modulus
+    c_min = max(c_min, 0.0)
     if c_max + c_min == 0.0:
         return (0.0, 0.0, 0.0)
     return ((c_max - c_min) / (c_max + c_min), c_max, c_min)
+
+
+def edge_states(rng):
+    """Bare-detector states whose extremum sits on or beside the grid's
+    wrap-around point at phase 0, then near-flat curves, as (state, None)."""
+    step = 2.0 * math.pi / _N_GRID
+    states = []
+    # conj(a1) * a2 = +-0.4 exp(-i at) puts the maximum (+) or the
+    # minimum (-) of the curve at phi = at, so its bracket wraps round 0
+    for shift in (-1, -0.5, 0, 0.5, 1):
+        for sign in (1.0, -1.0):
+            a2 = sign * math.sqrt(0.2) * np.exp(-1j * shift * step)
+            states.append((TwoPhotonState(complex(math.sqrt(0.8)), complex(a2),
+                                          VERTICAL, VERTICAL), None))
+    # near-flat curves: |cross| = |a1||a2| = rel * pair_sum
+    for rel in (0.0, 1e-20, 1e-17, 1e-16, 1e-15, 1e-13):
+        a2 = rel * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+        states.append((TwoPhotonState(complex(math.sqrt(1.0 - rel ** 2)), complex(a2),
+                                      VERTICAL, VERTICAL), None))
+    return states
 
 
 class TestOracleMatchesCoincidenceProbability:
@@ -217,21 +282,8 @@ class TestOracleMatchesCoincidenceProbability:
     def test_extrema_match_dense_reference_scan(self):
         # The 64-point grid only has to land within one step of each
         # extremum; the refinement must then agree with a 100 000-point scan.
-        step = 2.0 * math.pi / _N_GRID
-        states = []
-        # conj(a1) * a2 = +-0.4 exp(-i at) puts the maximum (+) or the
-        # minimum (-) of the curve at phi = at, so its bracket wraps round 0
-        for shift in (-1, -0.5, 0, 0.5, 1):
-            for sign in (1.0, -1.0):
-                a2 = sign * math.sqrt(0.2) * np.exp(-1j * shift * step)
-                states.append((TwoPhotonState(complex(math.sqrt(0.8)), complex(a2),
-                                              VERTICAL, VERTICAL), None))
-        # near-flat curves: |cross| = |a1||a2| = rel * pair_sum
         rng = np.random.default_rng(64)
-        for rel in (0.0, 1e-20, 1e-17, 1e-16, 1e-15, 1e-13):
-            a2 = rel * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-            states.append((TwoPhotonState(complex(math.sqrt(1.0 - rel ** 2)), complex(a2),
-                                          VERTICAL, VERTICAL), None))
+        states = edge_states(rng)
         for _ in range(500):
             state = random_state(rng)
             ana = (PolarizationAngle(rng.uniform(0, math.pi)),
@@ -244,6 +296,37 @@ class TestOracleMatchesCoincidenceProbability:
             assert abs(report.mu - dense[0]) <= 4 * eps
         flat = phi_scan_oracle(TwoPhotonState(1.0, 0.0, VERTICAL, VERTICAL))
         assert flat.c_max == flat.c_min == 0.5
+
+    def test_refinement_evaluation_count(self):
+        # parabolic refinement takes a few curve evaluations per extremum
+        # (golden section took 50), and its stop rule, not the step cap,
+        # ends every refinement here; every trial phase lies within one grid
+        # step of the grid extremum, and the result is never worse than it
+        rng = np.random.default_rng(2024)
+        states = edge_states(rng)
+        for _ in range(2000):
+            state = random_state(rng)
+            ana = (PolarizationAngle(rng.uniform(0, math.pi)),
+                   PolarizationAngle(rng.uniform(0, math.pi)))
+            states += [(state, None), (state, ana)]
+        step = 2.0 * math.pi / _N_GRID
+        evals = []
+        for state, analyzers in states:
+            ana = analyzers if analyzers is not None else (None, None)
+            c = grid_curve(state, ana, _N_GRID)
+            for i, sign in ((int(np.argmax(c)), -1.0), (int(np.argmin(c)), 1.0)):
+                trials = []
+
+                def curve(phi):
+                    trials.append(phi)
+                    return coincidence_probability(state, phi, *ana)
+
+                best = _refine_extremum(curve, c, i, minimize=sign > 0)
+                assert sign * best <= sign * c[i]
+                assert all(abs(phi - i * step) < step for phi in trials)
+                evals.append(len(trials))
+        assert np.mean(evals) <= 10
+        assert max(evals) < _MAX_STEPS
 
     def test_crossed_analyzers_read_zero(self):
         # every pair blocked: an all-zero curve, not a rounding-level fringe
