@@ -131,14 +131,15 @@ def concurrence(state: TwoPhotonState) -> float:
     perfectly correlated and the state is a two-qubit pure state with
     concurrence 2|a1||a2|.  That number equals the 45-degree-analyzer fringe
     visibility, which is what makes the visibility a direct entanglement
-    readout.
+    readout.  Clamped at 1, which 2|a1||a2| can round above when
+    |a1| = |a2|.
     """
     gap = math.cos(state.chi2.radians - state.chi1.radians)
     if abs(gap) > _ORTHO_TOL:
         raise NotTwoQubitStateError(
             "pair polarizations must be orthogonal to define the polarization "
             f"qubit; |cos(chi2 - chi1)| = {abs(gap):.3e}")
-    return 2.0 * abs(state.a1) * abs(state.a2)
+    return min(2.0 * abs(state.a1) * abs(state.a2), 1.0)
 
 
 def conformance_report(draws: int, seed: int) -> Dict[str, Tuple[float, float]]:

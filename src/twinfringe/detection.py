@@ -101,6 +101,17 @@ def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
     """
     states = [state] if isinstance(state, TwoPhotonState) else list(state)
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
+    coefficients = np.reshape(
+        [(mean, z.real, z.imag, d) for mean, z, d in
+         (_curve_coefficients(s, ana_s, ana_i) for s in states)], (len(states), 4)).T
+    out = _expected_rates(coefficients, source, geometry, scan)
+    return out[0] if isinstance(state, TwoPhotonState) else out
+
+
+def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig,
+                    scan: ScanConfig) -> np.ndarray:
+    """The (m, n, 2) stack of expected_scan from the curve coefficients
+    (mean, Re cross, Im cross, depth) of m curves, each an (m,) array."""
     x = np.asarray(scan.positions, dtype=np.float64)
     xs, xi = _detector_positions(x, scan.scan_mode)
     phases = fringe_phase(xs, xi, geometry, source.phi0)
@@ -108,17 +119,14 @@ def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
     f = scan.instrument_factor * slit_visibility_factor(
         scan.slit_width, geometry.fringe_period)
 
-    # (m, 1) columns: each state's curve mean, cross term and modulation depth
-    mean_c, cross_re, cross_im, depth = np.reshape(
-        [(mean, z.real, z.imag, d) for mean, z, d in
-         (_curve_coefficients(s, ana_s, ana_i) for s in states)], (len(states), 4)).T[..., None]
+    # (m, 1) columns: each curve's mean, cross term and modulation depth
+    mean_c, cross_re, cross_im, depth = (v[:, None] for v in coefficients)
     c = mean_c + cross_re * cos - cross_im * sin
     smoothed = mean_c + f * (c - mean_c)
     top = mean_c + abs(f) * depth  # the smoothed curve's maximum
     shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
     rates = scan.background_rate + scan.peak_rate * shape
-    out = np.stack(np.broadcast_arrays(x, rates), axis=-1)
-    return out[0] if isinstance(state, TwoPhotonState) else out
+    return np.stack(np.broadcast_arrays(x, rates), axis=-1)
 
 
 def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:

@@ -201,7 +201,12 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     the amplitude spectra of the rows of y (one scan per row) summed."""
     n = max(x.size, 16)
     grid = np.linspace(x[0], x[-1], n)
-    resampled = np.array([np.interp(grid, x, row) for row in y])
+    # each grid point's fractional index into x, shared by every row, then one
+    # linear interpolation of the whole stack between the neighbouring columns
+    index = np.interp(grid, x, np.arange(x.size, dtype=np.float64))
+    lo = np.minimum(index.astype(np.intp), x.size - 2)
+    frac = index - lo
+    resampled = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
     spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
     k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
     return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n

@@ -123,6 +123,16 @@ class TestConcurrence:
         with pytest.raises(NotTwoQubitStateError):
             concurrence(state)
 
+    def test_full_contrast_not_above_one(self):
+        # |a1| = |a2|: 2|a1||a2| can round above |a1|^2 + |a2|^2 = 1
+        rng = np.random.default_rng(20)
+        for _ in range(5_000):
+            chi = PolarizationAngle(rng.uniform(0, math.pi))
+            pa, pb = rng.uniform(0, 2 * math.pi, 2)
+            state = TwoPhotonState(complex(np.exp(1j * pa) / SQ2),
+                                   complex(np.exp(1j * pb) / SQ2), chi, chi.orthogonal())
+            assert concurrence(state) <= 1.0
+
     def test_equals_midway_analyzer_visibility(self):
         # analyzers midway between the two pair polarizations read out 2|a1||a2|
         rng = np.random.default_rng(33)

@@ -10,7 +10,7 @@ from twinfringe.config import default_config, entangled_sweep_config
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import IllPosedError
 from twinfringe.fitting import (FitResult, FringeModelParams,
-                                VisibilityCurveParams, fit_fringe,
+                                VisibilityCurveParams, _dominant_wavenumber, fit_fringe,
                                 fit_visibility_curve,
                                 fringe_model, fringe_params, mu_eff_model,
                                 visibility_curve_params)
@@ -319,7 +319,78 @@ def to_fringe_covariance(lin_cov, coef, k):
     return grad @ lin_cov @ grad.T
 
 
-def sweep_scans(thetas):
+def per_row_start_wavenumber(x, y):
+    """_dominant_wavenumber with each row of y resampled by its own np.interp
+    call: the reference the one-interp resample of the stack must agree with."""
+    n = max(x.size, 16)
+    grid = np.linspace(x[0], x[-1], n)
+    resampled = np.array([np.interp(grid, x, row) for row in y])
+    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
+    k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
+    return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
+
+
+def fringe_stack(rng, x, m):
+    """m counting rows of a random-period fringe on the positions x."""
+    span = x[-1] - x[0]
+    period = span / rng.uniform(0.6, max(2.0, x.size / 3.0))
+    mu = rng.uniform(0.0, 1.0, (m, 1))
+    phase = rng.uniform(0.0, 2.0 * math.pi, (m, 1))
+    rate = rng.uniform(0.5, 200.0) * (1.0 + mu * np.cos(2.0 * math.pi * x / period + phase))
+    return rng.poisson(rate).astype(float)
+
+
+class TestStartWavenumber:
+    """_dominant_wavenumber resamples a stack with one np.interp of the
+    fractional index; the per-row resample of each row is the reference."""
+
+    @pytest.mark.parametrize("n, m, layout", [
+        (4, 3, "uniform"), (9, 1, "uniform"), (15, 5, "uniform"),  # grid longer than the data
+        (16, 2, "uniform"), (61, 19, "uniform"), (61, 1, "uniform"),
+        (12, 4, "random"), (61, 19, "random"), (200, 3, "random"),  # non-uniform positions
+        (8, 2, "repeated"), (61, 19, "repeated"), (30, 1, "repeated"),
+    ])
+    def test_same_start_as_the_per_row_resample(self, n, m, layout):
+        rng = np.random.default_rng(n * 100 + m)
+        for _ in range(200):
+            if layout == "uniform":
+                x = np.linspace(-6e-3, 6e-3, n)
+            else:
+                x = np.sort(rng.uniform(-6e-3, 6e-3, n))
+                if layout == "repeated":  # a run of equal positions, the last one too
+                    i = int(rng.integers(0, n - 2))
+                    x[i + 1] = x[i]
+                    x[-1] = x[-2]
+                    if x[-1] <= x[0]:
+                        continue
+            y = fringe_stack(rng, x, m)
+            assert _dominant_wavenumber(x, y) == per_row_start_wavenumber(x, y)
+
+    def test_same_start_on_simulated_sweeps(self):
+        for seed in range(50):
+            scans = sweep_scans(np.linspace(0.0, math.pi, 19), seed)
+            x = scans["position"][0]
+            y = scans["counts"] / scans["integration_time"]
+            assert _dominant_wavenumber(x, y) == per_row_start_wavenumber(x, y)
+
+    @pytest.mark.parametrize("m", [1, 5, 19])
+    def test_one_interp_call_per_fit(self, m, monkeypatch):
+        # the cost of the resample, independent of the machine: one np.interp
+        # whatever the number of rows
+        calls = []
+        interp = np.interp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return interp(*args, **kwargs)
+
+        scans = sweep_scans(np.linspace(0.0, math.pi, m))
+        monkeypatch.setattr(np, "interp", counted)
+        fit_fringe(scans)
+        assert len(calls) == 1
+
+
+def sweep_scans(thetas, seed=300):
     """Counting scans of a pump-angle sweep on the entangled config, one per angle."""
     config = entangled_sweep_config()
     states = [build_two_photon_state(PumpState.from_eps2(config.pump.eps2,
@@ -327,7 +398,7 @@ def sweep_scans(thetas):
                                      config.source) for theta in thetas]
     expected = expected_scan(states, config.source, config.geometry, config.analyzers,
                              config.scan)
-    return sample_counts(expected, config.scan.integration_time, 300)
+    return sample_counts(expected, config.scan.integration_time, seed)
 
 
 class TestFitSharedPeriod:

@@ -1,18 +1,21 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from twinfringe import pipeline
-from twinfringe.config import default_config, entangled_sweep_config
+from twinfringe import spdc
+from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, default_config,
+                               entangled_sweep_config)
 from twinfringe.detection import expected_scan, sample_counts
-from twinfringe.errors import IllPosedError
+from twinfringe.errors import ConfigurationError, IllPosedError
 from twinfringe.fitting import fit_fringe, fringe_params
 from twinfringe.pipeline import (FIG5_TRUTH, reproduce_fig5, simulate_scan,
                                  sweep_pump_angle, theta0_distance)
-from twinfringe.polarization import VERTICAL, PolarizationAngle, PumpState
-from twinfringe.spdc import build_two_photon_state
+from twinfringe.polarization import HORIZONTAL, VERTICAL, PolarizationAngle, PumpState
+from twinfringe.spdc import CrystalConfig, SourceConfig, build_two_photon_state
 
 
 def _derived_seed(master: int, index: int) -> int:
@@ -125,8 +128,11 @@ class TestSweep:
         assert not any(p.converged for p in points)
         assert all(math.isfinite(p.mu) for p in points)
 
-    def test_empty_sweep(self):
+    def test_empty_sweep(self, monkeypatch):
+        # nothing is simulated, so nothing is drawn
+        monkeypatch.setattr(pipeline, "sample_counts", None)
         assert sweep_pump_angle(entangled_sweep_config(), []) == []
+        assert sweep_pump_angle(entangled_sweep_config(), np.array([])) == []
 
     def test_too_few_points_rejected(self):
         config = default_config()
@@ -151,3 +157,107 @@ class TestFig5:
         result = reproduce_fig5(seed=20260808, variant="paper")
         assert result.eps2 > 0.12
         assert not result.checks["eps2"]
+
+
+def scalar_simulate(config, pumps, seed):
+    """The counting scans of pumps built one state at a time: each pump's
+    TwoPhotonState, then expected_scan and one sample_counts draw."""
+    states = [build_two_photon_state(pump, config.source) for pump in pumps]
+    expected = expected_scan(states, config.source, config.geometry, config.analyzers, config.scan)
+    return sample_counts(expected, config.scan.integration_time, seed)
+
+
+def random_config(rng, eps2, analyzers):
+    """default_config with a random source, phase offset and scan mode, the
+    given quadrature amplitude and analyzers, and some background."""
+    axis = PolarizationAngle(rng.uniform(0, math.pi))
+    source = SourceConfig(
+        CrystalConfig(PolarizationAngle(rng.uniform(0, math.pi)), axis, "crystal1"),
+        CrystalConfig(PolarizationAngle(rng.uniform(0, math.pi)), axis.orthogonal(), "crystal2"),
+        phi0=rng.uniform(-math.pi, math.pi))
+    config = default_config()
+    return dataclasses.replace(
+        config, pump=PumpState.from_eps2(eps2, config.pump.theta_p), source=source,
+        analyzers=analyzers,
+        scan=dataclasses.replace(config.scan, background_rate=rng.choice([0.0, 2.5]),
+                                 scan_mode=str(rng.choice(["signal_only", "idler_only", "both"]))))
+
+
+class TestArraySweepMatchesScalarStates:
+    """The sweep computes its curves as arrays over the pump angle; these pin
+    its scans to the one-state-at-a-time chain, byte for byte."""
+
+    def test_sweep_scans_equal_the_scalar_chain(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(pipeline, "fit_fringe", lambda scans: drawn.append(scans) or
+                            fit_fringe(scans))
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            eps2 = (0.0, 1.0, rng.uniform(0.0, 1.0))[trial % 3]
+            chi = PolarizationAngle(rng.uniform(0, math.pi))
+            analyzers = [None, (chi, PolarizationAngle(rng.uniform(0, math.pi))),
+                         (VERTICAL, HORIZONTAL), (HORIZONTAL, VERTICAL)][trial % 4]
+            config = random_config(rng, eps2, analyzers)
+            # angles outside [0, pi) too
+            thetas = [*rng.uniform(-4.0, 8.0, 7), 0.0, math.pi / 2, math.pi]
+            seed = int(rng.integers(0, 2 ** 32))
+            sweep_pump_angle(config, thetas, seed=seed)
+            pumps = [PumpState.from_eps2(eps2, PolarizationAngle(t)) for t in thetas]
+            assert drawn[-1].tobytes() == scalar_simulate(config, pumps, seed).tobytes()
+
+    def test_crossed_analyzers_block_every_row(self, monkeypatch):
+        # with crystal 1's pairs crossed in one arm and crystal 2's in the
+        # other, both Malus factors are exactly 0 and every rate is the background
+        drawn = []
+        monkeypatch.setattr(pipeline, "fit_fringe", lambda scans: drawn.append(scans) or
+                            fit_fringe(scans))
+        config = entangled_sweep_config()
+        config = dataclasses.replace(config, analyzers=(HORIZONTAL, VERTICAL),
+                                     scan=dataclasses.replace(config.scan, background_rate=3.0))
+        thetas = np.linspace(0.0, math.pi, 5)
+        sweep_pump_angle(config, thetas, seed=4)
+        pumps = [PumpState.from_eps2(config.pump.eps2, PolarizationAngle(t)) for t in thetas]
+        assert np.all(drawn[0]["expected_rate"] == 3.0)
+        assert drawn[0].tobytes() == scalar_simulate(config, pumps, 4).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 99])
+    def test_simulate_scan_uses_the_config_eps1(self, seed):
+        # a config may give eps1 explicitly: 0.6 is not the 0.5999999999999999
+        # that PumpState.from_eps2(0.8) completes the norm with
+        doc = config_to_dict(entangled_sweep_config())
+        doc["pump"].update(eps1=0.6, eps2=0.8, theta_p_rad=2.5)
+        config = config_from_dict(doc)
+        assert config.pump.eps1 != PumpState.from_eps2(0.8, VERTICAL).eps1
+        assert simulate_scan(config, seed).tobytes() == \
+            scalar_simulate(config, [config.pump], seed)[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_angle_raises_the_angle_error(self, bad):
+        with pytest.raises(ConfigurationError) as expected:
+            PolarizationAngle(bad)
+        with pytest.raises(ConfigurationError) as got:
+            sweep_pump_angle(entangled_sweep_config(), [0.3, bad, 1.0])
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7"])
+    def test_fig5_seed_is_checked_as_a_config_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^scan\.seed: must be a nonnegative integer$"):
+            reproduce_fig5(seed=seed)
+
+    def test_fig5_builds_no_per_angle_state(self, monkeypatch):
+        # the cost of the array path, independent of the machine: no
+        # TwoPhotonState is built anywhere in the reproduction
+        calls = []
+        original = spdc.build_two_photon_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twinfringe") and getattr(module, "build_two_photon_state",
+                                                         None) is original:
+                monkeypatch.setattr(module, "build_two_photon_state", counted)
+        assert reproduce_fig5(seed=3).passed
+        assert calls == []

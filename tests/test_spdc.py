@@ -8,7 +8,8 @@ from twinfringe.errors import ConfigurationError
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (CrystalConfig, GeometryConfig, SourceConfig,
-                             TwoPhotonState, _curve_coefficients, build_two_photon_state,
+                             TwoPhotonState, _curve_coefficients,
+                             _pump_curve_coefficients, build_two_photon_state,
                              coincidence_probability, default_source,
                              fringe_phase, predicted_visibility,
                              predicted_visibility_with_analyzers)
@@ -194,6 +195,19 @@ class TestPredictedVisibility:
         assert predicted_visibility_with_analyzers(
             bell_state(VERTICAL, VERTICAL), HORIZONTAL, HORIZONTAL) == 0.0
 
+    def test_full_contrast_not_above_one(self):
+        # |a1| = |a2| and chi1 = chi2: 2|a1||a2| can round above
+        # |a1|^2 + |a2|^2 = 1, as can 2|b1||b2| over |b1|^2 + |b2|^2
+        rng = np.random.default_rng(20)
+        for _ in range(5_000):
+            chi = PolarizationAngle(rng.uniform(0, math.pi))
+            pa, pb = rng.uniform(0, 2 * math.pi, 2)
+            state = TwoPhotonState(complex(np.exp(1j * pa) / SQ2),
+                                   complex(np.exp(1j * pb) / SQ2), chi, chi)
+            ana = PolarizationAngle(rng.uniform(0, math.pi))
+            assert predicted_visibility(state) <= 1.0
+            assert predicted_visibility_with_analyzers(state, ana, ana) <= 1.0
+
     def test_dense_curve_bit_equal_to_coincidence_probability(self):
         phis = dense_grid(200_001)[0]
         for state in (bell_state(), TwoPhotonState(0.8, 0.6j, DIAGONAL, VERTICAL),
@@ -230,3 +244,59 @@ class TestLinearPumpReduction:
             ref = 1.0 + math.sin(2 * theta) * np.cos(phis)
             scale = c[0] / ref[0]
             assert np.max(np.abs(c - scale * ref)) < 1e-12
+
+
+def random_source(rng):
+    """Random pair polarizations on a random pair of orthogonal pump axes."""
+    axis = PolarizationAngle(rng.uniform(0, math.pi))
+    return SourceConfig(CrystalConfig(PolarizationAngle(rng.uniform(0, math.pi)), axis, "crystal1"),
+                        CrystalConfig(PolarizationAngle(rng.uniform(0, math.pi)),
+                                      axis.orthogonal(), "crystal2"))
+
+
+def analyzer_cases(rng, source):
+    """No analyzers, a random pair, and pairs with a crossed arm, where a
+    Malus factor is exactly 0: for crystal 1, and for both crystals."""
+    chi1, chi2 = source.crystal1.pair_polarization, source.crystal2.pair_polarization
+    return [(None, None),
+            (PolarizationAngle(rng.uniform(0, math.pi)), PolarizationAngle(rng.uniform(0, math.pi))),
+            (chi1.orthogonal(), PolarizationAngle(rng.uniform(0, math.pi))),
+            (chi1.orthogonal(), chi2.orthogonal())]
+
+
+def scalar_coefficients(eps1, eps2, thetas, source, analyzers):
+    """(mean, Re cross, Im cross, depth) rows of each pump's state, one state at a time."""
+    rows = []
+    for theta in thetas:
+        state = build_two_photon_state(PumpState(eps1, eps2, PolarizationAngle(theta)), source)
+        mean, cross, depth = _curve_coefficients(state, *analyzers)
+        rows.append((mean, cross.real, cross.imag, depth))
+    return np.array(rows).T
+
+
+class TestPumpCurveCoefficients:
+    def test_equal_to_the_scalar_path(self):
+        # equal as numbers on every coefficient; only the sign of a zero
+        # cross term may differ (Python's complex products add signed zero
+        # terms), which no rate sees: tests/test_pipeline.py compares the
+        # scans' bytes
+        rng = np.random.default_rng(7)
+        for trial in range(400):
+            eps2 = (0.0, 1.0, rng.uniform(0.0, 1.0))[trial % 3]
+            eps1 = math.sqrt(1.0 - eps2 * eps2)
+            source = default_source() if trial % 4 == 0 else random_source(rng)
+            # angles outside [0, pi), and the axes and their neighbours
+            thetas = [*rng.uniform(-10.0, 10.0, 6), 0.0, math.pi / 2, math.pi, -math.pi / 4,
+                      np.nextafter(math.pi, 0.0), -1e-20, 7.5]
+            for analyzers in analyzer_cases(rng, source):
+                got = np.array(_pump_curve_coefficients(eps1, eps2, thetas, source, *analyzers))
+                assert np.array_equal(got, scalar_coefficients(eps1, eps2, thetas, source,
+                                                               analyzers))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises_the_angle_error(self, bad):
+        with pytest.raises(ConfigurationError) as expected:
+            PolarizationAngle(bad)
+        with pytest.raises(ConfigurationError) as got:
+            _pump_curve_coefficients(1.0, 0.0, [0.1, bad, math.nan], default_source(), None, None)
+        assert str(got.value) == str(expected.value)
