@@ -125,8 +125,10 @@ def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig
     smoothed = mean_c + f * (c - mean_c)
     top = mean_c + abs(f) * depth  # the smoothed curve's maximum
     shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
-    rates = scan.background_rate + scan.peak_rate * shape
-    return np.stack(np.broadcast_arrays(x, rates), axis=-1)
+    out = np.empty(shape.shape + (2,))
+    out[..., 0] = x
+    out[..., 1] = scan.background_rate + scan.peak_rate * shape
+    return out
 
 
 def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:
@@ -166,5 +168,9 @@ def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:
             rates * integration_time)
     except ValueError as exc:  # means beyond the generator's range
         raise ConfigurationError(f"expected counts out of range: {exc}") from exc
-    return np.rec.fromarrays((points[..., 0], counts, np.full_like(rates, integration_time),
-                              rates), dtype=SCAN_DTYPE)
+    scan = np.empty(rates.shape, SCAN_DTYPE)
+    scan["position"] = points[..., 0]
+    scan["counts"] = counts
+    scan["integration_time"] = integration_time
+    scan["expected_rate"] = rates
+    return scan.view(np.recarray)

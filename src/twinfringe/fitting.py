@@ -23,7 +23,7 @@ from .errors import IllPosedError
 VARIANTS = ("paper", "derived")
 
 _MAX_ITERATIONS = 200  # Gauss-Newton steps before a fit is reported unconverged
-_TOL = 1e-10  # relative step and cost decrease that end a fit
+_TOL = 1e-10  # a Gauss-Newton step below _TOL * k ends a free fit, converged
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def _scan_columns(scan, min_points: int):
     # rounds as it does alone
     y = np.take(y, order, axis=1)
     w = 1.0 / np.maximum(y, 1.0) if counting else np.ones_like(y)
-    return x[0][order], y, w, t[0][order], one_scan
+    return x[0][order], y, w, t[0][order], one_scan, counting
 
 
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
@@ -216,30 +216,31 @@ def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.nda
     """Weighted least squares for (c0, a, b) in t * (c0 + a cos kx + b sin kx).
 
     y and w are one scan, (n,), or a stack of scans, (m, n), against the one
-    design they share.  Returns the coefficients, the design, the inverse
+    design they share, the (3, n) rows [t, t cos kx, t sin kx].  Returns the
+    coefficients, the design, D'W per scan ((3, n) or (m, 3, n)), the inverse
     weighted normal matrices, the residuals and the weighted SSE, per scan;
     coefficients None and SSE inf if singular.
     """
     kx = k * x
-    design = np.empty((x.size, 3))  # the column_stack of the three, at less call overhead
-    design[:, 0], design[:, 1], design[:, 2] = t, t * np.cos(kx), t * np.sin(kx)
-    weighted = design * w[..., None]
+    design = np.empty((3, x.size))
+    design[0], design[1], design[2] = t, t * np.cos(kx), t * np.sin(kx)
+    weighted = design * w[..., None, :]
     try:
-        normal_inv = np.linalg.inv(design.T @ weighted)
+        normal_inv = np.linalg.inv(weighted @ design.T)
     except np.linalg.LinAlgError:
-        return None, design, None, None, np.full(y.shape[:-1], math.inf)
-    coef = (normal_inv @ (weighted.swapaxes(-1, -2) @ y[..., None]))[..., 0]
-    resid = y - (design @ coef[..., None])[..., 0]
-    return coef, design, normal_inv, resid, _dot(resid, w * resid)
+        return None, design, weighted, None, None, np.full(y.shape[:-1], math.inf)
+    coef = (normal_inv @ (weighted @ y[..., None]))[..., 0]
+    resid = y - coef @ design
+    return coef, design, weighted, normal_inv, resid, _dot(resid, w * resid)
 
 
-def _projected_curvature(design, normal_inv, jk, wjk):
+def _projected_curvature(weighted, normal_inv, jk, wjk):
     """Kaufman's projected J'J in k per scan: jk' W jk less its part the linear
-    coefficients absorb; and that part's coefficients q' = (D' W jk)' N^-1, the
+    coefficients absorb; and that part's coefficients q = N^-1 D' W jk, the
     shift of each scan's (c0, a, b) per unit k."""
-    proj = wjk[..., None, :] @ design
-    q = proj @ normal_inv
-    return _dot(jk, wjk) - (q @ proj.swapaxes(-1, -2))[..., 0, 0], q[..., 0, :]
+    proj = weighted @ jk[..., None]
+    q = normal_inv @ proj
+    return _dot(jk, wjk) - (proj.swapaxes(-1, -2) @ q)[..., 0, 0], q[..., 0]
 
 
 def _search_wavenumber(k: float, x, y, w, t):
@@ -248,13 +249,16 @@ def _search_wavenumber(k: float, x, y, w, t):
     y and w are (m, n): one scan per row over the shared positions x and
     integration times t.  At each k every scan's (c0, a, b) is solved by
     _linear_fit; the stack's SSE, gradient and projected curvature are sums
-    over scans, and a step is halved until the SSE does not rise.  The
-    search starts at k clipped into [2 pi / span, pi (n - 1) / span], the
-    wavenumbers n points over the span resolve, and a step that would leave
-    them ends it unconverged; it ends without a step when every scan is flat.
+    over scans.  The search stops, converged, at a fixed point: where the
+    Gauss-Newton step at the current k is below _TOL k, or where halving a
+    step that raises the SSE takes it below _TOL k.  It starts at k clipped
+    into [2 pi / span, pi (n - 1) / span], the wavenumbers n points over the
+    span resolve, and a step that would leave them ends it unconverged; it
+    ends without a step when every scan is flat.
 
-    Returns k, the _linear_fit tuple there, d model / dk at fixed (c0, a, b)
-    per scan, the number of steps, whether the search converged, and why not.
+    Returns k, the _linear_fit tuple there, the summed projected curvature
+    and each scan's q at that k (None when every scan is flat), the number
+    of steps, whether the search converged, and why not.
     """
     span = x[-1] - x[0]
     k_lo, k_hi = 2.0 * math.pi / span, math.pi * (x.size - 1) / span
@@ -262,39 +266,42 @@ def _search_wavenumber(k: float, x, y, w, t):
     fit = _linear_fit(k, x, y, w, t)
     if fit[0] is None:
         raise IllPosedError("the fringe design is singular at the starting period")
-    sse = sum(fit[4].tolist())
+    sse = sum(fit[5].tolist())
     iterations, converged, message = 0, False, ""
     while True:
-        coef, design, normal_inv, resid, _ = fit
+        coef, design, weighted, normal_inv, resid, _ = fit
+        if not any(_contrast(*row) for row in coef.tolist()):
+            return k, fit, None, None, iterations, False, ""
         # d model / dk at fixed (c0, a, b), per scan
-        jk = x * (coef[:, 2, None] * design[:, 1] - coef[:, 1, None] * design[:, 2])
-        if converged or not any(_contrast(*row) for row in coef.tolist()):
-            break
-        if iterations == _MAX_ITERATIONS:
-            message = "iteration limit reached"
-            break
-        iterations += 1
+        jk = x * (coef[:, 2, None] * design[1] - coef[:, 1, None] * design[2])
         wjk = w * jk
-        curvature = sum(_projected_curvature(design, normal_inv, jk, wjk)[0].tolist())
+        curvature, q = _projected_curvature(weighted, normal_inv, jk, wjk)
+        curvature = sum(curvature.tolist())
         step = sum(_dot(wjk, resid).tolist()) / curvature if curvature > 0.0 else math.nan
         if not math.isfinite(step):
             message = "singular curvature in the period search"
             break
+        if abs(step) < _TOL * k:
+            converged = True
+            break
+        if iterations == _MAX_ITERATIONS:
+            message = "iteration limit reached"
+            break
         if not k_lo <= k + step <= k_hi:
             message = "the period search left the wavenumbers the scan resolves"
             break
+        iterations += 1
         trial = _linear_fit(k + step, x, y, w, t)
-        trial_sse = sum(trial[4].tolist())
-        while not trial_sse <= sse and abs(step) >= _TOL * k:
+        trial_sse = sum(trial[5].tolist())
+        while not trial_sse <= sse and abs(0.5 * step) >= _TOL * k:
             step *= 0.5
             trial = _linear_fit(k + step, x, y, w, t)
-            trial_sse = sum(trial[4].tolist())
-        decrease = 0.0  # a rejected step is below the step tolerance
-        if trial_sse <= sse:
-            decrease = (sse - trial_sse) / max(sse, 1e-300)
-            k, fit, sse = k + step, trial, trial_sse
-        converged = abs(step) < _TOL * k and decrease < _TOL
-    return k, fit, jk, iterations, converged, message
+            trial_sse = sum(trial[5].tolist())
+        if not trial_sse <= sse:
+            converged = True  # no step of _TOL k or more lowers the SSE
+            break
+        k, fit, sse = k + step, trial, trial_sse
+    return k, fit, curvature, q, iterations, converged, message
 
 
 def fit_fringe(scan, fix_period: Optional[float] = None,
@@ -311,9 +318,12 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     fixes the period, and only contrast and phase vary from row to row.
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
     over k minimises the summed SSE, starting at the peak of the summed
-    amplitude spectra or at start_period.  fix_period pins k = 2 pi / period
-    instead (zero period variance) and wins over start_period.  One scan is the
-    one-row stack.
+    amplitude spectra or at start_period.  It ends at a fixed point, where
+    the Gauss-Newton step at the current k is below 1e-10 k (or where no
+    step that large lowers the SSE), so a fit started at its own reported
+    period returns it.  fix_period pins k = 2 pi / period instead (zero
+    period variance) and wins over start_period.  One scan is the one-row
+    stack.
 
     Parameter order is [c0, mu, period, psi] in rate units, with
     mu = hypot(a, b) / c0 and psi = atan2(-b, a) from the linear
@@ -322,7 +332,8 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     (c0, a, b per row; k), by the Schur complement on k, scaled by that
     row's SSE / (n - 3 - 1/m) (n - 3 with the period pinned) and carried to
     the parameters by the delta method.  A row of zero contrast reports
-    mu = psi = 0 with NaN errors for mu, period and psi.
+    mu = psi = 0 with NaN errors for mu, period and psi; a counting row of
+    zero counts has a NaN error for c0 as well.
 
     Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
     (4, 4) for one scan; iterations, converged and message describe the
@@ -330,7 +341,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     period always does) and at least one row has contrast.
     """
     fixed = fix_period is not None
-    x, y, w, t, one_scan = _scan_columns(scan, 3 if fixed else 4)
+    x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
     if not fixed and x[-1] - x[0] <= 0.0:
         raise IllPosedError("positions must span at least one period to fit a free period")
 
@@ -344,9 +355,10 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
             raise IllPosedError("the fringe design is singular at the starting period")
         iterations, converged, message = 0, True, ""
     else:
-        k, fit, jk, iterations, converged, message = _search_wavenumber(k, x, y, w, t)
+        k, fit, curvature, q, iterations, converged, message = _search_wavenumber(
+            k, x, y, w, t)
         period = 2.0 * math.pi / k
-    coef, design, normal_inv, _, sse = fit
+    coef, _, _, normal_inv, _, sse = fit
     m, n = y.shape
 
     # d (c0, mu, period, psi) / d (c0, a, b) per row; undefined beyond c0 where
@@ -371,14 +383,14 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         # the shift of (c0, a, b) per unit k.  Through the delta method that is
         # the pinned covariance G N_i^-1 G' plus var_k s_i s_i', where
         # s_i = d params / dk - G q_i.
-        curvature, q = _projected_curvature(design, normal_inv, jk, w * jk)
-        curvature = sum(curvature.tolist())
         var_k = 1.0 / curvature if curvature > 0.0 else math.nan
         s = -(grad @ q[:, :, None])[:, :, 0]
         s[:, 2] -= 2.0 * math.pi / k ** 2
         cov += var_k * (s[:, :, None] * s[:, None, :])
     dof = n - 3 - (0.0 if fixed else 1.0 / m)  # the rows' dof sum to the stack's
     scale = sse * (0.5 / (dof if dof > 0.0 else 1.0))
+    if counting:  # a row of zero counts carries no information, c0 included
+        scale[~y.any(axis=1)] = math.nan
     cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
 
     params, norm = np.array(params), np.sqrt(sse)
@@ -431,11 +443,11 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
     positive = sigma[sigma > 0.0]
     sigma = np.where(sigma > 0.0, sigma, positive.min() if positive.size else 1.0)
     weights = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
-    coef, design, normal_inv, _, sse = _linear_fit(4.0, theta, mu ** 2, weights,
-                                                   np.ones_like(theta))
+    coef, design, _, normal_inv, _, sse = _linear_fit(4.0, theta, mu ** 2, weights,
+                                                      np.ones_like(theta))
     # rank at np.linalg.matrix_rank's default tolerance: angles 45 degrees
     # apart sample cos 4 theta = +-1 only and cannot separate B from C
-    if coef is None or np.linalg.matrix_rank(design) < 3:
+    if coef is None or np.linalg.matrix_rank(design.T) < 3:
         raise IllPosedError("pump angles must take at least three distinct values "
                             "of 4 theta modulo 2 pi")
     a, b, c = coef

@@ -241,6 +241,21 @@ class TestSampleCounts:
         assert rec.expected_rate == 12.5
         assert rec.integration_time == 4.0
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (61,), (19, 61)])
+    def test_record_array_dtype_type_and_shape(self, shape):
+        rng = np.random.default_rng(7)
+        expected = np.stack((rng.uniform(-6e-3, 6e-3, shape),
+                             rng.uniform(0.0, 50.0, shape)), axis=-1)
+        records = sample_counts(expected, 10, seed=3)  # an int integration time
+        assert type(records) is np.recarray
+        assert records.dtype == np.dtype((np.record, SCAN_DTYPE))
+        assert records.shape == shape
+        counts = np.random.default_rng(np.random.SeedSequence(3)).poisson(
+            expected[..., 1] * 10)
+        want = np.rec.fromarrays((expected[..., 0], counts, np.full(shape, 10.0),
+                                  expected[..., 1]), dtype=SCAN_DTYPE)
+        assert records.tobytes() == want.tobytes()
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             sample_counts([(0.0, -1.0)], 1.0, seed=0)

@@ -14,7 +14,8 @@ from twinfringe.fitting import (FitResult, FringeModelParams,
                                 fit_visibility_curve,
                                 fringe_model, fringe_params, mu_eff_model,
                                 visibility_curve_params)
-from twinfringe.pipeline import simulate_scan, theta0_distance
+from twinfringe import fitting, pipeline
+from twinfringe.pipeline import reproduce_fig5, simulate_scan, theta0_distance
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import TwoPhotonState, build_two_photon_state
@@ -237,6 +238,8 @@ class TestFitFringe:
         assert fit.params[0] == pytest.approx(rate, abs=1e-12)
         assert fit.params[1] == 0.0
         assert not np.isfinite(fit.stderr[2]) and not np.isfinite(fit.stderr[3])
+        if counting:  # zero counts carry no information on the mean rate either
+            assert not np.isfinite(fit.stderr[0])
 
     def test_period_must_be_finite_and_positive(self):
         scan = make_noiseless_scan(FringeModelParams(c0=10.0, mu=0.5, period=5e-3))
@@ -495,11 +498,52 @@ class TestFitSharedPeriod:
         alone = fit_fringe(scans[[0, 2]])
         assert fit.converged and fit.message == ""
         assert fit.params[1, 1] == 0.0 and fit.params[1, 3] == 0.0
-        assert np.isnan(fit.stderr[1, 1:]).all() and np.isfinite(fit.stderr[1, 0])
+        assert np.isnan(fit.stderr[1]).all()  # zero counts: no error on c0 either
         assert np.isfinite(fit.stderr[[0, 2]]).all()
         # the flat row carries no information on the period
         assert fit.params[0, 2] == pytest.approx(alone.params[0, 2], rel=1e-9, abs=0.0)
         assert np.allclose(fit.params[[0, 2]], alone.params, rtol=1e-8, atol=0.0)
+
+
+def fig5_stacks(seeds, monkeypatch):
+    """The (19, 61) scan stacks reproduce_fig5 fits, one per seed."""
+    stacks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "fit_fringe",
+                      lambda scans: stacks.append(scans) or fit_fringe(scans))
+        for seed in seeds:
+            reproduce_fig5(seed)
+    return stacks
+
+
+class TestFixedPointStop:
+    """A free fit ends where the Gauss-Newton step at its wavenumber is below
+    1e-10 of it, so a search started there takes no step."""
+
+    @pytest.mark.parametrize("kind", ["single", "fig5"])
+    def test_restart_at_the_reported_period_returns_it(self, kind, monkeypatch):
+        if kind == "single":
+            scans = [simulate_scan(default_config(), seed=seed) for seed in range(200)]
+        else:
+            scans = fig5_stacks(range(200), monkeypatch)
+        for scan in scans:
+            fit = fit_fringe(scan)
+            again = fit_fringe(scan, start_period=float(np.ravel(fit.params)[2]))
+            assert fit.converged and again.converged
+            assert again.iterations <= 1
+            assert np.allclose(again.params, fit.params, rtol=1e-12, atol=0.0)
+
+    def test_linear_solves_per_fig5_search(self, monkeypatch):
+        # the cost of the search, independent of the machine: each step needs
+        # one linear solve at its trial wavenumber and none to confirm the stop
+        stacks = fig5_stacks(range(200), monkeypatch)
+        calls = []
+        linear_fit = fitting._linear_fit
+        monkeypatch.setattr(fitting, "_linear_fit",
+                            lambda *args: calls.append(args[0]) or linear_fit(*args))
+        for scans in stacks:
+            assert fit_fringe(scans).converged
+        assert len(calls) / len(stacks) <= 5.5
 
 
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,
