@@ -112,7 +112,9 @@ def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig
                     scan: ScanConfig) -> np.ndarray:
     """The (m, n, 2) stack of expected_scan from the curve coefficients
     (mean, Re cross, Im cross, depth) of m curves, each an (m,) array."""
-    x = np.asarray(scan.positions, dtype=np.float64)
+    # + 0.0 writes a -0.0 position or rate as 0.0, so scans that compare
+    # equal give equal bytes (pipeline caches the stack on that equality)
+    x = np.asarray(scan.positions, dtype=np.float64) + 0.0
     xs, xi = _detector_positions(x, scan.scan_mode)
     phases = fringe_phase(xs, xi, geometry, source.phi0)
     cos, sin = np.cos(phases), np.sin(phases)
@@ -127,7 +129,7 @@ def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig
     shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
     out = np.empty(shape.shape + (2,))
     out[..., 0] = x
-    out[..., 1] = scan.background_rate + scan.peak_rate * shape
+    out[..., 1] = scan.background_rate + 0.0 + scan.peak_rate * shape
     return out
 
 

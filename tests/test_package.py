@@ -1,4 +1,13 @@
+import json
+import pathlib
+
 import twinfringe
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# what every BENCH_*.json summary entry carries, so that records compare
+BENCH_CORE = {"unit", "better", "bound", "parent", "change", "change_over_parent",
+              "change_wins", "pairs", "within_bound"}
 
 
 def test_public_names_are_unique_and_resolve():
@@ -6,3 +15,22 @@ def test_public_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(twinfringe, name)]
     assert not missing
+
+
+def test_bench_records_share_one_summary_schema():
+    metrics = {m["name"]: m for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        summary = json.loads(path.read_text())["summary"]
+        assert summary, path.name
+        for name, entry in summary.items():
+            where = f"{path.name}: {name}"
+            assert not BENCH_CORE - set(entry), f"{where} lacks {sorted(BENCH_CORE - set(entry))}"
+            spec = metrics[name.split(".", 1)[1]]
+            assert (entry["unit"], entry["better"], entry["bound"]) == \
+                (spec["unit"], spec["better"], spec["bound"]), where
+            for side in ("parent", "change"):
+                q = entry[side]
+                assert q["q1"] <= q["median"] <= q["q3"], f"{where} {side}"

@@ -261,3 +261,141 @@ class TestArraySweepMatchesScalarStates:
                 monkeypatch.setattr(module, "build_two_photon_state", counted)
         assert reproduce_fig5(seed=3).passed
         assert calls == []
+
+
+def stack_bytes(config, thetas, eps1=None, seed=7):
+    """The bytes of the simulate step's counting stack for a sweep of config."""
+    if eps1 is None:
+        eps1 = PumpState.from_eps2(config.pump.eps2, VERTICAL).eps1
+    return pipeline._simulate(config, eps1, thetas, seed).tobytes()
+
+
+def cold_bytes(*args, **kwargs):
+    """stack_bytes from an empty rate cache."""
+    pipeline._expected_stack.cache_clear()
+    return stack_bytes(*args, **kwargs)
+
+
+def point_values(points):
+    return np.array([(p.theta, p.mu, p.sigma_mu, p.converged) for p in points]).tobytes()
+
+
+def fig5_values(result):
+    return point_values(result.points) + np.array(
+        [result.mu_max, result.theta0, result.eps1, result.eps2, result.passed]).tobytes() \
+        + result.fit.params.tobytes() + result.fit.stderr.tobytes()
+
+
+def with_scan(config, **changes):
+    return dataclasses.replace(config, scan=dataclasses.replace(config.scan, **changes))
+
+
+class TestExpectedRateCache:
+    """A sweep's expected rates are computed once per (config, angles) and
+    shared read-only across seeds; the cache must change no output byte."""
+
+    THETAS = tuple(np.linspace(0.0, math.pi, 7).tolist())
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        pipeline._expected_stack.cache_clear()
+        yield
+        pipeline._expected_stack.cache_clear()
+
+    @pytest.mark.parametrize("run, values", [
+        (lambda seed: simulate_scan(default_config(), seed), lambda scan: scan.tobytes()),
+        (lambda seed: sweep_pump_angle(entangled_sweep_config(), TestExpectedRateCache.THETAS,
+                                       seed), point_values),
+        (lambda seed: reproduce_fig5(seed=seed), fig5_values),
+    ], ids=["simulate_scan", "sweep_pump_angle", "reproduce_fig5"])
+    def test_warm_cache_gives_the_cold_bytes(self, run, values):
+        seeds = [0, 1, 2, 99, 12345, 20260808]
+        cold = []
+        for seed in seeds:
+            pipeline._expected_stack.cache_clear()
+            cold.append(values(run(seed)))
+        pipeline._expected_stack.cache_clear()
+        run(31)
+        hits = pipeline._expected_stack.cache_info().hits
+        assert [values(run(seed)) for seed in seeds] == cold
+        assert pipeline._expected_stack.cache_info().hits == hits + len(seeds)
+
+    def test_fig5_seeds_compute_the_rates_once(self, monkeypatch):
+        # the cost of the cache, independent of the machine: ten seeds of
+        # the reproduction make one pump -> state -> rate pass between them
+        calls = {"_pump_curve_coefficients": 0, "_expected_rates": 0}
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        for seed in range(10):
+            reproduce_fig5(seed=seed)
+        assert calls == {"_pump_curve_coefficients": 1, "_expected_rates": 1}
+
+    def test_cached_stack_is_read_only(self):
+        config = entangled_sweep_config()
+        before = stack_bytes(config, self.THETAS)
+        stack = pipeline._expected_stack(config.source, config.geometry, config.scan,
+                                         config.analyzers, config.pump.eps1, config.pump.eps2,
+                                         self.THETAS)
+        assert pipeline._expected_stack.cache_info().hits == 1  # the stack the draws read
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 1] = 0.0
+        assert stack_bytes(config, self.THETAS) == before
+
+    @pytest.mark.parametrize("change", [
+        lambda c, t: (dataclasses.replace(c, pump=PumpState.from_eps2(0.3, c.pump.theta_p)), t),
+        lambda c, t: (c, t[:3] + (t[3] + 0.01,) + t[4:]),
+        lambda c, t: (with_scan(c, slit_width=1e-3), t),
+        lambda c, t: (dataclasses.replace(c, source=dataclasses.replace(c.source, phi0=0.4)), t),
+        lambda c, t: (dataclasses.replace(c, analyzers=(VERTICAL, PolarizationAngle(0.3))), t),
+        lambda c, t: (dataclasses.replace(c, analyzers=None), t),
+        lambda c, t: (with_scan(c, scan_mode="both"), t),
+        lambda c, t: (with_scan(c, positions=c.scan.positions[:-1] + (7e-3,)), t),
+    ], ids=["eps2", "one_angle", "slit_width", "phi0", "analyzers", "no_analyzers",
+            "scan_mode", "positions"])
+    def test_a_changed_key_gives_the_uncached_bytes(self, change):
+        config = entangled_sweep_config()
+        base = stack_bytes(config, self.THETAS)
+        changed_config, changed_thetas = change(config, self.THETAS)
+        warm = stack_bytes(changed_config, changed_thetas)
+        assert warm != base
+        assert warm == cold_bytes(changed_config, changed_thetas)
+
+    @pytest.mark.parametrize("inputs", [
+        lambda c, zero: (c, (zero, 1.0)),
+        # eps1 = 0 is the pump of eps2 = 1
+        lambda c, zero: (dataclasses.replace(c, pump=PumpState.from_eps2(1.0, VERTICAL)),
+                         (0.0, 1.0), zero),
+        lambda c, zero: (with_scan(c, positions=(zero, 1e-3, 2e-3)), (0.3,)),
+        lambda c, zero: (with_scan(c, peak_rate=zero, background_rate=zero), (0.3,)),
+    ], ids=["angle", "eps1", "position", "rates"])
+    def test_equal_keys_give_equal_bytes(self, inputs):
+        # 0.0 and -0.0 compare equal, so either one's cached stack serves
+        # the other: both must simulate the same bytes
+        config = entangled_sweep_config()
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            cold = cold_bytes(*inputs(config, second))
+            pipeline._expected_stack.cache_clear()
+            stack_bytes(*inputs(config, first))
+            assert stack_bytes(*inputs(config, second)) == cold
+            assert pipeline._expected_stack.cache_info().hits == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_angle_leaves_the_cache_unchanged(self, bad):
+        config = entangled_sweep_config()
+        stack_bytes(config, self.THETAS)
+        with pytest.raises(ConfigurationError) as expected:
+            PolarizationAngle(bad)
+        with pytest.raises(ConfigurationError) as got:
+            sweep_pump_angle(config, [0.3, bad, 1.0])
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        info = pipeline._expected_stack.cache_info()
+        assert info.currsize == 1
+        stack_bytes(config, self.THETAS)
+        assert pipeline._expected_stack.cache_info().hits == info.hits + 1

@@ -300,3 +300,77 @@ class TestPumpCurveCoefficients:
         with pytest.raises(ConfigurationError) as got:
             _pump_curve_coefficients(1.0, 0.0, [0.1, bad, math.nan], default_source(), None, None)
         assert str(got.value) == str(expected.value)
+
+
+def jones(angle):
+    """Real Jones vector of a linear polarization on the (V, H) basis."""
+    return np.array([math.cos(angle.radians), math.sin(angle.radians)])
+
+
+def state_vector_coefficients(a1, a2, chi1, chi2, analyzer_signal, analyzer_idler):
+    """Mean and complex cross term of the coincidence curve, from first
+    principles: the pair u + e^{i phi} v of the two origins, with
+    u = a1 |chi1>|chi1> and v = a2 |chi2>|chi2> (signal (x) idler), behind the
+    projector P = |A_s><A_s| (x) |A_i><A_i|.  Then
+    |<A|u + e^{i phi} v>|^2 / 2 = mean + Re(cross e^{i phi}), with
+    mean = (u'Pu + v'Pv) / 2 and cross = u'Pv.  It shares no code with the
+    package's projection, so it referees the analyzer algebra."""
+    u = a1 * np.kron(jones(chi1), jones(chi1))
+    v = a2 * np.kron(jones(chi2), jones(chi2))
+    analyzer = np.kron(jones(analyzer_signal), jones(analyzer_idler))
+    projector = np.outer(analyzer, analyzer)
+    mean = 0.5 * (u.conj() @ projector @ u + v.conj() @ projector @ v)
+    assert abs(mean.imag) < 1e-15
+    return mean.real, u.conj() @ projector @ v
+
+
+def random_angle(rng):
+    return PolarizationAngle(rng.uniform(0.0, math.pi))
+
+
+class TestStateVectorReferee:
+    """The curve coefficients behind analyzers against the two-photon state
+    vector; the bare-detector branch is not refereed here."""
+
+    def test_curve_coefficients_of_random_states(self):
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for trial in range(2000):
+            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+            a1, a2 = z / np.linalg.norm(z)
+            chi1, chi2 = random_angle(rng), random_angle(rng)
+            analyzers = (random_angle(rng), random_angle(rng))
+            if trial % 10 == 0:  # crossed with one origin's pairs in one arm
+                analyzers = (chi1.orthogonal(), analyzers[1])
+            mean, cross, depth = _curve_coefficients(
+                TwoPhotonState(complex(a1), complex(a2), chi1, chi2), *analyzers)
+            ref_mean, ref_cross = state_vector_coefficients(a1, a2, chi1, chi2, *analyzers)
+            worst = max(worst, abs(mean - ref_mean), abs(cross - ref_cross),
+                        abs(depth - abs(ref_cross)))
+        assert worst < 1e-14
+
+    def test_pump_curve_coefficients_of_random_sweeps(self):
+        # the pump amplitudes from the pump's Jones vector projected onto each
+        # crystal's pump axis, as written out in pump_jones's docstring
+        rng = np.random.default_rng(2025)
+        worst = 0.0
+        for trial in range(120):
+            eps2 = (0.0, 1.0, rng.uniform(0.0, 1.0))[trial % 3]
+            eps1 = math.sqrt(1.0 - eps2 * eps2)
+            source = random_source(rng)
+            thetas = rng.uniform(-4.0, 8.0, 9)
+            for analyzers in analyzer_cases(rng, source)[1:]:
+                got = np.array(_pump_curve_coefficients(eps1, eps2, thetas, source, *analyzers))
+                for theta, (mean, cross_re, cross_im, depth) in zip(thetas, got.T):
+                    pump = np.array([eps1 * math.cos(theta) - 1j * eps2 * math.sin(theta),
+                                     eps1 * math.sin(theta) + 1j * eps2 * math.cos(theta)])
+                    a = np.array([jones(c.pump_axis) @ pump
+                                  for c in (source.crystal1, source.crystal2)])
+                    a1, a2 = a / np.linalg.norm(a)
+                    ref_mean, ref_cross = state_vector_coefficients(
+                        a1, a2, source.crystal1.pair_polarization,
+                        source.crystal2.pair_polarization, *analyzers)
+                    worst = max(worst, abs(mean - ref_mean),
+                                abs(complex(cross_re, cross_im) - ref_cross),
+                                abs(depth - abs(ref_cross)))
+        assert worst < 1e-14
