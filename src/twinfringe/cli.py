@@ -27,8 +27,8 @@ from .config import (ENV_CONFIG_PATH, RunConfig, default_config,
                      default_config_path, load_config)
 from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
-from .fitting import (VARIANTS, FitResult, fit_fringe, fit_visibility_curve,
-                      fringe_params, visibility_curve_params)
+from .fitting import (FitResult, fit_fringe, fit_visibility_curve, fringe_params,
+                      visibility_curve_params)
 from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH,
                        reproduce_fig5, simulate_scan, sweep_pump_angle)
 
@@ -294,19 +294,18 @@ def cmd_fit(args) -> int:
                                       "curve is solved in closed form")
         points = read_sweep_csv(args.data)
         try:
-            fit = fit_visibility_curve(points, variant=args.variant)
+            fit = fit_visibility_curve(points)
         except ValueError as exc:
             raise TwinfringeError(str(exc)) from exc
-        p = visibility_curve_params(fit, args.variant)
+        p = visibility_curve_params(fit)
         se = fit.stderr
-        print(f"visibility-curve fit ({args.variant}): "
+        print("visibility-curve fit: "
               f"mu_max = {p.mu_max:.4f} +/- {se[0]:.4f}   "
               f"theta0 = {p.theta0:.4f} +/- {se[1]:.4f} rad   "
               f"eps1 = {p.eps1:.4f} +/- {se[2]:.4f}   eps2 = {p.eps2:.4f}   "
               f"({'converged' if fit.converged else 'NOT CONVERGED'})")
         report = {
             "model": "viscurve",
-            "variant": args.variant,
             "params": {"mu_max": p.mu_max, "theta0": p.theta0,
                        "eps1": p.eps1, "eps2": p.eps2},
             "stderr": {"mu_max": se[0], "theta0": se[1], "eps1": se[2]},
@@ -328,11 +327,9 @@ def cmd_fit(args) -> int:
 
 def cmd_reproduce_fig5(args) -> int:
     os.makedirs(args.output, exist_ok=True)
-    result = reproduce_fig5(seed=args.seed if args.seed is not None else FIG5_SEED,
-                            variant=args.variant)
+    result = reproduce_fig5(seed=args.seed if args.seed is not None else FIG5_SEED)
     write_sweep_csv(result.points, os.path.join(args.output, "visibility_sweep.csv"))
     report = {
-        "variant": result.variant,
         "fitted": {"mu_max": result.mu_max, "theta0": result.theta0,
                    "eps1": result.eps1, "eps2": result.eps2},
         "reference": dict(FIG5_TRUTH),
@@ -344,7 +341,7 @@ def cmd_reproduce_fig5(args) -> int:
     }
     _write_report(report, os.path.join(args.output, "fig5_report.json"))
 
-    print(f"visibility sweep reproduction (variant = {result.variant})")
+    print("visibility sweep reproduction")
     print(f"{'parameter':>9} {'fitted':>9} {'reference':>10} {'delta':>9} "
           f"{'tolerance':>10} {'ok':>4}")
     fitted = {"mu_max": result.mu_max, "theta0": result.theta0, "eps2": result.eps2}
@@ -353,13 +350,6 @@ def cmd_reproduce_fig5(args) -> int:
         print(f"{key:>9} {fitted[key]:>9.4f} {FIG5_TRUTH[key]:>10.4f} "
               f"{result.deltas[key]:>9.4f} {FIG5_TOLERANCE[key]:>10.4f} "
               f"{'yes' if result.checks[key] else 'NO':>4}{note}")
-    if result.variant == "paper":
-        eps2 = FIG5_TRUTH["eps2"]
-        floor_pred = result.mu_max * (2.0 * math.sqrt(1 - eps2 ** 2) * eps2) ** 2
-        floor_obs = min(p.mu for p in result.points)
-        print(f"note: at eps2 = {eps2} the paper-variant floor would be "
-              f"{floor_pred:.4f}, but the simulated sweep bottoms out at "
-              f"{floor_obs:.4f}; the fit compensates with an inflated eps2")
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
     print(f"outputs in {args.output}")
     return EXIT_OK
@@ -412,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit an exported data file")
     p.add_argument("data", help="scan or sweep CSV")
     p.add_argument("--model", choices=["fringe", "viscurve"], required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="derived")
     p.add_argument("--fix-period", type=float, default=None,
                    help="pin the fringe period (meters)")
     p.add_argument("--observable", choices=["auto", "counts", "expected"],
@@ -427,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic end-to-end sweep reproduction "
                             "with pass/fail comparison")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", choices=VARIANTS, default="derived")
     p.add_argument("--output", default="fig5_out", help="output directory")
     p.set_defaults(func=cmd_reproduce_fig5)
 

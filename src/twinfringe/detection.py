@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,35 +83,28 @@ def _detector_positions(x: np.ndarray, scan_mode: str):
     return x, x
 
 
-def expected_scan(state: Union[TwoPhotonState, Sequence[TwoPhotonState]],
-                  source: SourceConfig, geometry: GeometryConfig,
+def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: GeometryConfig,
                   analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]],
-                  scan: ScanConfig):
+                  scan: ScanConfig) -> np.ndarray:
     """Noise-free expected coincidence rate at each scan position.
 
     The ideal curve's modulation is rescaled about its mean by
     instrument_factor * slit_visibility_factor, then mapped so the global
     fringe maximum corresponds to peak_rate, on top of background_rate.
 
-    Returns an (n, 2) float64 array of (position, expected_rate) rows for
-    one state, or an (m, n, 2) stack of them for a sequence of m states
-    (a pump-angle sweep: one geometry and scan, m pair states).  The
-    phases, their cos/sin and the slit factor are computed once for the
-    stack; each row is bit-identical to a one-state call.
+    Returns an (n, 2) float64 array of (position, expected_rate) rows.
     """
-    states = [state] if isinstance(state, TwoPhotonState) else list(state)
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
-    coefficients = np.reshape(
-        [(mean, z.real, z.imag, d) for mean, z, d in
-         (_curve_coefficients(s, ana_s, ana_i) for s in states)], (len(states), 4)).T
-    out = _expected_rates(coefficients, source, geometry, scan)
-    return out[0] if isinstance(state, TwoPhotonState) else out
+    mean, cross, depth = _curve_coefficients(state, ana_s, ana_i)
+    coefficients = np.array([[mean], [cross.real], [cross.imag], [depth]])
+    return _expected_rates(coefficients, source, geometry, scan)[0]
 
 
 def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig,
                     scan: ScanConfig) -> np.ndarray:
-    """The (m, n, 2) stack of expected_scan from the curve coefficients
-    (mean, Re cross, Im cross, depth) of m curves, each an (m,) array."""
+    """The (m, n, 2) stack of expected (position, rate) rows of m curves, from
+    their curve coefficients (mean, Re cross, Im cross, depth), each an (m,)
+    array; expected_scan is its one-curve case."""
     # + 0.0 writes a -0.0 position or rate as 0.0, so scans that compare
     # equal give equal bytes (pipeline caches the stack on that equality)
     x = np.asarray(scan.positions, dtype=np.float64) + 0.0
@@ -143,10 +136,11 @@ def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:
     are identical.
 
     expected is one scan of (position, rate) rows, or an (m, n, 2) stack of
-    scans such as expected_scan returns for m states.  A stack is drawn as
-    one scan of its m*n points in row order: row 0 equals a one-scan call
-    with the same seed, and the first k rows equal those of a stack of
-    their k scans.  The rows share the one stream; none has its own.
+    scans, one expected_scan per row, such as a pump-angle sweep draws.  A
+    stack is drawn as one scan of its m*n points in row order: row 0 equals
+    a one-scan call with the same seed, and the first k rows equal those of
+    a stack of their k scans.  The rows share the one stream; none has its
+    own.
 
     Returns a record array of SCAN_DTYPE, one row per point: (n,) for one
     scan, (m, n) for a stack.

@@ -5,9 +5,12 @@ period, so it is fitted by variable projection: a weighted linear solve
 inside a Gauss-Newton search over the wavenumber alone.  A stack of scans
 that share one period (a pump-angle sweep) is fitted in one call: one
 search over the shared wavenumber, with a linear solve per scan.  The
-visibility vs pump-angle curve (entanglement sweep) is linear in {1, cos 4
-theta, sin 4 theta} once mu is squared, so it is one weighted linear solve
-whose coefficients map to (mu_max, theta0, eps1) in closed form.
+visibility vs pump-angle curve (entanglement sweep) has one fit, of the
+curve the coincidence fringe produces (mu_eff_model's 'derived' form): it
+is linear in {1, cos 4 theta, sin 4 theta} once mu is squared, so it is one
+weighted linear solve whose coefficients map to (mu_max, theta0, eps1) in
+closed form.  mu_eff_model also evaluates the literal 'paper' form, which
+no fit uses.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ class VisibilityCurveParams:
     """Effective-visibility curve over the pump angle.
 
     mu_max is the instrument ceiling, theta0 the pump-dial offset, eps1 the
-    in-phase pump ellipse amplitude (eps2 follows from normalization).  The
-    two variants differ in how the pump-ellipticity floor enters:
-    'derived' uses sqrt(v1 + v2^2), the fringe amplitude the coincidence
-    curve itself produces; 'paper' uses sqrt(v1^2 + v2^2), an alternative
-    closed form kept for literal comparison.  The phase-scan oracle agrees
-    with 'derived'.
+    in-phase pump ellipse amplitude (eps2 follows from normalization).
+    variant selects how mu_eff_model lets the pump-ellipticity floor enter:
+    'derived' (the default) uses sqrt(v1 + v2^2), the fringe amplitude the
+    coincidence curve itself produces, and is the model fit_visibility_curve
+    fits; 'paper' uses sqrt(v1^2 + v2^2), the literal alternative closed
+    form, kept only to evaluate.  The phase-scan oracle agrees with
+    'derived'.
     """
 
     mu_max: float
@@ -410,19 +414,16 @@ def fringe_params(result: FitResult) -> FringeModelParams:
 # --- visibility-curve fitting ---------------------------------------------------
 
 
-def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
+def fit_visibility_curve(points) -> FitResult:
     """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples.
 
-    With D = 2 eps1^2 - 1 and u = D^2, both variants are linear in
+    With D = 2 eps1^2 - 1 and u = D^2, the model is linear in
     {1, cos 4 theta, sin 4 theta} once squared:
-      derived  mu^2 = mu_max^2 (1 - u/2 - (u/2) cos 4(theta - theta0))
-      paper    mu^2 = mu_max^2 ((1 - u)^2 + u/2 - (u/2) cos 4(theta - theta0))
+      mu^2 = mu_max^2 (1 - u/2 - (u/2) cos 4(theta - theta0))
     so one weighted linear solve for A + B cos 4 theta + C sin 4 theta gives
     the parameters in closed form; the fit takes no iterations.  With
-    R = hypot(B, C), 'derived' has mu_max^2 = A + R and u = 2R / (A + R);
-    'paper' has u the root <= 1 of 2u^2 - (4 + rho) u + 2 = 0 with
-    rho = (A - R) / R (u = 1 if A < R) and mu_max^2 = 2R / u.  u is clipped to
-    [0, 1] and eps1 = sqrt((1 + sqrt u) / 2), so eps1 >= eps2.  theta0 =
+    R = hypot(B, C), mu_max^2 = A + R and u = 2R / (A + R), clipped to
+    [0, 1], and eps1 = sqrt((1 + sqrt u) / 2), so eps1 >= eps2.  theta0 =
     atan2(-C, -B) / 4 is reported in [0, pi/2), the period to which the curve
     identifies it.
 
@@ -433,8 +434,6 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
     A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
     it reports eps1 = eps2, theta0 = 0 and NaN errors, unconverged.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     theta, mu, sigma = _as_arrays(points)
     if theta.size < 4:
         raise IllPosedError("need at least 4 (theta, mu, sigma) points")
@@ -458,25 +457,14 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
                          "unidentifiable: flat visibility curve (eps1 = eps2), "
                          "theta0 is undefined")
 
-    # u and the slopes of u and mu_max come from the implicit equation F(u, A, R) = 0
-    # that each variant's u solves, taken at the clipped u
+    # the slopes of mu_max and u in (A, B, C), taken at the clipped u; a + r > 0:
+    # the fitted curve's weighted mean is that of mu^2, not all zero
     r_abc = np.array([0.0, b / r, c / r])  # dR/d(A, B, C)
     a_abc = np.array([1.0, 0.0, 0.0])  # dA/d(A, B, C)
-    if variant == "derived":
-        # a + r > 0: the fitted curve's weighted mean is that of mu^2, not all zero
-        mu_max = math.sqrt(a + r)
-        u = min(2.0 * r / (a + r), 1.0)  # F = u (a + r) - 2r
-        du = (-u * a_abc + (2.0 - u) * r_abc) / (a + r)
-        dmu = (a_abc + r_abc) / (2.0 * mu_max)
-    else:
-        rho = (a - r) / r
-        u = 4.0 / (4.0 + rho + math.sqrt(rho * (8.0 + rho))) if rho > 0.0 else 1.0
-        mu_max = math.sqrt(2.0 * r / u)
-        slope = 4.0 * r * u - a - 3.0 * r  # dF/du of F = 2r u^2 - (a + 3r) u + 2r,
-        if slope == 0.0:                    # zero at a = r: u has a vertical tangent there
-            slope = math.nan
-        du = (u * a_abc - (2.0 * u * u - 3.0 * u + 2.0) * r_abc) / slope
-        dmu = 0.5 * mu_max * (r_abc / r - du / u)
+    mu_max = math.sqrt(a + r)
+    u = min(2.0 * r / (a + r), 1.0)
+    du = (-u * a_abc + (2.0 - u) * r_abc) / (a + r)
+    dmu = (a_abc + r_abc) / (2.0 * mu_max)
     eps1 = math.sqrt(0.5 * (1.0 + math.sqrt(u)))
     jac = np.array([dmu,
                     [0.0, -c / (4.0 * r * r), b / (4.0 * r * r)],
@@ -486,7 +474,7 @@ def fit_visibility_curve(points, variant: str = "derived") -> FitResult:
                      0.5 * (cov + cov.T), math.sqrt(sse), 0, True)
 
 
-def visibility_curve_params(result: FitResult, variant: str = "derived") -> VisibilityCurveParams:
+def visibility_curve_params(result: FitResult) -> VisibilityCurveParams:
     """View a fit_visibility_curve result as VisibilityCurveParams."""
     mu_max, theta0, eps1 = result.params
-    return VisibilityCurveParams(float(mu_max), float(theta0), float(eps1), variant)
+    return VisibilityCurveParams(float(mu_max), float(theta0), float(eps1))

@@ -119,7 +119,6 @@ def theta0_distance(theta0: float, reference: float) -> float:
 class Fig5Result:
     points: List[SweepPoint]
     fit: FitResult
-    variant: str
     mu_max: float
     theta0: float
     eps1: float
@@ -142,7 +141,7 @@ _FIG5_DIAL = tuple(np.linspace(0.0, math.pi, FIG5_N_ANGLES).tolist())
 _FIG5_ANGLES = tuple(((np.array(_FIG5_DIAL) - FIG5_TRUTH["theta0"]) % math.pi).tolist())
 
 
-def reproduce_fig5(seed: int = FIG5_SEED, variant: str = "derived") -> Fig5Result:
+def reproduce_fig5(seed: int = FIG5_SEED) -> Fig5Result:
     """Run the full visibility-sweep reproduction and compare to the
     reference values (mu_max = 0.77, theta0 = pi, eps2 = 0.08).
 
@@ -158,16 +157,15 @@ def reproduce_fig5(seed: int = FIG5_SEED, variant: str = "derived") -> Fig5Resul
     for point, d in zip(points, _FIG5_DIAL):
         point.theta = d
 
-    fit = fit_visibility_curve([(p.theta, p.mu, p.sigma_mu) for p in points],
-                               variant=variant)
-    params = visibility_curve_params(fit, variant)
+    fit = fit_visibility_curve([(p.theta, p.mu, p.sigma_mu) for p in points])
+    params = visibility_curve_params(fit)
     deltas = {
         "mu_max": abs(params.mu_max - FIG5_TRUTH["mu_max"]),
         "theta0": theta0_distance(params.theta0, FIG5_TRUTH["theta0"]),
         "eps2": abs(params.eps2 - FIG5_TRUTH["eps2"]),
     }
     checks = {key: deltas[key] <= FIG5_TOLERANCE[key] for key in deltas}
-    return Fig5Result(points=points, fit=fit, variant=variant,
+    return Fig5Result(points=points, fit=fit,
                       mu_max=params.mu_max, theta0=params.theta0,
                       eps1=params.eps1, eps2=params.eps2,
                       deltas=deltas, checks=checks,

@@ -1,10 +1,13 @@
 """Two-photon state of the two-crystal source and its coincidence fringes.
 
 Each crystal converts one linear component of the pump into photon pairs of a
-fixed polarization.  Because the pair polarization is tied to the crystal of
-origin, the effective state space is a single qubit spanned by the two origin
-labels, with complex amplitudes set by the pump projection onto each
-crystal's conversion axis.
+fixed polarization: both photons of a pair from crystal j carry its pair
+polarization chi_j, so crystal j contributes a_j |chi_j> (x) |chi_j>, with
+complex amplitudes a_j set by the pump projection onto each crystal's
+conversion axis.  The two origin terms interfere through the two-photon
+overlap <chi1|chi2>^2 = cos^2(chi2 - chi1); they form a single qubit
+spanned by the two origin labels only when the pairs are parallel or
+orthogonal.
 """
 
 from __future__ import annotations
@@ -141,13 +144,14 @@ def _projected_amplitudes(state: TwoPhotonState,
 
     With both analyzers present the pairs from either crystal end up in the
     same projected polarization state, so the two-path overlap is 1.  Without
-    analyzers the pair polarizations themselves overlap as cos(chi2 - chi1).
+    analyzers the two-photon pair states overlap as <chi1|chi2>^2 =
+    cos^2(chi2 - chi1), a function of the angles modulo pi.
     """
     if (analyzer_signal is None) != (analyzer_idler is None):
         raise ConfigurationError(
             "analyzers must be present in both arms or absent in both")
     if analyzer_signal is None:
-        return state.a1, state.a2, math.cos(state.chi2.radians - state.chi1.radians)
+        return state.a1, state.a2, math.cos(state.chi2.radians - state.chi1.radians) ** 2
     m1 = malus_amplitude(state.chi1, analyzer_signal) * malus_amplitude(state.chi1, analyzer_idler)
     m2 = malus_amplitude(state.chi2, analyzer_signal) * malus_amplitude(state.chi2, analyzer_idler)
     return state.a1 * m1, state.a2 * m2, 1.0
@@ -158,7 +162,7 @@ def _curve_coefficients(state: TwoPhotonState, analyzer_signal, analyzer_idler):
     curve c(phi) = mean + Re(cross) cos(phi) - Im(cross) sin(phi)."""
     b1, b2, overlap = _projected_amplitudes(state, analyzer_signal, analyzer_idler)
     return (0.5 * (abs(b1) ** 2 + abs(b2) ** 2), overlap * (b1.conjugate() * b2),
-            abs(overlap) * abs(b1) * abs(b2))
+            overlap * abs(b1) * abs(b2))
 
 
 def _pump_curve_coefficients(eps1: float, eps2: float, thetas: Sequence[float],
@@ -210,7 +214,7 @@ def _pump_curve_coefficients(eps1: float, eps2: float, thetas: Sequence[float],
     return (0.5 * (np.float_power(abs1, 2.0) + np.float_power(abs2, 2.0)),
             overlap * (b1_re * b2_re + b1_im * b2_im),
             overlap * (b1_re * b2_im - b1_im * b2_re),
-            abs(overlap) * abs1 * abs2)
+            overlap * abs1 * abs2)
 
 
 def coincidence_probability(state: TwoPhotonState, phase,
@@ -234,12 +238,11 @@ def coincidence_probability(state: TwoPhotonState, phase,
 def predicted_visibility(state: TwoPhotonState) -> float:
     """Fringe visibility with bare (analyzer-free) detectors.
 
-    2|a1||a2| |cos(chi2 - chi1)|; the magnitude is taken because a negative
-    cosine is physically a pi shift of the fringe, not negative contrast.
-    Clamped at 1, which 2|a1||a2| can round above when |a1| = |a2|.
+    2|a1||a2| cos^2(chi2 - chi1), clamped at 1, which 2|a1||a2| can round
+    above when |a1| = |a2|.
     """
-    return min(2.0 * abs(state.a1) * abs(state.a2) * abs(
-        math.cos(state.chi2.radians - state.chi1.radians)), 1.0)
+    return min(2.0 * abs(state.a1) * abs(state.a2)
+               * math.cos(state.chi2.radians - state.chi1.radians) ** 2, 1.0)
 
 
 def predicted_visibility_with_analyzers(state: TwoPhotonState,

@@ -687,7 +687,7 @@ class TestCliSweepAndFit:
         sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
             f"{t},0.5,0.01\n" for t in np.linspace(0, math.pi, 8)))
 
-        def fake_fit(points, variant="derived"):
+        def fake_fit(points):
             return FitResult(params=np.array([0.5, 0.0, 0.9]),
                              covariance=np.eye(3), residual_norm=1.0,
                              iterations=200, converged=False, message="stalled")
@@ -709,12 +709,22 @@ class TestCliFig5AndOracle:
         assert report["passed"] is True
         assert (outdir / "visibility_sweep.csv").exists()
 
-    def test_paper_variant_documents_floor_mismatch(self, tmp_path):
-        proc = run_cli(["reproduce-fig5", "--variant", "paper",
-                        "--output", str(tmp_path / "fig5p")])
-        assert proc.returncode == 0
-        assert "verdict: FAIL" in proc.stdout
-        assert "note:" in proc.stdout
+    def test_variant_flag_is_gone(self, tmp_path):
+        # one visibility-curve estimator: --variant is an unknown flag, exit 2
+        # before any output is written
+        sweep = tmp_path / "s.csv"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t},{0.4 + 0.3 * math.cos(4 * t)},0.01\n" for t in np.linspace(0, math.pi, 19)))
+        for args, output in (
+                (["fit", str(sweep), "--model", "viscurve", "--variant", "derived",
+                  "--output", str(tmp_path / "r.json")], tmp_path / "r.json"),
+                (["reproduce-fig5", "--variant", "paper", "--output", str(tmp_path / "fig5")],
+                 tmp_path / "fig5")):
+            proc = run_cli(args)
+            assert proc.returncode == 2, proc.stderr
+            assert "unrecognized arguments: --variant" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not output.exists()
 
     def test_seed_changes_data_not_verdict(self, tmp_path):
         reports = []

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from twinfringe.config import default_config
-from twinfringe.detection import (SCAN_DTYPE, ScanConfig, expected_scan,
+from twinfringe.detection import (SCAN_DTYPE, ScanConfig, _expected_rates, expected_scan,
                                   sample_counts, slit_visibility_factor)
 from twinfringe.errors import ConfigurationError
 from twinfringe.fitting import fit_fringe, fringe_params
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
-from twinfringe.spdc import (GeometryConfig, _projected_amplitudes,
+from twinfringe.spdc import (GeometryConfig, _curve_coefficients, _projected_amplitudes,
                              build_two_photon_state, coincidence_probability,
                              default_source, fringe_phase,
                              predicted_visibility_with_analyzers)
@@ -151,8 +151,8 @@ def reference_expected_scan(state, source, geometry, analyzers, scan):
 
 
 class TestStackedScans:
-    """A sequence of states is one (m, n, 2) stack; a stack and one seed are
-    sampled into one (m, n) record array."""
+    """The rate stack of m curves has one-state expected_scan rows; a stack
+    and one seed are sampled into one (m, n) record array."""
 
     @staticmethod
     def states():
@@ -160,6 +160,10 @@ class TestStackedScans:
         pumps = [PumpState.from_eps2(0.08, PolarizationAngle(theta))
                  for theta in np.linspace(0.0, math.pi, 7)]
         return source, [build_two_photon_state(p, source) for p in pumps]
+
+    @staticmethod
+    def stack(states, source, geometry, analyzers, scan):
+        return np.stack([expected_scan(s, source, geometry, analyzers, scan) for s in states])
 
     @pytest.mark.parametrize("analyzers", [ANA45, None, (VERTICAL, HORIZONTAL)])
     @pytest.mark.parametrize("scan_mode, slit, background",
@@ -169,7 +173,10 @@ class TestStackedScans:
         geometry = GeometryConfig(fringe_period=5e-3)
         scan = make_scan(scan_mode=scan_mode, slit_width=slit, background_rate=background,
                          instrument_factor=0.77)
-        stack = expected_scan(states, source, geometry, analyzers, scan)
+        coefficients = np.array([(mean, z.real, z.imag, d) for mean, z, d in
+                                 (_curve_coefficients(s, *(analyzers or (None, None)))
+                                  for s in states)]).T
+        stack = _expected_rates(coefficients, source, geometry, scan)
         assert stack.shape == (len(states), 61, 2)
         for row, state in zip(stack, states):
             one = expected_scan(state, source, geometry, analyzers, scan)
@@ -180,8 +187,8 @@ class TestStackedScans:
     def test_sampled_rows_are_one_scan_calls(self):
         # a stack is one scan of its m * n points in row order, from one seed
         source, states = self.states()
-        stack = expected_scan(states, source, GeometryConfig(fringe_period=5e-3), ANA45,
-                              make_scan())
+        stack = self.stack(states, source, GeometryConfig(fringe_period=5e-3), ANA45,
+                           make_scan())
         records = sample_counts(stack, 10.0, 7)
         assert records.shape == (len(states), 61) and records.dtype == SCAN_DTYPE
         flat = sample_counts(stack.reshape(-1, 2), 10.0, 7)
@@ -194,8 +201,8 @@ class TestStackedScans:
         # one integer seed for any shape; SeedSequence would quietly take a
         # list of them as entropy
         source, states = self.states()
-        stack = expected_scan(states[:3], source, GeometryConfig(fringe_period=5e-3), ANA45,
-                              make_scan())
+        stack = self.stack(states[:3], source, GeometryConfig(fringe_period=5e-3), ANA45,
+                           make_scan())
         for seed in ([1, 2, 3], (4,), np.array([5]), -1, True, np.bool_(False), 2.0, "3",
                      None):
             for expected in (stack, stack[0]):

@@ -396,11 +396,9 @@ class TestStartWavenumber:
 def sweep_scans(thetas, seed=300):
     """Counting scans of a pump-angle sweep on the entangled config, one per angle."""
     config = entangled_sweep_config()
-    states = [build_two_photon_state(PumpState.from_eps2(config.pump.eps2,
-                                                         PolarizationAngle(theta)),
-                                     config.source) for theta in thetas]
-    expected = expected_scan(states, config.source, config.geometry, config.analyzers,
-                             config.scan)
+    expected = np.stack([expected_scan(build_two_photon_state(
+        PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta)), config.source),
+        config.source, config.geometry, config.analyzers, config.scan) for theta in thetas])
     return sample_counts(expected, config.scan.integration_time, seed)
 
 
@@ -414,9 +412,10 @@ class TestFitSharedPeriod:
         period = config.geometry.fringe_period
         pumps = [PumpState.from_eps2(config.pump.eps2, PolarizationAngle(theta))
                  for theta in np.linspace(0.1, 3.0, 5)]
-        scans = expected_scan([build_two_photon_state(pump, config.source)
-                               for pump in pumps + [PumpState.linear(VERTICAL)]],
-                              config.source, config.geometry, config.analyzers, config.scan)
+        scans = np.stack([expected_scan(build_two_photon_state(pump, config.source),
+                                        config.source, config.geometry, config.analyzers,
+                                        config.scan)
+                          for pump in pumps + [PumpState.linear(VERTICAL)]])
         pinned = fit_fringe(scans, fix_period=period).params
         assert len({round(mu, 3) for mu in pinned[:5, 1]}) == 5
         assert len({round(psi, 3) for psi in pinned[:5, 3]}) == 5
@@ -561,7 +560,7 @@ class TestFitVisibilityCurve:
         ok = 0
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            fit = fit_visibility_curve(synthetic_curve(rng), variant="derived")
+            fit = fit_visibility_curve(synthetic_curve(rng))
             p = visibility_curve_params(fit)
             d_theta = min((p.theta0 - math.pi) % (math.pi / 2),
                           (math.pi / 2) - (p.theta0 - math.pi) % (math.pi / 2))
@@ -605,11 +604,11 @@ class TestFitVisibilityCurve:
         p = visibility_curve_params(fit)
         assert p.eps1 >= p.eps2
 
-    @pytest.mark.parametrize("variant", ["derived", "paper"])
+    # the curve model the fit recovers; mu_eff_model's 'paper' form has no fit
+    @pytest.mark.parametrize("variant", ["derived"])
     def test_noise_free_curves_recovered(self, variant):
-        # eps2 stays in [0.05, 0.65]: the paper floor scales as eps2^4, so below
-        # that the rounding of mu^2 ~ mu_max^2 swamps it, and as eps2 -> eps1
-        # the curve flattens and theta0 becomes undefined
+        # eps2 stays in [0.05, 0.65]: as eps2 -> eps1 the curve flattens and
+        # theta0 becomes undefined
         rng = np.random.default_rng(31)
         theta = np.linspace(0.0, math.pi, 19)
         for _ in range(200):
@@ -617,8 +616,8 @@ class TestFitVisibilityCurve:
             truth = VisibilityCurveParams(rng.uniform(0.1, 1.0), rng.uniform(0.0, math.pi),
                                           math.sqrt(1.0 - eps2 ** 2), variant)
             points = np.column_stack((theta, mu_eff_model(theta, truth), np.full(19, 0.01)))
-            fit = fit_visibility_curve(points, variant=variant)
-            p = visibility_curve_params(fit, variant)
+            fit = fit_visibility_curve(points)
+            p = visibility_curve_params(fit)
             assert fit.converged and fit.iterations == 0
             assert 0.0 <= p.theta0 < math.pi / 2
             assert abs(p.mu_max - truth.mu_max) <= 1e-10
@@ -626,20 +625,16 @@ class TestFitVisibilityCurve:
             assert abs(p.eps2 - eps2) <= 1e-10
 
     @staticmethod
-    def closed_form(coef, variant):
+    def closed_form(coef):
         """(mu_max, theta0, eps1) from mu^2 = A + B cos 4 theta + C sin 4 theta."""
         a, b, c = coef
         r = math.hypot(b, c)
-        if variant == "derived":
-            mu_max_sq, u = a + r, 2.0 * r / (a + r)
-        else:
-            rho = (a - r) / r
-            u = (4.0 + rho - math.sqrt((4.0 + rho) ** 2 - 16.0)) / 4.0
-            mu_max_sq = 2.0 * r / u
+        mu_max_sq, u = a + r, 2.0 * r / (a + r)
         return np.array([math.sqrt(mu_max_sq), (math.atan2(-c, -b) / 4.0) % (math.pi / 2),
                          math.sqrt((1.0 + math.sqrt(u)) / 2.0)])
 
-    @pytest.mark.parametrize("variant", ["derived", "paper"])
+    # the curve model the fit recovers; mu_eff_model's 'paper' form has no fit
+    @pytest.mark.parametrize("variant", ["derived"])
     def test_weighted_normal_equations_on_mu_squared(self, variant):
         rng = np.random.default_rng(21)
         theta, mu, sigma = np.array(synthetic_curve(rng, theta0=1.0, variant=variant)).T
@@ -648,13 +643,12 @@ class TestFitVisibilityCurve:
         normal = design.T @ (w[:, None] * design)
         coef = np.linalg.solve(normal, design.T @ (w * mu ** 2))
         resid = mu ** 2 - design @ coef
-        jac = np.column_stack([(self.closed_form(coef + h, variant)
-                                - self.closed_form(coef - h, variant)) / 2e-7
+        jac = np.column_stack([(self.closed_form(coef + h) - self.closed_form(coef - h)) / 2e-7
                                for h in 1e-7 * np.eye(3)])
         cov = jac @ np.linalg.inv(normal) @ jac.T * float(resid @ (w * resid)) / (theta.size - 3)
-        fit = fit_visibility_curve(list(zip(theta, mu, sigma)), variant=variant)
+        fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
         assert fit.converged
-        assert np.allclose(fit.params, self.closed_form(coef, variant), rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.params, self.closed_form(coef), rtol=1e-12, atol=0.0)
         assert np.allclose(fit.covariance, cov, rtol=1e-6, atol=1e-9 * np.abs(cov).max())
 
     def test_linear_pump_clips_to_eps1_one_with_finite_error(self):
@@ -672,15 +666,6 @@ class TestFitVisibilityCurve:
         assert p.eps1 == 1.0
         assert 0.0 < fit.stderr[2] < np.inf
         assert theta0_distance(p.theta0, theta0) < 1e-3
-
-    def test_paper_linear_pump_at_the_vertical_tangent(self):
-        # A = R to rounding, where u(A, R) has an infinite slope: no division error
-        theta = np.linspace(0.0, math.pi, 19)
-        truth = VisibilityCurveParams(0.8, 0.3, 1.0, "paper")
-        points = np.column_stack((theta, mu_eff_model(theta, truth), np.full(19, 0.01)))
-        fit = fit_visibility_curve(points, variant="paper")
-        assert fit.converged
-        assert visibility_curve_params(fit, "paper").eps1 == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("column", [0, 1, 2])

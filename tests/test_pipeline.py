@@ -11,7 +11,8 @@ from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, de
                                entangled_sweep_config)
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import ConfigurationError, IllPosedError
-from twinfringe.fitting import fit_fringe, fringe_params
+from twinfringe.fitting import (fit_fringe, fit_visibility_curve, fringe_params,
+                                visibility_curve_params)
 from twinfringe.pipeline import (FIG5_TRUTH, reproduce_fig5, simulate_scan,
                                  sweep_pump_angle, theta0_distance)
 from twinfringe.polarization import HORIZONTAL, VERTICAL, PolarizationAngle, PumpState
@@ -151,19 +152,32 @@ class TestFig5:
         assert abs(result.eps2 - FIG5_TRUTH["eps2"]) < 0.03
         assert theta0_distance(result.theta0, FIG5_TRUTH["theta0"]) < 0.1
 
-    def test_paper_variant_inflates_eps2(self):
-        # the alternative closed form predicts a much lower floor, so the
-        # fit must push eps2 well above the simulated 0.08 to compensate
-        result = reproduce_fig5(seed=20260808, variant="paper")
-        assert result.eps2 > 0.12
-        assert not result.checks["eps2"]
+    def test_one_estimator_takes_no_variant(self):
+        # one closed-form visibility-curve fit: no variant to select, and the
+        # reported fit is that estimator on the reported sweep, bit for bit
+        result = reproduce_fig5(seed=7)
+        rows = [(p.theta, p.mu, p.sigma_mu) for p in result.points]
+        assert "variant" not in {f.name for f in dataclasses.fields(result)}
+        with pytest.raises(TypeError, match="variant"):
+            reproduce_fig5(seed=7, variant="derived")
+        with pytest.raises(TypeError, match="variant"):
+            fit_visibility_curve(rows, variant="derived")
+        with pytest.raises(TypeError, match="variant"):
+            visibility_curve_params(result.fit, variant="derived")
+        refit = fit_visibility_curve(rows)
+        assert refit.params.tobytes() == result.fit.params.tobytes()
+        params = visibility_curve_params(refit)
+        assert params.variant == "derived"
+        assert (params.mu_max, params.theta0, params.eps1) == (
+            result.mu_max, result.theta0, result.eps1)
 
 
 def scalar_simulate(config, pumps, seed):
     """The counting scans of pumps built one state at a time: each pump's
     TwoPhotonState, then expected_scan and one sample_counts draw."""
-    states = [build_two_photon_state(pump, config.source) for pump in pumps]
-    expected = expected_scan(states, config.source, config.geometry, config.analyzers, config.scan)
+    expected = np.stack([expected_scan(build_two_photon_state(pump, config.source),
+                                       config.source, config.geometry, config.analyzers,
+                                       config.scan) for pump in pumps])
     return sample_counts(expected, config.scan.integration_time, seed)
 
 

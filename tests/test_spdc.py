@@ -311,14 +311,18 @@ def state_vector_coefficients(a1, a2, chi1, chi2, analyzer_signal, analyzer_idle
     """Mean and complex cross term of the coincidence curve, from first
     principles: the pair u + e^{i phi} v of the two origins, with
     u = a1 |chi1>|chi1> and v = a2 |chi2>|chi2> (signal (x) idler), behind the
-    projector P = |A_s><A_s| (x) |A_i><A_i|.  Then
-    |<A|u + e^{i phi} v>|^2 / 2 = mean + Re(cross e^{i phi}), with
+    projector P = |A_s><A_s| (x) |A_i><A_i|, or P = identity for bare
+    detectors, which count every pair.  Then the coincidence probability
+    <u + e^{i phi} v|P|u + e^{i phi} v> / 2 = mean + Re(cross e^{i phi}), with
     mean = (u'Pu + v'Pv) / 2 and cross = u'Pv.  It shares no code with the
-    package's projection, so it referees the analyzer algebra."""
+    package's projection, so it referees the projection algebra."""
     u = a1 * np.kron(jones(chi1), jones(chi1))
     v = a2 * np.kron(jones(chi2), jones(chi2))
-    analyzer = np.kron(jones(analyzer_signal), jones(analyzer_idler))
-    projector = np.outer(analyzer, analyzer)
+    if analyzer_signal is None:
+        projector = np.eye(4)
+    else:
+        analyzer = np.kron(jones(analyzer_signal), jones(analyzer_idler))
+        projector = np.outer(analyzer, analyzer)
     mean = 0.5 * (u.conj() @ projector @ u + v.conj() @ projector @ v)
     assert abs(mean.imag) < 1e-15
     return mean.real, u.conj() @ projector @ v
@@ -328,9 +332,16 @@ def random_angle(rng):
     return PolarizationAngle(rng.uniform(0.0, math.pi))
 
 
+def random_state(rng):
+    """A random normalized state on random pair polarizations."""
+    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    a1, a2 = z / np.linalg.norm(z)
+    return TwoPhotonState(complex(a1), complex(a2), random_angle(rng), random_angle(rng))
+
+
 class TestStateVectorReferee:
-    """The curve coefficients behind analyzers against the two-photon state
-    vector; the bare-detector branch is not refereed here."""
+    """The curve coefficients, behind analyzers and with bare detectors,
+    against the two-photon state vector."""
 
     def test_curve_coefficients_of_random_states(self):
         rng = np.random.default_rng(2024)
@@ -359,7 +370,7 @@ class TestStateVectorReferee:
             eps1 = math.sqrt(1.0 - eps2 * eps2)
             source = random_source(rng)
             thetas = rng.uniform(-4.0, 8.0, 9)
-            for analyzers in analyzer_cases(rng, source)[1:]:
+            for analyzers in analyzer_cases(rng, source):
                 got = np.array(_pump_curve_coefficients(eps1, eps2, thetas, source, *analyzers))
                 for theta, (mean, cross_re, cross_im, depth) in zip(thetas, got.T):
                     pump = np.array([eps1 * math.cos(theta) - 1j * eps2 * math.sin(theta),
@@ -374,3 +385,59 @@ class TestStateVectorReferee:
                                 abs(complex(cross_re, cross_im) - ref_cross),
                                 abs(depth - abs(ref_cross)))
         assert worst < 1e-14
+
+    def test_bare_curve_coefficients(self):
+        # the bare cross term carries the two-photon overlap <chi1|chi2>^2
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for _ in range(2000):
+            state = random_state(rng)
+            mean, cross, depth = _curve_coefficients(state, None, None)
+            ref_mean, ref_cross = state_vector_coefficients(state.a1, state.a2, state.chi1,
+                                                            state.chi2, None, None)
+            worst = max(worst, abs(mean - ref_mean), abs(cross - ref_cross),
+                        abs(depth - abs(ref_cross)),
+                        abs(predicted_visibility(state) - abs(ref_cross) / ref_mean))
+        assert worst < 1e-14
+        # balanced pairs 45 degrees apart: cos^2 = 1/2 halves the contrast
+        state = TwoPhotonState(complex(1 / SQ2), complex(1 / SQ2), VERTICAL, DIAGONAL)
+        assert predicted_visibility(state) == pytest.approx(0.5, abs=1e-15)
+
+    def test_bare_curve_is_the_sum_over_analyzer_bases(self):
+        # bare detectors count every pair: the sum of the analyzer curves over
+        # a complete basis in each arm, here {0, pi/2} and a random one
+        rng = np.random.default_rng(2027)
+        worst = 0.0
+        for _ in range(1000):
+            state = random_state(rng)
+            mean, cross, _ = _curve_coefficients(state, None, None)
+            for base in (PolarizationAngle(0.0), random_angle(rng)):
+                basis = (base, base.orthogonal())
+                terms = [_curve_coefficients(state, s, i) for s in basis for i in basis]
+                worst = max(worst, abs(mean - sum(t[0] for t in terms)),
+                            abs(cross - sum(t[1] for t in terms)))
+        assert worst < 1e-14
+
+    def test_bare_curve_invariant_under_a_common_rotation(self):
+        # rotating both pair polarizations by delta leaves the bare curve as it
+        # is, also where one angle crosses PolarizationAngle's mod-pi wrap
+        rng = np.random.default_rng(2028)
+
+        def rotated(state, delta):
+            return TwoPhotonState(state.a1, state.a2,
+                                  PolarizationAngle(state.chi1.radians + delta),
+                                  PolarizationAngle(state.chi2.radians + delta))
+
+        near = TwoPhotonState(0.6 + 0j, 0.8j, PolarizationAngle(0.01), PolarizationAngle(3.13))
+        cases = [(near, 0.02), (near, -0.02)]
+        cases += [(random_state(rng), rng.uniform(-math.pi, math.pi)) for _ in range(1000)]
+        worst = 0.0
+        for state, delta in cases:
+            mean, cross, depth = _curve_coefficients(state, None, None)
+            turned = _curve_coefficients(rotated(state, delta), None, None)
+            worst = max(worst, abs(mean - turned[0]), abs(cross - turned[1]),
+                        abs(depth - turned[2]))
+        assert worst < 1e-14
+        # nearly the same polarization modulo pi: the fringe is not pi-shifted
+        cross = _curve_coefficients(near, None, None)[1]
+        assert cross.imag == pytest.approx(0.48 * math.cos(3.12) ** 2, abs=1e-15)
