@@ -96,33 +96,20 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: Geometr
     """
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     mean, cross, depth = _curve_coefficients(state, ana_s, ana_i)
-    coefficients = np.array([[mean], [cross.real], [cross.imag], [depth]])
-    return _expected_rates(coefficients, source, geometry, scan)[0]
-
-
-def _expected_rates(coefficients, source: SourceConfig, geometry: GeometryConfig,
-                    scan: ScanConfig) -> np.ndarray:
-    """The (m, n, 2) stack of expected (position, rate) rows of m curves, from
-    their curve coefficients (mean, Re cross, Im cross, depth), each an (m,)
-    array; expected_scan is its one-curve case."""
     # + 0.0 writes a -0.0 position or rate as 0.0, so scans that compare
-    # equal give equal bytes (pipeline caches the stack on that equality)
+    # equal give equal bytes (pipeline caches the rates on that equality)
     x = np.asarray(scan.positions, dtype=np.float64) + 0.0
     xs, xi = _detector_positions(x, scan.scan_mode)
     phases = fringe_phase(xs, xi, geometry, source.phi0)
-    cos, sin = np.cos(phases), np.sin(phases)
+    c = mean + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
     f = scan.instrument_factor * slit_visibility_factor(
         scan.slit_width, geometry.fringe_period)
-
-    # (m, 1) columns: each curve's mean, cross term and modulation depth
-    mean_c, cross_re, cross_im, depth = (v[:, None] for v in coefficients)
-    c = mean_c + cross_re * cos - cross_im * sin
-    smoothed = mean_c + f * (c - mean_c)
-    top = mean_c + abs(f) * depth  # the smoothed curve's maximum
-    shape = np.divide(smoothed, top, out=np.zeros_like(smoothed), where=top > 0.0)
+    smoothed = mean + f * (c - mean)
+    top = mean + abs(f) * depth  # the smoothed curve's maximum
+    shape = smoothed / top if top > 0.0 else np.zeros_like(smoothed)
     out = np.empty(shape.shape + (2,))
-    out[..., 0] = x
-    out[..., 1] = scan.background_rate + 0.0 + scan.peak_rate * shape
+    out[:, 0] = x
+    out[:, 1] = scan.background_rate + 0.0 + scan.peak_rate * shape
     return out
 
 

@@ -12,11 +12,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import RunConfig, _seed, entangled_sweep_config
-from .detection import _expected_rates, sample_counts
+from .detection import expected_scan, sample_counts
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
                       visibility_curve_params)
-from .polarization import VERTICAL, PumpState
-from .spdc import _pump_curve_coefficients
+from .polarization import VERTICAL, PolarizationAngle, PumpState
+from .spdc import build_two_photon_state
 
 # reference values the reproduction is checked against, with tolerances
 FIG5_TRUTH = {"mu_max": 0.77, "theta0": math.pi, "eps2": 0.08}
@@ -29,7 +29,8 @@ FIG5_N_ANGLES = 19
 def _expected_stack(source, geometry, scan, analyzers, eps1: float, eps2: float,
                     thetas: tuple) -> np.ndarray:
     """The read-only (m, n, 2) stack of expected (position, rate) rows of m
-    pumps of amplitudes (eps1, eps2) at the angles thetas (radians).
+    pumps of amplitudes (eps1, eps2) at the angles thetas (radians): one
+    build_two_photon_state and one expected_scan per angle.
 
     No seed enters it, so a seed loop over one sweep computes it once.  It
     is keyed on the config's source, geometry, scan and analyzers (a
@@ -39,9 +40,11 @@ def _expected_stack(source, geometry, scan, analyzers, eps1: float, eps2: float,
     the traffic is a seed loop over one (config, angles), and one entry
     bounds memory to one stack.
     """
-    coefficients = _pump_curve_coefficients(eps1, eps2, thetas, source,
-                                            *(analyzers or (None, None)))
-    stack = _expected_rates(coefficients, source, geometry, scan)
+    stack = np.stack([
+        expected_scan(build_two_photon_state(
+            PumpState(eps1, eps2, PolarizationAngle(theta)), source),
+            source, geometry, analyzers, scan)
+        for theta in thetas])
     stack.flags.writeable = False
     return stack
 
@@ -50,10 +53,10 @@ def _simulate(config: RunConfig, eps1: float, thetas: Sequence[float], seed: Opt
     """An (m, n) stack of counting scans, one per pump angle in thetas (radians)
     with amplitudes eps1 and the config's eps2, drawn from seed or the config's.
 
-    The expected rates come from _expected_stack: computed once per (config,
-    angles), held in its one-entry cache and shared read-only across seeds,
-    byte-identical to a fresh computation.  Only the Poisson draw reads the
-    seed.
+    Each row's expected rates are those of the angle's build_two_photon_state
+    and expected_scan, from _expected_stack: computed once per (config,
+    angles), held in its one-entry cache and shared read-only across seeds.
+    Only the Poisson draw reads the seed.
     """
     # the angles' tuple from a list: tuple() of an iterator builds it by
     # resizing, and CPython's tuple free list then keeps up to 2000 of the
@@ -80,7 +83,8 @@ class SweepPoint:
 def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
                      seed: Optional[int] = None) -> List[SweepPoint]:
     """Visibility versus pump angle: simulate every angle as one row of a
-    scan stack, then fit the stack at the one fringe period its rows share.
+    scan stack (its state, then its expected_scan, then one draw for the
+    stack), and fit the stack at the one fringe period its rows share.
 
     Every angle has the same geometry and so the same positions, times and
     fringe period; only contrast and phase change with the angle.  The

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -163,58 +162,6 @@ def _curve_coefficients(state: TwoPhotonState, analyzer_signal, analyzer_idler):
     b1, b2, overlap = _projected_amplitudes(state, analyzer_signal, analyzer_idler)
     return (0.5 * (abs(b1) ** 2 + abs(b2) ** 2), overlap * (b1.conjugate() * b2),
             overlap * abs(b1) * abs(b2))
-
-
-def _pump_curve_coefficients(eps1: float, eps2: float, thetas: Sequence[float],
-                             source: SourceConfig,
-                             analyzer_signal: Optional[PolarizationAngle],
-                             analyzer_idler: Optional[PolarizationAngle]):
-    """The curve coefficients (mean, Re cross, Im cross, depth) of m pumps of
-    amplitudes (eps1, eps2) at the angles thetas (radians), as (m,) arrays.
-
-    Equal to _curve_coefficients of build_two_photon_state(PumpState(eps1,
-    eps2, PolarizationAngle(theta)), source) for each theta: the same
-    operations in the same order, on the real and imaginary parts that
-    Python's complex arithmetic forms.  Hence np.float_power(h, 2.0), which
-    calls libm pow as Python's h ** 2 does (numpy's h ** 2 and h * h
-    multiply), and np.hypot, which is abs() of a complex.  Only the sign of
-    a zero cross term can differ, and no rate sees it.  A non-finite angle
-    raises PolarizationAngle's error.
-
-    This second copy of the pump -> state algebra is deliberate: sweeps
-    need m states at once, while the oracle and the closed forms take one
-    state at a time, where the scalar path is several times cheaper.
-    """
-    radians = [float(theta) % math.pi for theta in thetas]  # PolarizationAngle's
-    if not all(map(math.isfinite, radians)):
-        for theta in thetas:
-            PolarizationAngle(theta)  # raises for the first non-finite angle
-    # pump_jones on (V, H); cos and sin from math, as the scalar path takes them
-    cos_t = np.array([math.cos(r) for r in radians])
-    sin_t = np.array([math.sin(r) for r in radians])
-    v_re, v_im = eps1 * cos_t, -(eps2 * sin_t)
-    h_re, h_im = eps1 * sin_t, eps2 * cos_t
-    # JonesVector.project_onto each crystal's pump axis, then the norm
-    projections = []
-    for axis in (source.crystal1.pump_axis, source.crystal2.pump_axis):
-        c, s = math.cos(axis.radians), math.sin(axis.radians)
-        projections.append((c * v_re + s * h_re, c * v_im + s * h_im))
-    (a1_re, a1_im), (a2_re, a2_im) = projections
-    n = np.sqrt(np.float_power(np.hypot(a1_re, a1_im), 2.0)
-                + np.float_power(np.hypot(a2_re, a2_im), 2.0))
-    b1_re, b1_im, b2_re, b2_im = a1_re / n, a1_im / n, a2_re / n, a2_im / n
-    # _projected_amplitudes of unit amplitudes: each origin's field
-    # transmission through the analyzers (1.0 without them) and the overlap
-    m1, m2, overlap = _projected_amplitudes(
-        SimpleNamespace(a1=1.0, a2=1.0, chi1=source.crystal1.pair_polarization,
-                        chi2=source.crystal2.pair_polarization),
-        analyzer_signal, analyzer_idler)
-    b1_re, b1_im, b2_re, b2_im = b1_re * m1, b1_im * m1, b2_re * m2, b2_im * m2
-    abs1, abs2 = np.hypot(b1_re, b1_im), np.hypot(b2_re, b2_im)
-    return (0.5 * (np.float_power(abs1, 2.0) + np.float_power(abs2, 2.0)),
-            overlap * (b1_re * b2_re + b1_im * b2_im),
-            overlap * (b1_re * b2_im - b1_im * b2_re),
-            overlap * abs1 * abs2)
 
 
 def coincidence_probability(state: TwoPhotonState, phase,

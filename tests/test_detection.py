@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from twinfringe.config import default_config
-from twinfringe.detection import (SCAN_DTYPE, ScanConfig, _expected_rates, expected_scan,
-                                  sample_counts, slit_visibility_factor)
+from twinfringe.detection import (SCAN_DTYPE, ScanConfig, expected_scan, sample_counts,
+                                  slit_visibility_factor)
 from twinfringe.errors import ConfigurationError
 from twinfringe.fitting import fit_fringe, fringe_params
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
-from twinfringe.spdc import (GeometryConfig, _curve_coefficients, _projected_amplitudes,
+from twinfringe.spdc import (GeometryConfig, _projected_amplitudes,
                              build_two_photon_state, coincidence_probability,
                              default_source, fringe_phase,
                              predicted_visibility_with_analyzers)
@@ -151,8 +151,8 @@ def reference_expected_scan(state, source, geometry, analyzers, scan):
 
 
 class TestStackedScans:
-    """The rate stack of m curves has one-state expected_scan rows; a stack
-    and one seed are sampled into one (m, n) record array."""
+    """Each state's expected_scan is the rescaled coincidence curve; a stack
+    of them and one seed are sampled into one (m, n) record array."""
 
     @staticmethod
     def states():
@@ -173,14 +173,9 @@ class TestStackedScans:
         geometry = GeometryConfig(fringe_period=5e-3)
         scan = make_scan(scan_mode=scan_mode, slit_width=slit, background_rate=background,
                          instrument_factor=0.77)
-        coefficients = np.array([(mean, z.real, z.imag, d) for mean, z, d in
-                                 (_curve_coefficients(s, *(analyzers or (None, None)))
-                                  for s in states)]).T
-        stack = _expected_rates(coefficients, source, geometry, scan)
-        assert stack.shape == (len(states), 61, 2)
-        for row, state in zip(stack, states):
+        for state in states:
             one = expected_scan(state, source, geometry, analyzers, scan)
-            assert row.tobytes() == one.tobytes()
+            assert one.shape == (61, 2)
             assert one.tobytes() == reference_expected_scan(state, source, geometry,
                                                             analyzers, scan).tobytes()
 

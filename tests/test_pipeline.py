@@ -1,12 +1,10 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from twinfringe import pipeline
-from twinfringe import spdc
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, default_config,
                                entangled_sweep_config)
 from twinfringe.detection import expected_scan, sample_counts
@@ -198,8 +196,9 @@ def random_config(rng, eps2, analyzers):
 
 
 class TestArraySweepMatchesScalarStates:
-    """The sweep computes its curves as arrays over the pump angle; these pin
-    its scans to the one-state-at-a-time chain, byte for byte."""
+    """The sweep's scans are the one-state-at-a-time chain; these pin the
+    pipeline's wiring of it (the config's eps1, crossed analyzers, the
+    angle check) to a chain built here, byte for byte."""
 
     def test_sweep_scans_equal_the_scalar_chain(self, monkeypatch):
         drawn = []
@@ -245,7 +244,7 @@ class TestArraySweepMatchesScalarStates:
         assert simulate_scan(config, seed).tobytes() == \
             scalar_simulate(config, [config.pump], seed)[0].tobytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises_the_angle_error(self, bad):
         with pytest.raises(ConfigurationError) as expected:
             PolarizationAngle(bad)
@@ -258,23 +257,6 @@ class TestArraySweepMatchesScalarStates:
     def test_fig5_seed_is_checked_as_a_config_seed(self, seed):
         with pytest.raises(ConfigError, match=r"^scan\.seed: must be a nonnegative integer$"):
             reproduce_fig5(seed=seed)
-
-    def test_fig5_builds_no_per_angle_state(self, monkeypatch):
-        # the cost of the array path, independent of the machine: no
-        # TwoPhotonState is built anywhere in the reproduction
-        calls = []
-        original = spdc.build_two_photon_state
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("twinfringe") and getattr(module, "build_two_photon_state",
-                                                         None) is original:
-                monkeypatch.setattr(module, "build_two_photon_state", counted)
-        assert reproduce_fig5(seed=3).passed
-        assert calls == []
 
 
 def stack_bytes(config, thetas, eps1=None, seed=7):
@@ -336,8 +318,9 @@ class TestExpectedRateCache:
 
     def test_fig5_seeds_compute_the_rates_once(self, monkeypatch):
         # the cost of the cache, independent of the machine: ten seeds of
-        # the reproduction make one pump -> state -> rate pass between them
-        calls = {"_pump_curve_coefficients": 0, "_expected_rates": 0}
+        # the reproduction make one pump -> state -> rate pass between them,
+        # one state and one expected_scan per angle
+        calls = {"build_two_photon_state": 0, "expected_scan": 0}
         for name in calls:
             original = getattr(pipeline, name)
 
@@ -348,7 +331,7 @@ class TestExpectedRateCache:
             monkeypatch.setattr(pipeline, name, counted)
         for seed in range(10):
             reproduce_fig5(seed=seed)
-        assert calls == {"_pump_curve_coefficients": 1, "_expected_rates": 1}
+        assert calls == {"build_two_photon_state": 19, "expected_scan": 19}  # 19 angles
 
     def test_cached_stack_is_read_only(self):
         config = entangled_sweep_config()

@@ -8,8 +8,7 @@ from twinfringe.errors import ConfigurationError
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (CrystalConfig, GeometryConfig, SourceConfig,
-                             TwoPhotonState, _curve_coefficients,
-                             _pump_curve_coefficients, build_two_photon_state,
+                             TwoPhotonState, _curve_coefficients, build_two_photon_state,
                              coincidence_probability, default_source,
                              fringe_phase, predicted_visibility,
                              predicted_visibility_with_analyzers)
@@ -264,41 +263,42 @@ def analyzer_cases(rng, source):
             (chi1.orthogonal(), chi2.orthogonal())]
 
 
-def scalar_coefficients(eps1, eps2, thetas, source, analyzers):
-    """(mean, Re cross, Im cross, depth) rows of each pump's state, one state at a time."""
-    rows = []
-    for theta in thetas:
-        state = build_two_photon_state(PumpState(eps1, eps2, PolarizationAngle(theta)), source)
-        mean, cross, depth = _curve_coefficients(state, *analyzers)
-        rows.append((mean, cross.real, cross.imag, depth))
-    return np.array(rows).T
+def pump_sweep_coefficients(eps1, eps2, thetas, source, analyzers):
+    """(mean, cross, depth) of each pump angle's state, the chain a sweep runs per angle."""
+    return [_curve_coefficients(build_two_photon_state(
+        PumpState(eps1, eps2, PolarizationAngle(theta)), source), *analyzers) for theta in thetas]
 
 
 class TestPumpCurveCoefficients:
-    def test_equal_to_the_scalar_path(self):
-        # equal as numbers on every coefficient; only the sign of a zero
-        # cross term may differ (Python's complex products add signed zero
-        # terms), which no rate sees: tests/test_pipeline.py compares the
-        # scans' bytes
+    """The curve coefficients of pump-built states over a pump-angle sweep."""
+
+    def test_contrast_follows_the_elliptical_pump_law(self):
+        # crystals on V/H pump axes with V and H pairs, both analyzers at 45
+        # degrees: the contrast is 2|a1||a2| with |a1|^2 = eps1^2 cos^2 + eps2^2 sin^2,
+        # |a2|^2 = eps1^2 sin^2 + eps2^2 cos^2, i.e.
+        # sqrt(sin^2(2 theta) (eps1^2 - eps2^2)^2 + 4 eps1^2 eps2^2)
         rng = np.random.default_rng(7)
         for trial in range(400):
             eps2 = (0.0, 1.0, rng.uniform(0.0, 1.0))[trial % 3]
             eps1 = math.sqrt(1.0 - eps2 * eps2)
-            source = default_source() if trial % 4 == 0 else random_source(rng)
             # angles outside [0, pi), and the axes and their neighbours
             thetas = [*rng.uniform(-10.0, 10.0, 6), 0.0, math.pi / 2, math.pi, -math.pi / 4,
                       np.nextafter(math.pi, 0.0), -1e-20, 7.5]
-            for analyzers in analyzer_cases(rng, source):
-                got = np.array(_pump_curve_coefficients(eps1, eps2, thetas, source, *analyzers))
-                assert np.array_equal(got, scalar_coefficients(eps1, eps2, thetas, source,
-                                                               analyzers))
+            rows = pump_sweep_coefficients(eps1, eps2, thetas, default_source(), ANA45)
+            for theta, (mean, cross, depth) in zip(thetas, rows):
+                law = math.sqrt(math.sin(2.0 * theta) ** 2 * (eps1 ** 2 - eps2 ** 2) ** 2
+                                + 4.0 * eps1 ** 2 * eps2 ** 2)
+                assert depth == pytest.approx(abs(cross), rel=1e-14)
+                assert depth / mean == pytest.approx(law, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises_the_angle_error(self, bad):
+        # the first non-finite angle of a sweep names itself, not a later nan
         with pytest.raises(ConfigurationError) as expected:
             PolarizationAngle(bad)
         with pytest.raises(ConfigurationError) as got:
-            _pump_curve_coefficients(1.0, 0.0, [0.1, bad, math.nan], default_source(), None, None)
+            pump_sweep_coefficients(1.0, 0.0, [0.1, bad, math.nan], default_source(),
+                                    (None, None))
         assert str(got.value) == str(expected.value)
 
 
@@ -360,8 +360,9 @@ class TestStateVectorReferee:
                         abs(depth - abs(ref_cross)))
         assert worst < 1e-14
 
-    def test_pump_curve_coefficients_of_random_sweeps(self):
-        # the pump amplitudes from the pump's Jones vector projected onto each
+    def test_curve_coefficients_of_random_pump_sweeps(self):
+        # the pump -> state -> curve chain that sweeps run, one angle at a
+        # time; the reference projects the pump's Jones vector onto each
         # crystal's pump axis, as written out in pump_jones's docstring
         rng = np.random.default_rng(2025)
         worst = 0.0
@@ -371,8 +372,9 @@ class TestStateVectorReferee:
             source = random_source(rng)
             thetas = rng.uniform(-4.0, 8.0, 9)
             for analyzers in analyzer_cases(rng, source):
-                got = np.array(_pump_curve_coefficients(eps1, eps2, thetas, source, *analyzers))
-                for theta, (mean, cross_re, cross_im, depth) in zip(thetas, got.T):
+                for theta in thetas:
+                    mean, cross, depth = _curve_coefficients(build_two_photon_state(
+                        PumpState(eps1, eps2, PolarizationAngle(theta)), source), *analyzers)
                     pump = np.array([eps1 * math.cos(theta) - 1j * eps2 * math.sin(theta),
                                      eps1 * math.sin(theta) + 1j * eps2 * math.cos(theta)])
                     a = np.array([jones(c.pump_axis) @ pump
@@ -381,8 +383,7 @@ class TestStateVectorReferee:
                     ref_mean, ref_cross = state_vector_coefficients(
                         a1, a2, source.crystal1.pair_polarization,
                         source.crystal2.pair_polarization, *analyzers)
-                    worst = max(worst, abs(mean - ref_mean),
-                                abs(complex(cross_re, cross_im) - ref_cross),
+                    worst = max(worst, abs(mean - ref_mean), abs(cross - ref_cross),
                                 abs(depth - abs(ref_cross)))
         assert worst < 1e-14
 
