@@ -26,7 +26,11 @@ from .errors import IllPosedError
 VARIANTS = ("paper", "derived")
 
 _MAX_ITERATIONS = 200  # Gauss-Newton steps before a fit is reported unconverged
-_TOL = 1e-10  # a Gauss-Newton step below _TOL * k ends a free fit, converged
+# a free fit ends, converged, at a Gauss-Newton step below the larger of _TOL * k
+# and _SIGMA_TOL of k's standard error: the remaining step is then ~1% of the
+# noise (MINUIT's EDM stop), and noise-free rows, whose error is ~0, keep _TOL * k
+_TOL = 1e-10
+_SIGMA_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,11 @@ def _search_wavenumber(k: float, x, y, w, t):
     integration times t.  At each k every scan's (c0, a, b) is solved by
     _linear_fit; the stack's SSE, gradient and projected curvature are sums
     over scans.  The search stops, converged, at a fixed point: where the
-    Gauss-Newton step at the current k is below _TOL k, or where halving a
-    step that raises the SSE takes it below _TOL k.  It starts at k clipped
+    Gauss-Newton step at the current k is below tol, or where halving a step
+    that raises the SSE takes it below tol.  tol is the larger of _TOL k and
+    _SIGMA_TOL sigma_k, with sigma_k^2 = (SSE / (m (n - 3) - 1)) / curvature
+    from the summed SSE and projected curvature at k, so the search stops once
+    the remaining step is ~1% of the period's own error.  It starts at k clipped
     into [2 pi / span, pi (n - 1) / span], the wavenumbers n points over the
     span resolve, and a step that would leave them ends it unconverged; it
     ends without a step when every scan is flat.
@@ -271,6 +278,8 @@ def _search_wavenumber(k: float, x, y, w, t):
     if fit[0] is None:
         raise IllPosedError("the fringe design is singular at the starting period")
     sse = sum(fit[5].tolist())
+    m, n = y.shape
+    dof = max(m * (n - 3) - 1, 1)
     iterations, converged, message = 0, False, ""
     while True:
         coef, design, weighted, normal_inv, resid, _ = fit
@@ -285,7 +294,8 @@ def _search_wavenumber(k: float, x, y, w, t):
         if not math.isfinite(step):
             message = "singular curvature in the period search"
             break
-        if abs(step) < _TOL * k:
+        tol = max(_TOL * k, _SIGMA_TOL * math.sqrt(sse / dof / curvature))
+        if abs(step) < tol:
             converged = True
             break
         if iterations == _MAX_ITERATIONS:
@@ -297,12 +307,12 @@ def _search_wavenumber(k: float, x, y, w, t):
         iterations += 1
         trial = _linear_fit(k + step, x, y, w, t)
         trial_sse = sum(trial[5].tolist())
-        while not trial_sse <= sse and abs(0.5 * step) >= _TOL * k:
+        while not trial_sse <= sse and abs(0.5 * step) >= tol:
             step *= 0.5
             trial = _linear_fit(k + step, x, y, w, t)
             trial_sse = sum(trial[5].tolist())
         if not trial_sse <= sse:
-            converged = True  # no step of _TOL k or more lowers the SSE
+            converged = True  # no step of tol or more lowers the SSE
             break
         k, fit, sse = k + step, trial, trial_sse
     return k, fit, curvature, q, iterations, converged, message
@@ -323,11 +333,11 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
     over k minimises the summed SSE, starting at the peak of the summed
     amplitude spectra or at start_period.  It ends at a fixed point, where
-    the Gauss-Newton step at the current k is below 1e-10 k (or where no
-    step that large lowers the SSE), so a fit started at its own reported
-    period returns it.  fix_period pins k = 2 pi / period instead (zero
-    period variance) and wins over start_period.  One scan is the one-row
-    stack.
+    the Gauss-Newton step at the current k is below 1% of k's standard error
+    or 1e-10 k, whichever is larger (or where no step that large lowers the
+    SSE), so a fit started at its own reported period returns it.
+    fix_period pins k = 2 pi / period instead (zero period variance) and
+    wins over start_period.  One scan is the one-row stack.
 
     Parameter order is [c0, mu, period, psi] in rate units, with
     mu = hypot(a, b) / c0 and psi = atan2(-b, a) from the linear

@@ -425,6 +425,11 @@ class TestFitSharedPeriod:
         assert fit.params.shape == (6, 4)
         assert np.all(fit.params[:, 2] == fit.params[0, 2])
         assert fit.params[0, 2] == pytest.approx(period, rel=1e-10, abs=0.0)
+        # one noise-free scan alone: its SSE is ~0, so the stop stays at 1e-10 k
+        one = fit_fringe(scans[0])
+        assert one.converged
+        assert one.params[2] == pytest.approx(period, rel=1e-10, abs=0.0)
+        assert fit_fringe(scans[0], start_period=float(one.params[2])).iterations == 0
 
     @pytest.mark.parametrize("peak_rate, seeds", [(100.0, range(20)),
                                                   (0.5, (737, 757, 1293))])
@@ -517,7 +522,11 @@ def fig5_stacks(seeds, monkeypatch):
 
 class TestFixedPointStop:
     """A free fit ends where the Gauss-Newton step at its wavenumber is below
-    1e-10 of it, so a search started there takes no step."""
+    1% of the wavenumber's standard error (the stack's SSE over its degrees of
+    freedom, over the summed projected curvature), or below 1e-10 of the
+    wavenumber where that is larger, as on noise-free rows.  The remaining
+    step is then far inside the noise, and a search started at the reported
+    period takes no step."""
 
     @pytest.mark.parametrize("kind", ["single", "fig5"])
     def test_restart_at_the_reported_period_returns_it(self, kind, monkeypatch):
@@ -529,7 +538,7 @@ class TestFixedPointStop:
             fit = fit_fringe(scan)
             again = fit_fringe(scan, start_period=float(np.ravel(fit.params)[2]))
             assert fit.converged and again.converged
-            assert again.iterations <= 1
+            assert again.iterations == 0
             assert np.allclose(again.params, fit.params, rtol=1e-12, atol=0.0)
 
     def test_linear_solves_per_fig5_search(self, monkeypatch):
@@ -542,7 +551,39 @@ class TestFixedPointStop:
                             lambda *args: calls.append(args[0]) or linear_fit(*args))
         for scans in stacks:
             assert fit_fringe(scans).converged
-        assert len(calls) / len(stacks) <= 5.5
+        assert len(calls) / len(stacks) <= 3.5
+
+    @pytest.mark.parametrize("kind, mu_bound", [("fig5", 1e-3), ("single", 1e-2)])
+    def test_the_stop_costs_no_statistics(self, kind, mu_bound, monkeypatch):
+        # the reference stops at 1e-10 k alone.  The stop at 1% of sigma_k leaves
+        # the period within 1% of the stack's period error, the root mean square
+        # of the rows' reported errors (rows differ in SSE / dof).  mu moves by
+        # that shift times its correlation with the period: below 1e-3 sigma_mu
+        # on the fig5 rows, up to ~1.1e-3 on a default scan, where the two
+        # correlate more
+        if kind == "single":
+            scans = [simulate_scan(default_config(), seed=seed) for seed in range(50)]
+        else:
+            scans = fig5_stacks(range(100), monkeypatch)
+        for scan in scans:
+            fit = fit_fringe(scan)
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, "_SIGMA_TOL", 0.0)
+                reference = fit_fringe(scan)
+            assert fit.converged and reference.converged
+            params, ref = np.atleast_2d(fit.params), np.atleast_2d(reference.params)
+            stderr = np.atleast_2d(fit.stderr)
+            period_error = math.sqrt(np.mean(stderr[:, 2] ** 2))
+            assert np.all(np.abs(params[:, 2] - ref[:, 2]) <= 0.01 * period_error)
+            assert np.all(np.abs(params[:, 1] - ref[:, 1]) <= mu_bound * stderr[:, 1])
+
+    def test_the_stop_keeps_every_fig5_verdict(self, monkeypatch):
+        def verdicts():
+            return [(r.checks, r.passed) for r in map(reproduce_fig5, range(100))]
+
+        stopped = verdicts()
+        monkeypatch.setattr(fitting, "_SIGMA_TOL", 0.0)
+        assert verdicts() == stopped
 
 
 def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,
