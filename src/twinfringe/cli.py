@@ -55,14 +55,11 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    scan = config.scan
-    if getattr(args, "seed", None) is not None:
-        scan = dataclasses.replace(scan, seed=args.seed)
-    if getattr(args, "scan_mode", None) is not None:
-        scan = dataclasses.replace(scan, scan_mode=_SCAN_MODES[args.scan_mode])
-    if scan is not config.scan:
-        config = dataclasses.replace(config, scan=scan)
-    return config
+    """The config with --scan-mode applied; --seed is passed to the draw."""
+    if getattr(args, "scan_mode", None) is None:
+        return config
+    return dataclasses.replace(config, scan=dataclasses.replace(
+        config.scan, scan_mode=_SCAN_MODES[args.scan_mode]))
 
 
 def write_scan_csv(scan: np.recarray, path: str) -> None:
@@ -182,7 +179,7 @@ def _fringe_summary(fit: FitResult) -> str:
 
 def cmd_simulate_scan(args) -> int:
     config = _apply_overrides(_resolve_config(args), args)
-    scan = simulate_scan(config)
+    scan = simulate_scan(config, args.seed)
     write_scan_csv(scan, args.output)
     print(f"wrote {len(scan)} scan points to {args.output}")
     try:
@@ -217,7 +214,7 @@ def cmd_sweep_pump_angle(args) -> int:
     if len(thetas) < 4:
         print("warning: fewer than 4 angles; a downstream visibility-curve "
               "fit on this table will be ill-posed", file=sys.stderr)
-    points = sweep_pump_angle(config, thetas)
+    points = sweep_pump_angle(config, thetas, args.seed)
     write_sweep_csv(points, args.output)
     print(f"wrote {len(points)} sweep points to {args.output}")
     print(f"{'theta_deg':>10} {'mu':>8} {'sigma_mu':>9}")

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,7 +56,9 @@ class RunConfig:
     geometry: GeometryConfig
     analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]]
     scan: ScanConfig
-    positions_spec: object = None  # raw grid/list spec, kept for round-trips
+    # raw grid/list spec, kept for round-trips; the positions it gives are in
+    # scan, so it takes no part in equality and the config stays hashable
+    positions_spec: object = field(default=None, compare=False)
 
 
 def _resolve_positions(spec, path: str):

@@ -15,7 +15,7 @@ from .config import RunConfig, _seed, entangled_sweep_config
 from .detection import expected_scan, sample_counts
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
                       visibility_curve_params)
-from .polarization import VERTICAL, PolarizationAngle, PumpState
+from .polarization import PolarizationAngle, PumpState
 from .spdc import build_two_photon_state
 
 # reference values the reproduction is checked against, with tolerances
@@ -26,50 +26,45 @@ FIG5_N_ANGLES = 19
 
 
 @functools.lru_cache(maxsize=1)
-def _expected_stack(source, geometry, scan, analyzers, eps1: float, eps2: float,
-                    thetas: tuple) -> np.ndarray:
-    """The read-only (m, n, 2) stack of expected (position, rate) rows of m
-    pumps of amplitudes (eps1, eps2) at the angles thetas (radians): one
-    build_two_photon_state and one expected_scan per angle.
+def _expected_stack(config: RunConfig, thetas: tuple) -> np.ndarray:
+    """The read-only (m, n, 2) stack of expected (position, rate) rows of the
+    config's pump amplitudes at the angles thetas (radians), a tuple of
+    floats: one build_two_photon_state and one expected_scan per angle.
 
-    No seed enters it, so a seed loop over one sweep computes it once.  It
-    is keyed on the config's source, geometry, scan and analyzers (a
-    RunConfig holds an unhashable positions_spec), the amplitudes and the
-    angles as a tuple of floats; keys that compare equal give equal bytes,
-    since a -0.0 among them computes as 0.0.  The cache holds one entry:
-    the traffic is a seed loop over one (config, angles), and one entry
-    bounds memory to one stack.
+    No seed enters it, so a seed loop over one (config, angles) computes it
+    once.  Keys that compare equal give equal bytes, since a -0.0 among
+    them computes as 0.0.  The cache holds one entry: the traffic is a seed
+    loop over one (config, angles), and one entry bounds memory to one stack.
     """
+    pump = config.pump
     stack = np.stack([
         expected_scan(build_two_photon_state(
-            PumpState(eps1, eps2, PolarizationAngle(theta)), source),
-            source, geometry, analyzers, scan)
+            PumpState(pump.eps1, pump.eps2, PolarizationAngle(theta)), config.source),
+            config.source, config.geometry, config.analyzers, config.scan)
         for theta in thetas])
     stack.flags.writeable = False
     return stack
 
 
-def _simulate(config: RunConfig, eps1: float, thetas: Sequence[float], seed: Optional[int]):
-    """An (m, n) stack of counting scans, one per pump angle in thetas (radians)
-    with amplitudes eps1 and the config's eps2, drawn from seed or the config's.
+def _simulate(config: RunConfig, thetas: Sequence[float], seed: Optional[int]):
+    """An (m, n) stack of counting scans of the config's pump at each angle in
+    thetas (radians), drawn from seed or, if it is None, the config's.
 
-    Each row's expected rates are those of the angle's build_two_photon_state
-    and expected_scan, from _expected_stack: computed once per (config,
-    angles), held in its one-entry cache and shared read-only across seeds.
-    Only the Poisson draw reads the seed.
+    The expected rates come from _expected_stack, computed once per (config,
+    angles) and shared read-only across seeds; only the Poisson draw reads
+    the seed.
     """
     # the angles' tuple from a list: tuple() of an iterator builds it by
     # resizing, and CPython's tuple free list then keeps up to 2000 of the
     # freed ones (~0.4 MB of peak RSS over a fig5 seed loop)
-    expected = _expected_stack(config.source, config.geometry, config.scan, config.analyzers,
-                               eps1, config.pump.eps2, tuple([float(t) for t in thetas]))
+    expected = _expected_stack(config, tuple([float(t) for t in thetas]))
     return sample_counts(expected, config.scan.integration_time,
                          config.scan.seed if seed is None else seed)
 
 
 def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> np.recarray:
     """Simulate one detector sweep under a config, Poisson noise included."""
-    return _simulate(config, config.pump.eps1, [config.pump.theta_p.radians], seed)[0]
+    return _simulate(config, [config.pump.theta_p.radians], seed)[0]
 
 
 @dataclass
@@ -82,26 +77,22 @@ class SweepPoint:
 
 def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
                      seed: Optional[int] = None) -> List[SweepPoint]:
-    """Visibility versus pump angle: simulate every angle as one row of a
-    scan stack (its state, then its expected_scan, then one draw for the
-    stack), and fit the stack at the one fringe period its rows share.
+    """Visibility versus pump angle: simulate the config's pump at every
+    angle as one row of a scan stack, and fit the stack at the one fringe
+    period its rows share.
 
     Every angle has the same geometry and so the same positions, times and
     fringe period; only contrast and phase change with the angle.  The
     simulate step behind simulate_scan draws the stack from one seed in
     angle order (the first k angles of a sweep draw the same counts as a
-    sweep of those k angles); one fit_fringe call searches the shared
-    period and fits each row's contrast at it.  The expected rates are
-    computed once per (config, angles) and shared read-only across seeds
-    from a one-entry cache, so repeating a sweep over seeds pays only the
-    draws and the fits; the outputs are those of a fresh computation.  A
-    point is converged when that fit converged and its sigma_mu is finite
-    (a row without contrast has none).
+    sweep of those k angles), from expected rates computed once per
+    (config, angles); one fit_fringe call searches the shared period and
+    fits each row's contrast at it.  A point is converged when that fit
+    converged and its sigma_mu is finite (a row without contrast has none).
     """
     if len(thetas) == 0:
         return []
-    eps1 = PumpState.from_eps2(config.pump.eps2, VERTICAL).eps1
-    fit = fit_fringe(_simulate(config, eps1, thetas, seed))
+    fit = fit_fringe(_simulate(config, thetas, seed))
     return [SweepPoint(theta=float(theta), mu=mu, sigma_mu=sigma_mu,
                        converged=fit.converged and math.isfinite(sigma_mu))
             for theta, mu, sigma_mu in zip(thetas, fit.params[:, 1].tolist(),

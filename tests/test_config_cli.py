@@ -72,6 +72,19 @@ class TestConfigRoundTrip:
         config = config_from_dict(doc)
         assert config.scan.positions == tuple(np.linspace(0.0, 1e-3, 5))
 
+    def test_positions_spec_takes_no_part_in_equality(self):
+        # a grid and the list of its positions run the same scan: the configs
+        # compare and hash equal, and each writes back its own spec
+        grid = {"start": 0.0, "stop": 1e-3, "num": 5}
+        doc = config_to_dict(default_config())
+        doc["scan"]["positions_m"] = grid
+        from_grid = config_from_dict(doc)
+        doc["scan"]["positions_m"] = list(from_grid.scan.positions)
+        from_list = config_from_dict(doc)
+        assert from_grid == from_list and hash(from_grid) == hash(from_list)
+        assert config_to_dict(from_grid)["scan"]["positions_m"] == grid
+        assert config_to_dict(from_list)["scan"]["positions_m"] == list(from_grid.scan.positions)
+
     @pytest.mark.parametrize("ceiling, eps2, seed", [(0.77, 0.08, 777), (0.5, 0.0, 0),
                                                      (0.95, 0.3, 2 ** 40), (0.9, 0.99, 5)])
     def test_sweep_config_is_the_edited_default(self, ceiling, eps2, seed):

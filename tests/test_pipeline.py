@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from twinfringe import pipeline
+from twinfringe.cli import main
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, default_config,
-                               entangled_sweep_config)
+                               entangled_sweep_config, load_config, save_config)
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import ConfigurationError, IllPosedError
 from twinfringe.fitting import (fit_fringe, fit_visibility_curve, fringe_params,
@@ -234,15 +236,25 @@ class TestArraySweepMatchesScalarStates:
         assert drawn[0].tobytes() == scalar_simulate(config, pumps, 4).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 99])
-    def test_simulate_scan_uses_the_config_eps1(self, seed):
+    def test_simulate_scan_uses_the_config_eps1(self, monkeypatch, tmp_path, seed):
         # a config may give eps1 explicitly: 0.6 is not the 0.5999999999999999
-        # that PumpState.from_eps2(0.8) completes the norm with
+        # that PumpState.from_eps2(0.8) completes the norm with; a scan and a
+        # sweep both simulate the config's own pump
+        drawn = []
+        monkeypatch.setattr(pipeline, "fit_fringe", lambda scans: drawn.append(scans) or
+                            fit_fringe(scans))
         doc = config_to_dict(entangled_sweep_config())
         doc["pump"].update(eps1=0.6, eps2=0.8, theta_p_rad=2.5)
-        config = config_from_dict(doc)
+        path = tmp_path / "pump.json"
+        path.write_text(json.dumps(doc))
+        config = load_config(str(path))
         assert config.pump.eps1 != PumpState.from_eps2(0.8, VERTICAL).eps1
         assert simulate_scan(config, seed).tobytes() == \
             scalar_simulate(config, [config.pump], seed)[0].tobytes()
+        thetas = np.linspace(0.0, math.pi, 5)
+        sweep_pump_angle(config, thetas, seed)
+        pumps = [PumpState(0.6, 0.8, PolarizationAngle(t)) for t in thetas]
+        assert drawn[0].tobytes() == scalar_simulate(config, pumps, seed).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises_the_angle_error(self, bad):
@@ -259,11 +271,9 @@ class TestArraySweepMatchesScalarStates:
             reproduce_fig5(seed=seed)
 
 
-def stack_bytes(config, thetas, eps1=None, seed=7):
+def stack_bytes(config, thetas, seed=7):
     """The bytes of the simulate step's counting stack for a sweep of config."""
-    if eps1 is None:
-        eps1 = PumpState.from_eps2(config.pump.eps2, VERTICAL).eps1
-    return pipeline._simulate(config, eps1, thetas, seed).tobytes()
+    return pipeline._simulate(config, thetas, seed).tobytes()
 
 
 def cold_bytes(*args, **kwargs):
@@ -280,6 +290,21 @@ def fig5_values(result):
     return point_values(result.points) + np.array(
         [result.mu_max, result.theta0, result.eps1, result.eps2, result.passed]).tobytes() \
         + result.fit.params.tobytes() + result.fit.stderr.tobytes()
+
+
+def count_rate_calls(monkeypatch):
+    """The counts of the pipeline's build_two_photon_state and expected_scan
+    calls from here on, kept up to date in the returned dict."""
+    calls = {"build_two_photon_state": 0, "expected_scan": 0}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
 
 
 def with_scan(config, **changes):
@@ -320,25 +345,36 @@ class TestExpectedRateCache:
         # the cost of the cache, independent of the machine: ten seeds of
         # the reproduction make one pump -> state -> rate pass between them,
         # one state and one expected_scan per angle
-        calls = {"build_two_photon_state": 0, "expected_scan": 0}
-        for name in calls:
-            original = getattr(pipeline, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(pipeline, name, counted)
+        calls = count_rate_calls(monkeypatch)
         for seed in range(10):
             reproduce_fig5(seed=seed)
         assert calls == {"build_two_photon_state": 19, "expected_scan": 19}  # 19 angles
 
+    def test_cli_seeds_compute_the_rates_once(self, monkeypatch, tmp_path):
+        # --seed seeds the draw and leaves the config as loaded, so CLI runs
+        # of one config file at ten seeds share one rate stack, and each
+        # run's CSV is that of the file with its scan.seed set to the seed
+        path = tmp_path / "run.json"
+        save_config(default_config(), str(path))
+        calls = count_rate_calls(monkeypatch)
+        for seed in range(10):
+            out = tmp_path / f"scan{seed}.csv"
+            assert main(["simulate-scan", "--config", str(path), "--seed", str(seed),
+                         "--output", str(out)]) == 0
+        assert calls == {"build_two_photon_state": 1, "expected_scan": 1}
+        for seed in (0, 9):
+            doc = config_to_dict(default_config())
+            doc["scan"]["seed"] = seed
+            seeded = tmp_path / f"seed{seed}.json"
+            seeded.write_text(json.dumps(doc))
+            out = tmp_path / f"file{seed}.csv"
+            assert main(["simulate-scan", "--config", str(seeded), "--output", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / f"scan{seed}.csv").read_bytes()
+
     def test_cached_stack_is_read_only(self):
         config = entangled_sweep_config()
         before = stack_bytes(config, self.THETAS)
-        stack = pipeline._expected_stack(config.source, config.geometry, config.scan,
-                                         config.analyzers, config.pump.eps1, config.pump.eps2,
-                                         self.THETAS)
+        stack = pipeline._expected_stack(config, self.THETAS)
         assert pipeline._expected_stack.cache_info().hits == 1  # the stack the draws read
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 1] = 0.0
@@ -366,8 +402,8 @@ class TestExpectedRateCache:
     @pytest.mark.parametrize("inputs", [
         lambda c, zero: (c, (zero, 1.0)),
         # eps1 = 0 is the pump of eps2 = 1
-        lambda c, zero: (dataclasses.replace(c, pump=PumpState.from_eps2(1.0, VERTICAL)),
-                         (0.0, 1.0), zero),
+        lambda c, zero: (dataclasses.replace(c, pump=PumpState(zero, 1.0, VERTICAL)),
+                         (0.0, 1.0)),
         lambda c, zero: (with_scan(c, positions=(zero, 1e-3, 2e-3)), (0.3,)),
         lambda c, zero: (with_scan(c, peak_rate=zero, background_rate=zero), (0.3,)),
     ], ids=["angle", "eps1", "position", "rates"])
