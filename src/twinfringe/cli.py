@@ -62,12 +62,24 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         config.scan, scan_mode=_SCAN_MODES[args.scan_mode]))
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_body_template(positions: bytes, times: bytes, rates: bytes) -> str:
+    """A scan CSV's body with a %s slot for each row's count, built from the
+    float64 bytes of the columns that do not depend on the seed."""
+    columns = [np.frombuffer(data, dtype=np.float64).tolist()
+               for data in (positions, times, rates)]
+    return "".join([f"{x!r},%s,{t!r},{rate!r}\n" for x, t, rate in zip(*columns)])
+
+
 def write_scan_csv(scan: np.recarray, path: str) -> None:
+    # a seed loop over one config shares positions, times and rates, so
+    # consecutive writes format only their counts; the key is the bytes,
+    # so 0.0 and -0.0 (or one ulp apart) get their own text
+    template = _scan_body_template(*[
+        np.ascontiguousarray(scan[name], dtype=np.float64).tobytes()
+        for name in ("position", "integration_time", "expected_rate")])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        # SCAN_DTYPE's fields are in SCAN_HEADER's order; tolist() gives Python
-        # floats and ints, so !r writes what _fmt would
-        fh.write(",".join(SCAN_HEADER) + "\n"
-                 + "".join([f"{x!r},{n},{t!r},{rate!r}\n" for x, n, t, rate in scan.tolist()]))
+        fh.write(",".join(SCAN_HEADER) + "\n" + template % tuple(scan["counts"].tolist()))
 
 
 def write_sweep_csv(points, path: str) -> None:
