@@ -62,24 +62,28 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         config.scan, scan_mode=_SCAN_MODES[args.scan_mode]))
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_body_template(positions: bytes, times: bytes, rates: bytes) -> str:
-    """A scan CSV's body with a %s slot for each row's count, built from the
-    float64 bytes of the columns that do not depend on the seed."""
-    columns = [np.frombuffer(data, dtype=np.float64).tolist()
-               for data in (positions, times, rates)]
-    return "".join([f"{x!r},%s,{t!r},{rate!r}\n" for x, t, rate in zip(*columns)])
+def _column_text(column: np.ndarray) -> list:
+    """Each entry of a scan column as the CSV writes it: repr of its float64
+    value, or str of an integer, formatted once per distinct value."""
+    if column.dtype.kind == "f":
+        # distinct bits, not values: np.unique would merge 0.0 and -0.0
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+        values, inverse = np.unique(bits, return_inverse=True)
+        text = [repr(x) for x in values.view(np.float64).tolist()]
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        text = [str(n) for n in values.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def write_scan_csv(scan: np.recarray, path: str) -> None:
-    # a seed loop over one config shares positions, times and rates, so
-    # consecutive writes format only their counts; the key is the bytes,
-    # so 0.0 and -0.0 (or one ulp apart) get their own text
-    template = _scan_body_template(*[
-        np.ascontiguousarray(scan[name], dtype=np.float64).tobytes()
-        for name in ("position", "integration_time", "expected_rate")])
+    # a scan repeats its integration time on every row, and its counts and (on
+    # a symmetric scan) its rates many times; SCAN_DTYPE's fields are in
+    # SCAN_HEADER's order
+    columns = [_column_text(scan[name]) for name in SCAN_DTYPE.names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SCAN_HEADER) + "\n" + template % tuple(scan["counts"].tolist()))
+        fh.write(",".join(SCAN_HEADER) + "\n"
+                 + "".join([f"{x},{n},{t},{rate}\n" for x, n, t, rate in zip(*columns)]))
 
 
 def write_sweep_csv(points, path: str) -> None:

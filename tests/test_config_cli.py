@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from twinfringe import cli
 from twinfringe.cli import main, read_scan_csv, read_sweep_csv, write_scan_csv
 from twinfringe.detection import SCAN_DTYPE, ScanConfig
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
@@ -490,19 +489,13 @@ class TestScanCsvReader:
         assert f"{scan}:4: bad scan row: " in err and "must be finite" in err
 
 
-class TestScanBodyTemplate:
-    """write_scan_csv formats positions, times and rates once per distinct
-    set of those columns and fills in the counts; no output byte changes."""
-
-    @pytest.fixture(autouse=True)
-    def cold_template(self):
-        cli._scan_body_template.cache_clear()
-        yield
-        cli._scan_body_template.cache_clear()
+class TestScanCsvWriter:
+    """write_scan_csv formats each column once per distinct value and writes
+    the bytes of the row-by-row writer it replaced."""
 
     @staticmethod
     def referee(scan):
-        # the row-by-row writer the template replaced
+        # the row-by-row writer: repr of each float, str of each count
         return ("position_m,counts,integration_s,expected_rate\n" + "".join(
             [f"{x!r},{n},{t!r},{rate!r}\n" for x, n, t, rate in scan.tolist()])).encode()
 
@@ -512,47 +505,39 @@ class TestScanBodyTemplate:
         return path.read_bytes()
 
     @pytest.mark.parametrize("build", [default_config, long_config], ids=["61", "2001"])
-    def test_warm_template_gives_the_cold_bytes(self, tmp_path, build):
+    def test_simulated_scans_write_the_referee_bytes(self, tmp_path, build):
         config = build()
-        seeds = [0, 1, 2, 99, 12345, 20260808]
-        scans = [simulate_scan(config, seed) for seed in seeds]
         path = tmp_path / "scan.csv"
-        for scan in scans:
-            cli._scan_body_template.cache_clear()
+        for seed in [0, 1, 2, 99, 12345, 20260808]:
+            scan = simulate_scan(config, seed)
             assert self.written(scan, path) == self.referee(scan)
-        cli._scan_body_template.cache_clear()
-        self.written(simulate_scan(config, 31), path)
-        hits = cli._scan_body_template.cache_info().hits
-        for scan in scans:
-            assert self.written(scan, path) == self.referee(scan)
-        assert cli._scan_body_template.cache_info().hits == hits + len(seeds)
 
     @pytest.mark.parametrize("column", ["position", "integration_time", "expected_rate"])
     @pytest.mark.parametrize("change", ["sign of zero", "one ulp"])
-    def test_a_changed_column_gets_its_own_text(self, tmp_path, column, change):
-        first = np.rec.fromrecords([(-1e-3, 5, 10.0, 1.5), (0.0, 7, 0.0, 0.0),
-                                    (1e-3, 9, 10.0, 2.5)], dtype=SCAN_DTYPE)
-        second = first.copy()
-        value = second[column][1]
-        second[column][1] = -value if change == "sign of zero" else np.nextafter(value, 1.0)
-        assert second[column].tobytes() != first[column].tobytes()
-        path = tmp_path / "scan.csv"
-        assert self.written(first, path) == self.referee(first)
-        assert self.written(second, path) == self.referee(second) != self.referee(first)
+    def test_near_equal_values_keep_their_own_text(self, tmp_path, column, change):
+        # two entries of one column that differ only in the sign of zero or
+        # by one ulp are each written as themselves
+        scan = np.rec.fromrecords([(-1e-3, 5, 10.0, 1.5), (0.0, 7, 0.0, 0.0),
+                                   (1e-3, 9, 10.0, 2.5), (0.0, 7, 0.0, 0.0)], dtype=SCAN_DTYPE)
+        value = scan[column][1]
+        scan[column][3] = -value if change == "sign of zero" else np.nextafter(value, 1.0)
+        assert scan[column][3:].tobytes() != scan[column][1:2].tobytes()
+        rows = self.written(scan, tmp_path / "scan.csv").decode().splitlines()
+        assert rows[2] != rows[4]
+        assert self.written(scan, tmp_path / "scan.csv") == self.referee(scan)
 
     def test_other_field_types_write_what_the_referee_writes(self, tmp_path):
-        # float32 and big-endian fields format as their float64 values do,
-        # and share a template with the float64 scan of the same values
+        # float32 and big-endian fields format as their float64 values do
         dtype = np.dtype([("position", ">f8"), ("counts", np.int32),
                           ("integration_time", np.float32), ("expected_rate", ">f8")])
         scan = np.rec.fromrecords([(-1e-3, 5, 0.1, 1.5), (-0.0, 0, 10.0, 0.3),
+                                   (0.0, 5, 0.1, -0.0),
                                    (2e-3, 2147483647, 1e-7, 5e-324)], dtype=dtype)
         path = tmp_path / "scan.csv"
         assert self.written(scan, path) == self.referee(scan)
         assert b"0.10000000149011612" in path.read_bytes()
         as_float64 = scan.astype(SCAN_DTYPE)
         assert self.written(as_float64, path) == self.referee(as_float64) == self.referee(scan)
-        assert cli._scan_body_template.cache_info().hits == 1
 
     def test_empty_scan_is_the_header(self, tmp_path):
         scan = np.zeros(0, dtype=SCAN_DTYPE).view(np.recarray)
