@@ -16,6 +16,7 @@ no fit uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -142,7 +143,6 @@ def _as_arrays(data):
 # --- fringe fitting -----------------------------------------------------------
 
 _ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
-_FLAT_GRADIENT = ((1.0, 0.0, 0.0),) + ((math.nan,) * 3,) * 3
 
 
 def _contrast(c0: float, a: float, b: float) -> float:
@@ -206,8 +206,10 @@ def _scan_columns(scan, min_points: int):
 
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     """Wavenumber of the strongest nonzero Fourier component on a uniform resample,
-    the amplitude spectra of the rows of y (one scan per row) summed."""
-    n = max(x.size, 16)
+    the amplitude spectra of the rows of y (one scan per row) summed.  The
+    resample has the smallest power of two >= max(x.size, 16) points: the FFT
+    of a prime length, such as a 61-point scan's, takes several times longer."""
+    n = 1 << (max(x.size, 16) - 1).bit_length()
     grid = np.linspace(x[0], x[-1], n)
     # each grid point's fractional index into x, shared by every row, then one
     # linear interpolation of the whole stack between the neighbouring columns
@@ -215,7 +217,8 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     lo = np.minimum(index.astype(np.intp), x.size - 2)
     frac = index - lo
     resampled = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
-    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
+    # a row's mean enters bin 0 alone, which the search for the peak skips
+    spectrum = np.abs(np.fft.rfft(resampled))
     k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
     return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
 
@@ -367,7 +370,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         fit = _linear_fit(k, x, y, w, t)
         if fit[0] is None:
             raise IllPosedError("the fringe design is singular at the starting period")
-        iterations, converged, message = 0, True, ""
+        q, iterations, converged, message = None, 0, True, ""
     else:
         k, fit, curvature, q, iterations, converged, message = _search_wavenumber(
             k, x, y, w, t)
@@ -376,21 +379,23 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     m, n = y.shape
 
     # d (c0, mu, period, psi) / d (c0, a, b) per row; undefined beyond c0 where
-    # a row has zero contrast
-    params, grad = [], []
-    rows = coef.tolist()
-    contrast = [_contrast(*row) for row in rows]
-    for (c0, a, b), h in zip(rows, contrast):
-        if h:
-            params.append((c0, h / c0, period, math.atan2(-b, a)))
-            grad.append(((1.0, 0.0, 0.0), (-h / c0 ** 2, a / (c0 * h), b / (c0 * h)),
-                         (0.0, 0.0, 0.0), (0.0, b / h ** 2, -a / h ** 2)))
-        else:
-            params.append((c0, 0.0, period, 0.0))
-            grad.append(_FLAT_GRADIENT)
-    grad = np.array(grad)
+    # a row has zero contrast, by _contrast's rule (h is NaN there, so that
+    # nothing divides by zero)
+    c0, a, b = coef.T
+    h = np.hypot(a, b)
+    flat = h <= _ZERO_CONTRAST * np.abs(c0)
+    h[flat] = math.nan
+    c0h, hh = c0 * h, h * h
+    grad = np.zeros((m, 4, 3))
+    grad[:, 0, 0] = 1.0
+    grad[:, 1, 0] = -h / c0 ** 2
+    grad[:, 1, 1] = a / c0h
+    grad[:, 1, 2] = b / c0h
+    grad[:, 3, 1] = b / hh
+    grad[:, 3, 2] = -a / hh
+    grad[flat, 1:] = math.nan
     cov = grad @ normal_inv @ grad.swapaxes(-1, -2)
-    if not fixed and any(contrast):
+    if q is not None:  # a free search that found contrast in some row
         # Row i's block of the joint (3m + 1) inverse normal matrix is, by the
         # Schur complement on k, N_i^-1 + var_k q_i q_i' in (c0, a, b), -var_k q_i
         # against k, and var_k = 1 / (summed projected curvature) for k, with q_i
@@ -407,8 +412,13 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         scale[~y.any(axis=1)] = math.nan
     cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
 
-    params, norm = np.array(params), np.sqrt(sse)
-    if not any(contrast):
+    params = np.empty((m, 4))
+    params[:, 0], params[:, 2] = c0, period
+    params[:, 1] = h / c0
+    params[:, 3] = np.arctan2(-b, a)
+    params[flat, 1::2] = 0.0  # mu = psi = 0 at zero contrast
+    norm = np.sqrt(sse)
+    if flat.all():
         converged, message = False, "zero contrast: fringe period and phase are undefined"
     if one_scan:
         params, cov, norm = params[0], cov[0], float(norm[0])
@@ -422,6 +432,26 @@ def fringe_params(result: FitResult) -> FringeModelParams:
 
 
 # --- visibility-curve fitting ---------------------------------------------------
+
+
+def _rank_three(points: np.ndarray) -> bool:
+    """Whether the design [1, cos 4 theta, sin 4 theta] has rank 3, from its
+    last two columns, the (2, n) points (cos 4 theta, sin 4 theta) on the unit
+    circle.
+
+    It has not when the points lie on one line, that is, when 4 theta takes
+    fewer than three distinct values modulo 2 pi.  The points' spread across
+    the principal axis of their 2 x 2 scatter, which is in closed form, is
+    compared with np.linalg.matrix_rank's default tolerance, S.max max(M, N)
+    eps, with the design's Frobenius norm sqrt(2 n) standing for S.max.
+    """
+    n = points.shape[1]
+    centred = points - points.mean(axis=1, keepdims=True)
+    (scc, scs), (_, sss) = (centred @ centred.T).tolist()
+    axis = 0.5 * math.atan2(2.0 * scs, scc - sss)
+    across = np.array((-math.sin(axis), math.cos(axis))) @ centred
+    tol = math.sqrt(2.0 * n) * max(n, 3) * sys.float_info.epsilon
+    return math.sqrt(float(across @ across)) > tol
 
 
 def fit_visibility_curve(points) -> FitResult:
@@ -439,8 +469,12 @@ def fit_visibility_curve(points) -> FitResult:
 
     Weights are 1/var(mu^2) = 1/(4 mu^2 sigma^2 + 2 sigma^4), exact for a
     Gaussian mu (zero sigmas are floored at the smallest positive one, or
-    unity if none).  The covariance is the inverse normal matrix scaled by
-    SSE/dof, carried to the parameters by the delta method at the clipped u.
+    unity if none); sigmas so small that a weight overflows, or so large that
+    every weight is zero, raise IllPosedError naming sigma_mu.  Angles at
+    which 4 theta takes fewer than three distinct values modulo 2 pi raise
+    IllPosedError (_rank_three).  The covariance is the inverse normal matrix
+    scaled by SSE/dof, carried to the parameters by the delta method at the
+    clipped u.
     A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
     it reports eps1 = eps2, theta0 = 0 and NaN errors, unconverged.
     """
@@ -451,12 +485,18 @@ def fit_visibility_curve(points) -> FitResult:
         raise IllPosedError("pump angles must span at least half a period (pi/2)")
     positive = sigma[sigma > 0.0]
     sigma = np.where(sigma > 0.0, sigma, positive.min() if positive.size else 1.0)
-    weights = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
+    # every weight is in [0, inf]: their sum is finite and positive unless one
+    # is inf, all are 0, or together they overflow
+    if not 0.0 < float(weights.sum()) < math.inf:
+        raise IllPosedError("sigma_mu out of range: the weights 1/(4 mu^2 sigma_mu^2 + "
+                            "2 sigma_mu^4) overflow, or are zero at every angle")
     coef, design, _, normal_inv, _, sse = _linear_fit(4.0, theta, mu ** 2, weights,
                                                       np.ones_like(theta))
-    # rank at np.linalg.matrix_rank's default tolerance: angles 45 degrees
-    # apart sample cos 4 theta = +-1 only and cannot separate B from C
-    if coef is None or np.linalg.matrix_rank(design.T) < 3:
+    # angles 45 degrees apart sample cos 4 theta = +-1 only and cannot separate
+    # B from C
+    if coef is None or not _rank_three(design[1:]):
         raise IllPosedError("pump angles must take at least three distinct values "
                             "of 4 theta modulo 2 pi")
     a, b, c = coef

@@ -324,8 +324,12 @@ def to_fringe_covariance(lin_cov, coef, k):
 
 def per_row_start_wavenumber(x, y):
     """_dominant_wavenumber with each row of y resampled by its own np.interp
-    call: the reference the one-interp resample of the stack must agree with."""
-    n = max(x.size, 16)
+    call, and its mean subtracted before the FFT: the reference the one-interp
+    resample of the stack, which leaves the mean in bin 0, must agree with.
+    The grid has the smallest power of two >= max(x.size, 16) points."""
+    n = 16
+    while n < x.size:
+        n *= 2
     grid = np.linspace(x[0], x[-1], n)
     resampled = np.array([np.interp(grid, x, row) for row in y])
     spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
@@ -391,6 +395,22 @@ class TestStartWavenumber:
         monkeypatch.setattr(np, "interp", counted)
         fit_fringe(scans)
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("n, length", [(61, 64), (2001, 2048)] +
+                             [(n, 16) for n in range(4, 17)])
+    def test_fft_runs_on_a_power_of_two(self, n, length, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recorded(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        fit_fringe(make_noiseless_scan(FringeModelParams(c0=50.0, mu=0.6, period=5e-3),
+                                       n=n))
+        assert lengths == [length]
 
 
 def sweep_scans(thetas, seed=300):
@@ -507,6 +527,99 @@ class TestFitSharedPeriod:
         # the flat row carries no information on the period
         assert fit.params[0, 2] == pytest.approx(alone.params[0, 2], rel=1e-9, abs=0.0)
         assert np.allclose(fit.params[[0, 2]], alone.params, rtol=1e-8, atol=0.0)
+
+
+def per_row_fit_fringe(scan, fix_period=None):
+    """fit_fringe with the covariance carried to (c0, mu, period, psi) by a
+    delta method per row, a Python loop over the rows: the reference the
+    array form must agree with."""
+    fixed = fix_period is not None
+    x, y, w, t, one_scan, counting = fitting._scan_columns(scan, 3 if fixed else 4)
+    if fixed:
+        k = 2.0 * math.pi / fix_period
+        fit = fitting._linear_fit(k, x, y, w, t)
+        period, iterations, converged, message = fix_period, 0, True, ""
+    else:
+        k, fit, curvature, q, iterations, converged, message = fitting._search_wavenumber(
+            fitting._dominant_wavenumber(x, y / t), x, y, w, t)
+        period = 2.0 * math.pi / k
+    coef, _, _, normal_inv, _, sse = fit
+    m, n = y.shape
+    params, grad, contrast = [], [], []
+    for c0, a, b in coef.tolist():
+        h = math.hypot(a, b)
+        h = 0.0 if h <= fitting._ZERO_CONTRAST * abs(c0) else h
+        contrast.append(h)
+        if h:
+            params.append((c0, h / c0, period, math.atan2(-b, a)))
+            grad.append(((1.0, 0.0, 0.0), (-h / c0 ** 2, a / (c0 * h), b / (c0 * h)),
+                         (0.0, 0.0, 0.0), (0.0, b / h ** 2, -a / h ** 2)))
+        else:
+            params.append((c0, 0.0, period, 0.0))
+            grad.append(((1.0, 0.0, 0.0),) + ((math.nan,) * 3,) * 3)
+    grad = np.array(grad)
+    cov = grad @ normal_inv @ grad.swapaxes(-1, -2)
+    if not fixed and any(contrast):
+        s = -(grad @ q[:, :, None])[:, :, 0]
+        s[:, 2] -= 2.0 * math.pi / k ** 2
+        cov += (1.0 / curvature) * (s[:, :, None] * s[:, None, :])
+    dof = n - 3 - (0.0 if fixed else 1.0 / m)
+    scale = sse * (0.5 / dof)
+    if counting:
+        scale[~y.any(axis=1)] = math.nan
+    cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
+    params = np.array(params)
+    if not any(contrast):
+        converged, message = False, "zero contrast: fringe period and phase are undefined"
+    if one_scan:
+        params, cov = params[0], cov[0]
+    return params, cov, iterations, converged, message
+
+
+class TestArrayDeltaMethod:
+    """fit_fringe carries every row's covariance to (c0, mu, period, psi) with
+    array operations over the rows; a per-row loop is the reference."""
+
+    @staticmethod
+    def cases():
+        scans = sweep_scans(np.linspace(0.0, math.pi, 19))
+        flat = scans.copy()
+        flat.counts[4] = 37  # a constant row: zero contrast, a finite c0
+        zero = scans.copy()
+        zero.counts[7] = 0  # no counts: no information, c0 included
+        rates = np.stack([np.column_stack((scans.position[0], scans.expected_rate[i]))
+                          for i in (2, 9, 15)])
+        return {
+            "stack": (scans, None),
+            "one scan": (simulate_scan(default_config(), seed=4), None),
+            "pinned stack": (scans, entangled_sweep_config().geometry.fringe_period),
+            "pinned scan": (simulate_scan(default_config(), seed=4), 5e-3),
+            "flat row": (flat, None),
+            "pinned flat row": (flat, 5e-3),
+            "zero-count row": (zero, None),
+            "all rows flat": (np.stack([zero[7], zero[7]]), None),
+            "noise-free rates": (rates, None),
+        }
+
+    @pytest.mark.parametrize("case", ["stack", "one scan", "pinned stack", "pinned scan",
+                                      "flat row", "pinned flat row", "zero-count row",
+                                      "all rows flat", "noise-free rates"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a flat row divides nothing
+    def test_agrees_with_the_per_row_loop(self, case):
+        scan, fix_period = self.cases()[case]
+        fit = fit_fringe(scan, fix_period=fix_period)
+        params, cov, iterations, converged, message = per_row_fit_fringe(scan, fix_period)
+        assert fit.params.shape == params.shape and fit.covariance.shape == cov.shape
+        assert np.array_equal(np.isnan(fit.params), np.isnan(params))
+        assert np.array_equal(np.isnan(fit.covariance), np.isnan(cov))
+        np.testing.assert_allclose(fit.params, params, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-13, atol=0.0)
+        assert (fit.iterations, fit.converged, fit.message) == (iterations, converged,
+                                                                 message)
+        if case in ("flat row", "zero-count row"):  # the NaN rules the reference keeps
+            row = 4 if case == "flat row" else 7
+            assert np.isnan(fit.stderr[row, 1:]).all()
+            assert np.isnan(fit.stderr[row, 0]) == (case == "zero-count row")
 
 
 def fig5_stacks(seeds, monkeypatch):
@@ -721,6 +834,129 @@ class TestFitVisibilityCurve:
         theta = np.radians([0.0, 45.0, 90.0, 135.0, 180.0])
         with pytest.raises(IllPosedError, match="4 theta"):
             fit_visibility_curve([(t, 0.5 + 0.2 * math.cos(4 * t), 0.01) for t in theta])
+
+    @pytest.mark.parametrize("offset", [0.3, -1.7])
+    def test_angles_45_degrees_apart_off_the_axes_rejected(self, offset):
+        # 4 theta takes two values off the axes: the points (cos 4 theta,
+        # sin 4 theta) lie on one line through the origin, at an angle
+        theta = offset + np.radians([0.0, 45.0, 90.0, 135.0, 180.0])
+        with pytest.raises(IllPosedError, match="4 theta"):
+            fit_visibility_curve([(t, 0.5 + 0.2 * math.cos(4 * t), 0.01) for t in theta])
+
+    @staticmethod
+    def referee_rank(theta):
+        """np.linalg.matrix_rank of the design [1, cos 4 theta, sin 4 theta], and
+        its smallest singular value over its default tolerance."""
+        design = np.column_stack((np.ones_like(theta), np.cos(4.0 * theta),
+                                  np.sin(4.0 * theta)))
+        sv = np.linalg.svd(design, compute_uv=False)
+        return (np.linalg.matrix_rank(design),
+                sv.min() / (sv.max() * max(design.shape) * np.finfo(float).eps))
+
+    @staticmethod
+    def fits(theta):
+        """Whether fit_visibility_curve fits the angles, on a curve it can fit,
+        rather than raising its 4 theta error."""
+        mu = np.sqrt(0.4 + 0.1 * np.cos(4.0 * theta) + 0.05 * np.sin(4.0 * theta))
+        try:
+            fit_visibility_curve(np.column_stack((theta, mu, np.full(theta.size, 0.01))))
+        except IllPosedError as exc:
+            assert "4 theta" in str(exc)
+            return False
+        return True
+
+    def test_rank_test_agrees_with_matrix_rank(self):
+        # random angles; angles 45 degrees apart, with duplicates (4 theta takes
+        # two values); and such sets with one angle moved by 1e-14 to 1e-8 rad
+        rng = np.random.default_rng(17)
+        counts = {"random": 0, "degenerate": 0, "moved": 0}
+        for trial in range(3000):
+            n = int(rng.integers(4, 40))
+            kind = ("random", "degenerate", "moved")[trial % 3]
+            if kind == "random":
+                theta = rng.uniform(-math.pi, math.pi, n)
+            else:
+                theta = rng.uniform(-3.0, 3.0) + math.pi / 4.0 * rng.integers(-5, 6, n)
+                if kind == "moved":
+                    theta[rng.integers(n)] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, -8)
+            rank, ratio = self.referee_rank(theta)
+            full = fitting._rank_three(np.array((np.cos(4.0 * theta),
+                                                 np.sin(4.0 * theta))))
+            if rank < 3:
+                assert not full, theta
+            elif ratio > math.sqrt(2.0):
+                assert full, theta
+            else:
+                # the closed form reads the design's Frobenius norm sqrt(2 n) for
+                # its largest singular value, at most sqrt 2 too large at rank 2:
+                # these are sets on one line that rounding lifts just above the
+                # referee's tolerance
+                assert kind != "random"
+            counts[kind] += rank == 3
+        assert counts["random"] == 1000 and 0 < counts["moved"] < 1000
+
+    def test_three_distinct_values_of_4_theta_fit(self):
+        # 0, 30, 60 and 90 degrees: 4 theta is 0, 120, 240 and 360 degrees
+        theta = np.radians([0.0, 30.0, 60.0, 90.0])
+        truth = VisibilityCurveParams(0.77, 0.4, math.sqrt(1.0 - 0.3 ** 2))
+        assert self.referee_rank(theta)[0] == 3
+        fit = fit_visibility_curve(np.column_stack(
+            (theta, mu_eff_model(theta, truth), np.full(4, 0.01))))
+        p = visibility_curve_params(fit)
+        assert fit.converged
+        assert p.mu_max == pytest.approx(0.77, rel=1e-12)
+        assert theta0_distance(p.theta0, 0.4) <= 1e-12
+        assert p.eps2 == pytest.approx(0.3, rel=1e-10)
+
+    @pytest.mark.parametrize("degrees", [
+        [0.0, 0.0, 90.0, 90.0, 90.0],  # one value of 4 theta
+        [0.0, 0.0, 22.5, 90.0, 112.5],  # two values
+        [0.0, 22.5, 22.5, 45.0, 90.0],  # three
+        [10.0, 10.0, 10.0, 55.0, 100.0, 100.0, 145.0],  # two, off the axes
+        [10.0, 10.0, 40.0, 100.0, 100.0],  # three
+    ])
+    def test_duplicated_angles_follow_the_referee(self, degrees):
+        theta = np.radians(degrees)
+        assert self.fits(theta) == (self.referee_rank(theta)[0] == 3)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_angles_1e_9_from_a_degenerate_set_follow_the_referee(self, offset):
+        singular = 0
+        for i in range(5):
+            for sign in (-1.0, 1.0):
+                theta = offset + np.radians([0.0, 45.0, 90.0, 135.0, 180.0])
+                theta[i] += sign * 1e-9
+                assert self.referee_rank(theta)[0] == 3
+                assert fitting._rank_three(np.array((np.cos(4.0 * theta),
+                                                     np.sin(4.0 * theta))))
+                if not self.fits(theta):
+                    # the rank test passed, but the weighted normal matrix, whose
+                    # condition number is the design's squared (~1e18 here), is
+                    # singular to np.linalg.inv, and the fit reports that with
+                    # the same error
+                    mu = np.sqrt(0.4 + 0.1 * np.cos(4.0 * theta) + 0.05 * np.sin(4.0 * theta))
+                    w = 1.0 / (4.0 * mu ** 2 * 0.01 ** 2 + 2.0 * 0.01 ** 4)
+                    assert fitting._linear_fit(4.0, theta, mu ** 2, w,
+                                               np.ones_like(theta))[0] is None
+                    singular += 1
+        assert singular < 10
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e200])
+    def test_extreme_sigma_names_sigma_mu(self, sigma, tmp_path, capsys):
+        # 1/(4 mu^2 sigma^2 + 2 sigma^4) overflows to inf at 1e-160 and underflows
+        # to 0 at 1e200: neither is a fit, and neither is the angles' fault
+        theta, mu, _ = np.array(synthetic_curve(np.random.default_rng(2))).T
+        points = np.column_stack((theta, mu, np.full(theta.size, sigma)))
+        with pytest.raises(IllPosedError, match="sigma_mu"):
+            fit_visibility_curve(points)
+        sweep, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t!r},{m!r},{s!r}\n" for t, m, s in points.tolist()))
+        assert main(["fit", str(sweep), "--model", "viscurve", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "sigma_mu" in captured.err and "4 theta" not in captured.err
+        assert "converged" not in captured.out
+        assert not out.exists()
 
     def test_array_and_triples_give_identical_fits(self):
         points = synthetic_curve(np.random.default_rng(3))
