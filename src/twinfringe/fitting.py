@@ -208,7 +208,14 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     """Wavenumber of the strongest nonzero Fourier component on a uniform resample,
     the amplitude spectra of the rows of y (one scan per row) summed.  The
     resample has the smallest power of two >= max(x.size, 16) points: the FFT
-    of a prime length, such as a 61-point scan's, takes several times longer."""
+    of a prime length, such as a 61-point scan's, takes several times longer.
+
+    The start lies between the peak bin k and its larger neighbour, moved
+    from k by that neighbour's share of the two amplitudes (Rife and Vincent's
+    two-bin estimator, exact for one complex tone): on a scan of a few fringes
+    the integer bin is up to half a bin, ~20% of k, off.  At k = 1 the start
+    stays on the bin, since bin 0 holds the rows' means, and so does it at
+    the last bin, which has no upper neighbour."""
     n = 1 << (max(x.size, 16) - 1).bit_length()
     grid = np.linspace(x[0], x[-1], n)
     # each grid point's fractional index into x, shared by every row, then one
@@ -218,8 +225,13 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     frac = index - lo
     resampled = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
     # a row's mean enters bin 0 alone, which the search for the peak skips
-    spectrum = np.abs(np.fft.rfft(resampled))
-    k = 1 + int(np.argmax(spectrum.sum(axis=0)[1:]))
+    amplitude = np.abs(np.fft.rfft(resampled)).sum(axis=0)
+    k = 1 + int(np.argmax(amplitude[1:]))
+    if 2 <= k < amplitude.size - 1:
+        # amplitude[k] > 0 here: argmax takes the first of equal peaks, bin 1
+        # when the spectrum is zero beyond bin 0
+        below, peak, above = amplitude[k - 1:k + 2].tolist()
+        k += above / (peak + above) if above > below else -below / (below + peak)
     return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
 
 
@@ -334,8 +346,10 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     integration times, as the scans of one pump-angle sweep do: the geometry
     fixes the period, and only contrast and phase vary from row to row.
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
-    over k minimises the summed SSE, starting at the peak of the summed
-    amplitude spectra or at start_period.  It ends at a fixed point, where
+    over k minimises the summed SSE, starting at start_period or else
+    between the peak bin of the summed amplitude spectra and its larger
+    neighbour, by the ratio of their amplitudes (_dominant_wavenumber).  It
+    ends at a fixed point, where
     the Gauss-Newton step at the current k is below 1% of k's standard error
     or 1e-10 k, whichever is larger (or where no step that large lowers the
     SSE), so a fit started at its own reported period returns it.
@@ -472,7 +486,9 @@ def fit_visibility_curve(points) -> FitResult:
     unity if none); sigmas so small that a weight overflows, or so large that
     every weight is zero, raise IllPosedError naming sigma_mu.  Angles at
     which 4 theta takes fewer than three distinct values modulo 2 pi raise
-    IllPosedError (_rank_three).  The covariance is the inverse normal matrix
+    IllPosedError (_rank_three), and so, naming the conditioning, do angles
+    that pass that test but leave the weighted normal equations singular to
+    working precision.  The covariance is the inverse normal matrix
     scaled by SSE/dof, carried to the parameters by the delta method at the
     clipped u.
     A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
@@ -496,9 +512,14 @@ def fit_visibility_curve(points) -> FitResult:
                                                       np.ones_like(theta))
     # angles 45 degrees apart sample cos 4 theta = +-1 only and cannot separate
     # B from C
-    if coef is None or not _rank_three(design[1:]):
+    if not _rank_three(design[1:]):
         raise IllPosedError("pump angles must take at least three distinct values "
                             "of 4 theta modulo 2 pi")
+    # the normal matrix squares the design's condition number: angles within
+    # ~1e-9 rad of a degenerate set pass the rank test and still defeat the solve
+    if coef is None:
+        raise IllPosedError("ill-conditioned pump angles: the weighted normal equations "
+                            "of the visibility curve are singular to working precision")
     a, b, c = coef
     r = math.hypot(b, c)
     if r <= _ZERO_CONTRAST * abs(a):
