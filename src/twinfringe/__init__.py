@@ -12,9 +12,8 @@ from .detection import (SCAN_DTYPE, ScanConfig, expected_scan, sample_counts,
 from .errors import (ConfigurationError, IllPosedError, NotTwoQubitStateError,
                      TwinfringeError, UndefinedVisibilityError)
 from .fitting import (FitResult, FringeModelParams, VisibilityCurveParams,
-                      fit_fringe, fit_visibility_curve,
-                      fringe_model, fringe_params, mu_eff_model,
-                      visibility_curve_params)
+                      fit_fringe, fit_visibility_curve, fringe_model,
+                      fringe_params, visibility_curve_params)
 from .polarization import (DIAGONAL, HORIZONTAL, VERTICAL, JonesVector,
                            PolarizationAngle, PumpState, malus_amplitude,
                            pump_jones)
@@ -33,7 +32,7 @@ __all__ = [
     "NotTwoQubitStateError", "TwinfringeError", "UndefinedVisibilityError",
     "FitResult", "FringeModelParams", "VisibilityCurveParams",
     "fit_fringe", "fit_visibility_curve", "fringe_model",
-    "fringe_params", "mu_eff_model", "visibility_curve_params",
+    "fringe_params", "visibility_curve_params",
     "DIAGONAL", "HORIZONTAL", "VERTICAL", "JonesVector", "PolarizationAngle",
     "PumpState", "malus_amplitude", "pump_jones",
     "CrystalConfig", "GeometryConfig", "SourceConfig", "TwoPhotonState",

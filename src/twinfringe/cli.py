@@ -9,7 +9,6 @@ to radians at this boundary only.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -43,10 +42,6 @@ SWEEP_HEADER = ["theta_rad", "mu", "sigma_mu"]
 _SCAN_MODES = {"signal": "signal_only", "idler": "idler_only", "both": "both"}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _resolve_config(args) -> RunConfig:
     path = getattr(args, "config", None) or default_config_path()
     if path is None:
@@ -63,7 +58,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 
 def _column_text(column: np.ndarray) -> list:
-    """Each entry of a scan column as the CSV writes it: repr of its float64
+    """Each entry of a CSV column as the writers write it: repr of its float64
     value, or str of an integer, formatted once per distinct value."""
     if column.dtype.kind == "f":
         # distinct bits, not values: np.unique would merge 0.0 and -0.0
@@ -87,19 +82,11 @@ def write_scan_csv(scan: np.recarray, path: str) -> None:
 
 
 def write_sweep_csv(points, path: str) -> None:
+    columns = [_column_text(np.array([getattr(p, name) for p in points], dtype=np.float64))
+               for name in ("theta", "mu", "sigma_mu")]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for p in points:
-            fh.write(f"{_fmt(p.theta)},{_fmt(p.mu)},{_fmt(p.sigma_mu)}\n")
-
-
-@contextlib.contextmanager
-def _utf8_text(path: str):
-    """Report a file that does not decode as the input error naming it."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise TwinfringeError(f"{path}: not UTF-8 text: {exc}") from exc
+        fh.write(",".join(SWEEP_HEADER) + "\n"
+                 + "".join([f"{theta},{mu},{sigma}\n" for theta, mu, sigma in zip(*columns)]))
 
 
 def _read_header(fh, path: str, columns: List[str], kind: str) -> int:
@@ -142,9 +129,12 @@ def _read_table(path: str, columns: List[str], dtype: np.dtype, kind: str,
     parses them and checks flags bad ones by column; if either fails, a walk
     over the rows with int() or float() and the same checks names the first
     bad row by its line, or else (`1_0` suits float()) gives numpy's reason."""
-    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        above = _read_header(fh, path, columns, kind)
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            above = _read_header(fh, path, columns, kind)
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TwinfringeError(f"{path}: not UTF-8 text: {exc}") from exc
     if not body.strip("\r\n"):  # header only: loadtxt would warn "no data"
         return np.zeros(0, dtype=dtype)
     try:

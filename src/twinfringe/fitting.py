@@ -6,11 +6,10 @@ inside a Gauss-Newton search over the wavenumber alone.  A stack of scans
 that share one period (a pump-angle sweep) is fitted in one call: one
 search over the shared wavenumber, with a linear solve per scan.  The
 visibility vs pump-angle curve (entanglement sweep) has one fit, of the
-curve the coincidence fringe produces (mu_eff_model's 'derived' form): it
-is linear in {1, cos 4 theta, sin 4 theta} once mu is squared, so it is one
-weighted linear solve whose coefficients map to (mu_max, theta0, eps1) in
-closed form.  mu_eff_model also evaluates the literal 'paper' form, which
-no fit uses.
+curve the coincidence fringe produces: it is linear in
+{1, cos 4 theta, sin 4 theta} once mu is squared, so it is one weighted
+linear solve whose coefficients map to (mu_max, theta0, eps1) in closed
+form.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import IllPosedError
-
-VARIANTS = ("paper", "derived")
 
 _MAX_ITERATIONS = 200  # Gauss-Newton steps before a fit is reported unconverged
 # a free fit ends, converged, at a Gauss-Newton step below the larger of _TOL * k
@@ -50,22 +47,11 @@ class VisibilityCurveParams:
 
     mu_max is the instrument ceiling, theta0 the pump-dial offset, eps1 the
     in-phase pump ellipse amplitude (eps2 follows from normalization).
-    variant selects how mu_eff_model lets the pump-ellipticity floor enter:
-    'derived' (the default) uses sqrt(v1 + v2^2), the fringe amplitude the
-    coincidence curve itself produces, and is the model fit_visibility_curve
-    fits; 'paper' uses sqrt(v1^2 + v2^2), the literal alternative closed
-    form, kept only to evaluate.  The phase-scan oracle agrees with
-    'derived'.
     """
 
     mu_max: float
     theta0: float
     eps1: float
-    variant: str = "derived"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     @property
     def eps2(self) -> float:
@@ -102,29 +88,6 @@ def fringe_model(x, p: FringeModelParams):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = p.c0 * (1.0 + p.mu * np.cos(2.0 * np.pi * xv / p.period + p.psi))
     return float(out[0]) if scalar else out
-
-
-def mu_eff_model(theta, p: VisibilityCurveParams):
-    """Effective fringe visibility as a function of the pump dial angle.
-
-    With e1 = eps1 and e2^2 = 1 - e1^2:
-      v1 = 4 e1^2 (1 - e1^2)           (ellipticity floor, equals (2 e1 e2)^2)
-      v2 = (2 e1^2 - 1) sin 2(theta - theta0)
-    'derived' returns mu_max * sqrt(v1 + v2^2); 'paper' returns
-    mu_max * sqrt(v1^2 + v2^2).  Output clamped to [0, mu_max].
-    """
-    theta = np.asarray(theta, dtype=float)
-    e1 = min(max(abs(p.eps1), 0.0), 1.0)
-    e1sq = e1 * e1
-    v1 = 4.0 * e1sq * (1.0 - e1sq)
-    v2 = (2.0 * e1sq - 1.0) * np.sin(2.0 * (theta - p.theta0))
-    if p.variant == "derived":
-        val = np.sqrt(np.maximum(v1 + v2 * v2, 0.0))
-    else:
-        val = np.sqrt(v1 * v1 + v2 * v2)
-    ceiling = max(p.mu_max, 0.0)
-    out = np.clip(p.mu_max * val, 0.0, ceiling)
-    return float(out) if out.ndim == 0 else out
 
 
 def _as_arrays(data):
@@ -167,7 +130,8 @@ def _scan_columns(scan, min_points: int):
     or (n, 2) rows, is the one-row stack; an (m, n) record array or an
     (m, n, 2) rate stack is m scans, which must share positions and
     integration times.  Observations and weights come back (m, n),
-    positions and times (n,).
+    positions and times (n,).  A counting scan's integration times must be
+    > 0 with a normal square.
     """
     counting = isinstance(scan, np.ndarray) and bool(scan.dtype.names)
     if counting:
@@ -178,9 +142,6 @@ def _scan_columns(scan, min_points: int):
         x = fields["position"].astype(float)
         y = fields["counts"].astype(float)
         t = fields["integration_time"].astype(float)
-        if (t <= 0.0).any():
-            raise IllPosedError("counting scans need integration_time > 0; "
-                                "fit (position, rate) rows for noise-free curves")
     else:
         rows = np.asarray(scan, dtype=float)
         one_scan = rows.ndim != 3
@@ -196,12 +157,22 @@ def _scan_columns(scan, min_points: int):
         raise ValueError("data contains non-finite values")
     if not one_scan and not ((x == x[0]).all() and (t == t[0]).all()):
         raise IllPosedError("scans must share positions and integration times")
-    order = np.argsort(x[0])
+    x, t = x[0], t[0]
+    if counting:
+        # the design rows carry t, so the normal matrix carries t^2, which
+        # must not underflow or overflow
+        lo, hi = float(t.min()), float(t.max())
+        if not (lo > 0.0 and lo * lo >= sys.float_info.min and hi * hi < math.inf):
+            raise IllPosedError(f"counting scans need integration_time > 0 with a normal "
+                                f"square, ~1.5e-154 to 1.3e154 s (got {lo:.3g} to "
+                                f"{hi:.3g} s); fit (position, rate) rows for "
+                                f"noise-free curves")
+    order = np.argsort(x)
     # take keeps rows C-contiguous, where y[:, order] would not, so a row
     # rounds as it does alone
     y = np.take(y, order, axis=1)
     w = 1.0 / np.maximum(y, 1.0) if counting else np.ones_like(y)
-    return x[0][order], y, w, t[0][order], one_scan, counting
+    return x[order], y, w, t[order], one_scan, counting
 
 
 def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
@@ -369,17 +340,35 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
     (4, 4) for one scan; iterations, converged and message describe the
     one search.  converged is True when the search converged (a pinned
-    period always does) and at least one row has contrast.
+    period always does) and at least one row has contrast.  A largest rate
+    whose square overflows raises IllPosedError, and so, for a free period,
+    does a top wavenumber pi (n - 1) / span whose square overflows.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
-    if not fixed and x[-1] - x[0] <= 0.0:
-        raise IllPosedError("positions must span at least one period to fit a free period")
+    rates = y / t
+    # the fitted level c0 is of the order of the largest rate, and the delta
+    # method squares it
+    peak = float(np.abs(rates).max())
+    if not peak * peak < math.inf:
+        raise IllPosedError(f"{'counts / integration_time' if counting else 'rates'} out of "
+                            f"range: the largest rate, {peak:.3g}, has no finite square")
+    if not fixed:
+        span = float(x[-1]) - float(x[0])
+        if span <= 0.0:
+            raise IllPosedError("positions must span at least one period to fit a free period")
+        # the search reaches the wavenumber pi (n - 1) / span, and the period's
+        # error squares it
+        k_top = math.pi * (x.size - 1) / span
+        if not k_top * k_top < math.inf:
+            raise IllPosedError(f"positions too closely spaced to fit a free period: the top "
+                                f"wavenumber pi (n - 1) / span, {k_top:.3g} /m, has no "
+                                f"finite square")
 
     period = fix_period if fixed else start_period
     if period is not None and not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and > 0, got {period!r}")
-    k = _dominant_wavenumber(x, y / t) if period is None else 2.0 * math.pi / period
+    k = _dominant_wavenumber(x, rates) if period is None else 2.0 * math.pi / period
     if fixed:
         fit = _linear_fit(k, x, y, w, t)
         if fit[0] is None:

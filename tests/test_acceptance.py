@@ -16,15 +16,14 @@ import pytest
 from twinfringe.analysis import concurrence, phi_scan_oracle
 from twinfringe.config import default_config
 from twinfringe.detection import sample_counts
-from twinfringe.fitting import (FringeModelParams, VisibilityCurveParams,
-                                fit_fringe, fringe_model, fringe_params,
-                                mu_eff_model)
+from twinfringe.fitting import (FringeModelParams, fit_fringe, fringe_model,
+                                fringe_params)
 from twinfringe.pipeline import reproduce_fig5, simulate_scan
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (CrystalConfig, SourceConfig, TwoPhotonState,
                              build_two_photon_state, coincidence_probability,
-                             predicted_visibility,
+                             default_source, predicted_visibility,
                              predicted_visibility_with_analyzers)
 
 ANA45 = (DIAGONAL, DIAGONAL)
@@ -124,29 +123,29 @@ def test_criterion_3_fig5_reproduction():
 
 
 def test_criterion_4_floor_and_ceiling():
-    """The derived-variant floor is 0.77 * 2 e1 e2 ~ 0.123, the ceiling is
-    exactly 0.77; the 'paper' reading gives 0.0196 instead, and the phase
-    oracle agrees with the derived value."""
-    derived = VisibilityCurveParams(0.77, theta0=math.pi, eps1=EPS1, variant="derived")
-    paper = VisibilityCurveParams(0.77, theta0=math.pi, eps1=EPS1, variant="paper")
+    """The visibility-curve floor is 0.77 * 2 e1 e2 ~ 0.123, the ceiling is
+    exactly 0.77; the paper's literal reading, 0.77 (2 e1 e2)^2, gives 0.0196
+    instead, and the source chain and the phase oracle agree with the first."""
+    floor = 0.77 * 2 * EPS1 * EPS2
+    floor_paper = 0.77 * (2 * EPS1 * EPS2) ** 2
 
-    floor_derived = mu_eff_model(math.pi, derived)
-    floor_paper = mu_eff_model(math.pi, paper)
-    ceiling = mu_eff_model(math.pi + math.pi / 4, derived)
+    def chain(pump_angle):
+        state = build_two_photon_state(
+            PumpState.from_eps2(EPS2, PolarizationAngle(pump_angle)), default_source())
+        return 0.77 * predicted_visibility_with_analyzers(state, *ANA45)
 
-    assert floor_derived == pytest.approx(0.77 * 2 * EPS1 * EPS2, abs=1e-12)
-    assert floor_derived == pytest.approx(0.123, abs=5e-4)
-    assert ceiling == pytest.approx(0.77, abs=1e-12)
-    assert floor_paper == pytest.approx(0.77 * (2 * EPS1 * EPS2) ** 2, abs=1e-12)
+    assert floor == pytest.approx(0.123, abs=5e-4)
+    assert chain(0.0) == pytest.approx(floor, abs=1e-12)
+    assert chain(math.pi / 4) == pytest.approx(0.77, abs=1e-12)
     assert floor_paper == pytest.approx(0.0196, abs=5e-4)
     # the two readings genuinely disagree at the floor
-    assert abs(floor_derived - floor_paper) > 0.1
+    assert abs(floor - floor_paper) > 0.1
 
     state = TwoPhotonState(complex(EPS1), complex(EPS2 * 1j), VERTICAL, HORIZONTAL)
     oracle_floor = 0.77 * phi_scan_oracle(state, ANA45).mu
-    assert oracle_floor == pytest.approx(floor_derived, abs=1e-6)
-    _report(f"PASS criterion 4: floor/ceiling {floor_derived:.4f}/0.7700 "
-            f"(oracle agrees; paper-variant floor {floor_paper:.4f} documented)")
+    assert oracle_floor == pytest.approx(floor, abs=1e-6)
+    _report(f"PASS criterion 4: floor/ceiling {floor:.4f}/0.7700 "
+            f"(chain and oracle agree; paper-reading floor {floor_paper:.4f} documented)")
 
 
 def test_criterion_5_doubled_frequency():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,12 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from twinfringe.cli import main, read_scan_csv, read_sweep_csv, write_scan_csv
+from twinfringe.cli import (main, read_scan_csv, read_sweep_csv, write_scan_csv,
+                            write_sweep_csv)
 from twinfringe.detection import SCAN_DTYPE, ScanConfig
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
-from twinfringe.pipeline import simulate_scan
+from twinfringe.pipeline import SweepPoint, simulate_scan
 from twinfringe.spdc import GeometryConfig
 
 CLI = [sys.executable, "-m", "twinfringe.cli"]
@@ -544,6 +547,19 @@ class TestScanCsvWriter:
         assert self.written(scan, tmp_path / "scan.csv") == self.referee(scan)
 
 
+class TestSweepCsvWriter:
+    def test_special_values_write_the_referee_bytes(self, tmp_path):
+        # the row-by-row writer it replaced wrote repr of each float
+        values = [-0.0, math.nan, math.inf, 1e-320, 0.1 + 1e-17, 0.0]
+        points = [SweepPoint(theta, mu, sigma, True) for theta, mu, sigma
+                  in zip(values, values[1:] + values[:1], values[2:] + values[:2])]
+        path = tmp_path / "sweep.csv"
+        for sweep in (points, points[:0]):
+            write_sweep_csv(sweep, str(path))
+            assert path.read_bytes() == ("theta_rad,mu,sigma_mu\n" + "".join(
+                [f"{p.theta!r},{p.mu!r},{p.sigma_mu!r}\n" for p in sweep])).encode()
+
+
 class TestSweepCsvReader:
     @pytest.mark.parametrize("bad_row, reason", [
         ("0.5,nan,0.01", "must be finite"),
@@ -622,6 +638,57 @@ class TestCliSweepAndFit:
         assert fit.returncode == 0, fit.stderr
         report = json.loads((tmp_path / "sweep.csv.fit.json").read_text())
         assert abs(report["params"]["eps2"] - 0.08) < 0.03
+
+    @staticmethod
+    def fit_edited_scan(tmp_path, column, value):
+        """Exit code, stderr and warnings of a fringe fit of the seed-3 default
+        scan with one column edited: integration_time or expected_rate (with
+        the counts zeroed) set to value, or the positions spaced value apart."""
+        scan = simulate_scan(default_config(), 3)
+        if column == "position":
+            scan.position = np.arange(len(scan)) * value
+        elif column == "expected_rate":
+            scan.expected_rate *= value / scan.expected_rate.max()
+            scan.counts = 0
+        else:
+            scan.integration_time = value
+        path = tmp_path / "scan.csv"
+        write_scan_csv(scan, str(path))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["fit", str(path), "--model", "fringe",
+                         "--output", str(tmp_path / "r.json")])
+        return code, err.getvalue(), [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("column, value, named", [
+        # rates counts / t beyond 1.3e154 /s have no finite square
+        ("integration_time", 1e-152, "integration_time"),
+        ("integration_time", 1e-153, "integration_time"),
+        # times whose square is subnormal or zero
+        ("integration_time", 1e-155, "integration_time"),
+        ("integration_time", 1e-160, "integration_time"),
+        ("integration_time", 1e-170, "integration_time"),
+        ("expected_rate", 1e155, "rates"),
+        # the top wavenumber pi (n - 1) / span has no finite square
+        ("position", 1e-200, "positions"),
+        ("position", 1e-310, "positions"),
+    ])
+    def test_out_of_range_scan_exits_2(self, tmp_path, column, value, named):
+        code, err, caught = self.fit_edited_scan(tmp_path, column, value)
+        assert code == 2, err
+        assert named in err and "Traceback" not in err
+        assert caught == []
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("column, value", [
+        ("integration_time", 10.0), ("integration_time", 1e-150), ("expected_rate", 1e150)])
+    def test_in_range_scan_fits(self, tmp_path, column, value):
+        code, err, caught = self.fit_edited_scan(tmp_path, column, value)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert code == 0 and caught == [], err
+        assert all(math.isfinite(v) and v > 0.0 for v in report["stderr"].values())
 
     def test_three_angles_warns_ill_posed(self, tmp_path):
         config = tmp_path / "c.json"

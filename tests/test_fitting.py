@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from twinfringe.analysis import phi_scan_oracle
 from twinfringe.cli import main, write_scan_csv
 from twinfringe.config import (config_from_dict, config_to_dict, default_config,
                                entangled_sweep_config)
@@ -13,13 +12,13 @@ from twinfringe.errors import IllPosedError
 from twinfringe.fitting import (FitResult, FringeModelParams,
                                 VisibilityCurveParams, _dominant_wavenumber, fit_fringe,
                                 fit_visibility_curve,
-                                fringe_model, fringe_params, mu_eff_model,
-                                visibility_curve_params)
+                                fringe_model, fringe_params, visibility_curve_params)
 from twinfringe import fitting, pipeline
 from twinfringe.pipeline import reproduce_fig5, simulate_scan, theta0_distance
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
-from twinfringe.spdc import TwoPhotonState, build_two_photon_state
+from twinfringe.spdc import (TwoPhotonState, build_two_photon_state, default_source,
+                             predicted_visibility_with_analyzers)
 
 SQ2 = math.sqrt(2.0)
 ANA45 = (DIAGONAL, DIAGONAL)
@@ -36,55 +35,6 @@ class TestFringeModel:
     def test_peak_value(self):
         p = FringeModelParams(c0=10.0, mu=0.4, period=1e-3, psi=0.0)
         assert fringe_model(0.0, p) == pytest.approx(14.0)
-
-
-class TestMuEffModel:
-    def test_ceiling_reached_midway_between_crystals(self):
-        for variant in ("paper", "derived"):
-            p = VisibilityCurveParams(0.9, theta0=1.0, eps1=1.0, variant=variant)
-            assert mu_eff_model(1.0 + math.pi / 4, p) == pytest.approx(0.9, abs=1e-12)
-
-    def test_floor_values_for_quadrature_pump(self):
-        derived = VisibilityCurveParams(0.77, theta0=math.pi, eps1=EPS1, variant="derived")
-        paper = VisibilityCurveParams(0.77, theta0=math.pi, eps1=EPS1, variant="paper")
-        # frozen: 0.77 * 2 e1 e2 and 0.77 * (2 e1 e2)^2
-        assert mu_eff_model(math.pi, derived) == pytest.approx(0.122805, abs=1e-6)
-        assert mu_eff_model(math.pi, paper) == pytest.approx(0.019586, abs=1e-6)
-
-    def test_derived_ceiling_exact_for_unit_norm_amplitudes(self):
-        # (e1^2 - e2^2)^2 + (2 e1 e2)^2 = 1, so the ceiling is exactly mu_max
-        p = VisibilityCurveParams(0.77, theta0=0.0, eps1=EPS1, variant="derived")
-        assert mu_eff_model(math.pi / 4, p) == pytest.approx(0.77, abs=1e-12)
-
-    def test_pi_periodic_and_symmetric(self):
-        rng = np.random.default_rng(6)
-        for variant in ("paper", "derived"):
-            p = VisibilityCurveParams(0.8, theta0=0.7, eps1=0.97, variant=variant)
-            for theta in rng.uniform(0, math.pi, 50):
-                assert mu_eff_model(theta + math.pi, p) == pytest.approx(
-                    mu_eff_model(theta, p), abs=1e-12)
-                axis = p.theta0 + math.pi / 4
-                assert mu_eff_model(axis + (theta % (math.pi / 4)), p) == pytest.approx(
-                    mu_eff_model(axis - (theta % (math.pi / 4)), p), abs=1e-12)
-
-    def test_derived_variant_matches_phase_scan_oracle(self):
-        # the derived curve is exactly the 45-degree fringe contrast, scaled
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            eps2 = rng.uniform(0.0, 1.0)
-            eps1 = math.sqrt(1 - eps2 ** 2)
-            theta = rng.uniform(0.0, math.pi)
-            a1 = eps1 * math.cos(theta) - 1j * eps2 * math.sin(theta)
-            a2 = eps1 * math.sin(theta) + 1j * eps2 * math.cos(theta)
-            state = TwoPhotonState(complex(a1), complex(a2), VERTICAL, HORIZONTAL)
-            mu_max = rng.uniform(0.1, 1.0)
-            p = VisibilityCurveParams(mu_max, theta0=0.0, eps1=eps1, variant="derived")
-            assert mu_eff_model(theta, p) == pytest.approx(
-                mu_max * phi_scan_oracle(state, ANA45).mu, abs=1e-6)
-
-    def test_variant_names_validated(self):
-        with pytest.raises(ValueError):
-            VisibilityCurveParams(0.8, 0.0, 0.9, variant="bogus")
 
 
 class TestFitResult:
@@ -818,11 +768,19 @@ class TestFixedPointStop:
         assert verdicts() == stopped
 
 
-def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02,
-                    n=19, variant="derived"):
+def chain_curve(theta, mu_max, theta0, eps2):
+    """The visibility curve the source chain produces: mu_max times the fringe
+    contrast behind 45-degree analyzers of a pump (eps2, theta - theta0), at
+    each angle theta.  It reads ~1e-16, not 0, where a linear pump nulls it."""
+    source = default_source()
+    return np.array([mu_max * predicted_visibility_with_analyzers(build_two_photon_state(
+        PumpState.from_eps2(eps2, PolarizationAngle(t - theta0)), source), *ANA45)
+        for t in np.atleast_1d(theta).tolist()])
+
+
+def synthetic_curve(rng, mu_max=0.77, theta0=math.pi, eps2=EPS2, noise=0.02, n=19):
     theta = np.linspace(0.0, math.pi, n)
-    p = VisibilityCurveParams(mu_max, theta0, math.sqrt(1 - eps2 ** 2), variant)
-    clean = mu_eff_model(theta, p)
+    clean = chain_curve(theta, mu_max, theta0, eps2)
     sigma = np.maximum(noise * np.maximum(clean, 0.05), 1e-4)
     mu = np.clip(clean + rng.normal(0.0, sigma), 0.0, 1.0)
     return list(zip(theta, mu, sigma))
@@ -847,7 +805,8 @@ class TestFitVisibilityCurve:
         points = synthetic_curve(rng, eps2=0.0, noise=0.005)
         fit = fit_visibility_curve(points)
         p = visibility_curve_params(fit)
-        assert mu_eff_model(p.theta0, p) == pytest.approx(0.0, abs=0.02)
+        assert chain_curve(p.theta0, p.mu_max, p.theta0, p.eps2)[0] == pytest.approx(
+            0.0, abs=0.02)
 
     def test_constant_data_flagged_not_crashed(self):
         theta = np.linspace(0.0, math.pi, 12)
@@ -877,9 +836,7 @@ class TestFitVisibilityCurve:
         p = visibility_curve_params(fit)
         assert p.eps1 >= p.eps2
 
-    # the curve model the fit recovers; mu_eff_model's 'paper' form has no fit
-    @pytest.mark.parametrize("variant", ["derived"])
-    def test_noise_free_curves_recovered(self, variant):
+    def test_noise_free_curves_recovered(self):
         # eps2 stays in [0.05, 0.65]: as eps2 -> eps1 the curve flattens and
         # theta0 becomes undefined
         rng = np.random.default_rng(31)
@@ -887,8 +844,9 @@ class TestFitVisibilityCurve:
         for _ in range(200):
             eps2 = rng.uniform(0.05, 0.65)
             truth = VisibilityCurveParams(rng.uniform(0.1, 1.0), rng.uniform(0.0, math.pi),
-                                          math.sqrt(1.0 - eps2 ** 2), variant)
-            points = np.column_stack((theta, mu_eff_model(theta, truth), np.full(19, 0.01)))
+                                          math.sqrt(1.0 - eps2 ** 2))
+            points = np.column_stack((theta, chain_curve(theta, truth.mu_max, truth.theta0,
+                                                         eps2), np.full(19, 0.01)))
             fit = fit_visibility_curve(points)
             p = visibility_curve_params(fit)
             assert fit.converged and fit.iterations == 0
@@ -896,6 +854,22 @@ class TestFitVisibilityCurve:
             assert abs(p.mu_max - truth.mu_max) <= 1e-10
             assert theta0_distance(p.theta0, truth.theta0) <= 1e-10
             assert abs(p.eps2 - eps2) <= 1e-10
+
+    def test_fig5_chain_recovered_without_noise(self):
+        # the source chain's expected rates at the fig5 angles, fitted as one
+        # stack at their shared period, then the rows' mu as a visibility
+        # curve: the fit gives back the truth the chain was built from
+        stack = pipeline._expected_stack(pipeline._fig5_config(), pipeline._FIG5_ANGLES)
+        rows = fit_fringe(stack)
+        assert rows.converged
+        fit = fit_visibility_curve(np.column_stack(
+            (pipeline._FIG5_DIAL, rows.params[:, 1], np.full(len(stack), 0.01))))
+        p = visibility_curve_params(fit)
+        truth = pipeline.FIG5_TRUTH
+        assert fit.converged
+        assert abs(p.mu_max - truth["mu_max"]) <= 1e-12
+        assert theta0_distance(p.theta0, truth["theta0"]) <= 1e-12
+        assert abs(p.eps2 - truth["eps2"]) <= 1e-12
 
     @staticmethod
     def closed_form(coef):
@@ -906,11 +880,9 @@ class TestFitVisibilityCurve:
         return np.array([math.sqrt(mu_max_sq), (math.atan2(-c, -b) / 4.0) % (math.pi / 2),
                          math.sqrt((1.0 + math.sqrt(u)) / 2.0)])
 
-    # the curve model the fit recovers; mu_eff_model's 'paper' form has no fit
-    @pytest.mark.parametrize("variant", ["derived"])
-    def test_weighted_normal_equations_on_mu_squared(self, variant):
+    def test_weighted_normal_equations_on_mu_squared(self):
         rng = np.random.default_rng(21)
-        theta, mu, sigma = np.array(synthetic_curve(rng, theta0=1.0, variant=variant)).T
+        theta, mu, sigma = np.array(synthetic_curve(rng, theta0=1.0)).T
         w = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
         design = np.column_stack((np.ones_like(theta), np.cos(4 * theta), np.sin(4 * theta)))
         normal = design.T @ (w[:, None] * design)
@@ -928,11 +900,10 @@ class TestFitVisibilityCurve:
         # a linear-pump curve with 2% deeper flanks fits A < R, so u clips at 1
         theta = np.linspace(0.0, math.pi, 19)
         theta0 = theta[5]
-        truth = VisibilityCurveParams(0.77, theta0, 1.0)
-        mu = mu_eff_model(theta, truth) * (1.0 - 0.02 * np.cos(4.0 * (theta - theta0)))
+        mu = chain_curve(theta, 0.77, theta0, 0.0) * (1.0 - 0.02 * np.cos(4.0 * (theta - theta0)))
+        mu[5] = 0.0  # the null, exactly: a zero mu weighs 1/(2 sigma^4)
         sigma = np.full(19, 0.01)
         sigma[9] = 0.0
-        assert mu[5] == 0.0
         fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
         p = visibility_curve_params(fit)
         assert fit.converged
@@ -1017,10 +988,9 @@ class TestFitVisibilityCurve:
     def test_three_distinct_values_of_4_theta_fit(self):
         # 0, 30, 60 and 90 degrees: 4 theta is 0, 120, 240 and 360 degrees
         theta = np.radians([0.0, 30.0, 60.0, 90.0])
-        truth = VisibilityCurveParams(0.77, 0.4, math.sqrt(1.0 - 0.3 ** 2))
         assert self.referee_rank(theta)[0] == 3
         fit = fit_visibility_curve(np.column_stack(
-            (theta, mu_eff_model(theta, truth), np.full(4, 0.01))))
+            (theta, chain_curve(theta, 0.77, 0.4, 0.3), np.full(4, 0.01))))
         p = visibility_curve_params(fit)
         assert fit.converged
         assert p.mu_max == pytest.approx(0.77, rel=1e-12)

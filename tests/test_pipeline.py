@@ -11,8 +11,8 @@ from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, de
                                entangled_sweep_config, load_config, save_config)
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import ConfigurationError, IllPosedError
-from twinfringe.fitting import (fit_fringe, fit_visibility_curve, fringe_params,
-                                visibility_curve_params)
+from twinfringe.fitting import (VisibilityCurveParams, fit_fringe, fit_visibility_curve,
+                                fringe_params, visibility_curve_params)
 from twinfringe.pipeline import (FIG5_TRUTH, reproduce_fig5, simulate_scan,
                                  sweep_pump_angle, theta0_distance)
 from twinfringe.polarization import HORIZONTAL, VERTICAL, PolarizationAngle, PumpState
@@ -164,10 +164,13 @@ class TestFig5:
             fit_visibility_curve(rows, variant="derived")
         with pytest.raises(TypeError, match="variant"):
             visibility_curve_params(result.fit, variant="derived")
+        with pytest.raises(TypeError, match="variant"):
+            VisibilityCurveParams(0.77, 0.0, 0.9, variant="derived")
+        assert [f.name for f in dataclasses.fields(VisibilityCurveParams)] == [
+            "mu_max", "theta0", "eps1"]
         refit = fit_visibility_curve(rows)
         assert refit.params.tobytes() == result.fit.params.tobytes()
         params = visibility_curve_params(refit)
-        assert params.variant == "derived"
         assert (params.mu_max, params.theta0, params.eps1) == (
             result.mu_max, result.theta0, result.eps1)
 
