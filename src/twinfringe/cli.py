@@ -28,7 +28,7 @@ from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve, fringe_params,
                       visibility_curve_params)
-from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH,
+from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH, SWEEP_DTYPE,
                        reproduce_fig5, simulate_scan, sweep_pump_angle)
 
 EXIT_OK = 0
@@ -38,6 +38,8 @@ EXIT_NOCONV = 4
 
 SCAN_HEADER = ["position_m", "counts", "integration_s", "expected_rate"]
 SWEEP_HEADER = ["theta_rad", "mu", "sigma_mu"]
+# the sweep CSV's columns: every field of SWEEP_DTYPE but the last, converged
+_SWEEP_CSV = np.dtype(SWEEP_DTYPE.descr[:-1])
 
 _SCAN_MODES = {"signal": "signal_only", "idler": "idler_only", "both": "both"}
 
@@ -71,22 +73,23 @@ def _column_text(column: np.ndarray) -> list:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
+def _write_table(table: np.ndarray, names, header: List[str], path: str) -> None:
+    """Write the named fields of table as CSV columns under header, one line
+    per record; an empty table writes the header line alone."""
+    columns = [_column_text(table[name]) for name in names]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+
+
 def write_scan_csv(scan: np.recarray, path: str) -> None:
     # a scan repeats its integration time on every row, and its counts and (on
     # a symmetric scan) its rates many times; SCAN_DTYPE's fields are in
     # SCAN_HEADER's order
-    columns = [_column_text(scan[name]) for name in SCAN_DTYPE.names]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SCAN_HEADER) + "\n"
-                 + "".join([f"{x},{n},{t},{rate}\n" for x, n, t, rate in zip(*columns)]))
+    _write_table(scan, SCAN_DTYPE.names, SCAN_HEADER, path)
 
 
-def write_sweep_csv(points, path: str) -> None:
-    columns = [_column_text(np.array([getattr(p, name) for p in points], dtype=np.float64))
-               for name in ("theta", "mu", "sigma_mu")]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n"
-                 + "".join([f"{theta},{mu},{sigma}\n" for theta, mu, sigma in zip(*columns)]))
+def write_sweep_csv(sweep: np.ndarray, path: str) -> None:
+    _write_table(sweep, _SWEEP_CSV.names, SWEEP_HEADER, path)
 
 
 def _read_header(fh, path: str, columns: List[str], kind: str) -> int:
@@ -100,9 +103,6 @@ def _read_header(fh, path: str, columns: List[str], kind: str) -> int:
     if header != columns:
         raise TwinfringeError(f"{path}: expected {kind} columns {columns}, got {header}")
     return reader.line_num
-
-
-_SWEEP_DTYPE = np.dtype([("theta", "f8"), ("mu", "f8"), ("sigma_mu", "f8")])
 
 
 def _scan_checks(scan: np.ndarray) -> List[Tuple[np.ndarray, str]]:
@@ -170,8 +170,8 @@ def read_scan_csv(path: str) -> np.recarray:
     return _read_table(path, SCAN_HEADER, SCAN_DTYPE, "scan", _scan_checks).view(np.recarray)
 
 
-def read_sweep_csv(path: str) -> List[Tuple[float, float, float]]:
-    return _read_table(path, SWEEP_HEADER, _SWEEP_DTYPE, "sweep", _sweep_checks).tolist()
+def read_sweep_csv(path: str) -> np.recarray:
+    return _read_table(path, SWEEP_HEADER, _SWEEP_CSV, "sweep", _sweep_checks).view(np.recarray)
 
 
 def _fringe_summary(fit: FitResult) -> str:
@@ -224,9 +224,9 @@ def cmd_sweep_pump_angle(args) -> int:
     write_sweep_csv(points, args.output)
     print(f"wrote {len(points)} sweep points to {args.output}")
     print(f"{'theta_deg':>10} {'mu':>8} {'sigma_mu':>9}")
-    for p in points:
-        flag = "" if p.converged else "  (fit not converged)"
-        print(f"{math.degrees(p.theta):>10.2f} {p.mu:>8.4f} {p.sigma_mu:>9.4f}{flag}")
+    for theta, mu, sigma_mu, converged in points.tolist():
+        flag = "" if converged else "  (fit not converged)"
+        print(f"{math.degrees(theta):>10.2f} {mu:>8.4f} {sigma_mu:>9.4f}{flag}")
     return EXIT_OK
 
 

@@ -75,14 +75,6 @@ def slit_visibility_factor(slit_width: float, fringe_period: float) -> float:
     return float(np.sinc(slit_width / fringe_period))
 
 
-def _detector_positions(x: np.ndarray, scan_mode: str):
-    if scan_mode == "signal_only":
-        return x, np.zeros_like(x)
-    if scan_mode == "idler_only":
-        return np.zeros_like(x), x
-    return x, x
-
-
 def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: GeometryConfig,
                   analyzers: Optional[Tuple[PolarizationAngle, PolarizationAngle]],
                   scan: ScanConfig) -> np.ndarray:
@@ -99,8 +91,9 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: Geometr
     # + 0.0 writes a -0.0 position or rate as 0.0, so scans that compare
     # equal give equal bytes (pipeline caches the rates on that equality)
     x = np.asarray(scan.positions, dtype=np.float64) + 0.0
-    xs, xi = _detector_positions(x, scan.scan_mode)
-    phases = fringe_phase(xs, xi, geometry, source.phi0)
+    # the phase reads x_signal + x_idler only, so moving either detector alone
+    # is one scan, and moving both doubles x
+    phases = fringe_phase(x, x if scan.scan_mode == "both" else 0.0, geometry, source.phi0)
     c = mean + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
     f = scan.instrument_factor * slit_visibility_factor(
         scan.slit_width, geometry.fringe_period)

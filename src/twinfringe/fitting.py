@@ -91,13 +91,16 @@ def fringe_model(x, p: FringeModelParams):
 
 
 def _as_arrays(data):
-    """The three columns of (input, observation, weight or sigma) rows, all finite."""
+    """The theta, mu and sigma columns, all finite, of (theta, mu, sigma) rows
+    or of the theta, mu and sigma_mu fields of a structured array."""
+    if isinstance(data, np.ndarray) and data.dtype.names:
+        # the rows as a view of contiguous columns, which the return gives back
+        data = np.array([data[name] for name in ("theta", "mu", "sigma_mu")], dtype=float).T
     rows = np.asarray(data, dtype=float)
     if rows.size == 0:
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"data must be (input, observation, weight or sigma) triples, "
-                         f"got shape {rows.shape}")
+        raise ValueError(f"data must be (theta, mu, sigma) triples, got shape {rows.shape}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("data contains non-finite values")
     return np.ascontiguousarray(rows.T)
@@ -108,10 +111,11 @@ def _as_arrays(data):
 _ZERO_CONTRAST = 1e-9  # hypot(a, b) / |c0| at or below: zero (flat scans leave ~2e-13)
 
 
-def _contrast(c0: float, a: float, b: float) -> float:
-    """hypot(a, b) of c0 + a cos kx + b sin kx, or 0.0 where that is zero contrast."""
-    h = math.hypot(a, b)
-    return 0.0 if h <= _ZERO_CONTRAST * abs(c0) else h
+def _contrast(c0: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """hypot(a, b) of each row's c0 + a cos kx + b sin kx, and which rows have
+    zero contrast: hypot(a, b) at or below _ZERO_CONTRAST |c0|."""
+    h = np.hypot(a, b)
+    return h, h <= _ZERO_CONTRAST * np.abs(c0)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -269,7 +273,7 @@ def _search_wavenumber(k: float, x, y, w, t):
     iterations, converged, message = 0, False, ""
     while True:
         coef, design, weighted, normal_inv, resid, _ = fit
-        if not any(_contrast(*row) for row in coef.tolist()):
+        if _contrast(*coef.T)[1].all():
             return k, fit, None, None, iterations, False, ""
         # d model / dk at fixed (c0, a, b), per scan
         jk = x * (coef[:, 2, None] * design[1] - coef[:, 1, None] * design[2])
@@ -342,7 +346,8 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     one search.  converged is True when the search converged (a pinned
     period always does) and at least one row has contrast.  A largest rate
     whose square overflows raises IllPosedError, and so, for a free period,
-    does a top wavenumber pi (n - 1) / span whose square overflows.
+    does a top wavenumber pi (n - 1) / span whose square overflows, and for
+    a pinned one, a design whose linear solve is singular or not finite.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
@@ -370,9 +375,13 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         raise ValueError(f"period must be finite and > 0, got {period!r}")
     k = _dominant_wavenumber(x, rates) if period is None else 2.0 * math.pi / period
     if fixed:
-        fit = _linear_fit(k, x, y, w, t)
-        if fit[0] is None:
-            raise IllPosedError("the fringe design is singular at the starting period")
+        # inv can return a non-finite inverse, not raise, when the sin column's
+        # square underflows, as on subnormal positions
+        with np.errstate(invalid="ignore", over="ignore"):
+            fit = _linear_fit(k, x, y, w, t)
+        if fit[0] is None or not np.isfinite(fit[0]).all():
+            raise IllPosedError("the fringe design is singular at the pinned period: the "
+                                "positions are too closely spaced or take too few phases")
         q, iterations, converged, message = None, 0, True, ""
     else:
         k, fit, curvature, q, iterations, converged, message = _search_wavenumber(
@@ -382,11 +391,9 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     m, n = y.shape
 
     # d (c0, mu, period, psi) / d (c0, a, b) per row; undefined beyond c0 where
-    # a row has zero contrast, by _contrast's rule (h is NaN there, so that
-    # nothing divides by zero)
+    # a row has zero contrast (h is NaN there, so that nothing divides by zero)
     c0, a, b = coef.T
-    h = np.hypot(a, b)
-    flat = h <= _ZERO_CONTRAST * np.abs(c0)
+    h, flat = _contrast(c0, a, b)
     h[flat] = math.nan
     c0h, hh = c0 * h, h * h
     grad = np.zeros((m, 4, 3))
@@ -458,7 +465,8 @@ def _rank_three(points: np.ndarray) -> bool:
 
 
 def fit_visibility_curve(points) -> FitResult:
-    """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples.
+    """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples, or
+    to the theta, mu and sigma_mu fields of a sweep table.
 
     With D = 2 eps1^2 - 1 and u = D^2, the model is linear in
     {1, cos 4 theta, sin 4 theta} once squared:

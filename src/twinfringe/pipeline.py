@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,19 +67,17 @@ def simulate_scan(config: RunConfig, seed: Optional[int] = None) -> np.recarray:
     return _simulate(config, [config.pump.theta_p.radians], seed)[0]
 
 
-@dataclass
-class SweepPoint:
-    theta: float
-    mu: float
-    sigma_mu: float
-    converged: bool
+# one row per pump angle: the angle (radians), the fitted visibility and its
+# standard error, and whether the stacked fit converged with a finite error there
+SWEEP_DTYPE = np.dtype([("theta", np.float64), ("mu", np.float64),
+                        ("sigma_mu", np.float64), ("converged", np.bool_)])
 
 
 def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
-                     seed: Optional[int] = None) -> List[SweepPoint]:
-    """Visibility versus pump angle: simulate the config's pump at every
-    angle as one row of a scan stack, and fit the stack at the one fringe
-    period its rows share.
+                     seed: Optional[int] = None) -> np.recarray:
+    """Visibility versus pump angle, an (m,) record array of SWEEP_DTYPE:
+    simulate the config's pump at every angle as one row of a scan stack,
+    and fit the stack at the one fringe period its rows share.
 
     Every angle has the same geometry and so the same positions, times and
     fringe period; only contrast and phase change with the angle.  The
@@ -87,16 +85,18 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
     angle order (the first k angles of a sweep draw the same counts as a
     sweep of those k angles), from expected rates computed once per
     (config, angles); one fit_fringe call searches the shared period and
-    fits each row's contrast at it.  A point is converged when that fit
+    fits each row's contrast at it.  A row is converged when that fit
     converged and its sigma_mu is finite (a row without contrast has none).
+    No angle gives an empty table and draws nothing.
     """
-    if len(thetas) == 0:
-        return []
-    fit = fit_fringe(_simulate(config, thetas, seed))
-    return [SweepPoint(theta=float(theta), mu=mu, sigma_mu=sigma_mu,
-                       converged=fit.converged and math.isfinite(sigma_mu))
-            for theta, mu, sigma_mu in zip(thetas, fit.params[:, 1].tolist(),
-                                           fit.stderr[:, 1].tolist())]
+    sweep = np.empty(len(thetas), SWEEP_DTYPE)
+    if len(thetas):
+        fit = fit_fringe(_simulate(config, thetas, seed))
+        sweep["theta"] = thetas
+        sweep["mu"] = fit.params[:, 1]
+        sweep["sigma_mu"] = fit.stderr[:, 1]
+        sweep["converged"] = fit.converged & np.isfinite(sweep["sigma_mu"])
+    return sweep.view(np.recarray)
 
 
 def theta0_distance(theta0: float, reference: float) -> float:
@@ -112,7 +112,7 @@ def theta0_distance(theta0: float, reference: float) -> float:
 
 @dataclass
 class Fig5Result:
-    points: List[SweepPoint]
+    points: np.recarray
     fit: FitResult
     mu_max: float
     theta0: float
@@ -149,10 +149,8 @@ def reproduce_fig5(seed: int = FIG5_SEED) -> Fig5Result:
     """
     seed = _seed(seed)
     points = sweep_pump_angle(_fig5_config(), _FIG5_ANGLES, seed)
-    for point, d in zip(points, _FIG5_DIAL):
-        point.theta = d
-
-    fit = fit_visibility_curve([(p.theta, p.mu, p.sigma_mu) for p in points])
+    points["theta"] = _FIG5_DIAL
+    fit = fit_visibility_curve(points)
     params = visibility_curve_params(fit)
     deltas = {
         "mu_max": abs(params.mu_max - FIG5_TRUTH["mu_max"]),

@@ -32,9 +32,8 @@ class PolarizationAngle:
         if not math.isfinite(r):
             raise ConfigurationError(f"polarization angle must be finite, got {r!r}")
         r %= math.pi
-        if r < 0.0:  # % can return -0.0-adjacent values on some platforms
-            r += math.pi
-        object.__setattr__(self, "radians", r)
+        # a small negative angle r rounds r % pi up to pi, which is 0.0 modulo pi
+        object.__setattr__(self, "radians", 0.0 if r == math.pi else r)
 
     def orthogonal(self) -> "PolarizationAngle":
         return PolarizationAngle(self.radians + math.pi / 2.0)

@@ -16,7 +16,9 @@ from twinfringe.detection import SCAN_DTYPE, ScanConfig
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
-from twinfringe.pipeline import SweepPoint, simulate_scan
+from twinfringe.fitting import fit_visibility_curve
+from twinfringe.pipeline import (SWEEP_DTYPE, reproduce_fig5, simulate_scan,
+                                 sweep_pump_angle)
 from twinfringe.spdc import GeometryConfig
 
 CLI = [sys.executable, "-m", "twinfringe.cli"]
@@ -551,13 +553,35 @@ class TestSweepCsvWriter:
     def test_special_values_write_the_referee_bytes(self, tmp_path):
         # the row-by-row writer it replaced wrote repr of each float
         values = [-0.0, math.nan, math.inf, 1e-320, 0.1 + 1e-17, 0.0]
-        points = [SweepPoint(theta, mu, sigma, True) for theta, mu, sigma
-                  in zip(values, values[1:] + values[:1], values[2:] + values[:2])]
+        table = np.rec.fromrecords(
+            [(theta, mu, sigma, converged) for theta, mu, sigma, converged
+             in zip(values, values[1:] + values[:1], values[2:] + values[:2],
+                    [True, False] * 3)], dtype=SWEEP_DTYPE)
         path = tmp_path / "sweep.csv"
-        for sweep in (points, points[:0]):
+        for sweep in (table, table[:0]):
             write_sweep_csv(sweep, str(path))
             assert path.read_bytes() == ("theta_rad,mu,sigma_mu\n" + "".join(
-                [f"{p.theta!r},{p.mu!r},{p.sigma_mu!r}\n" for p in sweep])).encode()
+                [f"{theta!r},{mu!r},{sigma!r}\n"
+                 for theta, mu, sigma, _ in sweep.tolist()])).encode()
+
+    @pytest.mark.parametrize("run", [
+        lambda: sweep_pump_angle(entangled_sweep_config(), np.linspace(0.0, math.pi, 19), 5),
+        lambda: reproduce_fig5(seed=777).points,
+    ], ids=["sweep_pump_angle", "reproduce_fig5"])
+    def test_read_back_sweep_fits_as_the_table(self, tmp_path, run):
+        # repr round-trips every float, so the file holds the table's fitted
+        # columns exactly and fits to the same bits
+        sweep = run()
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep, str(path))
+        read = read_sweep_csv(str(path))
+        assert isinstance(read, np.recarray)
+        assert read.dtype.names == ("theta", "mu", "sigma_mu")
+        for name in read.dtype.names:
+            assert read[name].tobytes() == sweep[name].tobytes()
+        fit, refit = fit_visibility_curve(sweep), fit_visibility_curve(read)
+        assert fit.params.tobytes() == refit.params.tobytes()
+        assert fit.covariance.tobytes() == refit.covariance.tobytes()
 
 
 class TestSweepCsvReader:
@@ -629,11 +653,10 @@ class TestCliSweepAndFit:
         proc = run_cli(["sweep-pump-angle", "--config", str(config),
                         "--output", str(out), "--seed", "5"])
         assert proc.returncode == 0, proc.stderr
-        points = read_sweep_csv(str(out))
-        assert len(points) == 19
-        mus = [mu for _, mu, _ in points]
-        assert abs(max(mus) - 0.77) < 0.03
-        assert 0.09 <= min(mus) <= 0.16
+        sweep = read_sweep_csv(str(out))
+        assert sweep.shape == (19,)
+        assert abs(sweep["mu"].max() - 0.77) < 0.03
+        assert 0.09 <= sweep["mu"].min() <= 0.16
         fit = run_cli(["fit", str(out), "--model", "viscurve"])
         assert fit.returncode == 0, fit.stderr
         report = json.loads((tmp_path / "sweep.csv.fit.json").read_text())
@@ -643,9 +666,11 @@ class TestCliSweepAndFit:
     def fit_edited_scan(tmp_path, column, value):
         """Exit code, stderr and warnings of a fringe fit of the seed-3 default
         scan with one column edited: integration_time or expected_rate (with
-        the counts zeroed) set to value, or the positions spaced value apart."""
+        the counts zeroed) set to value, or the positions spaced value apart
+        (for "pinned position", fitted at a pinned 1 mm period)."""
         scan = simulate_scan(default_config(), 3)
-        if column == "position":
+        pinned = ["--fix-period", "1e-3"] if column == "pinned position" else []
+        if column.endswith("position"):
             scan.position = np.arange(len(scan)) * value
         elif column == "expected_rate":
             scan.expected_rate *= value / scan.expected_rate.max()
@@ -659,7 +684,7 @@ class TestCliSweepAndFit:
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
             code = main(["fit", str(path), "--model", "fringe",
-                         "--output", str(tmp_path / "r.json")])
+                         "--output", str(tmp_path / "r.json"), *pinned])
         return code, err.getvalue(), [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("column, value, named", [
@@ -674,6 +699,10 @@ class TestCliSweepAndFit:
         # the top wavenumber pi (n - 1) / span has no finite square
         ("position", 1e-200, "positions"),
         ("position", 1e-310, "positions"),
+        # a pinned fit whose sin column squares to zero: the linear solve is
+        # not finite
+        ("pinned position", 1e-310, "positions"),
+        ("pinned position", 1e-200, "positions"),
     ])
     def test_out_of_range_scan_exits_2(self, tmp_path, column, value, named):
         code, err, caught = self.fit_edited_scan(tmp_path, column, value)

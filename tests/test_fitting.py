@@ -1062,6 +1062,18 @@ class TestFitVisibilityCurve:
         assert np.array_equal(from_rows.params, from_array.params)
         assert np.array_equal(from_rows.covariance, from_array.covariance)
 
+    @pytest.mark.parametrize("seed", [0, 5, 777])
+    def test_sweep_table_and_triples_give_identical_fits(self, seed):
+        # the theta, mu and sigma_mu fields of a sweep table are read as the
+        # triples' columns; the converged field is not read
+        table = reproduce_fig5(seed=seed).points
+        triples = [(theta, mu, sigma) for theta, mu, sigma, _ in table.tolist()]
+        from_table, from_rows = fit_visibility_curve(table), fit_visibility_curve(triples)
+        assert from_table.params.tobytes() == from_rows.params.tobytes()
+        assert from_table.covariance.tobytes() == from_rows.covariance.tobytes()
+        table.converged = ~table.converged
+        assert fit_visibility_curve(table).params.tobytes() == from_rows.params.tobytes()
+
     def test_rows_must_be_triples(self):
         with pytest.raises(ValueError, match="triples"):
             fit_visibility_curve(np.ones((10, 2)))

@@ -13,7 +13,7 @@ from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import ConfigurationError, IllPosedError
 from twinfringe.fitting import (VisibilityCurveParams, fit_fringe, fit_visibility_curve,
                                 fringe_params, visibility_curve_params)
-from twinfringe.pipeline import (FIG5_TRUTH, reproduce_fig5, simulate_scan,
+from twinfringe.pipeline import (FIG5_TRUTH, SWEEP_DTYPE, reproduce_fig5, simulate_scan,
                                  sweep_pump_angle, theta0_distance)
 from twinfringe.polarization import HORIZONTAL, VERTICAL, PolarizationAngle, PumpState
 from twinfringe.spdc import CrystalConfig, SourceConfig, build_two_photon_state
@@ -60,18 +60,16 @@ class TestDisentangledSource:
 class TestSweep:
     def test_floor_and_ceiling_of_quadrature_pump_sweep(self):
         config = entangled_sweep_config(ceiling=0.77, eps2=0.08)
-        points = sweep_pump_angle(config, np.linspace(0.0, math.pi, 19), seed=11)
-        mus = [p.mu for p in points]
-        assert max(mus) == pytest.approx(0.77, abs=0.03)
-        assert 0.09 <= min(mus) <= 0.16
+        sweep = sweep_pump_angle(config, np.linspace(0.0, math.pi, 19), seed=11)
+        assert sweep["mu"].max() == pytest.approx(0.77, abs=0.03)
+        assert 0.09 <= sweep["mu"].min() <= 0.16
 
     def test_points_are_reproducible(self):
         config = entangled_sweep_config()
         thetas = np.linspace(0.0, math.pi, 5)
         a = sweep_pump_angle(config, thetas, seed=3)
         b = sweep_pump_angle(config, thetas, seed=3)
-        assert [(p.theta, p.mu, p.sigma_mu) for p in a] == \
-               [(p.theta, p.mu, p.sigma_mu) for p in b]
+        assert a.tobytes() == b.tobytes()
 
     def test_each_angle_is_fitted_at_the_shared_period(self):
         # the sweep is one stacked fit of scans expected angle by angle and
@@ -85,10 +83,11 @@ class TestSweep:
             expected.append(expected_scan(state, config.source, config.geometry,
                                           config.analyzers, config.scan))
         fit = fit_fringe(sample_counts(np.stack(expected), config.scan.integration_time, 3))
-        points = sweep_pump_angle(config, thetas, seed=3)
-        assert [p.mu for p in points] == fit.params[:, 1].tolist()
-        assert [p.sigma_mu for p in points] == fit.stderr[:, 1].tolist()
-        assert [p.converged for p in points] == [True] * 5
+        sweep = sweep_pump_angle(config, thetas, seed=3)
+        assert sweep["theta"].tobytes() == thetas.tobytes()
+        assert sweep["mu"].tobytes() == fit.params[:, 1].tobytes()
+        assert sweep["sigma_mu"].tobytes() == fit.stderr[:, 1].tobytes()
+        assert sweep["converged"].all()
         assert np.all(fit.params[:, 2] == fit.params[0, 2])
 
     def test_first_angles_draw_the_counts_of_a_longer_sweep(self, monkeypatch):
@@ -114,8 +113,7 @@ class TestSweep:
     def test_angle_without_fringe_reads_near_zero(self):
         # 90 degrees pumps one crystal: no fringe, so a free period search there
         # has nothing to lock onto; at the sweep's shared period it reads ~0
-        points = sweep_pump_angle(default_config(), np.linspace(0.0, math.pi, 19), seed=99)
-        flat = points[9]
+        flat = sweep_pump_angle(default_config(), np.linspace(0.0, math.pi, 19), seed=99)[9]
         assert flat.theta == pytest.approx(math.pi / 2)
         assert flat.converged
         assert flat.mu < 0.05 and flat.sigma_mu < 0.02
@@ -124,16 +122,18 @@ class TestSweep:
         config = default_config()
         config = dataclasses.replace(
             config, scan=dataclasses.replace(config.scan, peak_rate=0.0))
-        points = sweep_pump_angle(config, np.linspace(0.0, math.pi, 5), seed=1)
-        assert len(points) == 5
-        assert not any(p.converged for p in points)
-        assert all(math.isfinite(p.mu) for p in points)
+        sweep = sweep_pump_angle(config, np.linspace(0.0, math.pi, 5), seed=1)
+        assert sweep.shape == (5,)
+        assert not sweep["converged"].any()
+        assert np.isfinite(sweep["mu"]).all()
 
     def test_empty_sweep(self, monkeypatch):
         # nothing is simulated, so nothing is drawn
         monkeypatch.setattr(pipeline, "sample_counts", None)
-        assert sweep_pump_angle(entangled_sweep_config(), []) == []
-        assert sweep_pump_angle(entangled_sweep_config(), np.array([])) == []
+        for thetas in ([], np.array([])):
+            sweep = sweep_pump_angle(entangled_sweep_config(), thetas)
+            assert isinstance(sweep, np.recarray)
+            assert sweep.dtype == SWEEP_DTYPE and sweep.shape == (0,)
 
     def test_too_few_points_rejected(self):
         config = default_config()
@@ -156,7 +156,7 @@ class TestFig5:
         # one closed-form visibility-curve fit: no variant to select, and the
         # reported fit is that estimator on the reported sweep, bit for bit
         result = reproduce_fig5(seed=7)
-        rows = [(p.theta, p.mu, p.sigma_mu) for p in result.points]
+        rows = result.points
         assert "variant" not in {f.name for f in dataclasses.fields(result)}
         with pytest.raises(TypeError, match="variant"):
             reproduce_fig5(seed=7, variant="derived")
@@ -285,8 +285,8 @@ def cold_bytes(*args, **kwargs):
     return stack_bytes(*args, **kwargs)
 
 
-def point_values(points):
-    return np.array([(p.theta, p.mu, p.sigma_mu, p.converged) for p in points]).tobytes()
+def point_values(sweep):
+    return sweep.tobytes()
 
 
 def fig5_values(result):

@@ -17,6 +17,12 @@ class TestPolarizationAngle:
         assert PolarizationAngle(-math.pi / 4).radians == pytest.approx(3 * math.pi / 4)
         assert PolarizationAngle(7 * math.pi / 2).radians == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize("value", [-1e-20, -1e-300, -5e-324, -0.0])
+    def test_tiny_negative_angle_is_zero(self, value):
+        # value % pi rounds to pi itself, outside [0, pi); modulo pi that is 0
+        angle = PolarizationAngle(value).radians
+        assert angle == 0.0 and math.copysign(1.0, angle) == 1.0
+
     def test_constants(self):
         assert VERTICAL.radians == 0.0
         assert HORIZONTAL.radians == pytest.approx(math.pi / 2)
