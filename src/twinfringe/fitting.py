@@ -123,19 +123,31 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
+def _counting_weights(counts: np.ndarray) -> np.ndarray:
+    """The fringe fit's estimator on counting data, Neyman chi-square: each
+    bin weighs the inverse of its observed count, floored at one count."""
+    return 1.0 / np.maximum(counts, 1.0)
+
+
+def _dof(m: int, n: int, free: bool) -> int:
+    """Degrees of freedom of a fringe fit of an (m, n) stack: the m n data
+    less each row's (c0, a, b), less one for a free shared period."""
+    return m * (n - 3) - free
+
+
 def _scan_columns(scan, min_points: int):
     """Positions, observations, weights and integration times of a scan stack,
     by position, and whether the input was one scan rather than a stack.
 
     A counting scan (a record array with position, counts and
-    integration_time fields, such as sample_counts returns) is Poisson data
-    with weights 1/max(counts, 1) in counts space; (position, rate) rows are
-    noise-free curves with unit weights and times.  One scan, (n,) records
-    or (n, 2) rows, is the one-row stack; an (m, n) record array or an
-    (m, n, 2) rate stack is m scans, which must share positions and
-    integration times.  Observations and weights come back (m, n),
-    positions and times (n,).  A counting scan's integration times must be
-    > 0 with a normal square.
+    integration_time fields, such as sample_counts returns) is Poisson data,
+    weighted in counts space by the fit's estimator, _counting_weights;
+    (position, rate) rows are noise-free curves with unit weights and
+    times.  One scan, (n,) records or (n, 2) rows, is the one-row stack; an
+    (m, n) record array or an (m, n, 2) rate stack is m scans, which must
+    share positions and integration times.  Observations and weights come
+    back (m, n), positions and times (n,).  A counting scan's integration
+    times must be > 0 with a normal square.
     """
     counting = isinstance(scan, np.ndarray) and bool(scan.dtype.names)
     if counting:
@@ -175,7 +187,7 @@ def _scan_columns(scan, min_points: int):
     # take keeps rows C-contiguous, where y[:, order] would not, so a row
     # rounds as it does alone
     y = np.take(y, order, axis=1)
-    w = 1.0 / np.maximum(y, 1.0) if counting else np.ones_like(y)
+    w = _counting_weights(y) if counting else np.ones_like(y)
     return x[order], y, w, t[order], one_scan, counting
 
 
@@ -250,9 +262,10 @@ def _search_wavenumber(k: float, x, y, w, t):
     over scans.  The search stops, converged, at a fixed point: where the
     Gauss-Newton step at the current k is below tol, or where halving a step
     that raises the SSE takes it below tol.  tol is the larger of _TOL k and
-    _SIGMA_TOL sigma_k, with sigma_k^2 = (SSE / (m (n - 3) - 1)) / curvature
-    from the summed SSE and projected curvature at k, so the search stops once
-    the remaining step is ~1% of the period's own error.  It starts at k clipped
+    _SIGMA_TOL sigma_k, with sigma_k^2 = (SSE / dof) / curvature from the
+    summed SSE, the stack's _dof (at least 1) and the summed projected
+    curvature at k, so the search stops once the remaining step is ~1% of
+    the period's own error.  It starts at k clipped
     into [2 pi / span, pi (n - 1) / span], the wavenumbers n points over the
     span resolve, and a step that would leave them ends it unconverged; it
     ends without a step when every scan is flat.
@@ -269,7 +282,7 @@ def _search_wavenumber(k: float, x, y, w, t):
         raise IllPosedError("the fringe design is singular at the starting period")
     sse = sum(fit[5].tolist())
     m, n = y.shape
-    dof = max(m * (n - 3) - 1, 1)
+    dof = max(_dof(m, n, True), 1)
     iterations, converged, message = 0, False, ""
     while True:
         coef, design, weighted, normal_inv, resid, _ = fit
@@ -314,12 +327,13 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     one period they share, and report each scan's visibility.
 
     Accepts either a counting scan, a record array with position, counts
-    and integration_time fields such as sample_counts returns (Poisson data;
-    weights are 1/max(counts, 1) in counts space), or (position, rate) rows
-    (noise-free curves; unit weights in rate space).  An (m, n) record array
-    or an (m, n, 2) rate stack is m scans that share positions and
-    integration times, as the scans of one pump-angle sweep do: the geometry
-    fixes the period, and only contrast and phase vary from row to row.
+    and integration_time fields such as sample_counts returns (Poisson data,
+    weighted in counts space by the fit's estimator, _counting_weights), or
+    (position, rate) rows (noise-free curves; unit weights in rate space).
+    An (m, n) record array or an (m, n, 2) rate stack is m scans that share
+    positions and integration times, as the scans of one pump-angle sweep
+    do: the geometry fixes the period, and only contrast and phase vary from
+    row to row.
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
     over k minimises the summed SSE, starting at start_period or else
     between the peak bin of the summed amplitude spectra and its larger
@@ -336,18 +350,19 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     coefficients of c0 + a cos(kx) + b sin(kx).  Each row's covariance is
     its block of the inverse of the joint (3m + 1) weighted normal matrix in
     (c0, a, b per row; k), by the Schur complement on k, scaled by that
-    row's SSE / (n - 3 - 1/m) (n - 3 with the period pinned) and carried to
-    the parameters by the delta method.  A row of zero contrast reports
-    mu = psi = 0 with NaN errors for mu, period and psi; a counting row of
-    zero counts has a NaN error for c0 as well.
+    row's SSE over its share of the stack's _dof, _dof / m (at least 1), and
+    carried to the parameters by the delta method.  A row of zero contrast
+    reports mu = psi = 0 with NaN errors for mu, period and psi; a counting
+    row of zero counts has a NaN error for c0 as well.
 
     Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
     (4, 4) for one scan; iterations, converged and message describe the
     one search.  converged is True when the search converged (a pinned
     period always does) and at least one row has contrast.  A largest rate
     whose square overflows raises IllPosedError, and so, for a free period,
-    does a top wavenumber pi (n - 1) / span whose square overflows, and for
-    a pinned one, a design whose linear solve is singular or not finite.
+    does a top wavenumber k = pi (n - 1) / span at which the period's error
+    term (2 pi / k^2)^2 is not a normal number, and for a pinned one, a
+    design whose linear solve is singular or not finite.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
@@ -363,12 +378,13 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         if span <= 0.0:
             raise IllPosedError("positions must span at least one period to fit a free period")
         # the search reaches the wavenumber pi (n - 1) / span, and the period's
-        # error squares it
+        # error carries (2 pi / k^2)^2, which must not underflow there: that is
+        # k^2 <= 2 pi / sqrt(the smallest normal number), ~4.2e154 /m^2
         k_top = math.pi * (x.size - 1) / span
-        if not k_top * k_top < math.inf:
-            raise IllPosedError(f"positions too closely spaced to fit a free period: the top "
-                                f"wavenumber pi (n - 1) / span, {k_top:.3g} /m, has no "
-                                f"finite square")
+        if not k_top * k_top <= 2.0 * math.pi / math.sqrt(sys.float_info.min):
+            raise IllPosedError(f"positions too closely spaced to fit a free period: at the "
+                                f"top wavenumber k = pi (n - 1) / span, {k_top:.3g} /m, the "
+                                f"period's error term (2 pi / k^2)^2 underflows")
 
     period = fix_period if fixed else start_period
     if period is not None and not (math.isfinite(period) and period > 0.0):
@@ -416,7 +432,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         s = -(grad @ q[:, :, None])[:, :, 0]
         s[:, 2] -= 2.0 * math.pi / k ** 2
         cov += var_k * (s[:, :, None] * s[:, None, :])
-    dof = n - 3 - (0.0 if fixed else 1.0 / m)  # the rows' dof sum to the stack's
+    dof = _dof(m, n, not fixed) / m  # the rows' dof sum to the stack's
     scale = sse * (0.5 / (dof if dof > 0.0 else 1.0))
     if counting:  # a row of zero counts carries no information, c0 included
         scale[~y.any(axis=1)] = math.nan
@@ -486,8 +502,8 @@ def fit_visibility_curve(points) -> FitResult:
     IllPosedError (_rank_three), and so, naming the conditioning, do angles
     that pass that test but leave the weighted normal equations singular to
     working precision.  The covariance is the inverse normal matrix
-    scaled by SSE/dof, carried to the parameters by the delta method at the
-    clipped u.
+    scaled by SSE / _dof, carried to the parameters by the delta method at
+    the clipped u.
     A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
     it reports eps1 = eps2, theta0 = 0 and NaN errors, unconverged.
     """
@@ -537,7 +553,7 @@ def fit_visibility_curve(points) -> FitResult:
     jac = np.array([dmu,
                     [0.0, -c / (4.0 * r * r), b / (4.0 * r * r)],
                     du / (8.0 * eps1 * math.sqrt(u))])
-    cov = jac @ normal_inv @ jac.T * (sse / (theta.size - 3))
+    cov = jac @ normal_inv @ jac.T * (sse / _dof(1, theta.size, False))
     return FitResult(np.array([mu_max, (math.atan2(-c, -b) / 4.0) % (math.pi / 2.0), eps1]),
                      0.5 * (cov + cov.T), math.sqrt(sse), 0, True)
 

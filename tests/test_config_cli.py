@@ -696,7 +696,9 @@ class TestCliSweepAndFit:
         ("integration_time", 1e-160, "integration_time"),
         ("integration_time", 1e-170, "integration_time"),
         ("expected_rate", 1e155, "rates"),
-        # the top wavenumber pi (n - 1) / span has no finite square
+        # at the top wavenumber k = pi (n - 1) / span, the period's error term
+        # (2 pi / k^2)^2 underflows: below ~1.5e-77 m apart on 61 points
+        ("position", 1e-100, "positions"),
         ("position", 1e-200, "positions"),
         ("position", 1e-310, "positions"),
         # a pinned fit whose sin column squares to zero: the linear solve is
@@ -712,7 +714,8 @@ class TestCliSweepAndFit:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("column, value", [
-        ("integration_time", 10.0), ("integration_time", 1e-150), ("expected_rate", 1e150)])
+        ("integration_time", 10.0), ("integration_time", 1e-150), ("expected_rate", 1e150),
+        ("position", 1e-70)])
     def test_in_range_scan_fits(self, tmp_path, column, value):
         code, err, caught = self.fit_edited_scan(tmp_path, column, value)
         report = json.loads((tmp_path / "r.json").read_text())

@@ -49,6 +49,37 @@ def make_noiseless_scan(params, n=61, span=12e-3):
     return list(zip(x, fringe_model(x, params)))
 
 
+# The fringe fit's estimator as every referee below states it, Neyman
+# chi-square: a counting bin weighs the inverse of its count, floored at one
+# count, and a row's covariance is scaled by its weighted SSE over its share of
+# the stack's degrees of freedom (the visibility-curve referee takes the same
+# scale).  Nothing here comes from twinfringe.fitting, so that the referees
+# check the fit rather than restate it.
+
+def referee_weights(counts):
+    """The weight of each counting bin: 1 / max(counts, 1)."""
+    return 1.0 / np.maximum(np.asarray(counts, dtype=float), 1.0)
+
+
+def referee_scale(resid, w, m, free):
+    """The weighted SSE of each row of residuals, (n,) or (m, n), over a row's
+    share of the (m, n) stack's m (n - 3) degrees of freedom, less one for a
+    free shared period."""
+    n = np.shape(resid)[-1]
+    return (w * resid * resid).sum(axis=-1) / ((m * (n - 3) - free) / m)
+
+
+def referee_solve(x, t, y, k):
+    """(c0, a, b) of t (c0 + a cos kx + b sin kx) on the counts y of one scan,
+    by the weighted normal equations; with the (n, 3) design, the weights and
+    the residuals."""
+    design = t[:, None] * np.column_stack((np.ones_like(x), np.cos(k * x), np.sin(k * x)))
+    y = np.asarray(y, dtype=float)
+    w = referee_weights(y)
+    coef = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
+    return coef, design, w, y - design @ coef
+
+
 class TestFitFringe:
     def test_noiseless_round_trip(self):
         truth = FringeModelParams(c0=55.0, mu=0.83, period=5e-3, psi=0.7)
@@ -134,26 +165,22 @@ class TestFitFringe:
         x = np.array([r.position for r in records])
         y = np.array([r.counts for r in records], dtype=float)
         t = np.array([r.integration_time for r in records])
-        w = 1.0 / np.maximum(y, 1.0)
+        w = referee_weights(y)
         phase = 2.0 * np.pi * x / period + psi
         cols = [1.0 + mu * np.cos(phase), c0 * np.cos(phase), -c0 * mu * np.sin(phase)]
         if free:
             cols.insert(2, c0 * mu * np.sin(phase) * 2.0 * np.pi * x / period ** 2)
         jac = t[:, None] * np.column_stack(cols)
         resid = y - t * c0 * (1.0 + mu * np.cos(phase))
-        return (np.linalg.inv(jac.T @ (w[:, None] * jac))
-                * float(resid @ (w * resid)) / (x.size - len(cols)))
+        return np.linalg.inv(jac.T @ (w[:, None] * jac)) * referee_scale(resid, w, 1, free)
 
     def test_pinned_period_equals_weighted_normal_equations(self):
         truth = FringeModelParams(c0=54.9, mu=0.82, period=5e-3, psi=0.3)
         x = np.linspace(-6e-3, 6e-3, 61)
         records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=11)
         fit = fit_fringe(records, fix_period=5e-3)
-        y = np.array([r.counts for r in records], dtype=float)
-        w = 1.0 / np.maximum(y, 1.0)
-        kx = 2.0 * np.pi * x / 5e-3
-        design = 10.0 * np.column_stack((np.ones_like(x), np.cos(kx), np.sin(kx)))
-        c0, a, b = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
+        c0, a, b = referee_solve(x, records.integration_time, records.counts,
+                                 2.0 * np.pi / 5e-3)[0]
         mu, psi = math.hypot(a, b) / c0, math.atan2(-b, a)
         cov = self.counting_covariance(records, c0, mu, 5e-3, psi, free=False)
         keep = [0, 1, 3]
@@ -175,6 +202,32 @@ class TestFitFringe:
                                rtol=1e-8, atol=1e-10)
             cov = self.counting_covariance(records, *free.params, free=True)
             assert np.allclose(free.covariance, cov, rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("fix_period", [None, 5e-3])
+    def test_low_count_fit_is_the_referee_fit(self, fix_period):
+        # ~5 counts per peak: most bins read 0 to 4 counts, where the weight's
+        # floor at one count decides how much each weighs
+        config = default_config()
+        config = dataclasses.replace(
+            config, scan=dataclasses.replace(config.scan, peak_rate=0.5))
+        checked = 0
+        for seed in range(10):
+            scan = simulate_scan(config, seed=seed)
+            assert np.count_nonzero(scan.counts < 5) > len(scan) // 2
+            fit = fit_fringe(scan, fix_period=fix_period)
+            if not fit.converged:
+                continue
+            checked += 1
+            c0, a, b = referee_solve(scan.position, scan.integration_time, scan.counts,
+                                     2.0 * math.pi / fit.params[2])[0]
+            assert np.allclose(fit.params[[0, 1, 3]], [c0, math.hypot(a, b) / c0,
+                                                       math.atan2(-b, a)],
+                               rtol=1e-8, atol=1e-10)
+            free = fix_period is None
+            keep = [0, 1, 2, 3] if free else [0, 1, 3]
+            cov = self.counting_covariance(scan, *fit.params, free=free)
+            assert np.allclose(fit.covariance[np.ix_(keep, keep)], cov, rtol=1e-7, atol=0.0)
+        assert checked >= 8
 
     @pytest.mark.parametrize("fix_period", [None, 5e-3])
     @pytest.mark.parametrize("rate, counting", [(42.0, False), (0.0, True)])
@@ -237,13 +290,13 @@ class TestFitFringe:
 def joint_covariance(scans, coef, k, free=True):
     """Brute force: per-row blocks of the inverse of the full weighted normal
     matrix in (c0, a, b per row; k if free), each scaled by the row's
-    SSE / (n - 3 - 1/m), or SSE / (n - 3) with k pinned, as 4 x 4 blocks in
-    (c0, a, b, k) with a zero k row and column when pinned."""
+    referee_scale, as 4 x 4 blocks in (c0, a, b, k) with a zero k row and
+    column when pinned."""
     x = scans.position[0]
     t = scans.integration_time[0]
     y = scans.counts.astype(float)
     m, n = y.shape
-    w = 1.0 / np.maximum(y, 1.0)
+    w = referee_weights(y)
     design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
     jac = np.zeros((m * n, 3 * m + free))
     for i, (c0, a, b) in enumerate(coef):
@@ -252,13 +305,13 @@ def joint_covariance(scans, coef, k, free=True):
         if free:
             jac[rows, -1] = x * (b * design[:, 1] - a * design[:, 2])
     inverse = np.linalg.inv(jac.T @ (w.reshape(-1, 1) * jac))
-    dof = n - 3 - (1 / m if free else 0)
     blocks = np.zeros((m, 4, 4))
     for i in range(m):
         keep = [3 * i, 3 * i + 1, 3 * i + 2] + ([3 * m] if free else [])
         resid = y[i] - design @ coef[i]
         size = len(keep)
-        blocks[i, :size, :size] = inverse[np.ix_(keep, keep)] * float(resid @ (w[i] * resid)) / dof
+        blocks[i, :size, :size] = inverse[np.ix_(keep, keep)] * referee_scale(resid, w[i], m,
+                                                                              free)
     return blocks
 
 
@@ -508,12 +561,7 @@ class TestFitSharedPeriod:
                    (free.iterations, free.converged, free.message)
             if free.converged:  # the Schur blocks are the 4 x 4 [design, jk] inverse
                 k = 2.0 * math.pi / free.params[2]
-                x = scan.position
-                design = 10.0 * np.column_stack((np.ones_like(x), np.cos(k * x),
-                                                 np.sin(k * x)))
-                w = 1.0 / np.maximum(scan.counts, 1.0)
-                coef = np.linalg.solve(design.T @ (w[:, None] * design),
-                                       design.T @ (w * scan.counts))
+                coef = referee_solve(scan.position, scan.integration_time, scan.counts, k)[0]
                 want = to_fringe_covariance(joint_covariance(scan[None], coef[None], k)[0],
                                             coef, k)
                 assert np.allclose(shared.covariance[0], want, rtol=1e-10, atol=0.0)
@@ -570,6 +618,32 @@ class TestFitSharedPeriod:
         assert np.allclose(fit.params[[0, 2]], alone.params, rtol=1e-8, atol=0.0)
 
 
+class TestNormalEquationsFixedPoint:
+    """At its reported wavenumber, each row's fitted (c0, a, b) solve that
+    row's weighted normal equations D'W (y - D coef) = 0, with W the referee's
+    weights.  The property defines the estimator's linear part whatever the
+    weights are, and holds for a free period and a pinned one alike."""
+
+    @pytest.mark.parametrize("fix_period", [None, 5e-3])
+    @pytest.mark.parametrize("kind", ["one scan", "stack"])
+    def test_coefficients_solve_the_weighted_normal_equations(self, kind, fix_period):
+        if kind == "one scan":
+            scan = simulate_scan(default_config(), seed=8)
+            scans = scan[None]
+        else:
+            scan = scans = sweep_scans([0.3, 1.1, 2.0])
+        fit = fit_fringe(scan, fix_period=fix_period)
+        assert fit.converged
+        params = np.atleast_2d(fit.params)
+        k = 2.0 * math.pi / params[0, 2]
+        x, t = scans.position[0], scans.integration_time[0]
+        for y, (c0, mu, _, psi) in zip(scans.counts, params):
+            _, design, w, _ = referee_solve(x, t, y, k)
+            coef = np.array([c0, c0 * mu * math.cos(psi), -c0 * mu * math.sin(psi)])
+            gradient = design.T @ (w * (y - design @ coef))
+            assert np.all(np.abs(gradient) <= 1e-10 * (np.abs(design).T @ (w * y)))
+
+
 def per_row_fit_fringe(scan, fix_period=None):
     """fit_fringe with the covariance carried to (c0, mu, period, psi) by a
     delta method per row, a Python loop over the rows: the reference the
@@ -584,8 +658,8 @@ def per_row_fit_fringe(scan, fix_period=None):
         k, fit, curvature, q, iterations, converged, message = fitting._search_wavenumber(
             fitting._dominant_wavenumber(x, y / t), x, y, w, t)
         period = 2.0 * math.pi / k
-    coef, _, _, normal_inv, _, sse = fit
-    m, n = y.shape
+    coef, _, _, normal_inv, resid, _ = fit
+    m = len(y)
     params, grad, contrast = [], [], []
     for c0, a, b in coef.tolist():
         h = math.hypot(a, b)
@@ -604,8 +678,7 @@ def per_row_fit_fringe(scan, fix_period=None):
         s = -(grad @ q[:, :, None])[:, :, 0]
         s[:, 2] -= 2.0 * math.pi / k ** 2
         cov += (1.0 / curvature) * (s[:, :, None] * s[:, None, :])
-    dof = n - 3 - (0.0 if fixed else 1.0 / m)
-    scale = sse * (0.5 / dof)
+    scale = 0.5 * referee_scale(resid, w, m, not fixed)
     if counting:
         scale[~y.any(axis=1)] = math.nan
     cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
@@ -890,7 +963,7 @@ class TestFitVisibilityCurve:
         resid = mu ** 2 - design @ coef
         jac = np.column_stack([(self.closed_form(coef + h) - self.closed_form(coef - h)) / 2e-7
                                for h in 1e-7 * np.eye(3)])
-        cov = jac @ np.linalg.inv(normal) @ jac.T * float(resid @ (w * resid)) / (theta.size - 3)
+        cov = jac @ np.linalg.inv(normal) @ jac.T * referee_scale(resid, w, 1, False)
         fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
         assert fit.converged
         assert np.allclose(fit.params, self.closed_form(coef), rtol=1e-12, atol=0.0)
