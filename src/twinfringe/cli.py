@@ -26,8 +26,8 @@ from .config import (ENV_CONFIG_PATH, RunConfig, default_config,
                      default_config_path, load_config)
 from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
-from .fitting import (FitResult, fit_fringe, fit_visibility_curve, fringe_params,
-                      visibility_curve_params)
+from .fitting import (FitResult, FringeModelParams, fit_fringe, fit_visibility_curve,
+                      fringe_params, visibility_curve_params)
 from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH, SWEEP_DTYPE,
                        reproduce_fig5, simulate_scan, sweep_pump_angle)
 
@@ -174,10 +174,8 @@ def read_sweep_csv(path: str) -> np.recarray:
     return _read_table(path, SWEEP_HEADER, _SWEEP_CSV, "sweep", _sweep_checks).view(np.recarray)
 
 
-def _fringe_summary(fit: FitResult) -> str:
-    p = fringe_params(fit)
-    se = fit.stderr
-    return (f"mu = {p.mu:.4f} +/- {se[1]:.4f}   period = {p.period:.6g} m   "
+def _fringe_summary(fit: FitResult, p: FringeModelParams, se: FringeModelParams) -> str:
+    return (f"mu = {p.mu:.4f} +/- {se.mu:.4f}   period = {p.period:.6g} m   "
             f"c0 = {p.c0:.4f} /s   psi = {p.psi:.4f} rad   "
             f"({'converged' if fit.converged else 'NOT CONVERGED'}, "
             f"{fit.iterations} iterations)")
@@ -193,7 +191,7 @@ def cmd_simulate_scan(args) -> int:
     except TwinfringeError as exc:
         print(f"fringe fit skipped: {exc}", file=sys.stderr)
         return EXIT_OK
-    print("fitted fringe: " + _fringe_summary(fit))
+    print("fitted fringe: " + _fringe_summary(fit, *fringe_params(fit)))
     if not fit.converged:
         print("warning: fringe fit did not converge", file=sys.stderr)
     return EXIT_OK
@@ -280,14 +278,13 @@ def cmd_fit(args) -> int:
             fit = fit_fringe(data, fix_period=args.fix_period, start_period=start_period)
         except ValueError as exc:
             raise TwinfringeError(str(exc)) from exc
-        p = fringe_params(fit)
-        se = fit.stderr
-        print("fringe fit: " + _fringe_summary(fit))
+        p, se = fringe_params(fit)
+        print("fringe fit: " + _fringe_summary(fit, p, se))
         report = {
             "model": "fringe",
             "observable": observable,
             "params": {"c0": p.c0, "mu": p.mu, "period": p.period, "psi": p.psi},
-            "stderr": {"c0": se[0], "mu": se[1], "period": se[2], "psi": se[3]},
+            "stderr": {"c0": se.c0, "mu": se.mu, "period": se.period, "psi": se.psi},
         }
     else:
         for flag, given in (("--init", args.init), ("--fix-period", args.fix_period is not None),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -118,6 +118,32 @@ def _contrast(c0: np.ndarray, a: np.ndarray, b: np.ndarray):
     return h, h <= _ZERO_CONTRAST * np.abs(c0)
 
 
+# below this reciprocal condition number (_rcond) a weighted design does not
+# separate c0, a and b: its normal matrix, whose condition number is the
+# design's squared, is then above ~1e11 and keeps ~5 of its ~16 digits or
+# fewer.  Scans of 61 and 2001 points and fig5 stacks read 0.25 or more; the
+# sin column at k_hi reads ~5e-15, and positions packed inside one period 0
+_MIN_RCOND = 1e-6
+
+
+def _rcond(fit) -> float:
+    """The smallest, over the rows of a _linear_fit, reciprocal condition number
+    of the weighted design sqrt(W) D' in the Frobenius norm, 1 / (|D| |D^+|),
+    from |D|^2 = tr N and |D^+|^2 = tr N^-1 of the normal matrix N = D W D'.
+    For three columns it is at most 3 times below the 2-norm's, the ratio of
+    the extreme singular values.  The columns are not equilibrated: they share
+    t as their unit, and a column that vanishes must read as one.  An inverse
+    whose trace is not positive and finite, as rounding leaves a singular N,
+    reads 0."""
+    _, design, weighted, normal_inv = fit[:4]
+    # tr N = 2 N_00, since N_11 + N_22 sums w t^2 (cos^2 kx + sin^2 kx) = w t^2;
+    # dividing twice keeps the product of the traces from overflowing
+    squares = 0.5 / (weighted[..., 0, :] @ design[0]) / np.trace(normal_inv, axis1=-2,
+                                                                   axis2=-1)
+    smallest = float(squares.min())
+    return math.sqrt(smallest) if smallest > 0.0 else 0.0
+
+
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (..., n) stacks."""
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
@@ -196,13 +222,17 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     the amplitude spectra of the rows of y (one scan per row) summed.  The
     resample has the smallest power of two >= max(x.size, 16) points: the FFT
     of a prime length, such as a 61-point scan's, takes several times longer.
+    The peak is taken only from bins at or below k_hi = pi (n - 1) / span, the
+    top wavenumber the search may reach: the resample's grid is finer than
+    the scan's, and bins 31 and 32 of a 61-point scan's 64-point grid lie
+    above k_hi.
 
     The start lies between the peak bin k and its larger neighbour, moved
     from k by that neighbour's share of the two amplitudes (Rife and Vincent's
     two-bin estimator, exact for one complex tone): on a scan of a few fringes
     the integer bin is up to half a bin, ~20% of k, off.  At k = 1 the start
     stays on the bin, since bin 0 holds the rows' means, and so does it at
-    the last bin, which has no upper neighbour."""
+    the top bin of the band, whose upper neighbour lies beyond k_hi."""
     n = 1 << (max(x.size, 16) - 1).bit_length()
     grid = np.linspace(x[0], x[-1], n)
     # each grid point's fractional index into x, shared by every row, then one
@@ -211,10 +241,12 @@ def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
     lo = np.minimum(index.astype(np.intp), x.size - 2)
     frac = index - lo
     resampled = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
+    # bin j lies at 2 pi j (n - 1) / (n span), at or below k_hi up to this one
+    top = n * (x.size - 1) // (2 * (n - 1))
     # a row's mean enters bin 0 alone, which the search for the peak skips
     amplitude = np.abs(np.fft.rfft(resampled)).sum(axis=0)
-    k = 1 + int(np.argmax(amplitude[1:]))
-    if 2 <= k < amplitude.size - 1:
+    k = 1 + int(np.argmax(amplitude[1:top + 1]))
+    if 2 <= k < top:
         # amplitude[k] > 0 here: argmax takes the first of equal peaks, bin 1
         # when the spectrum is zero beyond bin 0
         below, peak, above = amplitude[k - 1:k + 2].tolist()
@@ -345,30 +377,33 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     fix_period pins k = 2 pi / period instead (zero period variance) and
     wins over start_period.  One scan is the one-row stack.
 
-    Parameter order is [c0, mu, period, psi] in rate units, with
-    mu = hypot(a, b) / c0 and psi = atan2(-b, a) from the linear
-    coefficients of c0 + a cos(kx) + b sin(kx).  Each row's covariance is
+    Parameter order is [c0, a, b, period] in rate units, the coefficients of
+    c0 + a cos(kx) + b sin(kx) and the period 2 pi / k; fringe_params views
+    them as (c0, mu, period, psi) with their errors.  Each row's covariance is
     its block of the inverse of the joint (3m + 1) weighted normal matrix in
-    (c0, a, b per row; k), by the Schur complement on k, scaled by that
-    row's SSE over its share of the stack's _dof, _dof / m (at least 1), and
-    carried to the parameters by the delta method.  A row of zero contrast
-    reports mu = psi = 0 with NaN errors for mu, period and psi; a counting
-    row of zero counts has a NaN error for c0 as well.
+    (c0, a, b per row; k), by the Schur complement on k, with k carried to the
+    period, and scaled by that row's SSE over its share of the stack's _dof,
+    _dof / m (at least 1).  A pinned period has a zero row and column, and so
+    does the period of a free fit whose rows all have zero contrast; a
+    counting row of zero counts has a NaN covariance.
 
     Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
     (4, 4) for one scan; iterations, converged and message describe the
     one search.  converged is True when the search converged (a pinned
-    period always does) and at least one row has contrast.  A largest rate
-    whose square overflows raises IllPosedError, and so, for a free period,
-    does a top wavenumber k = pi (n - 1) / span at which the period's error
-    term (2 pi / k^2)^2 is not a normal number, and for a pinned one, a
-    design whose linear solve is singular or not finite.
+    period always does), at least one row has contrast, and every row's
+    weighted design separates c0, a and b at the final period: its
+    reciprocal condition number is at least _MIN_RCOND (_rcond).  A largest
+    rate whose square overflows raises IllPosedError, and so, for a free
+    period, does a top wavenumber k = pi (n - 1) / span at which the period's
+    error term (2 pi / k^2)^2 is not a normal number, and for a pinned one, a
+    design whose linear solve is singular, not finite, or fails that
+    condition test.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
     rates = y / t
     # the fitted level c0 is of the order of the largest rate, and the delta
-    # method squares it
+    # method of fringe_params squares it
     peak = float(np.abs(rates).max())
     if not peak * peak < math.inf:
         raise IllPosedError(f"{'counts / integration_time' if counting else 'rates'} out of "
@@ -395,42 +430,34 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         # square underflows, as on subnormal positions
         with np.errstate(invalid="ignore", over="ignore"):
             fit = _linear_fit(k, x, y, w, t)
-        if fit[0] is None or not np.isfinite(fit[0]).all():
-            raise IllPosedError("the fringe design is singular at the pinned period: the "
-                                "positions are too closely spaced or take too few phases")
+            solved = fit[0] is not None and np.isfinite(fit[0]).all()
+            if not (solved and _rcond(fit) >= _MIN_RCOND):
+                raise IllPosedError("the fringe design is singular or ill-conditioned at the "
+                                    "pinned period: the positions are too closely spaced or "
+                                    "take too few phases")
         q, iterations, converged, message = None, 0, True, ""
     else:
         k, fit, curvature, q, iterations, converged, message = _search_wavenumber(
             k, x, y, w, t)
         period = 2.0 * math.pi / k
+        rcond = _rcond(fit)
+        if not rcond >= _MIN_RCOND:
+            converged, message = False, (
+                f"unidentified: at the period {period:.6g} m the weighted design does not "
+                f"separate c0, a and b (reciprocal condition number {rcond:.2g})")
     coef, _, _, normal_inv, _, sse = fit
     m, n = y.shape
 
-    # d (c0, mu, period, psi) / d (c0, a, b) per row; undefined beyond c0 where
-    # a row has zero contrast (h is NaN there, so that nothing divides by zero)
-    c0, a, b = coef.T
-    h, flat = _contrast(c0, a, b)
-    h[flat] = math.nan
-    c0h, hh = c0 * h, h * h
-    grad = np.zeros((m, 4, 3))
-    grad[:, 0, 0] = 1.0
-    grad[:, 1, 0] = -h / c0 ** 2
-    grad[:, 1, 1] = a / c0h
-    grad[:, 1, 2] = b / c0h
-    grad[:, 3, 1] = b / hh
-    grad[:, 3, 2] = -a / hh
-    grad[flat, 1:] = math.nan
-    cov = grad @ normal_inv @ grad.swapaxes(-1, -2)
+    cov = np.zeros((m, 4, 4))
+    cov[:, :3, :3] = normal_inv
     if q is not None:  # a free search that found contrast in some row
         # Row i's block of the joint (3m + 1) inverse normal matrix is, by the
-        # Schur complement on k, N_i^-1 + var_k q_i q_i' in (c0, a, b), -var_k q_i
-        # against k, and var_k = 1 / (summed projected curvature) for k, with q_i
-        # the shift of (c0, a, b) per unit k.  Through the delta method that is
-        # the pinned covariance G N_i^-1 G' plus var_k s_i s_i', where
-        # s_i = d params / dk - G q_i.
+        # Schur complement on k, N_i^-1 + var_k s_i s_i' in (c0, a, b, period), with
+        # var_k = 1 / (summed projected curvature) for k, s_i = (-q_i, -2 pi / k^2)
+        # and q_i the shift of (c0, a, b) per unit k (dperiod/dk = -2 pi / k^2).
         var_k = 1.0 / curvature if curvature > 0.0 else math.nan
-        s = -(grad @ q[:, :, None])[:, :, 0]
-        s[:, 2] -= 2.0 * math.pi / k ** 2
+        s = np.empty((m, 4))
+        s[:, :3], s[:, 3] = -q, -2.0 * math.pi / k ** 2
         cov += var_k * (s[:, :, None] * s[:, None, :])
     dof = _dof(m, n, not fixed) / m  # the rows' dof sum to the stack's
     scale = sse * (0.5 / (dof if dof > 0.0 else 1.0))
@@ -439,22 +466,38 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
 
     params = np.empty((m, 4))
-    params[:, 0], params[:, 2] = c0, period
-    params[:, 1] = h / c0
-    params[:, 3] = np.arctan2(-b, a)
-    params[flat, 1::2] = 0.0  # mu = psi = 0 at zero contrast
+    params[:, :3], params[:, 3] = coef, period
     norm = np.sqrt(sse)
-    if flat.all():
+    if _contrast(*coef.T)[1].all():
         converged, message = False, "zero contrast: fringe period and phase are undefined"
     if one_scan:
         params, cov, norm = params[0], cov[0], float(norm[0])
     return FitResult(params, cov, norm, iterations, bool(converged), message)
 
 
-def fringe_params(result: FitResult) -> FringeModelParams:
-    """View a fit_fringe result as FringeModelParams."""
-    c0, mu, period, psi = result.params
-    return FringeModelParams(float(c0), float(mu), float(period), float(psi))
+def fringe_params(result: FitResult) -> Tuple[FringeModelParams, FringeModelParams]:
+    """The values and standard errors of (c0, mu, period, psi) of a fit_fringe
+    result, floats for one scan and (m,) arrays for a stack: mu = hypot(a, b)
+    / c0 and psi = atan2(-b, a), with errors by the delta method.  A row of
+    zero contrast reads mu = psi = 0 with NaN errors for mu, period and psi,
+    as does an error whose variance is negative or not finite."""
+    params, cov = result.params.reshape(-1, 4), result.covariance.reshape(-1, 4, 4)
+    c0, a, b, period = params.T
+    h, flat = _contrast(c0, a, b)
+    h[flat] = math.nan  # d (mu, psi) / d (c0, a, b) is undefined, and NaN divides no zero
+    c0h, hh = c0 * h, h * h
+    grad = np.zeros((len(params), 2, 3))
+    grad[:, 0] = np.array((-h / c0 ** 2, a / c0h, b / c0h)).T
+    grad[:, 1, 1:] = np.array((b / hh, -a / hh)).T
+    var = np.empty((4, len(params)))
+    var[0], var[2] = cov[:, 0, 0], np.where(flat, math.nan, cov[:, 3, 3])
+    var[1::2] = (grad @ cov[:, :3, :3] * grad).sum(axis=-1).T
+    values = np.array((c0, h / c0, period, np.arctan2(-b, a)))
+    values[1::2, flat] = 0.0
+    errors = np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, math.nan))
+    if result.params.ndim == 1:
+        values, errors = values[:, 0].tolist(), errors[:, 0].tolist()
+    return FringeModelParams(*values), FringeModelParams(*errors)
 
 
 # --- visibility-curve fitting ---------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig, _seed, entangled_sweep_config
 from .detection import expected_scan, sample_counts
-from .fitting import (FitResult, fit_fringe, fit_visibility_curve,
+from .fitting import (FitResult, fit_fringe, fit_visibility_curve, fringe_params,
                       visibility_curve_params)
 from .polarization import PolarizationAngle, PumpState
 from .spdc import build_two_photon_state
@@ -92,9 +92,9 @@ def sweep_pump_angle(config: RunConfig, thetas: Sequence[float],
     sweep = np.empty(len(thetas), SWEEP_DTYPE)
     if len(thetas):
         fit = fit_fringe(_simulate(config, thetas, seed))
+        values, errors = fringe_params(fit)
         sweep["theta"] = thetas
-        sweep["mu"] = fit.params[:, 1]
-        sweep["sigma_mu"] = fit.stderr[:, 1]
+        sweep["mu"], sweep["sigma_mu"] = values.mu, errors.mu
         sweep["converged"] = fit.converged & np.isfinite(sweep["sigma_mu"])
     return sweep.view(np.recarray)
 

@@ -158,7 +158,7 @@ def test_criterion_5_doubled_frequency():
         cfg = dataclasses.replace(config, scan=scan)
         fit = fit_fringe(simulate_scan(cfg, seed=314))
         assert fit.converged
-        periods[mode] = fringe_params(fit).period
+        periods[mode] = fringe_params(fit)[0].period
     ratio = periods["both"] / periods["signal_only"]
     assert ratio == pytest.approx(0.5, rel=0.01)
     _report(f"PASS criterion 5: doubled frequency (period ratio {ratio:.4f})")
@@ -174,7 +174,7 @@ def test_criterion_6_fringe_fit_round_trip():
 
     fit = fit_fringe(list(zip(x, rates)))
     assert fit.converged
-    got = fringe_params(fit)
+    got = fringe_params(fit)[0]
     for name in ("c0", "mu", "period", "psi"):
         rel = abs(getattr(got, name) - getattr(truth, name)) / abs(getattr(truth, name))
         assert rel < 1e-6, name
@@ -185,8 +185,8 @@ def test_criterion_6_fringe_fit_round_trip():
     for seed in range(trials):
         records = sample_counts(list(zip(x, rates)), 10.0, seed=seed)
         noisy = fit_fringe(records)
-        p = fringe_params(noisy)
-        if abs(p.mu - truth.mu) <= 3.0 * noisy.stderr[1]:
+        p, se = fringe_params(noisy)
+        if abs(p.mu - truth.mu) <= 3.0 * se.mu:
             hits += 1
     assert hits >= 990
     _report(f"PASS criterion 6: fringe-fit round trip (noiseless exact; "

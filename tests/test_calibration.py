@@ -16,7 +16,7 @@ import pytest
 
 from twinfringe.config import default_config, entangled_sweep_config
 from twinfringe.detection import expected_scan
-from twinfringe.fitting import FringeModelParams, fit_fringe, fringe_model
+from twinfringe.fitting import FringeModelParams, fit_fringe, fringe_model, fringe_params
 from twinfringe.pipeline import FIG5_TRUTH, reproduce_fig5, simulate_scan
 from twinfringe.polarization import PolarizationAngle, PumpState
 from twinfringe.spdc import build_two_photon_state, predicted_visibility_with_analyzers
@@ -56,7 +56,7 @@ def test_fringe_period(peak_rate):
                                                                   peak_rate=peak_rate))
     period = config.geometry.fringe_period
     fits = [fit_fringe(simulate_scan(config, seed)) for seed in range(300)]
-    assert_calibrated([(f.params[2] - period) / f.stderr[2] for f in fits])
+    assert_calibrated([(f.params[3] - period) / f.stderr[3] for f in fits])
 
 
 def test_sweep_visibility():
@@ -87,7 +87,7 @@ def fringe_cramer_rao_bound(config):
     rows = expected_scan(state, config.source, config.geometry, config.analyzers,
                          config.scan)
     x, rate = rows[:, 0], rows[:, 1]
-    truth = fit_fringe(rows).params
+    truth = np.array(dataclasses.astuple(fringe_params(fit_fringe(rows))[0]))
     jacobian = np.empty((x.size, 4))
     for j in range(4):
         step = np.zeros(4)
@@ -103,7 +103,7 @@ def test_fringe_errors_equal_the_cramer_rao_bound():
     # default scan: 61 points, ~1000 counts per peak, free period
     config = default_config()
     bound = fringe_cramer_rao_bound(config)
-    reported = np.median([fit_fringe(simulate_scan(config, seed)).stderr
-                          for seed in range(300)], axis=0)
+    reported = np.median([dataclasses.astuple(fringe_params(fit_fringe(
+        simulate_scan(config, seed)))[1]) for seed in range(300)], axis=0)
     for name, j in (("mu", 1), ("period", 2)):
         assert reported[j] / bound[j] == pytest.approx(1.0, abs=0.05), name

@@ -705,6 +705,9 @@ class TestCliSweepAndFit:
         # not finite
         ("pinned position", 1e-310, "positions"),
         ("pinned position", 1e-200, "positions"),
+        # positions packed far inside the pinned period: the cos column is 1 to
+        # ~1e-13, and the design does not separate c0 from a
+        ("pinned position", 1e-12, "positions"),
     ])
     def test_out_of_range_scan_exits_2(self, tmp_path, column, value, named):
         code, err, caught = self.fit_edited_scan(tmp_path, column, value)

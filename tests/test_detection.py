@@ -86,7 +86,7 @@ class TestExpectedScan:
             fit = fit_fringe(expected)
             want = (factor * slit_visibility_factor(width, geometry.fringe_period)
                     * predicted_visibility_with_analyzers(state, *ANA45))
-            assert fringe_params(fit).mu == pytest.approx(want, abs=1e-6)
+            assert fringe_params(fit)[0].mu == pytest.approx(want, abs=1e-6)
 
     def test_extracted_visibility_matches_prediction_for_unbalanced_pump(self):
         source = default_source()
@@ -97,17 +97,17 @@ class TestExpectedScan:
         fit = fit_fringe(expected_scan(state, source, geometry, ANA45, scan))
         want = (0.77 * slit_visibility_factor(0.5e-3, 5e-3)
                 * predicted_visibility_with_analyzers(state, *ANA45))
-        assert fringe_params(fit).mu == pytest.approx(want, abs=1e-6)
+        assert fringe_params(fit)[0].mu == pytest.approx(want, abs=1e-6)
 
     def test_background_rescales_visibility_exactly(self):
         # visibility scales as (fringe mean) / (fringe mean + background)
         state, source, geometry = balanced_setup()
         clean_fit = fringe_params(fit_fringe(
-            expected_scan(state, source, geometry, ANA45, make_scan())))
+            expected_scan(state, source, geometry, ANA45, make_scan())))[0]
         for background in (10.0, 55.0, 200.0):
             noisy = expected_scan(state, source, geometry, ANA45,
                                   make_scan(background_rate=background))
-            mu_b = fringe_params(fit_fringe(noisy)).mu
+            mu_b = fringe_params(fit_fringe(noisy))[0].mu
             assert mu_b == pytest.approx(
                 clean_fit.mu * clean_fit.c0 / (clean_fit.c0 + background),
                 abs=1e-6)
@@ -132,7 +132,7 @@ class TestExpectedScan:
                                           make_scan(scan_mode="signal_only")))
         double = fit_fringe(expected_scan(state, source, geometry, ANA45,
                                           make_scan(scan_mode="both")))
-        ratio = fringe_params(double).period / fringe_params(single).period
+        ratio = fringe_params(double)[0].period / fringe_params(single)[0].period
         assert ratio == pytest.approx(0.5, rel=1e-6)
 
 
@@ -317,5 +317,5 @@ class TestScanConfigValidation:
         state = build_two_photon_state(config.pump, config.source)
         expected = expected_scan(state, config.source, config.geometry,
                                  config.analyzers, config.scan)
-        mu = fringe_params(fit_fringe(expected)).mu
+        mu = fringe_params(fit_fringe(expected))[0].mu
         assert mu == pytest.approx(0.83, abs=1e-9)

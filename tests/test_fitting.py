@@ -61,12 +61,16 @@ def referee_weights(counts):
     return 1.0 / np.maximum(np.asarray(counts, dtype=float), 1.0)
 
 
+def referee_dof(n, m, free):
+    """A row's share of the (m, n) stack's m (n - 3) degrees of freedom, less
+    one for a free shared period."""
+    return (m * (n - 3) - free) / m
+
+
 def referee_scale(resid, w, m, free):
-    """The weighted SSE of each row of residuals, (n,) or (m, n), over a row's
-    share of the (m, n) stack's m (n - 3) degrees of freedom, less one for a
-    free shared period."""
-    n = np.shape(resid)[-1]
-    return (w * resid * resid).sum(axis=-1) / ((m * (n - 3) - free) / m)
+    """The weighted SSE of each row of residuals, (n,) or (m, n), over its
+    referee_dof."""
+    return (w * resid * resid).sum(axis=-1) / referee_dof(np.shape(resid)[-1], m, free)
 
 
 def referee_solve(x, t, y, k):
@@ -85,7 +89,7 @@ class TestFitFringe:
         truth = FringeModelParams(c0=55.0, mu=0.83, period=5e-3, psi=0.7)
         fit = fit_fringe(make_noiseless_scan(truth))
         assert fit.converged
-        got = fringe_params(fit)
+        got = fringe_params(fit)[0]
         for name in ("c0", "mu", "period", "psi"):
             assert getattr(got, name) == pytest.approx(
                 getattr(truth, name), rel=1e-6), name
@@ -93,7 +97,7 @@ class TestFitFringe:
     def test_fix_period(self):
         truth = FringeModelParams(c0=40.0, mu=0.5, period=5e-3, psi=-0.4)
         fit = fit_fringe(make_noiseless_scan(truth), fix_period=5e-3)
-        got = fringe_params(fit)
+        got = fringe_params(fit)[0]
         assert got.period == 5e-3
         assert got.mu == pytest.approx(0.5, abs=1e-9)
         assert got.psi == pytest.approx(-0.4, abs=1e-9)
@@ -102,7 +106,7 @@ class TestFitFringe:
         # data built with mu < 0 must come back with mu >= 0 and a pi shift
         truth = FringeModelParams(c0=30.0, mu=-0.6, period=4e-3, psi=0.2)
         fit = fit_fringe(make_noiseless_scan(truth))
-        got = fringe_params(fit)
+        got = fringe_params(fit)[0]
         assert got.mu == pytest.approx(0.6, abs=1e-7)
         assert math.cos(got.psi) == pytest.approx(math.cos(0.2 + math.pi), abs=1e-6)
 
@@ -115,8 +119,8 @@ class TestFitFringe:
         for seed in range(trials):
             records = sample_counts(list(zip(x, rates)), 10.0, seed=seed)
             fit = fit_fringe(records)
-            p = fringe_params(fit)
-            if abs(p.mu - truth.mu) <= 3 * fit.stderr[1]:
+            p, se = fringe_params(fit)
+            if abs(p.mu - truth.mu) <= 3 * se.mu:
                 hits += 1
         assert hits >= int(0.95 * trials)
 
@@ -131,9 +135,9 @@ class TestFitFringe:
         mean = float(np.mean(c))
         rates = 100.0 * (mean + 0.77 * (c - mean)) / c.max()
         fit = fit_fringe(list(zip(x, rates)))
-        assert 0.10 <= fringe_params(fit).mu <= 0.15
+        assert 0.10 <= fringe_params(fit)[0].mu <= 0.15
         records = sample_counts(list(zip(x, rates)), 10.0, seed=2)
-        noisy = fringe_params(fit_fringe(records)).mu
+        noisy = fringe_params(fit_fringe(records))[0].mu
         assert 0.09 <= noisy <= 0.16
 
     def test_invariant_under_uniform_count_rescaling(self):
@@ -143,8 +147,8 @@ class TestFitFringe:
         scaled = records.copy()
         scaled.expected_rate *= 10
         scaled.counts *= 10
-        mu_a = fringe_params(fit_fringe(records)).mu
-        mu_b = fringe_params(fit_fringe(scaled)).mu
+        mu_a = fringe_params(fit_fringe(records))[0].mu
+        mu_b = fringe_params(fit_fringe(scaled))[0].mu
         assert abs(mu_a - mu_b) < 1e-9
 
     def test_too_few_points(self):
@@ -159,19 +163,19 @@ class TestFitFringe:
             fit_fringe([(0.0, 1.0), (0.0, 2.0), (0.0, 1.5), (0.0, 1.2)])
 
     @staticmethod
-    def counting_covariance(records, c0, mu, period, psi, free):
-        """Gauss-Newton covariance of (c0, mu[, period], psi) at the given
+    def counting_covariance(records, c0, a, b, period, free):
+        """Gauss-Newton covariance of (c0, a, b[, period]) at the given
         parameters, from the model's analytic Jacobian in counts space."""
         x = np.array([r.position for r in records])
         y = np.array([r.counts for r in records], dtype=float)
         t = np.array([r.integration_time for r in records])
         w = referee_weights(y)
-        phase = 2.0 * np.pi * x / period + psi
-        cols = [1.0 + mu * np.cos(phase), c0 * np.cos(phase), -c0 * mu * np.sin(phase)]
+        phase = 2.0 * np.pi * x / period
+        cols = [np.ones_like(x), np.cos(phase), np.sin(phase)]
         if free:
-            cols.insert(2, c0 * mu * np.sin(phase) * 2.0 * np.pi * x / period ** 2)
+            cols.append((a * np.sin(phase) - b * np.cos(phase)) * 2.0 * np.pi * x / period ** 2)
         jac = t[:, None] * np.column_stack(cols)
-        resid = y - t * c0 * (1.0 + mu * np.cos(phase))
+        resid = y - t * (c0 + a * np.cos(phase) + b * np.sin(phase))
         return np.linalg.inv(jac.T @ (w[:, None] * jac)) * referee_scale(resid, w, 1, free)
 
     def test_pinned_period_equals_weighted_normal_equations(self):
@@ -181,14 +185,12 @@ class TestFitFringe:
         fit = fit_fringe(records, fix_period=5e-3)
         c0, a, b = referee_solve(x, records.integration_time, records.counts,
                                  2.0 * np.pi / 5e-3)[0]
-        mu, psi = math.hypot(a, b) / c0, math.atan2(-b, a)
-        cov = self.counting_covariance(records, c0, mu, 5e-3, psi, free=False)
-        keep = [0, 1, 3]
+        cov = self.counting_covariance(records, c0, a, b, 5e-3, free=False)
         assert fit.converged
-        assert fit.params[2] == 5e-3
-        assert np.allclose(fit.params[keep], [c0, mu, psi], rtol=1e-12, atol=0.0)
-        assert np.allclose(fit.covariance[np.ix_(keep, keep)], cov, rtol=1e-9, atol=0.0)
-        assert np.all(fit.covariance[2] == 0.0) and np.all(fit.covariance[:, 2] == 0.0)
+        assert fit.params[3] == 5e-3
+        assert np.allclose(fit.params[:3], [c0, a, b], rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.covariance[:3, :3], cov, rtol=1e-9, atol=0.0)
+        assert np.all(fit.covariance[3] == 0.0) and np.all(fit.covariance[:, 3] == 0.0)
 
     def test_free_period_agrees_with_pinned_fit_at_its_period(self):
         truth = FringeModelParams(c0=5.49, mu=0.82, period=5e-3, psi=-1.1)
@@ -196,9 +198,9 @@ class TestFitFringe:
         for seed in range(5):
             records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=seed)
             free = fit_fringe(records)
-            pinned = fit_fringe(records, fix_period=free.params[2])
+            pinned = fit_fringe(records, fix_period=free.params[3])
             assert free.converged and pinned.converged
-            assert np.allclose(free.params[[0, 1, 3]], pinned.params[[0, 1, 3]],
+            assert np.allclose(free.params[:3], pinned.params[:3],
                                rtol=1e-8, atol=1e-10)
             cov = self.counting_covariance(records, *free.params, free=True)
             assert np.allclose(free.covariance, cov, rtol=1e-7, atol=0.0)
@@ -219,14 +221,12 @@ class TestFitFringe:
                 continue
             checked += 1
             c0, a, b = referee_solve(scan.position, scan.integration_time, scan.counts,
-                                     2.0 * math.pi / fit.params[2])[0]
-            assert np.allclose(fit.params[[0, 1, 3]], [c0, math.hypot(a, b) / c0,
-                                                       math.atan2(-b, a)],
-                               rtol=1e-8, atol=1e-10)
+                                     2.0 * math.pi / fit.params[3])[0]
+            assert np.allclose(fit.params[:3], [c0, a, b], rtol=1e-8, atol=1e-10)
             free = fix_period is None
-            keep = [0, 1, 2, 3] if free else [0, 1, 3]
+            size = 4 if free else 3
             cov = self.counting_covariance(scan, *fit.params, free=free)
-            assert np.allclose(fit.covariance[np.ix_(keep, keep)], cov, rtol=1e-7, atol=0.0)
+            assert np.allclose(fit.covariance[:size, :size], cov, rtol=1e-7, atol=0.0)
         assert checked >= 8
 
     @pytest.mark.parametrize("fix_period", [None, 5e-3])
@@ -239,11 +239,12 @@ class TestFitFringe:
         fit = fit_fringe(scan, fix_period=fix_period)
         assert not fit.converged
         assert "zero contrast" in fit.message
-        assert fit.params[0] == pytest.approx(rate, abs=1e-12)
-        assert fit.params[1] == 0.0
-        assert not np.isfinite(fit.stderr[2]) and not np.isfinite(fit.stderr[3])
+        p, se = fringe_params(fit)
+        assert p.c0 == pytest.approx(rate, abs=1e-12)
+        assert p.mu == 0.0
+        assert not np.isfinite(se.period) and not np.isfinite(se.psi)
         if counting:  # zero counts carry no information on the mean rate either
-            assert not np.isfinite(fit.stderr[0])
+            assert not np.isfinite(se.c0)
 
     def test_period_must_be_finite_and_positive(self):
         scan = make_noiseless_scan(FringeModelParams(c0=10.0, mu=0.5, period=5e-3))
@@ -256,9 +257,9 @@ class TestFitFringe:
     def test_init_overrides(self, tmp_path, capsys):
         truth = FringeModelParams(c0=55.0, mu=0.8, period=5e-3, psi=0.0)
         fit = fit_fringe(make_noiseless_scan(truth), start_period=5.2e-3)
-        assert fringe_params(fit).period == pytest.approx(5e-3, rel=1e-6)
+        assert fringe_params(fit)[0].period == pytest.approx(5e-3, rel=1e-6)
         pinned = fit_fringe(make_noiseless_scan(truth), fix_period=5e-3, start_period=1.0)
-        assert fringe_params(pinned).period == 5e-3  # a pinned period wins
+        assert fringe_params(pinned)[0].period == 5e-3  # a pinned period wins
         # the command line starts the search at a period and at nothing else
         scan = tmp_path / "scan.csv"
         write_scan_csv(simulate_scan(default_config(), seed=0), str(scan))
@@ -279,7 +280,7 @@ class TestFitFringe:
         scan = simulate_scan(config, seed=seed)
         fit = fit_fringe(scan)
         span = scan.position.max() - scan.position.min()
-        k = 2.0 * math.pi / fringe_params(fit).period
+        k = 2.0 * math.pi / fringe_params(fit)[0].period
         assert not fit.converged
         assert "wavenumbers the scan resolves" in fit.message
         assert np.all(fit.stderr != 0.0)
@@ -287,16 +288,24 @@ class TestFitFringe:
         assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
 
 
-def joint_covariance(scans, coef, k, free=True):
+def joint_covariance(scans, coef, k, free=True, sse=None):
     """Brute force: per-row blocks of the inverse of the full weighted normal
     matrix in (c0, a, b per row; k if free), each scaled by the row's
-    referee_scale, as 4 x 4 blocks in (c0, a, b, k) with a zero k row and
-    column when pinned."""
-    x = scans.position[0]
-    t = scans.integration_time[0]
-    y = scans.counts.astype(float)
+    referee_scale, as 4 x 4 blocks in (c0, a, b, period) with k carried to
+    the period 2 pi / k, and a zero period row and column when pinned.  scans
+    is an (m, n) counting stack, or an (m, n, 2) stack of (position, rate)
+    rows with unit weights and times; a counting row of zero counts carries
+    no information, and its block is NaN.  sse, the rows' weighted SSE, takes
+    the place of the referee's own: on noise-free and flat rows the residuals
+    are rounding, which no two solves share."""
+    if scans.dtype.names:
+        x, t = scans.position[0], scans.integration_time[0]
+        y = scans.counts.astype(float)
+        w = referee_weights(y)
+    else:
+        x, y = scans[0, :, 0], scans[..., 1]
+        t, w = np.ones_like(x), np.ones_like(y)
     m, n = y.shape
-    w = referee_weights(y)
     design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
     jac = np.zeros((m * n, 3 * m + free))
     for i, (c0, a, b) in enumerate(coef):
@@ -305,23 +314,28 @@ def joint_covariance(scans, coef, k, free=True):
         if free:
             jac[rows, -1] = x * (b * design[:, 1] - a * design[:, 2])
     inverse = np.linalg.inv(jac.T @ (w.reshape(-1, 1) * jac))
+    to_period = np.diag([1.0, 1.0, 1.0, -2.0 * math.pi / k ** 2])  # d (c0, a, b, period) / dk
     blocks = np.zeros((m, 4, 4))
     for i in range(m):
         keep = [3 * i, 3 * i + 1, 3 * i + 2] + ([3 * m] if free else [])
         resid = y[i] - design @ coef[i]
+        scale = (referee_scale(resid, w[i], m, free) if sse is None
+                 else sse[i] / referee_dof(n, m, free))
         size = len(keep)
-        blocks[i, :size, :size] = inverse[np.ix_(keep, keep)] * referee_scale(resid, w[i], m,
-                                                                              free)
+        blocks[i, :size, :size] = inverse[np.ix_(keep, keep)] * scale
+        blocks[i] = to_period @ blocks[i] @ to_period
+        if scans.dtype.names and not y[i].any():
+            blocks[i] = math.nan
     return blocks
 
 
-def to_fringe_covariance(lin_cov, coef, k):
-    """Delta method from (c0, a, b, k) to (c0, mu, period, psi)."""
+def to_fringe_covariance(lin_cov, coef):
+    """Delta method from (c0, a, b, period) to (c0, mu, period, psi)."""
     c0, a, b = coef
     h = math.hypot(a, b)
     grad = np.array([[1.0, 0.0, 0.0, 0.0],
                      [-h / c0 ** 2, a / (c0 * h), b / (c0 * h), 0.0],
-                     [0.0, 0.0, 0.0, -2.0 * math.pi / k ** 2],
+                     [0.0, 0.0, 0.0, 1.0],
                      [0.0, b / h ** 2, -a / h ** 2, 0.0]])
     return grad @ lin_cov @ grad.T
 
@@ -330,24 +344,28 @@ def per_row_start_wavenumber(x, y):
     """_dominant_wavenumber with each row of y resampled by its own np.interp
     call, and its mean subtracted before the FFT: the reference the one-interp
     resample of the stack, which leaves the mean in bin 0, must agree with.
-    The grid has the smallest power of two >= max(x.size, 16) points.  For a
-    peak bin k from 2 to one below the last, the start moves from k towards
-    its larger neighbour j by A[j] / (A[k] + A[j]) of a bin, with A the summed
-    amplitude spectrum.  Returns the peak bin, the start in bins, and the
-    wavenumber of one bin."""
+    The grid has the smallest power of two >= max(x.size, 16) points, and the
+    peak bin is the largest of the bins whose wavenumber is at or below
+    k_hi = pi (x.size - 1) / span.  For a peak bin k from 2 to one below the
+    top of that band, the start moves from k towards its larger neighbour j
+    by A[j] / (A[k] + A[j]) of a bin, with A the summed amplitude spectrum.
+    Returns the peak bin, the start in bins, and the wavenumber of one bin."""
     n = 16
     while n < x.size:
         n *= 2
     grid = np.linspace(x[0], x[-1], n)
+    unit = 2.0 * math.pi / (grid[-1] - grid[0]) * (n - 1) / n
+    k_hi = math.pi * (x.size - 1) / (grid[-1] - grid[0])
+    top = max(j for j in range(n // 2 + 1) if j * unit <= k_hi * (1.0 + 1e-12))
     resampled = np.array([np.interp(grid, x, row) for row in y])
     spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
     amplitude = spectrum.sum(axis=0)
-    k = 1 + int(np.argmax(amplitude[1:]))
+    k = 1 + int(np.argmax(amplitude[1:top + 1]))
     start = float(k)
-    if 2 <= k <= n // 2 - 1:
+    if 2 <= k <= top - 1:
         j = k + 1 if amplitude[k + 1] > amplitude[k - 1] else k - 1
         start += (j - k) * amplitude[j] / (amplitude[k] + amplitude[j])
-    return k, start, 2.0 * math.pi / (grid[-1] - grid[0]) * (n - 1) / n
+    return k, start, unit
 
 
 def assert_same_start(x, y):
@@ -495,16 +513,30 @@ class TestStartWavenumber:
             assert math.isfinite(_dominant_wavenumber(x, y))
 
     def test_one_hot_spectrum_starts_on_its_bin(self, monkeypatch):
-        # neighbours of zero amplitude move nothing, and divide by no zero
+        # neighbours of zero amplitude move nothing, and divide by no zero.  Bin
+        # 30 is the top of a 61-point scan's band on its 64-point grid: k_hi =
+        # pi (n - 1) / span lies at bin 30.48, so bins 31 and 32 lie above it
         x = np.linspace(-6e-3, 6e-3, 61)
         y = np.ones((3, 61))
         unit = per_row_start_wavenumber(x, y)[2]
-        for k in (1, 2, 5, 31, 32):  # 32, the last bin of a 64-point grid
+        for k in (1, 2, 5, 30):
             spectrum = np.zeros((3, 33), dtype=complex)
             spectrum[:, k] = 2.0
             monkeypatch.setattr(np.fft, "rfft", lambda a, spectrum=spectrum: spectrum)
             with np.errstate(all="raise"):
                 assert _dominant_wavenumber(x, y) / unit == pytest.approx(k, rel=1e-14)
+
+    @pytest.mark.parametrize("above", [31, 32])
+    def test_a_peak_above_the_band_is_not_the_start(self, above, monkeypatch):
+        # a larger peak beyond k_hi, on the resample's finer grid, is skipped:
+        # the start is the largest peak inside the band
+        x = np.linspace(-6e-3, 6e-3, 61)
+        y = np.ones((3, 61))
+        unit = per_row_start_wavenumber(x, y)[2]
+        spectrum = np.zeros((3, 33), dtype=complex)
+        spectrum[:, 20], spectrum[:, above] = 1.0, 5.0
+        monkeypatch.setattr(np.fft, "rfft", lambda a: spectrum)
+        assert _dominant_wavenumber(x, y) / unit == pytest.approx(20.0, rel=1e-14)
 
 
 def sweep_scans(thetas, seed=300):
@@ -530,20 +562,20 @@ class TestFitSharedPeriod:
                                         config.source, config.geometry, config.analyzers,
                                         config.scan)
                           for pump in pumps + [PumpState.linear(VERTICAL)]])
-        pinned = fit_fringe(scans, fix_period=period).params
-        assert len({round(mu, 3) for mu in pinned[:5, 1]}) == 5
-        assert len({round(psi, 3) for psi in pinned[:5, 3]}) == 5
-        assert pinned[5, 1] == 0.0
+        pinned = fringe_params(fit_fringe(scans, fix_period=period))[0]
+        assert len({round(mu, 3) for mu in pinned.mu[:5]}) == 5
+        assert len({round(psi, 3) for psi in pinned.psi[:5]}) == 5
+        assert pinned.mu[5] == 0.0
         fit = fit_fringe(scans)
         assert fit.converged
         assert fit.params.shape == (6, 4)
-        assert np.all(fit.params[:, 2] == fit.params[0, 2])
-        assert fit.params[0, 2] == pytest.approx(period, rel=1e-10, abs=0.0)
+        assert np.all(fit.params[:, 3] == fit.params[0, 3])
+        assert fit.params[0, 3] == pytest.approx(period, rel=1e-10, abs=0.0)
         # one noise-free scan alone: its SSE is ~0, so the stop stays at 1e-10 k
         one = fit_fringe(scans[0])
         assert one.converged
-        assert one.params[2] == pytest.approx(period, rel=1e-10, abs=0.0)
-        assert fit_fringe(scans[0], start_period=float(one.params[2])).iterations == 0
+        assert one.params[3] == pytest.approx(period, rel=1e-10, abs=0.0)
+        assert fit_fringe(scans[0], start_period=float(one.params[3])).iterations == 0
 
     @pytest.mark.parametrize("peak_rate, seeds", [(100.0, range(20)),
                                                   (0.5, (737, 757, 1293))])
@@ -560,10 +592,9 @@ class TestFitSharedPeriod:
             assert (shared.iterations, shared.converged, shared.message) == \
                    (free.iterations, free.converged, free.message)
             if free.converged:  # the Schur blocks are the 4 x 4 [design, jk] inverse
-                k = 2.0 * math.pi / free.params[2]
+                k = 2.0 * math.pi / free.params[3]
                 coef = referee_solve(scan.position, scan.integration_time, scan.counts, k)[0]
-                want = to_fringe_covariance(joint_covariance(scan[None], coef[None], k)[0],
-                                            coef, k)
+                want = joint_covariance(scan[None], coef[None], k)[0]
                 assert np.allclose(shared.covariance[0], want, rtol=1e-10, atol=0.0)
 
     def test_flat_stack_is_unconverged(self):
@@ -571,7 +602,8 @@ class TestFitSharedPeriod:
         fit = fit_fringe(np.stack([scan, scan.copy()]))
         assert not fit.converged
         assert "zero contrast" in fit.message
-        assert np.isfinite(fit.params[:, 2]).all() and np.isnan(fit.stderr[:, 2]).all()
+        p, se = fringe_params(fit)
+        assert np.isfinite(p.period).all() and np.isnan(se.period).all()
 
     def test_scans_must_share_positions_and_times(self):
         x = np.linspace(-6e-3, 6e-3, 61)
@@ -596,13 +628,9 @@ class TestFitSharedPeriod:
         scans = sweep_scans([0.3, 1.1, 2.0])
         fit = fit_fringe(scans, fix_period=fix_period)
         assert fit.converged
-        k = 2.0 * math.pi / fit.params[0, 2]
-        c0, mu, psi = fit.params[:, 0], fit.params[:, 1], fit.params[:, 3]
-        coef = np.column_stack((c0, c0 * mu * np.cos(psi), -c0 * mu * np.sin(psi)))
-        blocks = joint_covariance(scans, coef, k, free=fix_period is None)
-        for i in range(3):
-            want = to_fringe_covariance(blocks[i], coef[i], k)
-            assert np.allclose(fit.covariance[i], want, rtol=1e-10, atol=0.0)
+        k = 2.0 * math.pi / fit.params[0, 3]
+        blocks = joint_covariance(scans, fit.params[:, :3], k, free=fix_period is None)
+        assert np.allclose(fit.covariance, blocks, rtol=1e-10, atol=0.0)
 
     def test_flat_row_keeps_the_other_rows(self):
         scans = sweep_scans([0.3, 1.1, 2.0])
@@ -610,12 +638,15 @@ class TestFitSharedPeriod:
         fit = fit_fringe(scans)
         alone = fit_fringe(scans[[0, 2]])
         assert fit.converged and fit.message == ""
-        assert fit.params[1, 1] == 0.0 and fit.params[1, 3] == 0.0
-        assert np.isnan(fit.stderr[1]).all()  # zero counts: no error on c0 either
-        assert np.isfinite(fit.stderr[[0, 2]]).all()
+        values, errors = (np.array(dataclasses.astuple(view)) for view in fringe_params(fit))
+        assert values[1, 1] == 0.0 and values[3, 1] == 0.0
+        assert np.isnan(errors[:, 1]).all()  # zero counts: no error on c0 either
+        assert np.isfinite(errors[:, [0, 2]]).all()
         # the flat row carries no information on the period
-        assert fit.params[0, 2] == pytest.approx(alone.params[0, 2], rel=1e-9, abs=0.0)
-        assert np.allclose(fit.params[[0, 2]], alone.params, rtol=1e-8, atol=0.0)
+        assert fit.params[0, 3] == pytest.approx(alone.params[0, 3], rel=1e-9, abs=0.0)
+        assert np.allclose(values[:, [0, 2]].T,
+                           np.array(dataclasses.astuple(fringe_params(alone)[0])).T,
+                           rtol=1e-8, atol=0.0)
 
 
 class TestNormalEquationsFixedPoint:
@@ -635,64 +666,30 @@ class TestNormalEquationsFixedPoint:
         fit = fit_fringe(scan, fix_period=fix_period)
         assert fit.converged
         params = np.atleast_2d(fit.params)
-        k = 2.0 * math.pi / params[0, 2]
+        k = 2.0 * math.pi / params[0, 3]
         x, t = scans.position[0], scans.integration_time[0]
-        for y, (c0, mu, _, psi) in zip(scans.counts, params):
+        for y, coef in zip(scans.counts, params[:, :3]):
             _, design, w, _ = referee_solve(x, t, y, k)
-            coef = np.array([c0, c0 * mu * math.cos(psi), -c0 * mu * math.sin(psi)])
             gradient = design.T @ (w * (y - design @ coef))
             assert np.all(np.abs(gradient) <= 1e-10 * (np.abs(design).T @ (w * y)))
 
 
-def per_row_fit_fringe(scan, fix_period=None):
-    """fit_fringe with the covariance carried to (c0, mu, period, psi) by a
-    delta method per row, a Python loop over the rows: the reference the
-    array form must agree with."""
-    fixed = fix_period is not None
-    x, y, w, t, one_scan, counting = fitting._scan_columns(scan, 3 if fixed else 4)
-    if fixed:
-        k = 2.0 * math.pi / fix_period
-        fit = fitting._linear_fit(k, x, y, w, t)
-        period, iterations, converged, message = fix_period, 0, True, ""
-    else:
-        k, fit, curvature, q, iterations, converged, message = fitting._search_wavenumber(
-            fitting._dominant_wavenumber(x, y / t), x, y, w, t)
-        period = 2.0 * math.pi / k
-    coef, _, _, normal_inv, resid, _ = fit
-    m = len(y)
-    params, grad, contrast = [], [], []
-    for c0, a, b in coef.tolist():
-        h = math.hypot(a, b)
-        h = 0.0 if h <= fitting._ZERO_CONTRAST * abs(c0) else h
-        contrast.append(h)
-        if h:
-            params.append((c0, h / c0, period, math.atan2(-b, a)))
-            grad.append(((1.0, 0.0, 0.0), (-h / c0 ** 2, a / (c0 * h), b / (c0 * h)),
-                         (0.0, 0.0, 0.0), (0.0, b / h ** 2, -a / h ** 2)))
-        else:
-            params.append((c0, 0.0, period, 0.0))
-            grad.append(((1.0, 0.0, 0.0),) + ((math.nan,) * 3,) * 3)
-    grad = np.array(grad)
-    cov = grad @ normal_inv @ grad.swapaxes(-1, -2)
-    if not fixed and any(contrast):
-        s = -(grad @ q[:, :, None])[:, :, 0]
-        s[:, 2] -= 2.0 * math.pi / k ** 2
-        cov += (1.0 / curvature) * (s[:, :, None] * s[:, None, :])
-    scale = 0.5 * referee_scale(resid, w, m, not fixed)
-    if counting:
-        scale[~y.any(axis=1)] = math.nan
-    cov = (cov + cov.swapaxes(-1, -2)) * scale[:, None, None]
-    params = np.array(params)
-    if not any(contrast):
-        converged, message = False, "zero contrast: fringe period and phase are undefined"
-    if one_scan:
-        params, cov = params[0], cov[0]
-    return params, cov, iterations, converged, message
-
-
 class TestArrayDeltaMethod:
-    """fit_fringe carries every row's covariance to (c0, mu, period, psi) with
-    array operations over the rows; a per-row loop is the reference."""
+    """fit_fringe reports each row's block of the joint inverse in (c0, a, b,
+    period), and fringe_params carries every row's block to (c0, mu, period,
+    psi) with array operations over the rows; the brute-force joint inverse
+    and a per-row delta method are the references."""
+
+    # the rows of zero contrast in each case, whose mu and psi read 0 and whose
+    # mu, period and psi errors read NaN
+    FLAT = {"flat row": [4], "pinned flat row": [4], "zero-count row": [7],
+            "all rows flat": [0, 1]}
+    # the cases whose residuals are rounding: the referee takes the fit's SSE.
+    # Their weights are even in x on positions even about 0, so c0 and a are
+    # uncorrelated with b in exact arithmetic and read correlations of ~1e-15,
+    # which no two solves share: those entries are compared at 1e-13 of
+    # sqrt(var_i var_j), every other entry at 1e-10 of itself
+    ROUNDING = ("flat row", "pinned flat row", "noise-free rates")
 
     @staticmethod
     def cases():
@@ -719,21 +716,119 @@ class TestArrayDeltaMethod:
                                       "flat row", "pinned flat row", "zero-count row",
                                       "all rows flat", "noise-free rates"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a flat row divides nothing
-    def test_agrees_with_the_per_row_loop(self, case):
+    def test_agrees_with_the_joint_inverse_and_the_delta_method(self, case):
         scan, fix_period = self.cases()[case]
         fit = fit_fringe(scan, fix_period=fix_period)
-        params, cov, iterations, converged, message = per_row_fit_fringe(scan, fix_period)
-        assert fit.params.shape == params.shape and fit.covariance.shape == cov.shape
-        assert np.array_equal(np.isnan(fit.params), np.isnan(params))
-        assert np.array_equal(np.isnan(fit.covariance), np.isnan(cov))
-        np.testing.assert_allclose(fit.params, params, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-13, atol=0.0)
-        assert (fit.iterations, fit.converged, fit.message) == (iterations, converged,
-                                                                 message)
-        if case in ("flat row", "zero-count row"):  # the NaN rules the reference keeps
+        params, cov = np.atleast_2d(fit.params), fit.covariance.reshape(-1, 4, 4)
+        flat = np.isin(np.arange(len(params)), self.FLAT.get(case, []))
+        assert fit.converged == (not flat.all())
+        if case != "all rows flat":  # whose joint normal matrix has a zero k column
+            stack = scan[None] if fit.params.ndim == 1 else scan
+            rounding = case in self.ROUNDING
+            sse = np.atleast_1d(fit.residual_norm) ** 2 if rounding else None
+            want = joint_covariance(stack, params[:, :3], 2.0 * math.pi / params[0, 3],
+                                    free=fix_period is None, sse=sse)
+            assert np.array_equal(np.isnan(cov), np.isnan(want))
+            sd = np.sqrt(np.diagonal(want, axis1=-2, axis2=-1))
+            floor = 1e-13 * sd[:, :, None] * sd[:, None, :] if rounding else 0.0
+            ok = np.abs(cov - want) <= 1e-10 * np.abs(want) + floor
+            assert (ok | np.isnan(want)).all(), (cov, want)
+
+        want_values, want_errors = [], []
+        for (c0, a, b, period), block, zero in zip(params, cov, flat):
+            if zero:  # today's rules: mu = psi = 0, and NaN errors but for c0
+                want_values.append((c0, 0.0, period, 0.0))
+                want_errors.append((math.sqrt(block[0, 0]),) + (math.nan,) * 3)
+            else:
+                want_values.append((c0, math.hypot(a, b) / c0, period, math.atan2(-b, a)))
+                variance = np.diag(to_fringe_covariance(block, (c0, a, b)))
+                want_errors.append(np.sqrt(variance))
+        values, errors = (np.reshape(dataclasses.astuple(view), (4, -1)).T
+                          for view in fringe_params(fit))
+        assert isinstance(fringe_params(fit)[0].mu, float) == (fit.params.ndim == 1)
+        assert np.array_equal(np.isnan(errors), np.isnan(want_errors))
+        np.testing.assert_allclose(values, want_values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0.0)
+        if case in ("flat row", "zero-count row"):  # the NaN rules the view keeps
             row = 4 if case == "flat row" else 7
-            assert np.isnan(fit.stderr[row, 1:]).all()
-            assert np.isnan(fit.stderr[row, 0]) == (case == "zero-count row")
+            assert np.isnan(errors[row, 1:]).all()
+            assert np.isnan(errors[row, 0]) == (case == "zero-count row")
+
+
+def null_scan(peak_rate, seed):
+    """The default scan with the pump at 90 degrees, so no fringe (mu = 0), at
+    peak_rate: ~5, ~50 and ~1000 counts per peak at 0.5, 5 and 100 /s."""
+    config = default_config()
+    config = dataclasses.replace(
+        config, pump=dataclasses.replace(config.pump, theta_p=PolarizationAngle(math.pi / 2)),
+        scan=dataclasses.replace(config.scan, peak_rate=peak_rate))
+    return simulate_scan(config, seed=seed)
+
+
+class TestIdentifiability:
+    """A fit reports no parameter it cannot identify as converged.  The FFT
+    start takes its peak at or below k_hi = pi (n - 1) / span, and at the
+    final period every row's weighted design must separate c0, a and b.  At
+    k_hi every sample of a uniform scan sits at a multiple of pi: the sin
+    column vanishes and b is unidentified whatever the counts."""
+
+    K_HI = math.pi * 60 / 12e-3  # the default 61-point scan over 12 mm: period 0.4 mm
+
+    @pytest.mark.parametrize("peak_rate, seed", [(0.5, 542), (0.5, 739), (5.0, 153),
+                                                 (5.0, 437), (100.0, 640), (100.0, 840)])
+    def test_null_scan_does_not_end_converged_at_the_top_wavenumber(self, peak_rate, seed):
+        # on these null scans the 64-point resample's largest noise peak lies
+        # above the band, in bin 31 or 32, and a start there is clipped to k_hi
+        fit = fit_fringe(null_scan(peak_rate, seed))
+        k = 2.0 * math.pi / fit.params[3]
+        assert k < self.K_HI * (1.0 - 1e-9) or not fit.converged
+
+    def test_the_top_period_is_unidentified(self, tmp_path, capsys):
+        scan = null_scan(5.0, 153)
+        with pytest.raises(IllPosedError, match="positions"):
+            fit_fringe(scan, fix_period=4e-4)
+        fit = fit_fringe(scan, start_period=4e-4)
+        assert not fit.converged
+        assert "unidentified" in fit.message and "0.0004 m" in fit.message
+        # through the command line: a pinned fit exits 2 naming the positions, a
+        # started one 4, as an unconverged fit does
+        path = str(tmp_path / "null.csv")
+        write_scan_csv(scan, path)
+        assert main(["fit", path, "--model", "fringe", "--fix-period", "0.0004"]) == 2
+        err = capsys.readouterr().err
+        assert "positions" in err and "Traceback" not in err
+        assert main(["fit", path, "--model", "fringe", "--init", "period=0.0004"]) == 4
+
+    @pytest.mark.parametrize("case", ["one scan", "stack", "top period", "packed"])
+    def test_condition_number_is_the_weighted_designs(self, case):
+        # the reciprocal of the weighted design's condition number in the
+        # Frobenius norm, from its singular values s: 1 / sqrt(sum s^2 sum s^-2),
+        # within a factor 3 below the 2-norm's s_min / s_max
+        scan, k = simulate_scan(default_config(), seed=2), 2.0 * math.pi / 5e-3
+        if case == "stack":
+            scan = sweep_scans([0.3, 1.1, 2.0])
+        elif case == "top period":
+            scan, k = null_scan(5.0, 153), self.K_HI
+        elif case == "packed":  # 61 positions 1 pm apart, against a 1 mm period
+            scan = scan.copy()
+            scan.position = np.arange(len(scan)) * 1e-12
+            k = 2.0 * math.pi / 1e-3
+        scans = np.atleast_1d(scan).reshape(-1, scan.shape[-1])
+        want = []
+        for y in scans.counts:
+            _, design, w, _ = referee_solve(scans.position[0], scans.integration_time[0], y, k)
+            s = np.linalg.svd(np.sqrt(w)[:, None] * design, compute_uv=False)
+            want.append((1.0 / math.sqrt((s ** 2).sum() * (s ** -2.0).sum()), s[-1] / s[0]))
+        frobenius, two_norm = np.array(want).min(axis=0)
+        x, y, w, t = fitting._scan_columns(scan, 3)[:4]
+        with np.errstate(all="ignore"):
+            got = fitting._rcond(fitting._linear_fit(k, x, y, w, t))
+        if case in ("one scan", "stack"):
+            assert got == pytest.approx(frobenius, rel=1e-10)
+            assert two_norm / 3.0 <= got <= two_norm
+            assert got >= 100.0 * fitting._MIN_RCOND
+        else:  # the normal matrix is singular to working precision
+            assert two_norm < 1e-12 and got < fitting._MIN_RCOND
 
 
 def fig5_stacks(seeds, monkeypatch):
@@ -763,7 +858,7 @@ class TestFixedPointStop:
             scans = fig5_stacks(range(200), monkeypatch)
         for scan in scans:
             fit = fit_fringe(scan)
-            again = fit_fringe(scan, start_period=float(np.ravel(fit.params)[2]))
+            again = fit_fringe(scan, start_period=float(np.ravel(fit.params)[3]))
             assert fit.converged and again.converged
             assert again.iterations == 0
             assert np.allclose(again.params, fit.params, rtol=1e-12, atol=0.0)
@@ -828,9 +923,11 @@ class TestFixedPointStop:
             assert fit.converged and reference.converged
             params, ref = np.atleast_2d(fit.params), np.atleast_2d(reference.params)
             stderr = np.atleast_2d(fit.stderr)
-            period_error = math.sqrt(np.mean(stderr[:, 2] ** 2))
-            assert np.all(np.abs(params[:, 2] - ref[:, 2]) <= 0.01 * period_error)
-            assert np.all(np.abs(params[:, 1] - ref[:, 1]) <= mu_bound * stderr[:, 1])
+            period_error = math.sqrt(np.mean(stderr[:, 3] ** 2))
+            assert np.all(np.abs(params[:, 3] - ref[:, 3]) <= 0.01 * period_error)
+            values, errors = fringe_params(fit)
+            assert np.all(np.abs(values.mu - fringe_params(reference)[0].mu)
+                          <= mu_bound * errors.mu)
 
     def test_the_stop_keeps_every_fig5_verdict(self, monkeypatch):
         def verdicts():
@@ -936,7 +1033,7 @@ class TestFitVisibilityCurve:
         rows = fit_fringe(stack)
         assert rows.converged
         fit = fit_visibility_curve(np.column_stack(
-            (pipeline._FIG5_DIAL, rows.params[:, 1], np.full(len(stack), 0.01))))
+            (pipeline._FIG5_DIAL, fringe_params(rows)[0].mu, np.full(len(stack), 0.01))))
         p = visibility_curve_params(fit)
         truth = pipeline.FIG5_TRUTH
         assert fit.converged

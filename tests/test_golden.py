@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,8 +31,27 @@ from twinfringe.config import config_to_dict, default_config
 
 MANIFEST = Path(__file__).with_name("golden.json")
 
+
+def _config(**sections):
+    """The default config document with the given values set, by section."""
+    doc = config_to_dict(default_config())
+    for section, values in sections.items():
+        doc[section].update(values)
+    return doc
+
+
+# config files the runs read, each the default config with: a 2001-point grid;
+# the pump at 90 degrees, a null scan of no fringe, at ~50 counts per peak;
+# and ~5 counts per peak
+CONFIGS = {
+    "long.json": _config(scan={"positions_m": {"start": -6e-3, "stop": 6e-3, "num": 2001}}),
+    "null.json": _config(pump={"theta_p_rad": math.pi / 2.0}, scan={"peak_rate_hz": 5.0}),
+    "low.json": _config(scan={"peak_rate_hz": 0.5}),
+}
+
 # (label, argv), run in order in one directory: later runs read earlier
-# runs' files.  long.json is the default config on a 2001-point grid.
+# runs' files.  0.0004 m is the null scan's top resolved period, span / 30,
+# where every sample sits at a multiple of pi and the sin column vanishes.
 RUNS = [
     *[(f"reproduce-fig5 seed {seed}",
        ["reproduce-fig5", "--seed", str(seed), "--output", f"fig5_{seed}"])
@@ -51,6 +71,19 @@ RUNS = [
           "--output", f"long_{mode}.csv"]),
         (f"2001-point scan seed 3 {mode} fit",
          ["fit", f"long_{mode}.csv", "--model", "fringe"]))],
+    ("null scan seed 153", ["simulate-scan", "--config", "null.json", "--seed", "153",
+                            "--output", "null.csv"]),
+    ("null scan seed 153 free fit", ["fit", "null.csv", "--model", "fringe",
+                                     "--output", "null.free.json"]),
+    ("null scan seed 153 started at the top period",
+     ["fit", "null.csv", "--model", "fringe", "--init", "period=0.0004",
+      "--output", "null.init.json"]),
+    ("null scan seed 153 pinned at the top period",
+     ["fit", "null.csv", "--model", "fringe", "--fix-period", "0.0004",
+      "--output", "null.pinned.json"]),
+    ("~5-count scan seed 3", ["simulate-scan", "--config", "low.json", "--seed", "3",
+                              "--output", "low.csv"]),
+    ("~5-count scan seed 3 free fit", ["fit", "low.csv", "--model", "fringe"]),
 ]
 
 
@@ -66,9 +99,8 @@ def golden_outputs(workdir: Path) -> dict:
     """Run every case in workdir and return the manifest's body: per run its
     exit code and the sha256 of its stdout and stderr, and the sha256 of each
     file the runs wrote, by path relative to workdir."""
-    doc = config_to_dict(default_config())
-    doc["scan"]["positions_m"] = {"start": -6e-3, "stop": 6e-3, "num": 2001}
-    (workdir / "long.json").write_text(json.dumps(doc))
+    for name, doc in CONFIGS.items():
+        (workdir / name).write_text(json.dumps(doc))
     runs = {}
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -84,7 +116,7 @@ def golden_outputs(workdir: Path) -> dict:
         os.chdir(cwd)
     files = {path.relative_to(workdir).as_posix(): _sha256(path.read_bytes())
              for path in sorted(workdir.rglob("*"))
-             if path.is_file() and path.name != "long.json"}
+             if path.is_file() and path.name not in CONFIGS}
     return {"runs": runs, "files": files}
 
 
