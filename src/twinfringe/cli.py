@@ -274,10 +274,7 @@ def cmd_fit(args) -> int:
         data = scan
         if observable == "expected":
             data = np.column_stack((scan.position, scan.expected_rate))
-        try:
-            fit = fit_fringe(data, fix_period=args.fix_period, start_period=start_period)
-        except ValueError as exc:
-            raise TwinfringeError(str(exc)) from exc
+        fit = fit_fringe(data, fix_period=args.fix_period, start_period=start_period)
         p, se = fringe_params(fit)
         print("fringe fit: " + _fringe_summary(fit, p, se))
         report = {
@@ -293,10 +290,7 @@ def cmd_fit(args) -> int:
                 raise TwinfringeError(f"{flag} applies to fringe fits only: the visibility "
                                       "curve is solved in closed form")
         points = read_sweep_csv(args.data)
-        try:
-            fit = fit_visibility_curve(points)
-        except ValueError as exc:
-            raise TwinfringeError(str(exc)) from exc
+        fit = fit_visibility_curve(points)
         p = visibility_curve_params(fit)
         se = fit.stderr
         print("visibility-curve fit: "

@@ -100,9 +100,9 @@ def _as_arrays(data):
     if rows.size == 0:
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"data must be (theta, mu, sigma) triples, got shape {rows.shape}")
+        raise IllPosedError(f"data must be (theta, mu, sigma) triples, got shape {rows.shape}")
     if not np.all(np.isfinite(rows)):
-        raise ValueError("data contains non-finite values")
+        raise IllPosedError("data contains non-finite values")
     return np.ascontiguousarray(rows.T)
 
 
@@ -119,10 +119,16 @@ def _contrast(c0: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 # below this reciprocal condition number (_rcond) a weighted design does not
-# separate c0, a and b: its normal matrix, whose condition number is the
-# design's squared, is then above ~1e11 and keeps ~5 of its ~16 digits or
-# fewer.  Scans of 61 and 2001 points and fig5 stacks read 0.25 or more; the
-# sin column at k_hi reads ~5e-15, and positions packed inside one period 0
+# separate its three coefficients: its normal matrix, whose condition number
+# is the design's squared, is then above ~1e11 and keeps ~5 of its ~16 digits
+# or fewer.  Fringe designs of 61- and 2001-point scans and of fig5 stacks
+# read 0.25 or more; the sin column at k_hi reads ~5e-15, and positions packed
+# inside one period 0.  Visibility-curve designs read 0.15 or more on fig5
+# sweeps and 0.007 or more on 19-angle sweeps of a linear or the default pump,
+# where a row of mu ~ 0 weighs ~1/(2 sigma^4); pump angles 1e-9 rad from a
+# set 45 degrees apart read ~1e-9.  A design singular to working precision
+# reads sqrt(eps) ~ 1e-8 or less, not its true ~1e-16: the computed N^-1 of a
+# singular N is then of the order 1 / (eps |N|)
 _MIN_RCOND = 1e-6
 
 
@@ -132,10 +138,17 @@ def _rcond(fit) -> float:
     from |D|^2 = tr N and |D^+|^2 = tr N^-1 of the normal matrix N = D W D'.
     For three columns it is at most 3 times below the 2-norm's, the ratio of
     the extreme singular values.  The columns are not equilibrated: they share
-    t as their unit, and a column that vanishes must read as one.  An inverse
-    whose trace is not positive and finite, as rounding leaves a singular N,
-    reads 0."""
+    t as their unit, and a column that vanishes must read as one.  A solve
+    that failed, and an inverse whose trace is not positive and finite, as
+    rounding leaves a singular N, read 0.
+
+    It is the one identifiability test of every linear solve, against
+    _MIN_RCOND (whose comment gives what scans, stacks and sweeps read): a
+    pinned fringe fit's, a free one's at its final period, and the visibility
+    curve's (t = 1 and k = 4 on the pump angles)."""
     _, design, weighted, normal_inv = fit[:4]
+    if normal_inv is None:
+        return 0.0
     # tr N = 2 N_00, since N_11 + N_22 sums w t^2 (cos^2 kx + sin^2 kx) = w t^2;
     # dividing twice keeps the product of the traces from overflowing
     squares = 0.5 / (weighted[..., 0, :] @ design[0]) / np.trace(normal_inv, axis1=-2,
@@ -196,7 +209,7 @@ def _scan_columns(scan, min_points: int):
     if y.shape[1] < min_points:
         raise IllPosedError(f"need at least {min_points} points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("data contains non-finite values")
+        raise IllPosedError("data contains non-finite values")
     if not one_scan and not ((x == x[0]).all() and (t == t[0]).all()):
         raise IllPosedError("scans must share positions and integration times")
     x, t = x[0], t[0]
@@ -396,8 +409,7 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     rate whose square overflows raises IllPosedError, and so, for a free
     period, does a top wavenumber k = pi (n - 1) / span at which the period's
     error term (2 pi / k^2)^2 is not a normal number, and for a pinned one, a
-    design whose linear solve is singular, not finite, or fails that
-    condition test.
+    design that fails that condition test.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
@@ -423,15 +435,15 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
 
     period = fix_period if fixed else start_period
     if period is not None and not (math.isfinite(period) and period > 0.0):
-        raise ValueError(f"period must be finite and > 0, got {period!r}")
+        raise IllPosedError(f"{'fix_period' if fixed else 'start_period'} must be finite "
+                            f"and > 0, got {period!r}")
     k = _dominant_wavenumber(x, rates) if period is None else 2.0 * math.pi / period
     if fixed:
         # inv can return a non-finite inverse, not raise, when the sin column's
         # square underflows, as on subnormal positions
         with np.errstate(invalid="ignore", over="ignore"):
             fit = _linear_fit(k, x, y, w, t)
-            solved = fit[0] is not None and np.isfinite(fit[0]).all()
-            if not (solved and _rcond(fit) >= _MIN_RCOND):
+            if not _rcond(fit) >= _MIN_RCOND:
                 raise IllPosedError("the fringe design is singular or ill-conditioned at the "
                                     "pinned period: the positions are too closely spaced or "
                                     "take too few phases")
@@ -503,26 +515,6 @@ def fringe_params(result: FitResult) -> Tuple[FringeModelParams, FringeModelPara
 # --- visibility-curve fitting ---------------------------------------------------
 
 
-def _rank_three(points: np.ndarray) -> bool:
-    """Whether the design [1, cos 4 theta, sin 4 theta] has rank 3, from its
-    last two columns, the (2, n) points (cos 4 theta, sin 4 theta) on the unit
-    circle.
-
-    It has not when the points lie on one line, that is, when 4 theta takes
-    fewer than three distinct values modulo 2 pi.  The points' spread across
-    the principal axis of their 2 x 2 scatter, which is in closed form, is
-    compared with np.linalg.matrix_rank's default tolerance, S.max max(M, N)
-    eps, with the design's Frobenius norm sqrt(2 n) standing for S.max.
-    """
-    n = points.shape[1]
-    centred = points - points.mean(axis=1, keepdims=True)
-    (scc, scs), (_, sss) = (centred @ centred.T).tolist()
-    axis = 0.5 * math.atan2(2.0 * scs, scc - sss)
-    across = np.array((-math.sin(axis), math.cos(axis))) @ centred
-    tol = math.sqrt(2.0 * n) * max(n, 3) * sys.float_info.epsilon
-    return math.sqrt(float(across @ across)) > tol
-
-
 def fit_visibility_curve(points) -> FitResult:
     """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples, or
     to the theta, mu and sigma_mu fields of a sweep table.
@@ -540,11 +532,14 @@ def fit_visibility_curve(points) -> FitResult:
     Weights are 1/var(mu^2) = 1/(4 mu^2 sigma^2 + 2 sigma^4), exact for a
     Gaussian mu (zero sigmas are floored at the smallest positive one, or
     unity if none); sigmas so small that a weight overflows, or so large that
-    every weight is zero, raise IllPosedError naming sigma_mu.  Angles at
-    which 4 theta takes fewer than three distinct values modulo 2 pi raise
-    IllPosedError (_rank_three), and so, naming the conditioning, do angles
-    that pass that test but leave the weighted normal equations singular to
-    working precision.  The covariance is the inverse normal matrix
+    every weight is zero, raise IllPosedError naming sigma_mu.  A weighted
+    design [1, cos 4 theta, sin 4 theta] whose reciprocal condition number
+    (_rcond) is below _MIN_RCOND raises IllPosedError naming 4 theta, as at
+    angles where 4 theta takes fewer than three distinct values modulo 2 pi
+    (a set 45 degrees apart), angles within ~1e-6 rad of such a set, whose
+    normal equations keep too few digits to separate B from C, and weights
+    of a few angles ~1e12 times the rest's.  fig5 sweeps read 0.15 or more,
+    19-angle sweeps 0.007 or more.  The covariance is the inverse normal matrix
     scaled by SSE / _dof, carried to the parameters by the delta method at
     the clipped u.
     A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
@@ -564,19 +559,16 @@ def fit_visibility_curve(points) -> FitResult:
     if not 0.0 < float(weights.sum()) < math.inf:
         raise IllPosedError("sigma_mu out of range: the weights 1/(4 mu^2 sigma_mu^2 + "
                             "2 sigma_mu^4) overflow, or are zero at every angle")
-    coef, design, _, normal_inv, _, sse = _linear_fit(4.0, theta, mu ** 2, weights,
-                                                      np.ones_like(theta))
-    # angles 45 degrees apart sample cos 4 theta = +-1 only and cannot separate
-    # B from C
-    if not _rank_three(design[1:]):
-        raise IllPosedError("pump angles must take at least three distinct values "
-                            "of 4 theta modulo 2 pi")
-    # the normal matrix squares the design's condition number: angles within
-    # ~1e-9 rad of a degenerate set pass the rank test and still defeat the solve
-    if coef is None:
-        raise IllPosedError("ill-conditioned pump angles: the weighted normal equations "
-                            "of the visibility curve are singular to working precision")
-    a, b, c = coef
+    fit = _linear_fit(4.0, theta, mu ** 2, weights, np.ones_like(theta))
+    rcond = _rcond(fit)
+    if not rcond >= _MIN_RCOND:
+        raise IllPosedError(f"the weighted design [1, cos 4 theta, sin 4 theta] has "
+                            f"reciprocal condition number {rcond:.2g}, below {_MIN_RCOND:g}: "
+                            f"the pump angles take fewer than three distinct values of "
+                            f"4 theta modulo 2 pi or lie within ~1e-6 rad of such a set, or "
+                            f"the weights 1/(4 mu^2 sigma_mu^2 + 2 sigma_mu^4) of a few "
+                            f"angles outweigh the rest ~1e12-fold")
+    (a, b, c), _, _, normal_inv, _, sse = fit
     r = math.hypot(b, c)
     if r <= _ZERO_CONTRAST * abs(a):
         return FitResult(np.array([math.sqrt(a), 0.0, math.sqrt(0.5)]),

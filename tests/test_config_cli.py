@@ -827,6 +827,19 @@ class TestCliSweepAndFit:
         assert code == 2
         assert "'period' only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--fix-period", "-1"], "fix_period"), (["--fix-period", "0"], "fix_period"),
+        (["--fix-period", "nan"], "fix_period"), (["--fix-period", "inf"], "fix_period"),
+        (["--init", "period=nan"], "start_period")])
+    def test_bad_fringe_period_exits_2(self, tmp_path, config_path, capsys, flags, named):
+        scan, out = tmp_path / "scan.csv", tmp_path / "r.json"
+        assert main(["simulate-scan", "--config", config_path, "--output", str(scan)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(scan), "--model", "fringe", *flags, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named} must be finite and > 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_viscurve_init_exits_2(self, tmp_path, capsys):
         sweep = tmp_path / "s.csv"
         sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(

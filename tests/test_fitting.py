@@ -14,7 +14,8 @@ from twinfringe.fitting import (FitResult, FringeModelParams,
                                 fit_visibility_curve,
                                 fringe_model, fringe_params, visibility_curve_params)
 from twinfringe import fitting, pipeline
-from twinfringe.pipeline import reproduce_fig5, simulate_scan, theta0_distance
+from twinfringe.pipeline import (reproduce_fig5, simulate_scan, sweep_pump_angle,
+                                 theta0_distance)
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
                                      PolarizationAngle, PumpState)
 from twinfringe.spdc import (TwoPhotonState, build_two_photon_state, default_source,
@@ -82,6 +83,22 @@ def referee_solve(x, t, y, k):
     w = referee_weights(y)
     coef = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
     return coef, design, w, y - design @ coef
+
+
+def referee_curve_design(theta, mu, sigma):
+    """The visibility curve's (n, 3) design [1, cos 4 theta, sin 4 theta] and
+    its weights on mu^2, 1 / var(mu^2) = 1 / (4 mu^2 sigma^2 + 2 sigma^4)."""
+    design = np.column_stack((np.ones_like(theta), np.cos(4.0 * theta), np.sin(4.0 * theta)))
+    return design, 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
+
+
+def referee_rcond(design, w):
+    """The reciprocal condition numbers of the weighted design sqrt(w) D, from
+    its singular values s: in the Frobenius norm, 1 / sqrt(sum s^2 sum s^-2),
+    and in the 2-norm, s_min / s_max; both 0 where s_min is."""
+    s = np.linalg.svd(np.sqrt(w)[:, None] * design, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return 1.0 / math.sqrt((s ** 2).sum() * (s ** -2.0).sum()), s[-1] / s[0]
 
 
 class TestFitFringe:
@@ -249,10 +266,18 @@ class TestFitFringe:
     def test_period_must_be_finite_and_positive(self):
         scan = make_noiseless_scan(FringeModelParams(c0=10.0, mu=0.5, period=5e-3))
         for bad in (0.0, -5e-3, math.nan, math.inf):
-            with pytest.raises(ValueError, match="period"):
+            with pytest.raises(IllPosedError, match="fix_period must be finite and > 0"):
                 fit_fringe(scan, fix_period=bad)
-            with pytest.raises(ValueError, match="period"):
+            with pytest.raises(IllPosedError, match="start_period must be finite and > 0"):
                 fit_fringe(scan, start_period=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_data_raises(self, column, bad):
+        rows = np.array(make_noiseless_scan(FringeModelParams(c0=10.0, mu=0.5, period=5e-3)))
+        rows[7, column] = bad
+        with pytest.raises(IllPosedError, match="non-finite"):
+            fit_fringe(rows)
 
     def test_init_overrides(self, tmp_path, capsys):
         truth = FringeModelParams(c0=55.0, mu=0.8, period=5e-3, psi=0.0)
@@ -799,31 +824,46 @@ class TestIdentifiability:
         assert "positions" in err and "Traceback" not in err
         assert main(["fit", path, "--model", "fringe", "--init", "period=0.0004"]) == 4
 
-    @pytest.mark.parametrize("case", ["one scan", "stack", "top period", "packed"])
+    @pytest.mark.parametrize("case", ["one scan", "stack", "top period", "packed",
+                                      "fig5 curve", "linear-pump curve"])
     def test_condition_number_is_the_weighted_designs(self, case):
         # the reciprocal of the weighted design's condition number in the
-        # Frobenius norm, from its singular values s: 1 / sqrt(sum s^2 sum s^-2),
-        # within a factor 3 below the 2-norm's s_min / s_max
-        scan, k = simulate_scan(default_config(), seed=2), 2.0 * math.pi / 5e-3
-        if case == "stack":
-            scan = sweep_scans([0.3, 1.1, 2.0])
-        elif case == "top period":
-            scan, k = null_scan(5.0, 153), self.K_HI
-        elif case == "packed":  # 61 positions 1 pm apart, against a 1 mm period
-            scan = scan.copy()
-            scan.position = np.arange(len(scan)) * 1e-12
-            k = 2.0 * math.pi / 1e-3
-        scans = np.atleast_1d(scan).reshape(-1, scan.shape[-1])
-        want = []
-        for y in scans.counts:
-            _, design, w, _ = referee_solve(scans.position[0], scans.integration_time[0], y, k)
-            s = np.linalg.svd(np.sqrt(w)[:, None] * design, compute_uv=False)
-            want.append((1.0 / math.sqrt((s ** 2).sum() * (s ** -2.0).sum()), s[-1] / s[0]))
-        frobenius, two_norm = np.array(want).min(axis=0)
-        x, y, w, t = fitting._scan_columns(scan, 3)[:4]
-        with np.errstate(all="ignore"):
-            got = fitting._rcond(fitting._linear_fit(k, x, y, w, t))
-        if case in ("one scan", "stack"):
+        # Frobenius norm, within a factor 3 below the 2-norm's s_min / s_max;
+        # the curve cases are visibility-curve designs on a fig5 sweep's
+        # weights and on a linear-pump sweep, whose rows of mu ~ 0 weigh up to
+        # ~1/(2 sigma^4), ~2.5e4 times the median row
+        if case.endswith("curve"):
+            if case == "fig5 curve":
+                points = reproduce_fig5(seed=0).points
+            else:
+                points = sweep_pump_angle(entangled_sweep_config(eps2=0.0),
+                                          np.linspace(0.0, math.pi, 19), seed=5)
+                assert points.mu.min() < 0.005
+            design, w = referee_curve_design(points.theta, points.mu, points.sigma_mu)
+            frobenius, two_norm = referee_rcond(design, w)
+            fit = fitting._linear_fit(4.0, points.theta, points.mu ** 2, w,
+                                      np.ones_like(points.theta))
+            got = fitting._rcond(fit)
+            assert fit_visibility_curve(points).converged
+        else:
+            scan, k = simulate_scan(default_config(), seed=2), 2.0 * math.pi / 5e-3
+            if case == "stack":
+                scan = sweep_scans([0.3, 1.1, 2.0])
+            elif case == "top period":
+                scan, k = null_scan(5.0, 153), self.K_HI
+            elif case == "packed":  # 61 positions 1 pm apart, against a 1 mm period
+                scan = scan.copy()
+                scan.position = np.arange(len(scan)) * 1e-12
+                k = 2.0 * math.pi / 1e-3
+            scans = np.atleast_1d(scan).reshape(-1, scan.shape[-1])
+            frobenius, two_norm = np.array([
+                referee_rcond(*referee_solve(scans.position[0], scans.integration_time[0],
+                                             y, k)[1:3])
+                for y in scans.counts]).min(axis=0)
+            x, y, w, t = fitting._scan_columns(scan, 3)[:4]
+            with np.errstate(all="ignore"):
+                got = fitting._rcond(fitting._linear_fit(k, x, y, w, t))
+        if case not in ("top period", "packed"):
             assert got == pytest.approx(frobenius, rel=1e-10)
             assert two_norm / 3.0 <= got <= two_norm
             assert got >= 100.0 * fitting._MIN_RCOND
@@ -1053,8 +1093,7 @@ class TestFitVisibilityCurve:
     def test_weighted_normal_equations_on_mu_squared(self):
         rng = np.random.default_rng(21)
         theta, mu, sigma = np.array(synthetic_curve(rng, theta0=1.0)).T
-        w = 1.0 / (4.0 * mu ** 2 * sigma ** 2 + 2.0 * sigma ** 4)
-        design = np.column_stack((np.ones_like(theta), np.cos(4 * theta), np.sin(4 * theta)))
+        design, w = referee_curve_design(theta, mu, sigma)
         normal = design.T @ (w[:, None] * design)
         coef = np.linalg.solve(normal, design.T @ (w * mu ** 2))
         resid = mu ** 2 - design @ coef
@@ -1086,7 +1125,7 @@ class TestFitVisibilityCurve:
     def test_non_finite_input_raises(self, column, bad):
         rows = np.array(synthetic_curve(np.random.default_rng(1)))
         rows[4, column] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(IllPosedError, match="non-finite"):
             fit_visibility_curve(rows)
 
     def test_angles_45_degrees_apart_rejected(self):
@@ -1104,63 +1143,64 @@ class TestFitVisibilityCurve:
             fit_visibility_curve([(t, 0.5 + 0.2 * math.cos(4 * t), 0.01) for t in theta])
 
     @staticmethod
-    def referee_rank(theta):
-        """np.linalg.matrix_rank of the design [1, cos 4 theta, sin 4 theta], and
-        its smallest singular value over its default tolerance."""
-        design = np.column_stack((np.ones_like(theta), np.cos(4.0 * theta),
-                                  np.sin(4.0 * theta)))
-        sv = np.linalg.svd(design, compute_uv=False)
-        return (np.linalg.matrix_rank(design),
-                sv.min() / (sv.max() * max(design.shape) * np.finfo(float).eps))
+    def curve(theta):
+        """(theta, mu, sigma) rows at the angles, of a curve that angles taking
+        three or more distinct values of 4 theta identify."""
+        mu = np.sqrt(0.4 + 0.1 * np.cos(4.0 * theta) + 0.05 * np.sin(4.0 * theta))
+        return np.column_stack((theta, mu, np.full(theta.size, 0.01)))
 
     @staticmethod
-    def fits(theta, error="4 theta"):
-        """Whether fit_visibility_curve fits the angles, on a curve it can fit,
-        rather than raising an IllPosedError whose message names error."""
-        mu = np.sqrt(0.4 + 0.1 * np.cos(4.0 * theta) + 0.05 * np.sin(4.0 * theta))
+    def referee_fits(points):
+        """Whether the weighted design's Frobenius reciprocal condition number,
+        from its singular values, is at least 1e-6."""
+        return referee_rcond(*referee_curve_design(*points.T))[0] >= 1e-6
+
+    @staticmethod
+    def fits(points):
+        """Whether fit_visibility_curve fits the points, rather than raising an
+        IllPosedError whose message names 4 theta."""
         try:
-            fit_visibility_curve(np.column_stack((theta, mu, np.full(theta.size, 0.01))))
+            fit_visibility_curve(points)
         except IllPosedError as exc:
-            assert error in str(exc)
+            assert "4 theta" in str(exc)
             return False
         return True
 
-    def test_rank_test_agrees_with_matrix_rank(self):
-        # random angles; angles 45 degrees apart, with duplicates (4 theta takes
-        # two values); and such sets with one angle moved by 1e-14 to 1e-8 rad
+    def test_fit_agrees_with_the_weighted_designs_condition_number(self):
+        # random angles, and angles 45 degrees apart with duplicates (4 theta
+        # takes two values), each set spanning more than 90 degrees; and sets 45
+        # degrees apart with one angle moved by 1e-14 to 1e-8 rad, which
+        # np.linalg.matrix_rank may call rank 3 but whose normal equations keep
+        # too few digits to separate B from C
         rng = np.random.default_rng(17)
-        counts = {"random": 0, "degenerate": 0, "moved": 0}
+        fitted, moved_rank_three = {"random": 0, "degenerate": 0, "moved": 0}, 0
         for trial in range(3000):
             n = int(rng.integers(4, 40))
             kind = ("random", "degenerate", "moved")[trial % 3]
             if kind == "random":
                 theta = rng.uniform(-math.pi, math.pi, n)
+                theta[1] = theta[0] + rng.uniform(0.6, 1.0) * math.pi
             else:
-                theta = rng.uniform(-3.0, 3.0) + math.pi / 4.0 * rng.integers(-5, 6, n)
+                steps = rng.integers(-5, 6, n)
+                steps[:2] = 0, 3
+                theta = rng.uniform(-3.0, 3.0) + math.pi / 4.0 * steps
                 if kind == "moved":
                     theta[rng.integers(n)] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, -8)
-            rank, ratio = self.referee_rank(theta)
-            full = fitting._rank_three(np.array((np.cos(4.0 * theta),
-                                                 np.sin(4.0 * theta))))
-            if rank < 3:
-                assert not full, theta
-            elif ratio > math.sqrt(2.0):
-                assert full, theta
-            else:
-                # the closed form reads the design's Frobenius norm sqrt(2 n) for
-                # its largest singular value, at most sqrt 2 too large at rank 2:
-                # these are sets on one line that rounding lifts just above the
-                # referee's tolerance
-                assert kind != "random"
-            counts[kind] += rank == 3
-        assert counts["random"] == 1000 and 0 < counts["moved"] < 1000
+            points = self.curve(theta)
+            fits = self.fits(points)
+            assert fits == self.referee_fits(points), theta
+            fitted[kind] += fits
+            if kind == "moved":
+                moved_rank_three += np.linalg.matrix_rank(referee_curve_design(*points.T)[0]) == 3
+        assert fitted == {"random": 1000, "degenerate": 0, "moved": 0}
+        assert moved_rank_three > 0
 
     def test_three_distinct_values_of_4_theta_fit(self):
         # 0, 30, 60 and 90 degrees: 4 theta is 0, 120, 240 and 360 degrees
         theta = np.radians([0.0, 30.0, 60.0, 90.0])
-        assert self.referee_rank(theta)[0] == 3
-        fit = fit_visibility_curve(np.column_stack(
-            (theta, chain_curve(theta, 0.77, 0.4, 0.3), np.full(4, 0.01))))
+        points = np.column_stack((theta, chain_curve(theta, 0.77, 0.4, 0.3), np.full(4, 0.01)))
+        assert self.referee_fits(points)
+        fit = fit_visibility_curve(points)
         p = visibility_curve_params(fit)
         assert fit.converged
         assert p.mu_max == pytest.approx(0.77, rel=1e-12)
@@ -1175,38 +1215,32 @@ class TestFitVisibilityCurve:
         [10.0, 10.0, 40.0, 100.0, 100.0],  # three
     ])
     def test_duplicated_angles_follow_the_referee(self, degrees):
-        theta = np.radians(degrees)
-        assert self.fits(theta) == (self.referee_rank(theta)[0] == 3)
+        points = self.curve(np.radians(degrees))
+        assert self.fits(points) == self.referee_fits(points)
 
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_angles_1e_9_from_a_degenerate_set_follow_the_referee(self, offset, tmp_path,
                                                                    capsys):
-        singular = 0
+        # the weighted design reads ~1e-9 on each of these 10 sets, and its
+        # normal matrix, whose condition number is the design's squared, keeps
+        # no digit: every set exits 2 naming 4 theta, as the set 45 degrees
+        # apart does, through the API and the command line, with no report
+        sweep, out = tmp_path / "sweep.csv", tmp_path / "r.json"
         for i in range(5):
             for sign in (-1.0, 1.0):
                 theta = offset + np.radians([0.0, 45.0, 90.0, 135.0, 180.0])
                 theta[i] += sign * 1e-9
-                assert self.referee_rank(theta)[0] == 3
-                assert fitting._rank_three(np.array((np.cos(4.0 * theta),
-                                                     np.sin(4.0 * theta))))
-                if not self.fits(theta, error="singular to working precision"):
-                    # the rank test passed, but the weighted normal matrix, whose
-                    # condition number is the design's squared (~1e18 here), is
-                    # singular to np.linalg.inv, and the fit says so, not that
-                    # 4 theta takes too few values
-                    mu = np.sqrt(0.4 + 0.1 * np.cos(4.0 * theta) + 0.05 * np.sin(4.0 * theta))
-                    w = 1.0 / (4.0 * mu ** 2 * 0.01 ** 2 + 2.0 * 0.01 ** 4)
-                    assert fitting._linear_fit(4.0, theta, mu ** 2, w,
-                                               np.ones_like(theta))[0] is None
-                    singular += 1
-                    # through the CLI: exit 2, naming the conditioning
-                    sweep = tmp_path / "sweep.csv"
-                    sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
-                        f"{t!r},{m!r},0.01\n" for t, m in zip(theta.tolist(), mu.tolist())))
-                    assert main(["fit", str(sweep), "--model", "viscurve"]) == 2
-                    err = capsys.readouterr().err
-                    assert "ill-conditioned" in err and "4 theta" not in err
-        assert singular < 10
+                points = self.curve(theta)
+                assert not self.referee_fits(points)
+                with pytest.raises(IllPosedError, match="4 theta"):
+                    fit_visibility_curve(points)
+                sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+                    f"{t!r},{m!r},{s!r}\n" for t, m, s in points.tolist()))
+                assert main(["fit", str(sweep), "--model", "viscurve",
+                             "--output", str(out)]) == 2
+                captured = capsys.readouterr()
+                assert "4 theta" in captured.err and "converged" not in captured.out
+                assert not out.exists()
 
     @pytest.mark.parametrize("sigma", [1e-160, 1e200])
     def test_extreme_sigma_names_sigma_mu(self, sigma, tmp_path, capsys):
@@ -1224,6 +1258,18 @@ class TestFitVisibilityCurve:
         assert "sigma_mu" in captured.err and "4 theta" not in captured.err
         assert "converged" not in captured.out
         assert not out.exists()
+
+    def test_one_dominant_weight_is_unidentified(self):
+        # a sigma_mu of 1e-10 on one fig5 angle weighs it ~1e15 times the
+        # others: the weighted design has rank one to working precision, and
+        # the fit raises rather than solve the other angles' B and C from
+        # rounding
+        points = reproduce_fig5(seed=0).points
+        points.sigma_mu[3] = 1e-10
+        assert not self.referee_fits(np.column_stack((points.theta, points.mu,
+                                                      points.sigma_mu)))
+        with pytest.raises(IllPosedError, match="4 theta.*sigma_mu"):
+            fit_visibility_curve(points)
 
     def test_array_and_triples_give_identical_fits(self):
         points = synthetic_curve(np.random.default_rng(3))
@@ -1245,5 +1291,5 @@ class TestFitVisibilityCurve:
         assert fit_visibility_curve(table).params.tobytes() == from_rows.params.tobytes()
 
     def test_rows_must_be_triples(self):
-        with pytest.raises(ValueError, match="triples"):
+        with pytest.raises(IllPosedError, match="triples"):
             fit_visibility_curve(np.ones((10, 2)))

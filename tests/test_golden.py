@@ -84,6 +84,12 @@ RUNS = [
     ("~5-count scan seed 3", ["simulate-scan", "--config", "low.json", "--seed", "3",
                               "--output", "low.csv"]),
     ("~5-count scan seed 3 free fit", ["fit", "low.csv", "--model", "fringe"]),
+    # 1e-7 degrees from a set 45 degrees apart: the curve fit exits 2 naming 4 theta
+    ("sweep seed 5 near 45-degree angles",
+     ["sweep-pump-angle", "--seed", "5", "--theta-deg", "0,1e-7,90,135,180",
+      "--output", "near45.csv"]),
+    ("sweep seed 5 near 45-degree angles viscurve fit",
+     ["fit", "near45.csv", "--model", "viscurve"]),
 ]
 
 
