@@ -266,6 +266,9 @@ def cmd_fit(args) -> int:
     out_path = args.output or args.data + ".fit.json"
     if args.model == "fringe":
         start_period = _parse_start_period(args.init)
+        for flag, period in (("--fix-period", args.fix_period), ("--init period", start_period)):
+            if period is not None and not (math.isfinite(period) and period > 0.0):
+                raise TwinfringeError(f"{flag} must be finite and > 0, got {period!r}")
         scan = read_scan_csv(args.data)
         observable = args.observable
         if observable == "auto":

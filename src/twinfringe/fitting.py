@@ -76,10 +76,13 @@ class FitResult:
 
     @property
     def stderr(self) -> np.ndarray:
-        """Square roots of the variances, per row of a stack; NaN where a variance
-        is negative or non-finite."""
-        var = np.diagonal(self.covariance, axis1=-2, axis2=-1)
-        return np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, np.nan))
+        """The standard errors, per row of a stack, by _stderr's rule."""
+        return _stderr(np.diagonal(self.covariance, axis1=-2, axis2=-1))
+
+
+def _stderr(var: np.ndarray) -> np.ndarray:
+    """The square root of each variance; NaN where one is negative or not finite."""
+    return np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, math.nan))
 
 
 def fringe_model(x, p: FringeModelParams):
@@ -506,7 +509,7 @@ def fringe_params(result: FitResult) -> Tuple[FringeModelParams, FringeModelPara
     var[1::2] = (grad @ cov[:, :3, :3] * grad).sum(axis=-1).T
     values = np.array((c0, h / c0, period, np.arctan2(-b, a)))
     values[1::2, flat] = 0.0
-    errors = np.sqrt(np.where(np.isfinite(var) & (var >= 0.0), var, math.nan))
+    errors = _stderr(var)
     if result.params.ndim == 1:
         values, errors = values[:, 0].tolist(), errors[:, 0].tolist()
     return FringeModelParams(*values), FringeModelParams(*errors)

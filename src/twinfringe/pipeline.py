@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig, _seed, entangled_sweep_config
+from .config import RunConfig, entangled_sweep_config
 from .detection import expected_scan, sample_counts
 from .fitting import (FitResult, fit_fringe, fit_visibility_curve, fringe_params,
                       visibility_curve_params)
@@ -136,9 +136,12 @@ _FIG5_DIAL = tuple(np.linspace(0.0, math.pi, FIG5_N_ANGLES).tolist())
 _FIG5_ANGLES = tuple(((np.array(_FIG5_DIAL) - FIG5_TRUTH["theta0"]) % math.pi).tolist())
 
 
-def reproduce_fig5(seed: int = FIG5_SEED) -> Fig5Result:
+def reproduce_fig5(seed: Optional[int] = FIG5_SEED) -> Fig5Result:
     """Run the full visibility-sweep reproduction and compare to the
     reference values (mu_max = 0.77, theta0 = pi, eps2 = 0.08).
+
+    seed draws the counts as it does for sweep_pump_angle; None draws from
+    the sweep config's seed, which is FIG5_SEED.
 
     Simulates a scan at each of FIG5_N_ANGLES pump dial angles over [0, pi]
     with a 0.77 instrument ceiling and a 0.08 quadrature pump component,
@@ -147,7 +150,6 @@ def reproduce_fig5(seed: int = FIG5_SEED) -> Fig5Result:
     references at the standard tolerances (+-0.05, +-0.1 rad modulo pi/2,
     +-0.03).
     """
-    seed = _seed(seed)
     points = sweep_pump_angle(_fig5_config(), _FIG5_ANGLES, seed)
     points["theta"] = _FIG5_DIAL
     fit = fit_visibility_curve(points)

@@ -2,14 +2,12 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from twinfringe import pipeline
 from twinfringe.cli import (main, read_scan_csv, read_sweep_csv, write_scan_csv,
                             write_sweep_csv)
 from twinfringe.detection import SCAN_DTYPE, ScanConfig
@@ -20,15 +18,6 @@ from twinfringe.fitting import fit_visibility_curve
 from twinfringe.pipeline import (SWEEP_DTYPE, reproduce_fig5, simulate_scan,
                                  sweep_pump_angle)
 from twinfringe.spdc import GeometryConfig
-
-CLI = [sys.executable, "-m", "twinfringe.cli"]
-
-
-def run_cli(args, cwd=None, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(CLI + args, capture_output=True, text=True,
-                          cwd=cwd, env=env)
 
 
 @pytest.fixture
@@ -186,17 +175,17 @@ class TestConfigValidation:
 
 
 class TestCliScan:
-    def test_writes_exact_header_and_summary(self, tmp_path, config_path):
+    def test_writes_exact_header_and_summary(self, tmp_path, config_path, capsys):
         out = tmp_path / "scan.csv"
-        proc = run_cli(["simulate-scan", "--config", config_path,
-                        "--output", str(out), "--seed", "7"])
-        assert proc.returncode == 0, proc.stderr
+        assert main(["simulate-scan", "--config", config_path,
+                     "--output", str(out), "--seed", "7"]) == 0
+        stdout = capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == "position_m,counts,integration_s,expected_rate"
         assert len(lines) == 62
-        assert "fitted fringe: mu = " in proc.stdout
+        assert "fitted fringe: mu = " in stdout
         # default config: balanced source behind a 0.83 instrument ceiling
-        mu = float(proc.stdout.split("mu = ")[1].split()[0])
+        mu = float(stdout.split("mu = ")[1].split()[0])
         assert abs(mu - 0.83) < 0.05
         records = read_scan_csv(str(out))
         assert len(records) == 61
@@ -207,13 +196,13 @@ class TestCliScan:
         assert "error: --seed: must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json}")
-        proc = run_cli(["simulate-scan", "--config", str(bad)])
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert main(["simulate-scan", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:")
+        assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("slit_width_m", math.nan),
@@ -259,43 +248,43 @@ class TestCliScan:
         ("peak_rate_hz", 1e19),
         ("integration_time_s", 1e300),
     ])
-    def test_counts_beyond_poisson_range_exit_2(self, tmp_path, key, value):
+    def test_counts_beyond_poisson_range_exit_2(self, tmp_path, capsys, key, value):
         doc = config_to_dict(default_config())
         doc["scan"][key] = value
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "scan.csv"
-        proc = run_cli(["simulate-scan", "--config", str(path), "--output", str(out)])
-        assert proc.returncode == 2
-        assert "scan.peak_rate_hz: " in proc.stderr
-        assert "Warning" not in proc.stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate-scan", "--config", str(path), "--output", str(out)]) == 2
+        assert "scan.peak_rate_hz: " in capsys.readouterr().err
+        assert caught == []
         assert not out.exists()
 
-    def test_unwritable_output_exits_3(self, tmp_path, config_path):
-        proc = run_cli(["simulate-scan", "--config", config_path,
-                        "--output", str(tmp_path / "no_such_dir" / "scan.csv")])
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
+    def test_unwritable_output_exits_3(self, tmp_path, config_path, capsys):
+        out = tmp_path / "no_such_dir" / "scan.csv"
+        assert main(["simulate-scan", "--config", config_path, "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
-    def test_env_var_config_path(self, tmp_path, config_path):
+    def test_env_var_config_path(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setenv("TWINFRINGE_CONFIG", config_path)
         out = tmp_path / "scan.csv"
-        proc = run_cli(["simulate-scan", "--output", str(out)],
-                       env_extra={"TWINFRINGE_CONFIG": config_path})
-        assert proc.returncode == 0, proc.stderr
+        assert main(["simulate-scan", "--output", str(out)]) == 0
         assert out.exists()
 
-    def test_missing_env_config_path_fails_cleanly(self, tmp_path):
-        proc = run_cli(["simulate-scan", "--output", str(tmp_path / "s.csv")],
-                       env_extra={"TWINFRINGE_CONFIG": str(tmp_path / "nope.json")})
-        assert proc.returncode in (2, 3)
+    def test_missing_env_config_path_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TWINFRINGE_CONFIG", str(tmp_path / "nope.json"))
+        assert main(["simulate-scan", "--output", str(tmp_path / "s.csv")]) in (2, 3)
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_byte_identical_reruns(self, tmp_path, config_path):
+        # each run computes its rates cold, as a new process does
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            proc = run_cli(["simulate-scan", "--config", config_path,
-                            "--output", str(out), "--seed", "11"])
-            assert proc.returncode == 0
+            pipeline._expected_stack.cache_clear()
+            assert main(["simulate-scan", "--config", config_path,
+                         "--output", str(out), "--seed", "11"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -303,12 +292,10 @@ class TestCliScan:
         periods = {}
         for mode in ("signal", "both"):
             out = tmp_path / f"{mode}.csv"
-            proc = run_cli(["simulate-scan", "--config", config_path,
-                            "--output", str(out), "--seed", "3",
-                            "--scan-mode", mode])
-            assert proc.returncode == 0
-            fit = run_cli(["fit", str(out), "--model", "fringe"])
-            assert fit.returncode == 0
+            assert main(["simulate-scan", "--config", config_path,
+                         "--output", str(out), "--seed", "3",
+                         "--scan-mode", mode]) == 0
+            assert main(["fit", str(out), "--model", "fringe"]) == 0
             report = json.loads((tmp_path / f"{mode}.csv.fit.json").read_text())
             periods[mode] = report["params"]["period"]
         assert periods["both"] / periods["signal"] == pytest.approx(0.5, rel=0.01)
@@ -646,31 +633,41 @@ class TestSweepCsvReader:
 
 
 class TestCliSweepAndFit:
-    def test_sweep_then_viscurve_round_trip(self, tmp_path):
-        config = tmp_path / "sweep_config.json"
-        save_config(entangled_sweep_config(), str(config))
+    @pytest.mark.parametrize("build, ceiling, floor, eps2", [
+        (entangled_sweep_config, 0.77, (0.09, 0.16), 0.08),
+        # no --config: the built-in default, a linear pump behind a 0.83 ceiling
+        (None, 0.83, (0.0, 0.03), 0.0),
+    ], ids=["sweep config", "built-in config"])
+    def test_sweep_then_viscurve_round_trip(self, tmp_path, monkeypatch,
+                                            build, ceiling, floor, eps2):
+        monkeypatch.delenv("TWINFRINGE_CONFIG", raising=False)
+        config = []
+        if build is not None:
+            config = ["--config", str(tmp_path / "sweep_config.json")]
+            save_config(build(), config[1])
         out = tmp_path / "sweep.csv"
-        proc = run_cli(["sweep-pump-angle", "--config", str(config),
-                        "--output", str(out), "--seed", "5"])
-        assert proc.returncode == 0, proc.stderr
+        assert main(["sweep-pump-angle", *config, "--output", str(out), "--seed", "5"]) == 0
         sweep = read_sweep_csv(str(out))
         assert sweep.shape == (19,)
-        assert abs(sweep["mu"].max() - 0.77) < 0.03
-        assert 0.09 <= sweep["mu"].min() <= 0.16
-        fit = run_cli(["fit", str(out), "--model", "viscurve"])
-        assert fit.returncode == 0, fit.stderr
+        assert abs(sweep["mu"].max() - ceiling) < 0.03
+        assert floor[0] <= sweep["mu"].min() <= floor[1]
+        assert main(["fit", str(out), "--model", "viscurve"]) == 0
         report = json.loads((tmp_path / "sweep.csv.fit.json").read_text())
-        assert abs(report["params"]["eps2"] - 0.08) < 0.03
+        assert report["converged"] is True
+        assert abs(report["params"]["eps2"] - eps2) < 0.03
 
     @staticmethod
     def fit_edited_scan(tmp_path, column, value):
         """Exit code, stderr and warnings of a fringe fit of the seed-3 default
         scan with one column edited: integration_time or expected_rate (with
         the counts zeroed) set to value, or the positions spaced value apart
-        (for "pinned position", fitted at a pinned 1 mm period)."""
+        (for "pinned position", fitted at a pinned 1 mm period); or, for
+        "pinned period", the scan as drawn, fitted at a pinned period of value."""
         scan = simulate_scan(default_config(), 3)
         pinned = ["--fix-period", "1e-3"] if column == "pinned position" else []
-        if column.endswith("position"):
+        if column == "pinned period":
+            pinned = ["--fix-period", repr(value)]
+        elif column.endswith("position"):
             scan.position = np.arange(len(scan)) * value
         elif column == "expected_rate":
             scan.expected_rate *= value / scan.expected_rate.max()
@@ -708,6 +705,10 @@ class TestCliSweepAndFit:
         # positions packed far inside the pinned period: the cos column is 1 to
         # ~1e-13, and the design does not separate c0 from a
         ("pinned position", 1e-12, "positions"),
+        # the default scan pinned at its top resolved period, span / 30: every
+        # sample sits at a multiple of pi, so the sin column vanishes whatever
+        # the counts
+        ("pinned period", 4e-4, "positions"),
     ])
     def test_out_of_range_scan_exits_2(self, tmp_path, column, value, named):
         code, err, caught = self.fit_edited_scan(tmp_path, column, value)
@@ -725,14 +726,15 @@ class TestCliSweepAndFit:
         assert code == 0 and caught == [], err
         assert all(math.isfinite(v) and v > 0.0 for v in report["stderr"].values())
 
-    def test_three_angles_warns_ill_posed(self, tmp_path):
+    def test_three_angles_warns_ill_posed(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         save_config(entangled_sweep_config(), str(config))
         out = tmp_path / "three.csv"
-        proc = run_cli(["sweep-pump-angle", "--config", str(config),
-                        "--theta-deg", "0,45,90", "--output", str(out)])
-        assert proc.returncode == 0
-        assert "ill-posed" in proc.stderr
+        assert main(["sweep-pump-angle", "--config", str(config),
+                     "--theta-deg", "0,45,90", "--output", str(out)]) == 0
+        assert "ill-posed" in capsys.readouterr().err
+        assert read_sweep_csv(str(out)).shape == (3,)
+
     @pytest.mark.parametrize("angles", ["nan,0,45,90", "0,45,inf,90", "0,-inf,45,90"])
     def test_non_finite_theta_exits_2(self, tmp_path, capsys, angles):
         out = tmp_path / "sweep.csv"
@@ -754,12 +756,13 @@ class TestCliSweepAndFit:
         assert "error: --seed: must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_wrong_model_for_file_shape_exits_2(self, tmp_path, config_path):
+    def test_wrong_model_for_file_shape_exits_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "scan.csv"
-        run_cli(["simulate-scan", "--config", config_path, "--output", str(out)])
-        proc = run_cli(["fit", str(out), "--model", "viscurve"])
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
+        assert main(["simulate-scan", "--config", config_path, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(out), "--model", "viscurve"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: expected sweep columns")
+        assert not (tmp_path / "scan.csv.fit.json").exists()
 
     def test_noiseless_export_fits_expected_column(self, tmp_path, config_path):
         # zero integration time: counts are all zero, the expected_rate
@@ -770,12 +773,9 @@ class TestCliSweepAndFit:
         noiseless = tmp_path / "noiseless.json"
         noiseless.write_text(json.dumps(doc))
         out = tmp_path / "scan0.csv"
-        proc = run_cli(["simulate-scan", "--config", str(noiseless),
-                        "--output", str(out)])
-        assert proc.returncode == 0, proc.stderr
-        fit = run_cli(["fit", str(out), "--model", "fringe",
-                       "--output", str(tmp_path / "r.json")])
-        assert fit.returncode == 0, fit.stderr
+        assert main(["simulate-scan", "--config", str(noiseless), "--output", str(out)]) == 0
+        assert main(["fit", str(out), "--model", "fringe",
+                     "--output", str(tmp_path / "r.json")]) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["observable"] == "expected"
         assert abs(report["params"]["mu"] - 0.83) < 1e-6
@@ -827,17 +827,20 @@ class TestCliSweepAndFit:
         assert code == 2
         assert "'period' only" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--fix-period", "-1"], "fix_period"), (["--fix-period", "0"], "fix_period"),
-        (["--fix-period", "nan"], "fix_period"), (["--fix-period", "inf"], "fix_period"),
-        (["--init", "period=nan"], "start_period")])
-    def test_bad_fringe_period_exits_2(self, tmp_path, config_path, capsys, flags, named):
+    @pytest.mark.parametrize("flags, named, got", [
+        (["--fix-period", "-1"], "--fix-period", "-1.0"),
+        (["--fix-period", "0"], "--fix-period", "0.0"),
+        (["--fix-period", "nan"], "--fix-period", "nan"),
+        (["--fix-period", "inf"], "--fix-period", "inf"),
+        (["--init", "period=nan"], "--init period", "nan"),
+        (["--init", "period=-1"], "--init period", "-1.0"),
+        # a pinned period wins over the starting one, but a bad start is still bad
+        (["--fix-period", "1e-3", "--init", "period=0"], "--init period", "0.0")])
+    def test_bad_fringe_period_exits_2(self, tmp_path, capsys, flags, named, got):
+        # the flags are checked before the data file is read: this one does not exist
         scan, out = tmp_path / "scan.csv", tmp_path / "r.json"
-        assert main(["simulate-scan", "--config", config_path, "--output", str(scan)]) == 0
-        capsys.readouterr()
         assert main(["fit", str(scan), "--model", "fringe", *flags, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {named} must be finite and > 0" in err and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {named} must be finite and > 0, got {got}\n"
         assert not out.exists()
 
     def test_viscurve_init_exits_2(self, tmp_path, capsys):
@@ -887,16 +890,15 @@ class TestCliSweepAndFit:
 
 
 class TestCliFig5AndOracle:
-    def test_reproduce_fig5_passes_and_writes_outputs(self, tmp_path):
+    def test_reproduce_fig5_passes_and_writes_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "fig5"
-        proc = run_cli(["reproduce-fig5", "--output", str(outdir)])
-        assert proc.returncode == 0, proc.stderr
-        assert "verdict: PASS" in proc.stdout
+        assert main(["reproduce-fig5", "--output", str(outdir)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
         report = json.loads((outdir / "fig5_report.json").read_text())
         assert report["passed"] is True
         assert (outdir / "visibility_sweep.csv").exists()
 
-    def test_variant_flag_is_gone(self, tmp_path):
+    def test_variant_flag_is_gone(self, tmp_path, capsys):
         # one visibility-curve estimator: --variant is an unknown flag, exit 2
         # before any output is written
         sweep = tmp_path / "s.csv"
@@ -907,27 +909,24 @@ class TestCliFig5AndOracle:
                   "--output", str(tmp_path / "r.json")], tmp_path / "r.json"),
                 (["reproduce-fig5", "--variant", "paper", "--output", str(tmp_path / "fig5")],
                  tmp_path / "fig5")):
-            proc = run_cli(args)
-            assert proc.returncode == 2, proc.stderr
-            assert "unrecognized arguments: --variant" in proc.stderr
-            assert "Traceback" not in proc.stderr
+            with pytest.raises(SystemExit) as exit_:
+                main(args)
+            assert exit_.value.code == 2
+            assert "unrecognized arguments: --variant" in capsys.readouterr().err
             assert not output.exists()
 
-    def test_seed_changes_data_not_verdict(self, tmp_path):
+    def test_seed_changes_data_not_verdict(self, tmp_path, capsys):
         reports = []
         for seed in ("101", "202"):
             outdir = tmp_path / f"fig5_{seed}"
-            proc = run_cli(["reproduce-fig5", "--seed", seed,
-                            "--output", str(outdir)])
-            assert proc.returncode == 0
-            assert "verdict: PASS" in proc.stdout
+            assert main(["reproduce-fig5", "--seed", seed, "--output", str(outdir)]) == 0
+            assert "verdict: PASS" in capsys.readouterr().out
             reports.append((outdir / "visibility_sweep.csv").read_bytes())
         assert reports[0] != reports[1]
 
-    def test_oracle_check_passes(self):
-        proc = run_cli(["oracle-check", "--draws", "60"])
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "conformance: PASS" in proc.stdout
+    def test_oracle_check_passes(self, capsys):
+        assert main(["oracle-check", "--draws", "60"]) == 0
+        assert "conformance: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_oracle_check_without_draws_exits_2(self, draws, capsys):

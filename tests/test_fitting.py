@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -890,8 +891,12 @@ class TestFixedPointStop:
     step is then far inside the noise, and a search started at the reported
     period takes no step."""
 
-    @pytest.mark.parametrize("kind", ["single", "fig5"])
-    def test_restart_at_the_reported_period_returns_it(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["single", "fig5", "command line"])
+    def test_restart_at_the_reported_period_returns_it(self, kind, monkeypatch, tmp_path):
+        if kind == "command line":
+            monkeypatch.delenv("TWINFRINGE_CONFIG", raising=False)
+            self.restart_through_main(tmp_path)
+            return
         if kind == "single":
             scans = [simulate_scan(default_config(), seed=seed) for seed in range(200)]
         else:
@@ -902,6 +907,30 @@ class TestFixedPointStop:
             assert fit.converged and again.converged
             assert again.iterations == 0
             assert np.allclose(again.params, fit.params, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def restart_through_main(tmp_path):
+        """The seed-3 default and 2001-point scans through the command line: each
+        free fit converges in 2 steps (the 2001-point scan of 2.4 fringes would
+        take 3 from the peak bin alone), and a fit started at the period its
+        report gives takes no step and reports the same parameters."""
+        doc = config_to_dict(default_config())
+        doc["scan"]["positions_m"] = {"start": -6e-3, "stop": 6e-3, "num": 2001}
+        long = tmp_path / "long.json"
+        long.write_text(json.dumps(doc))
+        for name, config in (("scan", []), ("long", ["--config", str(long)])):
+            scan, first, again = (tmp_path / f"{name}{ext}"
+                                  for ext in (".csv", ".fit.json", ".restart.json"))
+            assert main(["simulate-scan", *config, "--seed", "3", "--output", str(scan)]) == 0
+            assert main(["fit", str(scan), "--model", "fringe", "--output", str(first)]) == 0
+            f = json.loads(first.read_text())
+            assert f["converged"] and f["iterations"] == 2
+            assert main(["fit", str(scan), "--model", "fringe", "--init",
+                         f"period={f['params']['period']!r}", "--output", str(again)]) == 0
+            r = json.loads(again.read_text())
+            assert r["converged"] and r["iterations"] == 0
+            assert all(math.isclose(r["params"][k], f["params"][k], rel_tol=1e-12)
+                       for k in f["params"])
 
     @staticmethod
     def linear_solves(scans, monkeypatch):
@@ -1213,10 +1242,23 @@ class TestFitVisibilityCurve:
         [0.0, 22.5, 22.5, 45.0, 90.0],  # three
         [10.0, 10.0, 10.0, 55.0, 100.0, 100.0, 145.0],  # two, off the axes
         [10.0, 10.0, 40.0, 100.0, 100.0],  # three
+        [0.0, 45.0, 90.0, 135.0, 180.0],  # two, 45 degrees apart
+        # 1e-7 degrees from such a set: the weighted design reads ~2e-9
+        [0.0, 1e-7, 90.0, 135.0, 180.0],
     ])
-    def test_duplicated_angles_follow_the_referee(self, degrees):
+    def test_duplicated_angles_follow_the_referee(self, degrees, tmp_path, capsys):
+        # through the API and the command line, which exits 2 naming 4 theta,
+        # with no report, where the fit raises
         points = self.curve(np.radians(degrees))
-        assert self.fits(points) == self.referee_fits(points)
+        fits = self.fits(points)
+        assert fits == self.referee_fits(points)
+        sweep, out = tmp_path / "sweep.csv", tmp_path / "r.json"
+        sweep.write_text("theta_rad,mu,sigma_mu\n" + "".join(
+            f"{t!r},{m!r},{s!r}\n" for t, m, s in points.tolist()))
+        assert main(["fit", str(sweep), "--model", "viscurve",
+                     "--output", str(out)]) == (0 if fits else 2)
+        assert ("4 theta" in capsys.readouterr().err) != fits
+        assert out.exists() == fits
 
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_angles_1e_9_from_a_degenerate_set_follow_the_referee(self, offset, tmp_path,

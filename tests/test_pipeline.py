@@ -7,7 +7,7 @@ import pytest
 
 from twinfringe import pipeline
 from twinfringe.cli import main
-from twinfringe.config import (ConfigError, config_from_dict, config_to_dict, default_config,
+from twinfringe.config import (config_from_dict, config_to_dict, default_config,
                                entangled_sweep_config, load_config, save_config)
 from twinfringe.detection import expected_scan, sample_counts
 from twinfringe.errors import ConfigurationError, IllPosedError
@@ -269,10 +269,19 @@ class TestArraySweepMatchesScalarStates:
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7"])
-    def test_fig5_seed_is_checked_as_a_config_seed(self, seed):
-        with pytest.raises(ConfigError, match=r"^scan\.seed: must be a nonnegative integer$"):
-            reproduce_fig5(seed=seed)
+    @pytest.mark.parametrize("seed, same_as", [
+        (np.int64(5), 5), (None, 777),  # None is the sweep config's seed
+        (-1, None), (True, None), (False, None), (1.0, None), ("7", None)])
+    def test_fig5_seed_follows_the_draws_rule(self, seed, same_as):
+        # reproduce_fig5 has no seed rule of its own: sample_counts' applies, as
+        # it does to sweep_pump_angle and simulate_scan
+        if same_as is None:
+            with pytest.raises(ConfigurationError,
+                               match=rf"^seed must be a nonnegative integer, got {seed!r}$"):
+                reproduce_fig5(seed=seed)
+        else:
+            assert fig5_values(reproduce_fig5(seed=seed)) == \
+                fig5_values(reproduce_fig5(seed=same_as))
 
 
 def stack_bytes(config, thetas, seed=7):
