@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .detection import nonnegative_seed
 from .errors import NotTwoQubitStateError, UndefinedVisibilityError
 from .fitting import FringeModelParams, fringe_model
 from .polarization import PolarizationAngle
@@ -150,7 +151,7 @@ def conformance_report(draws: int, seed: int) -> Dict[str, Tuple[float, float]]:
     extrema identity and the oracle's phase invariance.  Returns
     {check name: (max error, tolerance)} in a fixed order.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(nonnegative_seed(seed))
     worst = {}
 
     def random_state():

@@ -28,8 +28,8 @@ from .detection import SCAN_DTYPE
 from .errors import TwinfringeError
 from .fitting import (FitResult, FringeModelParams, fit_fringe, fit_visibility_curve,
                       fringe_params, visibility_curve_params)
-from .pipeline import (FIG5_SEED, FIG5_TOLERANCE, FIG5_TRUTH, SWEEP_DTYPE,
-                       reproduce_fig5, simulate_scan, sweep_pump_angle)
+from .pipeline import (FIG5_TOLERANCE, FIG5_TRUTH, SWEEP_DTYPE, reproduce_fig5,
+                       simulate_scan, sweep_pump_angle)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -324,7 +324,7 @@ def cmd_fit(args) -> int:
 
 def cmd_reproduce_fig5(args) -> int:
     os.makedirs(args.output, exist_ok=True)
-    result = reproduce_fig5(seed=args.seed if args.seed is not None else FIG5_SEED)
+    result = reproduce_fig5(seed=args.seed)
     write_sweep_csv(result.points, os.path.join(args.output, "visibility_sweep.csv"))
     report = {
         "fitted": {"mu_max": result.mu_max, "theta0": result.theta0,

@@ -16,16 +16,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .detection import MAX_POISSON_MEAN, SCAN_MODES, ScanConfig, slit_visibility_factor
+from .detection import MAX_POISSON_MEAN, ScanConfig, slit_visibility_factor
 from .errors import ConfigurationError
 from .polarization import DIAGONAL, VERTICAL, PolarizationAngle, PumpState
 from .spdc import CrystalConfig, GeometryConfig, SourceConfig, default_source
 
 SCHEMA_VERSION = 1
 ENV_CONFIG_PATH = "TWINFRINGE_CONFIG"
-
-# the built-in configs' fringe period, ten default slit widths
-_DEFAULT_PERIOD = 5e-3
 
 # The keys each document object may hold. A number key mapped to a dataclass
 # field is read and written through that field, in this order, and an absent
@@ -34,8 +31,7 @@ _TOP = ("schema_version", "pump", "source", "geometry", "analyzers", "scan")
 _PUMP = ("eps1", "eps2", "theta_p_rad")
 _CRYSTAL = ("pair_polarization_rad", "pump_axis_rad")
 _SOURCE = {"crystal1": None, "crystal2": None, "phi0_rad": "phi0"}
-_GEOMETRY = {"wavelength_m": "wavelength", "crystal_separation_m": "crystal_separation",
-             "detector_distance_m": "detector_distance", "fringe_period_m": "fringe_period"}
+_GEOMETRY = {"fringe_period_m": "fringe_period"}
 _ANALYZERS = ("signal_rad", "idler_rad")
 _SCAN = {"scan_mode": None, "positions_m": None, "integration_time_s": "integration_time",
          "peak_rate_hz": "peak_rate", "background_rate_hz": "background_rate",
@@ -73,8 +69,6 @@ def _resolve_positions(spec, path: str):
         start, stop = _number(spec, "start", path), _number(spec, "stop", path)
         return tuple(np.linspace(start, stop, num).tolist())
     if isinstance(spec, list):
-        if not spec:
-            raise ConfigError(f"{path}: position list must not be empty")
         return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(spec))
     raise ConfigError(f"{path}: must be a list of meters or a start/stop/num grid")
 
@@ -121,12 +115,6 @@ def _values(obj, table: dict) -> dict:
     return {key: getattr(obj, field) for key, field in table.items() if field}
 
 
-def _seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("scan.seed: must be a nonnegative integer")
-    return seed
-
-
 @contextmanager
 def _section(name: str):  # prefix a constructor's structural error with its section
     try:
@@ -168,9 +156,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             crystals.append(CrystalConfig(pair, axis, label))
         source = SourceConfig(*crystals, **_fields(src_doc, _SOURCE, "source"))
 
-    geo_doc = dict(_object(doc.get("geometry", {}), _GEOMETRY, "geometry"))
-    if "fringe_period_m" in geo_doc and geo_doc["fringe_period_m"] is None:
-        del geo_doc["fringe_period_m"]  # null: the double-slit period
+    geo_doc = _object(doc.get("geometry", {}), _GEOMETRY, "geometry")
     with _section("geometry"):
         geometry = GeometryConfig(**_fields(geo_doc, _GEOMETRY, "geometry"))
 
@@ -182,15 +168,10 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     scan_doc = _object(_require(doc, "scan", "top level"), _SCAN, "scan")
     positions_spec = _require(scan_doc, "positions_m", "scan")
-    fields = {"positions": _resolve_positions(positions_spec, "scan.positions_m")}
-    if "scan_mode" in scan_doc:
-        fields["scan_mode"] = mode = scan_doc["scan_mode"]
-        if mode not in SCAN_MODES:
-            raise ConfigError(f"scan.scan_mode: must be one of {SCAN_MODES}, got {mode!r}")
-    if "seed" in scan_doc:
-        fields["seed"] = _seed(scan_doc["seed"])
+    fields = {key: scan_doc[key] for key in ("scan_mode", "seed") if key in scan_doc}
     with _section("scan"):
-        scan = ScanConfig(**fields, **_fields(scan_doc, _SCAN, "scan"))
+        scan = ScanConfig(_resolve_positions(positions_spec, "scan.positions_m"),
+                          **fields, **_fields(scan_doc, _SCAN, "scan"))
     peak = (scan.peak_rate + scan.background_rate) * scan.integration_time
     if peak > MAX_POISSON_MEAN:
         raise ConfigError(f"scan.peak_rate_hz: (peak + background rate) * integration_time_s = "
@@ -249,18 +230,19 @@ def default_config_path() -> Optional[str]:
 
 def _builtin_config(pump: PumpState, source: SourceConfig, ceiling: float,
                     seed: int) -> RunConfig:
-    """`pump` and `source` behind 45-degree analyzers on a 5 mm fringe, with the
-    instrument factor set so the visibility ceiling through the default slit
-    is `ceiling`; every other setting keeps its dataclass default."""
+    """`pump` and `source` behind 45-degree analyzers, with the instrument
+    factor set so the visibility ceiling through the default slit on the
+    default fringe is `ceiling`; every other setting keeps its dataclass
+    default."""
     positions_spec = {"start": -6e-3, "stop": 6e-3, "num": 61}
-    seed = _seed(seed)
-    factor = _as_number(ceiling / slit_visibility_factor(ScanConfig.slit_width, _DEFAULT_PERIOD),
+    factor = _as_number(ceiling / slit_visibility_factor(ScanConfig.slit_width,
+                                                         GeometryConfig.fringe_period),
                         "scan.instrument_factor")
     with _section("scan"):
         scan = ScanConfig(_resolve_positions(positions_spec, "scan.positions_m"),
                           instrument_factor=factor, seed=seed)
     return RunConfig(pump=pump, source=source,
-                     geometry=GeometryConfig(fringe_period=_DEFAULT_PERIOD),
+                     geometry=GeometryConfig(),
                      analyzers=(DIAGONAL, DIAGONAL), scan=scan, positions_spec=positions_spec)
 
 

@@ -60,6 +60,21 @@ class ScanConfig:
                 raise ConfigurationError(f"{name} must be >= 0")
         if not 0.0 <= self.instrument_factor <= 1.0:
             raise ConfigurationError("instrument_factor must lie in [0, 1]")
+        # a Python int, so a numpy-integer seed still saves as JSON
+        object.__setattr__(self, "seed", nonnegative_seed(self.seed))
+
+
+def nonnegative_seed(seed) -> int:
+    """`seed` as a Python int, checked to be a Python or numpy integer >= 0,
+    not a bool, float, string or sequence (SeedSequence would take a list as
+    entropy and a bool as 0 or 1)."""
+    try:
+        entropy = -1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
+    except TypeError:
+        entropy = -1
+    if entropy < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return entropy
 
 
 def slit_visibility_factor(slit_width: float, fringe_period: float) -> float:
@@ -125,12 +140,7 @@ def sample_counts(expected, integration_time: float, seed: int) -> np.recarray:
     Returns a record array of SCAN_DTYPE, one row per point: (n,) for one
     scan, (m, n) for a stack.
     """
-    try:  # SeedSequence would take a list as entropy and a bool as 0 or 1
-        entropy = -1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
-    except TypeError:
-        entropy = -1
-    if entropy < 0:
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    entropy = nonnegative_seed(seed)
     if not (math.isfinite(integration_time) and integration_time >= 0.0):
         raise ConfigurationError("integration_time must be finite and >= 0")
     points = np.asarray(expected, dtype=np.float64)

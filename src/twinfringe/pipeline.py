@@ -21,7 +21,6 @@ from .spdc import build_two_photon_state
 # reference values the reproduction is checked against, with tolerances
 FIG5_TRUTH = {"mu_max": 0.77, "theta0": math.pi, "eps2": 0.08}
 FIG5_TOLERANCE = {"mu_max": 0.05, "theta0": 0.1, "eps2": 0.03}
-FIG5_SEED = 777
 FIG5_N_ANGLES = 19
 
 
@@ -136,12 +135,12 @@ _FIG5_DIAL = tuple(np.linspace(0.0, math.pi, FIG5_N_ANGLES).tolist())
 _FIG5_ANGLES = tuple(((np.array(_FIG5_DIAL) - FIG5_TRUTH["theta0"]) % math.pi).tolist())
 
 
-def reproduce_fig5(seed: Optional[int] = FIG5_SEED) -> Fig5Result:
+def reproduce_fig5(seed: Optional[int] = None) -> Fig5Result:
     """Run the full visibility-sweep reproduction and compare to the
     reference values (mu_max = 0.77, theta0 = pi, eps2 = 0.08).
 
     seed draws the counts as it does for sweep_pump_angle; None draws from
-    the sweep config's seed, which is FIG5_SEED.
+    the sweep config's seed, 777.
 
     Simulates a scan at each of FIG5_N_ANGLES pump dial angles over [0, pi]
     with a 0.77 instrument ceiling and a 0.08 quadrature pump component,

@@ -91,21 +91,16 @@ class TwoPhotonState:
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Source geometry in meters; fringe_period defaults to the double-slit value."""
+    """The fringe's geometry: its period in meters, the transverse detector
+    displacement that advances the fringe phase by 2 pi.
 
-    wavelength: float = 884e-9
-    crystal_separation: float = 0.01
-    detector_distance: float = 1.0
-    fringe_period: Optional[float] = None
+    The period is an instrument calibration, the one geometric input
+    fringe_phase reads.  The 5 mm default is ten default slit widths.
+    """
+
+    fringe_period: float = 5e-3
 
     def __post_init__(self):
-        for name in ("wavelength", "crystal_separation", "detector_distance"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigurationError(f"{name} must be strictly positive")
-        if self.fringe_period is None:
-            object.__setattr__(
-                self, "fringe_period",
-                self.wavelength * self.detector_distance / self.crystal_separation)
         if not self.fringe_period > 0.0:
             raise ConfigurationError("fringe_period must be strictly positive")
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from twinfringe import pipeline
 from twinfringe.cli import (main, read_scan_csv, read_sweep_csv, write_scan_csv,
                             write_sweep_csv)
-from twinfringe.detection import SCAN_DTYPE, ScanConfig
+from twinfringe.analysis import conformance_report
+from twinfringe.detection import SCAN_DTYPE, ScanConfig, sample_counts
+from twinfringe.errors import ConfigurationError
 from twinfringe.config import (ConfigError, config_from_dict, config_to_dict,
                                default_config, entangled_sweep_config,
                                load_config, save_config)
@@ -155,8 +158,16 @@ class TestConfigValidation:
         (lambda d: d["source"]["crystal2"].update(pump_axis=0.0),
          "source.crystal2.pump_axis: unknown key"),
         (lambda d: d["scan"]["positions_m"].update(step=2e-4), "scan.positions_m.step: unknown key"),
+        (lambda d: d["geometry"].update(wavelength_m=884e-9), "geometry.wavelength_m: unknown key"),
+        (lambda d: d["geometry"].update(fringe_period_m=None),
+         "geometry.fringe_period_m: expected a number, got NoneType"),
+        (lambda d: d["scan"].update(scan_mode="x"),
+         "scan: scan_mode must be one of ('signal_only', 'idler_only', 'both'), got 'x'"),
+        (lambda d: d["scan"].update(seed=-1), "scan: seed must be a nonnegative integer, got -1"),
+        (lambda d: d["scan"].update(positions_m=[]), "scan: scan needs at least one position"),
     ], ids=["geometry-null", "pump-int", "crystal-int", "analyzers-int", "analyzers-str", "scan-str",
-            "scan-typo", "top-level-key", "crystal-key", "grid-key"])
+            "scan-typo", "top-level-key", "crystal-key", "grid-key", "geometry-removed-key",
+            "period-null", "scan-mode", "seed-negative", "positions-empty"])
     def test_malformed_document_exits_2_with_key_path(self, tmp_path, capsys, edit, message):
         doc = config_to_dict(default_config())
         edit(doc)
@@ -172,6 +183,45 @@ class TestConfigValidation:
         path.write_text('{\n  "schema_version": 1,\n  oops\n}\n')
         with pytest.raises(ConfigError, match=r":3:"):
             load_config(str(path))
+
+
+def _config_with_seed(seed):
+    doc = config_to_dict(default_config())
+    doc["scan"]["seed"] = seed
+    return config_from_dict(doc)
+
+
+# every entry point that takes a seed, each checking it by sample_counts' rule
+SEED_ENTRY_POINTS = {
+    "ScanConfig": lambda seed: ScanConfig((0.0, 1e-3), seed=seed),
+    "config_from_dict": _config_with_seed,
+    "entangled_sweep_config": lambda seed: entangled_sweep_config(seed=seed),
+    "sample_counts": lambda seed: sample_counts([(0.0, 5.0), (1e-3, 20.0)], 10.0, seed).tobytes(),
+    "conformance_report": lambda seed: conformance_report(1, seed),
+}
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    @pytest.mark.parametrize("seed", [0, 5, np.int64(5), 2 ** 70], ids=["0", "5", "int64", "2**70"])
+    def test_accepted_seed_acts_as_its_int(self, entry, seed):
+        assert SEED_ENTRY_POINTS[entry](seed) == SEED_ENTRY_POINTS[entry](int(seed))
+
+    @pytest.mark.parametrize("entry", ["config_from_dict", "entangled_sweep_config"])
+    def test_numpy_seed_config_saves_and_loads(self, tmp_path, entry):
+        config = SEED_ENTRY_POINTS[entry](np.int64(5))
+        assert type(config.scan.seed) is int
+        path = tmp_path / "run.json"
+        save_config(config, str(path))
+        assert load_config(str(path)) == SEED_ENTRY_POINTS[entry](5)
+
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    @pytest.mark.parametrize("seed", [-1, True, np.True_, 1.5, "7", None],
+                             ids=["-1", "True", "np.True_", "1.5", "str", "None"])
+    def test_rejected_seed_names_the_rule(self, entry, seed):
+        with pytest.raises(ConfigurationError,
+                           match=rf"seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+            SEED_ENTRY_POINTS[entry](seed)
 
 
 class TestCliScan:

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import twinfringe
+from twinfringe.config import config_from_dict, config_to_dict, default_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,3 +35,20 @@ def test_bench_records_share_one_summary_schema():
             for side in ("parent", "change"):
                 q = entry[side]
                 assert q["q1"] <= q["median"] <= q["q3"], f"{where} {side}"
+
+
+def _key_paths(doc, prefix=""):
+    """The dotted path of every key in a JSON document's nested objects."""
+    paths = set()
+    for key, value in doc.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def test_readme_example_config_loads_and_has_every_saved_key():
+    section = (ROOT / "README.md").read_text().split("## Configuration\n", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    config_from_dict(example)
+    assert _key_paths(example) == _key_paths(config_to_dict(default_config()))

@@ -97,12 +97,14 @@ class TestPhases:
             both = fringe_phase(x, x, geo) - fringe_phase(0.0, 0.0, geo)
             assert both == pytest.approx(2.0 * single, abs=1e-12)
 
-    def test_geometry_default_period_is_double_slit_value(self):
-        geo = GeometryConfig(wavelength=884e-9, crystal_separation=0.01,
-                             detector_distance=1.0)
-        assert geo.fringe_period == pytest.approx(884e-9 * 1.0 / 0.01)
-        with pytest.raises(ConfigurationError):
-            GeometryConfig(wavelength=-1.0)
+    def test_geometry_default_period_is_5_mm(self):
+        # ten default slit widths, the built-in configs' period
+        assert GeometryConfig().fringe_period == 5e-3
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+    def test_geometry_period_must_be_positive(self, period):
+        with pytest.raises(ConfigurationError, match="^fringe_period must be strictly positive$"):
+            GeometryConfig(fringe_period=period)
 
 
 class TestCoincidence:
