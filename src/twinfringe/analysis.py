@@ -59,21 +59,25 @@ def visibility_from_extrema(c_max: float, c_min: float) -> float:
     return (c_max - c_min) / (c_max + c_min)
 
 
-def _refine_extremum(curve, c, i: int, minimize: bool) -> float:
-    """Extreme value of curve near the grid extremum c[i], by successive
-    parabolic interpolation (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5) on curve values alone.
+def _refine_extremum(half_sum: float, cross_re: float, cross_im: float,
+                     c: list, i: int, minimize: bool) -> float:
+    """Extreme value of the curve half_sum + cross_re cos(phi) - cross_im
+    sin(phi) near the grid extremum c[i], by successive parabolic
+    interpolation (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5) on curve values alone.
 
-    Starts from the bracket of c[i] and its two grid neighbours (indices
-    taken modulo _N_GRID), which the grid has already evaluated.  Each step
-    evaluates the vertex of the parabola through the bracket's three points,
-    which lies strictly inside the bracket, and shrinks the bracket round the
-    best point.  Returns the best value seen, so never one worse than c[i].
+    c is the curve on the grid, as a list.  Starts from the bracket of c[i]
+    and its two grid neighbours (indices taken modulo _N_GRID), which the
+    grid has already evaluated.  Each step evaluates the curve, inline from
+    its coefficients as coincidence_probability's scalar branch does, at the
+    vertex of the parabola through the bracket's three points, which lies
+    strictly inside the bracket, and shrinks the bracket round the best
+    point.  Returns the best value seen, so never one worse than c[i].
     """
     sign = 1.0 if minimize else -1.0
-    x = float(_PHASES[i])
+    x = i * _STEP  # equal to _PHASES[i]
     a, b = x - _STEP, x + _STEP
-    fa, fx, fb = (sign * float(c[(i + d) % _N_GRID]) for d in (-1, 0, 1))
+    fa, fx, fb = sign * c[i - 1], sign * c[i], sign * c[(i + 1) % _N_GRID]
     for _ in range(_MAX_STEPS):
         p = (x - a) * (fx - fb)
         q = (x - b) * (fx - fa)
@@ -82,7 +86,7 @@ def _refine_extremum(curve, c, i: int, minimize: bool) -> float:
         u = x + ((x - a) * p - (x - b) * q) / (2.0 * (q - p))
         if not a < u < b or abs(u - x) <= _PHASE_TOL:
             break
-        fu = sign * curve(u)
+        fu = sign * (half_sum + cross_re * math.cos(u) - cross_im * math.sin(u))
         if fu <= fx:
             if u < x:
                 b, fb = x, fx
@@ -112,12 +116,12 @@ def phi_scan_oracle(state: TwoPhotonState,
     # the array branch of coincidence_probability; argmax and argmin return
     # the first grid point attaining each extremum
     c = half_sum + cross_re * _COS - cross_im * _SIN
-    # the scalar branch of coincidence_probability, on the coefficients above
-    curve = lambda phi: half_sum + cross_re * math.cos(phi) - cross_im * math.sin(phi)
-    c_max = _refine_extremum(curve, c, int(c.argmax()), minimize=False)
+    i_max, i_min = int(c.argmax()), int(c.argmin())
+    c = c.tolist()
+    c_max = _refine_extremum(half_sum, cross_re, cross_im, c, i_max, minimize=False)
     # the curve is |b1 + e^{i phi} b2|^2 / 2 >= 0, but its two-term form can
     # round a full-contrast minimum below zero, which would read mu > 1
-    c_min = max(_refine_extremum(curve, c, int(c.argmin()), minimize=True), 0.0)
+    c_min = max(_refine_extremum(half_sum, cross_re, cross_im, c, i_min, minimize=True), 0.0)
 
     if c_max + c_min == 0.0:
         return VisibilityReport(mu=0.0, c_max=0.0, c_min=0.0)

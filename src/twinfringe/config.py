@@ -37,6 +37,11 @@ _SCAN = {"scan_mode": None, "positions_m": None, "integration_time_s": "integrat
          "peak_rate_hz": "peak_rate", "background_rate_hz": "background_rate",
          "slit_width_m": "slit_width", "instrument_factor": "instrument_factor", "seed": None}
 _GRID = ("start", "stop", "num")
+# Most points a start/stop/num grid may ask for.  ScanConfig keeps its
+# positions as a tuple of Python floats, ~32 bytes a point (~32 MB at 10**6),
+# and every grid in use has at most a few thousand points; the bound turns a
+# mistyped num into an error before linspace tries to allocate it.
+MAX_GRID_POINTS = 10 ** 6
 
 
 class ConfigError(ConfigurationError):
@@ -66,6 +71,8 @@ def _resolve_positions(spec, path: str):
         num = spec["num"]
         if not isinstance(num, int) or isinstance(num, bool) or num < 1:
             raise ConfigError(f"{path}.num: must be an integer >= 1")
+        if num > MAX_GRID_POINTS:
+            raise ConfigError(f"{path}.num: must be at most {MAX_GRID_POINTS}, got {num}")
         start, stop = _number(spec, "start", path), _number(spec, "stop", path)
         return tuple(np.linspace(start, stop, num).tolist())
     if isinstance(spec, list):
@@ -172,6 +179,22 @@ def config_from_dict(doc: dict) -> RunConfig:
     with _section("scan"):
         scan = ScanConfig(_resolve_positions(positions_spec, "scan.positions_m"),
                           **fields, **_fields(scan_doc, _SCAN, "scan"))
+    # the slit factor's sinc argument and every fringe phase must be finite,
+    # or expected_scan's sinc, cos and sin return NaN
+    slit_arg = math.pi * (scan.slit_width / geometry.fringe_period)
+    if not math.isfinite(slit_arg):
+        raise ConfigError(f"scan.slit_width_m: pi * slit width / geometry.fringe_period_m = "
+                          f"{slit_arg}, must be finite")
+    ends = scan.positions
+    if isinstance(positions_spec, dict):
+        # a grid's positions lie between its start and stop, so a list alone
+        # is searched point by point (~0.1 ms for 2001 points)
+        ends = (ends[0], ends[-1])
+    reach = max(map(abs, ends)) * (2.0 if scan.scan_mode == "both" else 1.0)
+    phase = 2.0 * math.pi * reach / geometry.fringe_period
+    if not math.isfinite(phase):
+        raise ConfigError(f"scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
+                          f"geometry.fringe_period_m = {phase}, must be finite")
     peak = (scan.peak_rate + scan.background_rate) * scan.integration_time
     if peak > MAX_POISSON_MEAN:
         raise ConfigError(f"scan.peak_rate_hz: (peak + background rate) * integration_time_s = "

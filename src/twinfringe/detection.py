@@ -103,6 +103,13 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: Geometr
     """
     ana_s, ana_i = analyzers if analyzers is not None else (None, None)
     mean, cross, depth = _curve_coefficients(state, ana_s, ana_i)
+    f = scan.instrument_factor * slit_visibility_factor(
+        scan.slit_width, geometry.fringe_period)
+    top = mean + abs(f) * depth  # the smoothed curve's maximum
+    if math.isnan(top):
+        raise ConfigurationError(
+            f"the fringe maximum is NaN: slit factor {f!r} from slit_width "
+            f"{scan.slit_width!r} over fringe_period {geometry.fringe_period!r}")
     # + 0.0 writes a -0.0 position or rate as 0.0, so scans that compare
     # equal give equal bytes (pipeline caches the rates on that equality)
     x = np.asarray(scan.positions, dtype=np.float64) + 0.0
@@ -110,10 +117,8 @@ def expected_scan(state: TwoPhotonState, source: SourceConfig, geometry: Geometr
     # is one scan, and moving both doubles x
     phases = fringe_phase(x, x if scan.scan_mode == "both" else 0.0, geometry, source.phi0)
     c = mean + cross.real * np.cos(phases) - cross.imag * np.sin(phases)
-    f = scan.instrument_factor * slit_visibility_factor(
-        scan.slit_width, geometry.fringe_period)
     smoothed = mean + f * (c - mean)
-    top = mean + abs(f) * depth  # the smoothed curve's maximum
+    # a zero maximum is a curve blocked everywhere, as by crossed analyzers
     shape = smoothed / top if top > 0.0 else np.zeros_like(smoothed)
     out = np.empty(shape.shape + (2,))
     out[:, 0] = x

@@ -103,6 +103,8 @@ class GeometryConfig:
     def __post_init__(self):
         if not self.fringe_period > 0.0:
             raise ConfigurationError("fringe_period must be strictly positive")
+        if self.fringe_period == math.inf:
+            raise ConfigurationError("fringe_period must be finite")
 
 
 def build_two_photon_state(pump: PumpState, source: SourceConfig) -> TwoPhotonState:

@@ -165,9 +165,29 @@ class TestConfigValidation:
          "scan: scan_mode must be one of ('signal_only', 'idler_only', 'both'), got 'x'"),
         (lambda d: d["scan"].update(seed=-1), "scan: seed must be a nonnegative integer, got -1"),
         (lambda d: d["scan"].update(positions_m=[]), "scan: scan needs at least one position"),
+        (lambda d: d["scan"]["positions_m"].update(num=2 ** 70),
+         "scan.positions_m.num: must be at most 1000000, got 1180591620717411303424"),
+        (lambda d: d["scan"]["positions_m"].update(num=2 ** 40),
+         "scan.positions_m.num: must be at most 1000000, got 1099511627776"),
+        (lambda d: d["geometry"].update(fringe_period_m=1e-320),
+         "scan.slit_width_m: pi * slit width / geometry.fringe_period_m = inf, must be finite"),
+        (lambda d: d["scan"].update(slit_width_m=1e308),
+         "scan.slit_width_m: pi * slit width / geometry.fringe_period_m = inf, must be finite"),
+        (lambda d: d["scan"]["positions_m"].update(start=1e308),
+         "scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
+         "geometry.fringe_period_m = inf, must be finite"),
+        (lambda d: d["scan"].update(positions_m=[0.0, 1e308, 0.0]),
+         "scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
+         "geometry.fringe_period_m = inf, must be finite"),
+        # finite for one moving detector, inf when both move
+        (lambda d: d["scan"].update(positions_m=[0.0, 8e304], scan_mode="both"),
+         "scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
+         "geometry.fringe_period_m = inf, must be finite"),
     ], ids=["geometry-null", "pump-int", "crystal-int", "analyzers-int", "analyzers-str", "scan-str",
             "scan-typo", "top-level-key", "crystal-key", "grid-key", "geometry-removed-key",
-            "period-null", "scan-mode", "seed-negative", "positions-empty"])
+            "period-null", "scan-mode", "seed-negative", "positions-empty", "grid-num-2**70",
+            "grid-num-2**40", "period-subnormal", "slit-huge", "position-huge",
+            "list-position-huge", "both-detectors-position-huge"])
     def test_malformed_document_exits_2_with_key_path(self, tmp_path, capsys, edit, message):
         doc = config_to_dict(default_config())
         edit(doc)

@@ -292,6 +292,17 @@ class TestCrossedAnalyzers:
         assert np.all(expected[:, 1] == 0.0)
         assert np.all(sample_counts(expected, 10.0, seed=99).counts == 0)
 
+    @pytest.mark.parametrize("slit_width, period", [(0.5e-3, 1e-320), (1e308, 5e-3)])
+    def test_nan_slit_factor_raises_instead_of_zeros(self, slit_width, period):
+        # sinc of an infinite argument is NaN, and a NaN maximum is no blocked
+        # curve: it raises where crossed analyzers give zeros
+        state, source, _ = balanced_setup()
+        with np.errstate(all="ignore"), pytest.raises(ConfigurationError,
+                                                      match="fringe maximum is NaN"):
+            expected_scan(state, source, GeometryConfig(fringe_period=period), ANA45,
+                          make_scan(slit_width=slit_width))
+
+
 class TestScanConfigValidation:
     def test_empty_positions(self):
         with pytest.raises(ConfigurationError):

@@ -106,6 +106,11 @@ class TestPhases:
         with pytest.raises(ConfigurationError, match="^fringe_period must be strictly positive$"):
             GeometryConfig(fringe_period=period)
 
+    def test_geometry_period_must_be_finite(self):
+        # an infinite period would read every phase as phi0: a flat scan
+        with pytest.raises(ConfigurationError, match="^fringe_period must be finite$"):
+            GeometryConfig(fringe_period=math.inf)
+
 
 class TestCoincidence:
     def test_balanced_state_behind_analyzers_nulls_at_pi(self):
