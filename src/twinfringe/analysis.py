@@ -22,20 +22,21 @@ from .spdc import (_ORTHO_TOL, TwoPhotonState, _curve_coefficients,
                    predicted_visibility, predicted_visibility_with_analyzers)
 
 # Phases in the oracle's uniform grid over [0, 2pi).  The grid only has to
-# land within one step of each extremum: any step under pi/2 keeps the
-# +-1-step bracket of the refinement shorter than pi, and a sinusoid is
-# unimodal on such a bracket.
-_N_GRID = 64
+# land within one step of each extremum: any step under pi/2 (_N_GRID >= 5)
+# keeps the +-1-step bracket of the refinement shorter than pi, and a sinusoid
+# is unimodal on such a bracket.  _TRIG holds each grid phase's (cos, sin) as
+# Python floats, taken from np.cos and np.sin so that the grid curve is
+# bit-equal to coincidence_probability's array branch.
+_N_GRID = 8
 _STEP = 2.0 * np.pi / _N_GRID
-_PHASES = np.arange(_N_GRID) * _STEP
-_COS, _SIN = np.cos(_PHASES), np.sin(_PHASES)
-_PHASES.flags.writeable = _COS.flags.writeable = _SIN.flags.writeable = False
+_TRIG = tuple(zip(np.cos(np.arange(_N_GRID) * _STEP).tolist(),
+                  np.sin(np.arange(_N_GRID) * _STEP).tolist()))
 # The refinement stops once a parabolic step is under _PHASE_TOL radians: the
 # best phase then lies within about _PHASE_TOL of the extremum, where the curve
 # is within |cross| * _PHASE_TOL**2 / 2 of its extreme value, so the contrast
 # is off by at most ~_PHASE_TOL**2 = 1e-16, under one eps.  Noise in the last
 # bits of a shallow curve can keep the steps wandering above the tolerance;
-# _MAX_STEPS ends those refinements (random states take ~3 steps).
+# _MAX_STEPS ends those refinements (random states take ~4 steps).
 _PHASE_TOL = 1e-8
 _MAX_STEPS = 24
 
@@ -75,7 +76,7 @@ def _refine_extremum(half_sum: float, cross_re: float, cross_im: float,
     point.  Returns the best value seen, so never one worse than c[i].
     """
     sign = 1.0 if minimize else -1.0
-    x = i * _STEP  # equal to _PHASES[i]
+    x = i * _STEP
     a, b = x - _STEP, x + _STEP
     fa, fx, fb = sign * c[i - 1], sign * c[i], sign * c[(i + 1) % _N_GRID]
     for _ in range(_MAX_STEPS):
@@ -113,11 +114,10 @@ def phi_scan_oracle(state: TwoPhotonState,
     """
     half_sum, cross, _ = _curve_coefficients(state, *(analyzers or (None, None)))
     cross_re, cross_im = cross.real, cross.imag
-    # the array branch of coincidence_probability; argmax and argmin return
-    # the first grid point attaining each extremum
-    c = half_sum + cross_re * _COS - cross_im * _SIN
-    i_max, i_min = int(c.argmax()), int(c.argmin())
-    c = c.tolist()
+    # coincidence_probability's array branch, value by value; index returns
+    # the first grid point attaining each extremum, as argmax and argmin do
+    c = [half_sum + cross_re * cos - cross_im * sin for cos, sin in _TRIG]
+    i_max, i_min = c.index(max(c)), c.index(min(c))
     c_max = _refine_extremum(half_sum, cross_re, cross_im, c, i_max, minimize=False)
     # the curve is |b1 + e^{i phi} b2|^2 / 2 >= 0, but its two-term form can
     # round a full-contrast minimum below zero, which would read mu > 1

@@ -74,6 +74,9 @@ def _resolve_positions(spec, path: str):
         if num > MAX_GRID_POINTS:
             raise ConfigError(f"{path}.num: must be at most {MAX_GRID_POINTS}, got {num}")
         start, stop = _number(spec, "start", path), _number(spec, "stop", path)
+        # linspace scales by the span, so an overflowing span fills the grid with NaN
+        if not math.isfinite(stop - start):
+            raise ConfigError(f"{path}: stop - start = {stop - start}, must be finite")
         return tuple(np.linspace(start, stop, num).tolist())
     if isinstance(spec, list):
         return tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(spec))

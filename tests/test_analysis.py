@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import twinfringe.analysis
-from twinfringe.analysis import (_COS, _MAX_STEPS, _N_GRID, _PHASE_TOL, _SIN,
-                                 _refine_extremum, concurrence, conformance_report,
-                                 phi_scan_oracle, visibility_from_extrema)
+from twinfringe.analysis import (_MAX_STEPS, _N_GRID, _PHASE_TOL, _refine_extremum,
+                                 concurrence, conformance_report, phi_scan_oracle,
+                                 visibility_from_extrema)
 from twinfringe.errors import NotTwoQubitStateError, UndefinedVisibilityError
 from twinfringe.fitting import FringeModelParams, fringe_model
 from twinfringe.polarization import (DIAGONAL, HORIZONTAL, VERTICAL,
@@ -157,14 +157,6 @@ class TestFringeExtremaIdentity:
             x_lo = x_hi + p.period / 2
             got = visibility_from_extrema(fringe_model(x_hi, p), fringe_model(x_lo, p))
             assert got == pytest.approx(p.mu, abs=1e-12)
-
-
-class TestPhaseTable:
-    def test_cached_tables_are_read_only(self):
-        for table in (_COS, _SIN):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 2.0
 
 
 @functools.cache
@@ -325,7 +317,7 @@ class TestOracleMatchesCoincidenceProbability:
                 reference_oracle(state, (HORIZONTAL, HORIZONTAL))
 
     def test_extrema_match_dense_reference_scan(self):
-        # The 64-point grid only has to land within one step of each
+        # The oracle's grid only has to land within one step of each
         # extremum; the refinement must then agree with a 100 000-point scan.
         rng = np.random.default_rng(64)
         states = edge_states(rng)
@@ -380,8 +372,9 @@ class TestOracleMatchesCoincidenceProbability:
                 assert sign * best <= sign * c[i]
                 assert all(abs(phi - i * step) < step for phi in trials)
                 evals.append(len(trials))
-        # at least one on average: the recording math module saw the evaluations
-        assert 1 <= np.mean(evals) <= 10
+        # at least one on average: the recording math module saw the evaluations;
+        # random states take ~4 on the 8-phase grid
+        assert 1 <= np.mean(evals) <= 5
         assert max(evals) < _MAX_STEPS
 
     def test_crossed_analyzers_read_zero(self):

@@ -176,6 +176,9 @@ class TestConfigValidation:
         (lambda d: d["scan"]["positions_m"].update(start=1e308),
          "scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
          "geometry.fringe_period_m = inf, must be finite"),
+        # the span overflows before any position does
+        (lambda d: d["scan"].update(positions_m={"start": -1e308, "stop": 1e308, "num": 61}),
+         "scan.positions_m: stop - start = inf, must be finite"),
         (lambda d: d["scan"].update(positions_m=[0.0, 1e308, 0.0]),
          "scan.positions_m: largest fringe phase 2 pi max|x_s + x_i| / "
          "geometry.fringe_period_m = inf, must be finite"),
@@ -187,7 +190,7 @@ class TestConfigValidation:
             "scan-typo", "top-level-key", "crystal-key", "grid-key", "geometry-removed-key",
             "period-null", "scan-mode", "seed-negative", "positions-empty", "grid-num-2**70",
             "grid-num-2**40", "period-subnormal", "slit-huge", "position-huge",
-            "list-position-huge", "both-detectors-position-huge"])
+            "grid-span-overflow", "list-position-huge", "both-detectors-position-huge"])
     def test_malformed_document_exits_2_with_key_path(self, tmp_path, capsys, edit, message):
         doc = config_to_dict(default_config())
         edit(doc)
