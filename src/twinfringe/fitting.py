@@ -14,6 +14,7 @@ form.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -233,41 +234,59 @@ def _scan_columns(scan, min_points: int):
     return x[order], y, w, t[order], one_scan, counting
 
 
-def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
-    """Wavenumber of the strongest nonzero Fourier component on a uniform resample,
-    the amplitude spectra of the rows of y (one scan per row) summed.  The
-    resample has the smallest power of two >= max(x.size, 16) points: the FFT
-    of a prime length, such as a 61-point scan's, takes several times longer.
-    The peak is taken only from bins at or below k_hi = pi (n - 1) / span, the
-    top wavenumber the search may reach: the resample's grid is finer than
-    the scan's, and bins 31 and 32 of a 61-point scan's 64-point grid lie
-    above k_hi.
+@functools.lru_cache(maxsize=16)
+def _periodogram_terms(n: int):
+    """The terms of _dominant_wavenumber's gain that depend on the number of
+    points n alone: the zero-padded length L, the smallest power of two >= 2 n;
+    the first bin of the grid, ceil(L / (n - 1)), at or above k_lo; and, over
+    the bins j from there to L / 2 - 1, h / d and conj(g) / d, with
+    h = n - |E(k)|^2 / n, g = E(2 k) - E(k)^2 / n and d = h^2 - |g|^2, where E
+    is the DFT of n ones.  h and g are the sums of |u|^2 and u^2 over the
+    centred complex column u = e^{-ikx} - E(k) / n."""
+    length = 1 << (2 * n - 1).bit_length()
+    first = -(-length // (n - 1))
+    ones = np.fft.fft(np.ones(n), length)
+    e = ones[first:length // 2]
+    g = ones[2 * first:length:2] - e * e / n
+    h = n - np.abs(e) ** 2 / n
+    d = h * h - np.abs(g) ** 2
+    a, b = h / d, np.conj(g) / d
+    a.flags.writeable = b.flags.writeable = False  # shared by every call with this n
+    return length, first, a, b
 
-    The start lies between the peak bin k and its larger neighbour, moved
-    from k by that neighbour's share of the two amplitudes (Rife and Vincent's
-    two-bin estimator, exact for one complex tone): on a scan of a few fringes
-    the integer bin is up to half a bin, ~20% of k, off.  At k = 1 the start
-    stays on the bin, since bin 0 holds the rows' means, and so does it at
-    the top bin of the band, whose upper neighbour lies beyond k_hi."""
-    n = 1 << (max(x.size, 16) - 1).bit_length()
+
+def _dominant_wavenumber(x: np.ndarray, y: np.ndarray) -> float:
+    """The wavenumber on a half-bin grid at which one sinusoid and a floating
+    mean, fitted to every row of y (one scan per row) by unweighted least
+    squares, lower the summed SSE the most: the peak of the floating-mean
+    Lomb-Scargle periodogram (Zechmeister and Kurster, A&A 496 (2009) 577).
+
+    The rows are first resampled linearly onto n uniform points over the
+    span, which leaves a uniform scan as it is, then centred and scaled by
+    1 / max|y|.  The grid is bins j = ceil(L / (n - 1)) to L / 2 - 1 of their
+    DFT zero-padded to L (_periodogram_terms), k_lo = 2 pi / span up to, but
+    not at, k_hi = pi (n - 1) / span, where the sin column vanishes.  A row's
+    SSE drop at bin j is twice (h |z|^2 - Re(conj(g) z^2)) / (h^2 - |g|^2),
+    with z its DFT there."""
+    n = x.size
     grid = np.linspace(x[0], x[-1], n)
     # each grid point's fractional index into x, shared by every row, then one
     # linear interpolation of the whole stack between the neighbouring columns
-    index = np.interp(grid, x, np.arange(x.size, dtype=np.float64))
-    lo = np.minimum(index.astype(np.intp), x.size - 2)
+    index = np.interp(grid, x, np.arange(n, dtype=np.float64))
+    lo = np.minimum(index.astype(np.intp), n - 2)
     frac = index - lo
-    resampled = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
-    # bin j lies at 2 pi j (n - 1) / (n span), at or below k_hi up to this one
-    top = n * (x.size - 1) // (2 * (n - 1))
-    # a row's mean enters bin 0 alone, which the search for the peak skips
-    amplitude = np.abs(np.fft.rfft(resampled)).sum(axis=0)
-    k = 1 + int(np.argmax(amplitude[1:top + 1]))
-    if 2 <= k < top:
-        # amplitude[k] > 0 here: argmax takes the first of equal peaks, bin 1
-        # when the spectrum is zero beyond bin 0
-        below, peak, above = amplitude[k - 1:k + 2].tolist()
-        k += above / (peak + above) if above > below else -below / (below + peak)
-    return 2.0 * math.pi * k / (grid[-1] - grid[0]) * (n - 1) / n
+    rows = y[:, lo] * (1.0 - frac) + y[:, lo + 1] * frac
+    rows -= rows.mean(axis=1, keepdims=True)
+    top = float(np.abs(y).max())
+    if top > 0.0:  # |z|^2 then stays below (2 n)^2
+        rows *= 1.0 / top
+    length, first, a, b = _periodogram_terms(n)
+    z = np.fft.rfft(rows, length)[:, first:length // 2]
+    power = (z.real * z.real + z.imag * z.imag).sum(axis=0)
+    square = (z * z).sum(axis=0)
+    gain = a * power - (b * square).real
+    j = first + int(np.argmax(gain))
+    return 2.0 * math.pi * j / length * (n - 1) / (grid[-1] - grid[0])
 
 
 def _linear_fit(k: float, x: np.ndarray, y: np.ndarray, w: np.ndarray, t: np.ndarray):
@@ -383,12 +402,13 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     do: the geometry fixes the period, and only contrast and phase vary from
     row to row.
     Each row keeps its own (c0, a, b) and weights; one Gauss-Newton search
-    over k minimises the summed SSE, starting at start_period or else
-    between the peak bin of the summed amplitude spectra and its larger
-    neighbour, by the ratio of their amplitudes (_dominant_wavenumber).  It
-    ends at a fixed point, where
-    the Gauss-Newton step at the current k is below 1% of k's standard error
-    or 1e-10 k, whichever is larger (or where no step that large lowers the
+    over k minimises the summed SSE, starting at start_period or else at the
+    peak of the rows' summed least-squares periodogram: the point of a
+    half-bin grid over the resolved band where one sinusoid and a floating
+    mean, fitted to each row's rates with unit weights, lower the SSE the
+    most (_dominant_wavenumber).  It ends at a fixed point, where the
+    Gauss-Newton step at the current k is below 1% of k's standard error or
+    1e-10 k, whichever is larger (or where no step that large lowers the
     SSE), so a fit started at its own reported period returns it.
     fix_period pins k = 2 pi / period instead (zero period variance) and
     wins over start_period.  One scan is the one-row stack.
@@ -410,9 +430,10 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     weighted design separates c0, a and b at the final period: its
     reciprocal condition number is at least _MIN_RCOND (_rcond).  A largest
     rate whose square overflows raises IllPosedError, and so, for a free
-    period, does a top wavenumber k = pi (n - 1) / span at which the period's
-    error term (2 pi / k^2)^2 is not a normal number, and for a pinned one, a
-    design that fails that condition test.
+    period, do positions whose span is not positive and finite and a top
+    wavenumber k = pi (n - 1) / span at which the period's error term
+    (2 pi / k^2)^2 is not a normal number, and for a pinned one, a design
+    that fails that condition test.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
@@ -425,8 +446,9 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
                             f"range: the largest rate, {peak:.3g}, has no finite square")
     if not fixed:
         span = float(x[-1]) - float(x[0])
-        if span <= 0.0:
-            raise IllPosedError("positions must span at least one period to fit a free period")
+        if not 0.0 < span < math.inf:
+            raise IllPosedError(f"positions must span a positive, finite length to fit a free "
+                                f"period (got {span:.3g} m)")
         # the search reaches the wavenumber pi (n - 1) / span, and the period's
         # error carries (2 pi / k^2)^2, which must not underflow there: that is
         # k^2 <= 2 pi / sqrt(the smallest normal number), ~4.2e154 /m^2

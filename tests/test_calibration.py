@@ -3,9 +3,11 @@
 Each case draws a few hundred seeded fits of a known truth and checks the
 z-scores (estimate - truth) / reported error: their mean must be near 0 and
 about 68.3% of them must fall within 1.  At 200 draws the binomial spread of
-the coverage is ~0.033, so the 0.10 bound is about 3 sigma.  A last case
-checks the reported errors against the Cramer-Rao bound of the simulated
-experiment, an independent derivation of the same covariance.
+the coverage is ~0.033, so the 0.10 bound is about 3 sigma.  One case
+counts the free fits at ~5 counts per peak that start in a wrong basin and
+end far off the period.  A last case checks the reported errors against the
+Cramer-Rao bound of the simulated experiment, an independent derivation of
+the same covariance.
 """
 
 import dataclasses
@@ -57,6 +59,18 @@ def test_fringe_period(peak_rate):
     period = config.geometry.fringe_period
     fits = [fit_fringe(simulate_scan(config, seed)) for seed in range(300)]
     assert_calibrated([(f.params[3] - period) / f.stderr[3] for f in fits])
+
+
+def test_few_low_count_fits_end_off_the_period():
+    # ~5 counts per peak: 1 of these 300 fits ends more than 20% off the 5 mm
+    # period.  A start in a wrong basin, such as 1.5 of the 2.4 fringes the
+    # span holds, ends there: 11 of the 300 did so from such starts
+    config = default_config()
+    config = dataclasses.replace(config, scan=dataclasses.replace(config.scan, peak_rate=0.5))
+    period = config.geometry.fringe_period
+    off = sum(abs(fit_fringe(simulate_scan(config, seed)).params[3] / period - 1.0) > 0.2
+              for seed in range(300))
+    assert off <= 3, f"{off} of 300 fits end more than 20% off the period"
 
 
 def test_sweep_visibility():

@@ -734,12 +734,15 @@ class TestCliSweepAndFit:
         """Exit code, stderr and warnings of a fringe fit of the seed-3 default
         scan with one column edited: integration_time or expected_rate (with
         the counts zeroed) set to value, or the positions spaced value apart
-        (for "pinned position", fitted at a pinned 1 mm period); or, for
-        "pinned period", the scan as drawn, fitted at a pinned period of value."""
+        (for "pinned position", fitted at a pinned 1 mm period; for "centred
+        position", centred on 0); or, for "pinned period", the scan as drawn,
+        fitted at a pinned period of value."""
         scan = simulate_scan(default_config(), 3)
         pinned = ["--fix-period", "1e-3"] if column == "pinned position" else []
         if column == "pinned period":
             pinned = ["--fix-period", repr(value)]
+        elif column == "centred position":
+            scan.position = (np.arange(len(scan)) - (len(scan) - 1) / 2.0) * value
         elif column.endswith("position"):
             scan.position = np.arange(len(scan)) * value
         elif column == "expected_rate":
@@ -771,6 +774,8 @@ class TestCliSweepAndFit:
         ("position", 1e-100, "positions"),
         ("position", 1e-200, "positions"),
         ("position", 1e-310, "positions"),
+        # positions from about -1e308 to 1e308, whose span overflows to inf
+        ("centred position", 3.3e306, "positions"),
         # a pinned fit whose sin column squares to zero: the linear solve is
         # not finite
         ("pinned position", 1e-310, "positions"),

@@ -298,13 +298,16 @@ class TestFitFringe:
 
     @pytest.mark.parametrize("seed", [737, 757, 1293])
     def test_period_search_stays_in_the_resolved_band(self, seed):
-        # at ~5 counts per peak these scans pull the search towards periods of
-        # metres on a 12 mm span
+        # ~5-count scans whose free fits converge near the 5 mm period; started
+        # at the 12 mm span, the band's lower edge, the search is pulled
+        # towards periods of metres
         config = default_config()
         config = dataclasses.replace(
             config, scan=dataclasses.replace(config.scan, peak_rate=0.5))
         scan = simulate_scan(config, seed=seed)
-        fit = fit_fringe(scan)
+        free = fit_fringe(scan)
+        assert free.converged and abs(free.params[3] / 5e-3 - 1.0) <= 0.2
+        fit = fit_fringe(scan, start_period=0.012)
         span = scan.position.max() - scan.position.min()
         k = 2.0 * math.pi / fringe_params(fit)[0].period
         assert not fit.converged
@@ -366,42 +369,40 @@ def to_fringe_covariance(lin_cov, coef):
     return grad @ lin_cov @ grad.T
 
 
-def per_row_start_wavenumber(x, y):
-    """_dominant_wavenumber with each row of y resampled by its own np.interp
-    call, and its mean subtracted before the FFT: the reference the one-interp
-    resample of the stack, which leaves the mean in bin 0, must agree with.
-    The grid has the smallest power of two >= max(x.size, 16) points, and the
-    peak bin is the largest of the bins whose wavenumber is at or below
-    k_hi = pi (x.size - 1) / span.  For a peak bin k from 2 to one below the
-    top of that band, the start moves from k towards its larger neighbour j
-    by A[j] / (A[k] + A[j]) of a bin, with A the summed amplitude spectrum.
-    Returns the peak bin, the start in bins, and the wavenumber of one bin."""
-    n = 16
-    while n < x.size:
-        n *= 2
+def referee_start_gains(x, y):
+    """Brute force for _dominant_wavenumber's grid and gains.  Each row of y is
+    resampled by its own np.interp onto n = x.size uniform points over the
+    span.  The grid is the wavenumbers 2 pi j (n - 1) / (L span) for j from
+    ceil(L / (n - 1)) to L / 2 - 1, with L the smallest power of two >= 2 n:
+    2 pi / span up to, but not at, pi (n - 1) / span.  At each, every row is
+    fitted by np.linalg.lstsq on [1, cos kx, sin kx], and the gain is the
+    drop from the rows' SSE about their means to their summed SSE.  Returns
+    the grid and the gains."""
+    n = x.size
+    length = 2
+    while length < 2 * n:
+        length *= 2
     grid = np.linspace(x[0], x[-1], n)
-    unit = 2.0 * math.pi / (grid[-1] - grid[0]) * (n - 1) / n
-    k_hi = math.pi * (x.size - 1) / (grid[-1] - grid[0])
-    top = max(j for j in range(n // 2 + 1) if j * unit <= k_hi * (1.0 + 1e-12))
-    resampled = np.array([np.interp(grid, x, row) for row in y])
-    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean(axis=-1, keepdims=True)))
-    amplitude = spectrum.sum(axis=0)
-    k = 1 + int(np.argmax(amplitude[1:top + 1]))
-    start = float(k)
-    if 2 <= k <= top - 1:
-        j = k + 1 if amplitude[k + 1] > amplitude[k - 1] else k - 1
-        start += (j - k) * amplitude[j] / (amplitude[k] + amplitude[j])
-    return k, start, unit
+    rows = np.array([np.interp(grid, x, row) for row in y]).T
+    about_means = ((rows - rows.mean(axis=0)) ** 2).sum()
+    ks = (2.0 * math.pi * np.arange(math.ceil(length / (n - 1)), length // 2) * (n - 1)
+          / (length * (grid[-1] - grid[0])))
+    gains = []
+    for k in ks:
+        design = np.column_stack((np.ones(n), np.cos(k * grid), np.sin(k * grid)))
+        coef = np.linalg.lstsq(design, rows, rcond=None)[0]
+        gains.append(about_means - ((rows - design @ coef) ** 2).sum())
+    return ks, np.array(gains)
 
 
-def assert_same_start(x, y):
-    """_dominant_wavenumber has the referee's peak bin exactly, since its start
-    lies within half a bin of that bin, and the referee's start to 1e-12: the
-    two resamples round differently."""
-    k, start, unit = per_row_start_wavenumber(x, y)
-    got = _dominant_wavenumber(x, y) / unit
-    assert abs(got - k) <= 0.5
-    assert got == pytest.approx(start, rel=1e-12)
+def assert_start_is_the_largest_gain(x, y):
+    """_dominant_wavenumber is a point of the referee's grid, to rounding, whose
+    gain is the largest; gains tied with it within 1e-12 relative may win."""
+    ks, gains = referee_start_gains(x, y)
+    got = _dominant_wavenumber(x, y)
+    i = int(np.argmin(np.abs(ks - got)))
+    assert got == pytest.approx(ks[i], rel=1e-12)
+    assert gains[i] >= gains.max() * (1.0 - 1e-12)
 
 
 def fringe_stack(rng, x, m):
@@ -416,18 +417,20 @@ def fringe_stack(rng, x, m):
 
 class TestStartWavenumber:
     """_dominant_wavenumber resamples a stack with one np.interp of the
-    fractional index, and starts between the peak bin and its larger
-    neighbour; the per-row resample of each row is the reference."""
+    fractional index, and starts at the grid point where one sinusoid and a
+    floating mean, fitted to each row, lower the summed SSE the most; a
+    brute-force least-squares fit at each grid point is the referee."""
 
     @pytest.mark.parametrize("n, m, layout", [
-        (4, 3, "uniform"), (9, 1, "uniform"), (15, 5, "uniform"),  # grid longer than the data
+        (4, 3, "uniform"), (9, 1, "uniform"), (15, 5, "uniform"),
         (16, 2, "uniform"), (61, 19, "uniform"), (61, 1, "uniform"),
         (12, 4, "random"), (61, 19, "random"), (200, 3, "random"),  # non-uniform positions
         (8, 2, "repeated"), (61, 19, "repeated"), (30, 1, "repeated"),
     ])
-    def test_same_start_as_the_per_row_resample(self, n, m, layout):
+    def test_start_is_the_referees_largest_gain(self, n, m, layout):
         rng = np.random.default_rng(n * 100 + m)
-        for _ in range(200):
+        # the referee's cost grows as n^2, so longer scans take fewer draws
+        for _ in range(min(200, 4000 // n)):
             if layout == "uniform":
                 x = np.linspace(-6e-3, 6e-3, n)
             else:
@@ -439,14 +442,14 @@ class TestStartWavenumber:
                     if x[-1] <= x[0]:
                         continue
             y = fringe_stack(rng, x, m)
-            assert_same_start(x, y)
+            assert_start_is_the_largest_gain(x, y)
 
-    def test_same_start_on_simulated_sweeps(self):
+    def test_start_on_simulated_sweeps(self):
         for seed in range(50):
             scans = sweep_scans(np.linspace(0.0, math.pi, 19), seed)
             x = scans["position"][0]
             y = scans["counts"] / scans["integration_time"]
-            assert_same_start(x, y)
+            assert_start_is_the_largest_gain(x, y)
 
     @pytest.mark.parametrize("m", [1, 5, 19])
     def test_one_interp_call_per_fit(self, m, monkeypatch):
@@ -464,67 +467,87 @@ class TestStartWavenumber:
         fit_fringe(scans)
         assert len(calls) == 1
 
-
-    @pytest.mark.parametrize("n, length", [(61, 64), (2001, 2048)] +
-                             [(n, 16) for n in range(4, 17)])
+    @pytest.mark.parametrize("n, length", [(61, 128), (2001, 4096), (4, 8)] +
+                             [(n, 16) for n in range(5, 9)] + [(n, 32) for n in range(9, 17)])
     def test_fft_runs_on_a_power_of_two(self, n, length, monkeypatch):
+        # one rfft of the stack, zero-padded to the smallest power of two >= 2 n
         lengths = []
         rfft = np.fft.rfft
 
-        def recorded(a, *args, **kwargs):
-            lengths.append(np.shape(a)[-1])
-            return rfft(a, *args, **kwargs)
+        def recorded(a, n=None, *args, **kwargs):
+            lengths.append((np.shape(a)[-1], n))
+            return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", recorded)
         fit_fringe(make_noiseless_scan(FringeModelParams(c0=50.0, mu=0.6, period=5e-3),
                                        n=n))
-        assert lengths == [length]
+        assert lengths == [(n, length)]
 
     @staticmethod
     def clean_start(n, cycles, phase):
-        """The start, the peak bin and the true wavenumber, in bins, on a
+        """The start and the true wavenumber, in units of 2 pi / span, on a
         noise-free fringe of the given cycles over a 12 mm scan of n points."""
         span = 12e-3
         scan = np.array(make_noiseless_scan(
             FringeModelParams(c0=50.0, mu=0.6, period=span / cycles, psi=phase), n=n, span=span))
         x, y = scan[:, 0], scan[:, 1][None]
-        k, _, unit = per_row_start_wavenumber(x, y)
-        return _dominant_wavenumber(x, y) / unit, k, 2.0 * math.pi * cycles / span / unit
+        return _dominant_wavenumber(x, y) * (x[-1] - x[0]) / (2.0 * math.pi), cycles
+
+    @staticmethod
+    def grid_step(n):
+        """The grid's step and first point, in units of 2 pi / span."""
+        length = 1 << (2 * n - 1).bit_length()
+        return (n - 1) / length, -(-length // (n - 1)) * (n - 1) / length
 
     @pytest.mark.parametrize("n", [61, 2001])
-    def test_start_is_closer_than_the_peak_bin_on_clean_fringes(self, n):
-        # fringes of 1 to n/4 cycles at 8 phases.  The peak bin is off by a
-        # quarter bin in the median, the two-bin start by under 1/40 of one.  It
-        # is not closer at every point: near an integer bin, where the peak bin
-        # is close already, the fringe's mirror image at -k leaks into the lower
-        # neighbour, which the one-tone estimator reads as an offset (up to ~0.2
-        # bin at n = 61).  Where the peak bin is a third of a bin off or more,
-        # which costs the search a step, and the peak is not bin 1, the start
-        # is always closer
-        two_bin, peak, moved = np.array([
-            [abs(start - truth), abs(k - truth), k >= 2]
-            for cycles in np.linspace(1.0, n / 4.0, 300)
-            for phase in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-            for start, k, truth in [self.clean_start(n, cycles, phase)]]).T
-        assert np.median(two_bin) < 0.04 * np.median(peak)
-        assert np.all(two_bin <= peak + 0.25)
-        far = (peak >= 1.0 / 3.0) & (moved == 1.0)
-        assert far.any() and np.all(two_bin[far] < peak[far])
+    def test_start_is_next_to_the_truth_on_clean_fringes(self, n):
+        # fringes of 1 to n/4 cycles at 4 phases.  A noise-free fringe's gain
+        # peaks at its own wavenumber, so the start is a grid point next to it:
+        # within one step, and inside the grid within about half of one (the
+        # fringe's mirror image at -k leaks a little into the gain).  Below the
+        # grid's first point the start is that point
+        step, first = self.grid_step(n)
+        for cycles in np.linspace(1.0, n / 4.0, 100):
+            for phase in np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False):
+                start, truth = self.clean_start(n, cycles, phase)
+                assert abs(start - truth) < step
+                if truth >= first:
+                    assert abs(start - truth) <= 0.55 * step
+                else:
+                    assert start == pytest.approx(first, rel=1e-12)
 
     @pytest.mark.parametrize("n", [61, 2001])
     def test_start_on_the_default_geometry(self, n):
-        # 12 mm over a 5 mm period is 2.4 fringes: the peak bin is 17-18% of the
-        # wavenumber off, the start ~2%
+        # 12 mm over a 5 mm period is 2.4 fringes; the integer bin 2 is ~17%
+        # of the wavenumber off, the start, on a grid of ~half a bin, ~2%
         for phase in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-            start, k, truth = self.clean_start(n, 2.4, phase)
-            assert k == 2 and abs(k - truth) / truth > 0.15
+            start, truth = self.clean_start(n, 2.4, phase)
             assert abs(start - truth) / truth < 0.025
 
-    @pytest.mark.parametrize("n", [61, 2001])
-    def test_bin_one_keeps_the_integer_start(self, n):
-        # bin 0 holds the rows' means, so a peak at bin 1 is not moved
-        for phase in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-            assert self.clean_start(n, 1.3, phase)[0] == 1.0
+    @pytest.mark.parametrize("j", [3, 5, 30, 63])
+    def test_one_hot_spectrum_starts_on_its_bin(self, j, monkeypatch):
+        # a spectrum zero but at one bin has zero gain elsewhere, and divides by
+        # no zero.  On a 61-point scan the grid is bins 3 to 63 of 128
+        x = np.linspace(-6e-3, 6e-3, 61)
+        y = np.ones((3, 61))
+        spectrum = np.zeros((3, 65), dtype=complex)
+        spectrum[:, j] = 2.0
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: spectrum)
+        with np.errstate(all="raise"):
+            start = _dominant_wavenumber(x, y) * (x[-1] - x[0]) / (2.0 * math.pi)
+        assert start == pytest.approx(j * 60 / 128, rel=1e-14)
+
+    @pytest.mark.parametrize("outside", [1, 2, 64])
+    def test_a_peak_outside_the_band_is_not_the_start(self, outside, monkeypatch):
+        # a larger peak below k_lo (bins 1 and 2) or at k_hi (bin 64, where the
+        # sin column vanishes) is skipped: the start is the largest peak inside
+        x = np.linspace(-6e-3, 6e-3, 61)
+        y = np.ones((3, 61))
+        spectrum = np.zeros((3, 65), dtype=complex)
+        spectrum[:, 20], spectrum[:, outside] = 1.0, 5.0
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: spectrum)
+        start = _dominant_wavenumber(x, y) * (x[-1] - x[0]) / (2.0 * math.pi)
+        assert start == pytest.approx(20 * 60 / 128, rel=1e-14)
 
     @pytest.mark.parametrize("case", ["flat stack", "zero row", "zero stack"])
     def test_degenerate_stacks_raise_no_warning(self, case):
@@ -537,32 +560,6 @@ class TestStartWavenumber:
             y[:] = 7.0 if case == "flat stack" else 0.0
         with np.errstate(all="raise"):
             assert math.isfinite(_dominant_wavenumber(x, y))
-
-    def test_one_hot_spectrum_starts_on_its_bin(self, monkeypatch):
-        # neighbours of zero amplitude move nothing, and divide by no zero.  Bin
-        # 30 is the top of a 61-point scan's band on its 64-point grid: k_hi =
-        # pi (n - 1) / span lies at bin 30.48, so bins 31 and 32 lie above it
-        x = np.linspace(-6e-3, 6e-3, 61)
-        y = np.ones((3, 61))
-        unit = per_row_start_wavenumber(x, y)[2]
-        for k in (1, 2, 5, 30):
-            spectrum = np.zeros((3, 33), dtype=complex)
-            spectrum[:, k] = 2.0
-            monkeypatch.setattr(np.fft, "rfft", lambda a, spectrum=spectrum: spectrum)
-            with np.errstate(all="raise"):
-                assert _dominant_wavenumber(x, y) / unit == pytest.approx(k, rel=1e-14)
-
-    @pytest.mark.parametrize("above", [31, 32])
-    def test_a_peak_above_the_band_is_not_the_start(self, above, monkeypatch):
-        # a larger peak beyond k_hi, on the resample's finer grid, is skipped:
-        # the start is the largest peak inside the band
-        x = np.linspace(-6e-3, 6e-3, 61)
-        y = np.ones((3, 61))
-        unit = per_row_start_wavenumber(x, y)[2]
-        spectrum = np.zeros((3, 33), dtype=complex)
-        spectrum[:, 20], spectrum[:, above] = 1.0, 5.0
-        monkeypatch.setattr(np.fft, "rfft", lambda a: spectrum)
-        assert _dominant_wavenumber(x, y) / unit == pytest.approx(20.0, rel=1e-14)
 
 
 def sweep_scans(thetas, seed=300):
@@ -621,7 +618,13 @@ class TestFitSharedPeriod:
                 k = 2.0 * math.pi / free.params[3]
                 coef = referee_solve(scan.position, scan.integration_time, scan.counts, k)[0]
                 want = joint_covariance(scan[None], coef[None], k)[0]
-                assert np.allclose(shared.covariance[0], want, rtol=1e-10, atol=0.0)
+                # each entry against its correlation's scale, sqrt(C_ii C_jj): an
+                # entry near zero, such as (b, period) at ~1e-6 of that scale,
+                # is a cancellation, whose relative error the two solves do
+                # not share
+                diag = np.sqrt(np.diag(want))
+                assert np.all(np.abs(shared.covariance[0] - want)
+                              <= 1e-12 * np.outer(diag, diag))
 
     def test_flat_stack_is_unconverged(self):
         scan = sample_counts([(pos, 0.0) for pos in np.linspace(-6e-3, 6e-3, 61)], 10.0, 0)
@@ -792,19 +795,21 @@ def null_scan(peak_rate, seed):
 
 
 class TestIdentifiability:
-    """A fit reports no parameter it cannot identify as converged.  The FFT
-    start takes its peak at or below k_hi = pi (n - 1) / span, and at the
-    final period every row's weighted design must separate c0, a and b.  At
-    k_hi every sample of a uniform scan sits at a multiple of pi: the sin
-    column vanishes and b is unidentified whatever the counts."""
+    """A fit reports no parameter it cannot identify as converged.  The
+    periodogram's grid, from which a free fit starts, stops short of
+    k_hi = pi (n - 1) / span, and at the final period every row's weighted
+    design must separate c0, a and b.  At k_hi every sample of a uniform scan
+    sits at a multiple of pi: the sin column vanishes and b is unidentified
+    whatever the counts."""
 
     K_HI = math.pi * 60 / 12e-3  # the default 61-point scan over 12 mm: period 0.4 mm
 
     @pytest.mark.parametrize("peak_rate, seed", [(0.5, 542), (0.5, 739), (5.0, 153),
                                                  (5.0, 437), (100.0, 640), (100.0, 840)])
     def test_null_scan_does_not_end_converged_at_the_top_wavenumber(self, peak_rate, seed):
-        # on these null scans the 64-point resample's largest noise peak lies
-        # above the band, in bin 31 or 32, and a start there is clipped to k_hi
+        # null scans whose largest noise peak lies near the top of the band:
+        # these fits start and converge at 0.94 to 0.98 k_hi, and none may
+        # end converged at k_hi itself
         fit = fit_fringe(null_scan(peak_rate, seed))
         k = 2.0 * math.pi / fit.params[3]
         assert k < self.K_HI * (1.0 - 1e-9) or not fit.converged
@@ -911,8 +916,7 @@ class TestFixedPointStop:
     @staticmethod
     def restart_through_main(tmp_path):
         """The seed-3 default and 2001-point scans through the command line: each
-        free fit converges in 2 steps (the 2001-point scan of 2.4 fringes would
-        take 3 from the peak bin alone), and a fit started at the period its
+        free fit converges in 2 steps, and a fit started at the period its
         report gives takes no step and reports the same parameters."""
         doc = config_to_dict(default_config())
         doc["scan"]["positions_m"] = {"start": -6e-3, "stop": 6e-3, "num": 2001}
@@ -953,13 +957,13 @@ class TestFixedPointStop:
         return np.array(solves), np.array(steps)
 
     def test_linear_solves_per_fig5_search(self, monkeypatch):
-        # the two-bin start leaves each fig5 stack two steps from its stop
+        # the periodogram's start leaves each fig5 stack two steps from its stop
         solves, _ = self.linear_solves(fig5_stacks(range(200), monkeypatch), monkeypatch)
         assert solves.mean() <= 3.02
 
     def test_linear_solves_per_long_scan_fit(self, monkeypatch):
         # the 2001-point scan of the scan_fit_cli benchmark: 2.4 fringes, whose
-        # peak bin starts the search 17% of k off and 3 steps from its stop
+        # start, the grid point at 2.44 fringes, lies 2 steps from its stop
         doc = config_to_dict(default_config())
         doc["scan"]["positions_m"] = {"start": -6e-3, "stop": 6e-3, "num": 2001}
         config = config_from_dict(doc)
