@@ -280,12 +280,7 @@ def cmd_fit(args) -> int:
         fit = fit_fringe(data, fix_period=args.fix_period, start_period=start_period)
         p, se = fringe_params(fit)
         print("fringe fit: " + _fringe_summary(fit, p, se))
-        report = {
-            "model": "fringe",
-            "observable": observable,
-            "params": {"c0": p.c0, "mu": p.mu, "period": p.period, "psi": p.psi},
-            "stderr": {"c0": se.c0, "mu": se.mu, "period": se.period, "psi": se.psi},
-        }
+        report = {"model": "fringe", "observable": observable}
     else:
         for flag, given in (("--init", args.init), ("--fix-period", args.fix_period is not None),
                             ("--observable", args.observable != "auto")):
@@ -294,20 +289,16 @@ def cmd_fit(args) -> int:
                                       "curve is solved in closed form")
         points = read_sweep_csv(args.data)
         fit = fit_visibility_curve(points)
-        p = visibility_curve_params(fit)
-        se = fit.stderr
+        p, se = visibility_curve_params(fit)
         print("visibility-curve fit: "
-              f"mu_max = {p.mu_max:.4f} +/- {se[0]:.4f}   "
-              f"theta0 = {p.theta0:.4f} +/- {se[1]:.4f} rad   "
-              f"eps1 = {p.eps1:.4f} +/- {se[2]:.4f}   eps2 = {p.eps2:.4f}   "
+              f"mu_max = {p.mu_max:.4f} +/- {se.mu_max:.4f}   "
+              f"theta0 = {p.theta0:.4f} +/- {se.theta0:.4f} rad   "
+              f"eps1 = {p.eps1:.4f} +/- {se.eps1:.4f}   eps2 = {p.eps2:.4f}   "
               f"({'converged' if fit.converged else 'NOT CONVERGED'})")
-        report = {
-            "model": "viscurve",
-            "params": {"mu_max": p.mu_max, "theta0": p.theta0,
-                       "eps1": p.eps1, "eps2": p.eps2},
-            "stderr": {"mu_max": se[0], "theta0": se[1], "eps1": se[2]},
-        }
+        report = {"model": "viscurve"}
     report.update({
+        "params": dataclasses.asdict(p),
+        "stderr": dataclasses.asdict(se),
         "residual_norm": fit.residual_norm,
         "iterations": fit.iterations,
         "converged": fit.converged,

@@ -8,8 +8,8 @@ search over the shared wavenumber, with a linear solve per scan.  The
 visibility vs pump-angle curve (entanglement sweep) has one fit, of the
 curve the coincidence fringe produces: it is linear in
 {1, cos 4 theta, sin 4 theta} once mu is squared, so it is one weighted
-linear solve whose coefficients map to (mu_max, theta0, eps1) in closed
-form.
+linear solve whose coefficients map to (mu_max, theta0, eps1, eps2) in
+closed form.
 """
 
 from __future__ import annotations
@@ -46,17 +46,14 @@ class FringeModelParams:
 class VisibilityCurveParams:
     """Effective-visibility curve over the pump angle.
 
-    mu_max is the instrument ceiling, theta0 the pump-dial offset, eps1 the
-    in-phase pump ellipse amplitude (eps2 follows from normalization).
+    mu_max is the instrument ceiling, theta0 the pump-dial offset, eps1 and
+    eps2 the in-phase and quadrature pump ellipse amplitudes.
     """
 
     mu_max: float
     theta0: float
     eps1: float
-
-    @property
-    def eps2(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.eps1 ** 2))
+    eps2: float
 
 
 @dataclass
@@ -74,11 +71,6 @@ class FitResult:
     iterations: int
     converged: bool
     message: str = ""
-
-    @property
-    def stderr(self) -> np.ndarray:
-        """The standard errors, per row of a stack, by _stderr's rule."""
-        return _stderr(np.diagonal(self.covariance, axis1=-2, axis2=-1))
 
 
 def _stderr(var: np.ndarray) -> np.ndarray:
@@ -431,9 +423,9 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     reciprocal condition number is at least _MIN_RCOND (_rcond).  A largest
     rate whose square overflows raises IllPosedError, and so, for a free
     period, do positions whose span is not positive and finite and a top
-    wavenumber k = pi (n - 1) / span at which the period's error term
-    (2 pi / k^2)^2 is not a normal number, and for a pinned one, a design
-    that fails that condition test.
+    wavenumber k = pi (n - 1) / span or a bottom one 2 pi / span at which the
+    period's error term (2 pi / k^2)^2 is not a normal number, and for a
+    pinned one, a design that fails that condition test.
     """
     fixed = fix_period is not None
     x, y, w, t, one_scan, counting = _scan_columns(scan, 3 if fixed else 4)
@@ -449,14 +441,19 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
         if not 0.0 < span < math.inf:
             raise IllPosedError(f"positions must span a positive, finite length to fit a free "
                                 f"period (got {span:.3g} m)")
-        # the search reaches the wavenumber pi (n - 1) / span, and the period's
-        # error carries (2 pi / k^2)^2, which must not underflow there: that is
-        # k^2 <= 2 pi / sqrt(the smallest normal number), ~4.2e154 /m^2
-        k_top = math.pi * (x.size - 1) / span
+        # the search reaches the wavenumbers 2 pi / span to pi (n - 1) / span, and
+        # the period's error carries (2 pi / k^2)^2, which must be a normal number
+        # there: k^2 <= 2 pi / sqrt(the smallest normal), ~4.2e154 /m^2, at the top
+        # and k^2 >= 2 pi / sqrt(the largest float), ~4.7e-154 /m^2, at the bottom
+        k_top, k_bottom = math.pi * (x.size - 1) / span, 2.0 * math.pi / span
         if not k_top * k_top <= 2.0 * math.pi / math.sqrt(sys.float_info.min):
             raise IllPosedError(f"positions too closely spaced to fit a free period: at the "
                                 f"top wavenumber k = pi (n - 1) / span, {k_top:.3g} /m, the "
                                 f"period's error term (2 pi / k^2)^2 underflows")
+        if not k_bottom * k_bottom >= 2.0 * math.pi / math.sqrt(sys.float_info.max):
+            raise IllPosedError(f"positions too widely spread to fit a free period: at the "
+                                f"bottom wavenumber k = 2 pi / span, {k_bottom:.3g} /m, the "
+                                f"period's error term (2 pi / k^2)^2 overflows")
 
     period = fix_period if fixed else start_period
     if period is not None and not (math.isfinite(period) and period > 0.0):
@@ -541,18 +538,15 @@ def fringe_params(result: FitResult) -> Tuple[FringeModelParams, FringeModelPara
 
 
 def fit_visibility_curve(points) -> FitResult:
-    """Fit (mu_max, theta0, eps1) to measured (theta, mu, sigma) triples, or
-    to the theta, mu and sigma_mu fields of a sweep table.
+    """Fit mu^2 = A + B cos 4 theta + C sin 4 theta to measured (theta, mu,
+    sigma) triples, or to the theta, mu and sigma_mu fields of a sweep table.
 
-    With D = 2 eps1^2 - 1 and u = D^2, the model is linear in
+    With D = 2 eps1^2 - 1 and u = D^2, the visibility curve is linear in
     {1, cos 4 theta, sin 4 theta} once squared:
       mu^2 = mu_max^2 (1 - u/2 - (u/2) cos 4(theta - theta0))
-    so one weighted linear solve for A + B cos 4 theta + C sin 4 theta gives
-    the parameters in closed form; the fit takes no iterations.  With
-    R = hypot(B, C), mu_max^2 = A + R and u = 2R / (A + R), clipped to
-    [0, 1], and eps1 = sqrt((1 + sqrt u) / 2), so eps1 >= eps2.  theta0 =
-    atan2(-C, -B) / 4 is reported in [0, pi/2), the period to which the curve
-    identifies it.
+    so one weighted linear solve gives (A, B, C); the fit takes no
+    iterations, and visibility_curve_params views them as (mu_max, theta0,
+    eps1, eps2) with their errors.
 
     Weights are 1/var(mu^2) = 1/(4 mu^2 sigma^2 + 2 sigma^4), exact for a
     Gaussian mu (zero sigmas are floored at the smallest positive one, or
@@ -564,11 +558,10 @@ def fit_visibility_curve(points) -> FitResult:
     (a set 45 degrees apart), angles within ~1e-6 rad of such a set, whose
     normal equations keep too few digits to separate B from C, and weights
     of a few angles ~1e12 times the rest's.  fig5 sweeps read 0.15 or more,
-    19-angle sweeps 0.007 or more.  The covariance is the inverse normal matrix
-    scaled by SSE / _dof, carried to the parameters by the delta method at
-    the clipped u.
-    A flat curve (R at or below _ZERO_CONTRAST |A|) leaves theta0 undefined:
-    it reports eps1 = eps2, theta0 = 0 and NaN errors, unconverged.
+    19-angle sweeps 0.007 or more.
+    Returns params (A, B, C) and their covariance, the inverse normal matrix
+    scaled by SSE / _dof.  A flat curve (hypot(B, C) at or below
+    _ZERO_CONTRAST |A|) leaves theta0 undefined: the fit is unconverged.
     """
     theta, mu, sigma = _as_arrays(points)
     if theta.size < 4:
@@ -593,32 +586,47 @@ def fit_visibility_curve(points) -> FitResult:
                             f"4 theta modulo 2 pi or lie within ~1e-6 rad of such a set, or "
                             f"the weights 1/(4 mu^2 sigma_mu^2 + 2 sigma_mu^4) of a few "
                             f"angles outweigh the rest ~1e12-fold")
-    (a, b, c), _, _, normal_inv, _, sse = fit
-    r = math.hypot(b, c)
-    if r <= _ZERO_CONTRAST * abs(a):
-        return FitResult(np.array([math.sqrt(a), 0.0, math.sqrt(0.5)]),
-                         np.full((3, 3), np.nan), math.sqrt(sse), 0, False,
-                         "unidentifiable: flat visibility curve (eps1 = eps2), "
-                         "theta0 is undefined")
+    coef, _, _, normal_inv, _, sse = fit
+    cov = (normal_inv + normal_inv.T) * (sse * (0.5 / _dof(1, theta.size, False)))
+    flat = _contrast(*coef)[1]
+    return FitResult(coef, cov, math.sqrt(sse), 0, not flat, "unidentifiable: flat visibility "
+                     "curve (eps1 = eps2), theta0 is undefined" if flat else "")
 
-    # the slopes of mu_max and u in (A, B, C), taken at the clipped u; a + r > 0:
-    # the fitted curve's weighted mean is that of mu^2, not all zero
+
+def visibility_curve_params(
+        result: FitResult) -> Tuple[VisibilityCurveParams, VisibilityCurveParams]:
+    """The values and standard errors of (mu_max, theta0, eps1, eps2) of a
+    fit_visibility_curve result.
+
+    With R = hypot(B, C), mu_max^2 = A + R and u = 2R / (A + R), clipped to
+    [0, 1], and eps1 = sqrt((1 + sqrt u) / 2), so eps1 >= eps2 = sqrt(1 -
+    eps1^2).  theta0 = atan2(-C, -B) / 4 is reported in [0, pi/2), the period
+    to which the curve identifies it.  Errors are by the delta method at the
+    clipped u; eps2's is NaN where eps2 = 0, as at u = 1, since its slope is
+    infinite there.  A flat curve (R at or below _ZERO_CONTRAST |A|) reads
+    mu_max = sqrt(A), theta0 = 0 and eps1 = eps2, with NaN errors.
+    """
+    a, b, c = result.params.tolist()
+    r, flat = math.hypot(b, c), _contrast(a, b, c)[1]
+    # a + r > 0: the fitted curve's weighted mean is that of mu^2, not all zero
+    u = 0.0 if flat else min(2.0 * r / (a + r), 1.0)
+    eps1 = math.sqrt(0.5 * (1.0 + math.sqrt(u)))
+    eps2 = math.sqrt(max(0.0, 1.0 - eps1 ** 2))
+    if flat:
+        return (VisibilityCurveParams(math.sqrt(a), 0.0, eps1, eps2),
+                VisibilityCurveParams(*[math.nan] * 4))
+    # the slopes of mu_max and u in (A, B, C), taken at the clipped u
     r_abc = np.array([0.0, b / r, c / r])  # dR/d(A, B, C)
     a_abc = np.array([1.0, 0.0, 0.0])  # dA/d(A, B, C)
     mu_max = math.sqrt(a + r)
-    u = min(2.0 * r / (a + r), 1.0)
     du = (-u * a_abc + (2.0 - u) * r_abc) / (a + r)
     dmu = (a_abc + r_abc) / (2.0 * mu_max)
-    eps1 = math.sqrt(0.5 * (1.0 + math.sqrt(u)))
     jac = np.array([dmu,
                     [0.0, -c / (4.0 * r * r), b / (4.0 * r * r)],
                     du / (8.0 * eps1 * math.sqrt(u))])
-    cov = jac @ normal_inv @ jac.T * (sse / _dof(1, theta.size, False))
-    return FitResult(np.array([mu_max, (math.atan2(-c, -b) / 4.0) % (math.pi / 2.0), eps1]),
-                     0.5 * (cov + cov.T), math.sqrt(sse), 0, True)
-
-
-def visibility_curve_params(result: FitResult) -> VisibilityCurveParams:
-    """View a fit_visibility_curve result as VisibilityCurveParams."""
-    mu_max, theta0, eps1 = result.params
-    return VisibilityCurveParams(float(mu_max), float(theta0), float(eps1))
+    var = (jac @ result.covariance * jac).sum(axis=1).tolist()
+    # eps2 = sqrt(1 - eps1^2) moves by -eps1 / eps2 per unit eps1
+    var.append(var[2] * (eps1 / eps2) ** 2 if eps2 > 0.0 else math.nan)
+    theta0 = (math.atan2(-c, -b) / 4.0) % (math.pi / 2.0)
+    return (VisibilityCurveParams(mu_max, theta0, eps1, eps2),
+            VisibilityCurveParams(*_stderr(np.array(var)).tolist()))

@@ -18,7 +18,8 @@ import pytest
 
 from twinfringe.config import default_config, entangled_sweep_config
 from twinfringe.detection import expected_scan
-from twinfringe.fitting import FringeModelParams, fit_fringe, fringe_model, fringe_params
+from twinfringe.fitting import (FringeModelParams, fit_fringe, fringe_model, fringe_params,
+                                visibility_curve_params)
 from twinfringe.pipeline import FIG5_TRUTH, reproduce_fig5, simulate_scan
 from twinfringe.polarization import PolarizationAngle, PumpState
 from twinfringe.spdc import build_two_photon_state, predicted_visibility_with_analyzers
@@ -36,19 +37,24 @@ def assert_calibrated(z):
 
 @pytest.fixture(scope="module")
 def fig5_fits():
-    return [reproduce_fig5(seed=seed).fit for seed in range(2000, 2200)]
+    """The (values, errors) views of 200 fig5 visibility-curve fits."""
+    return [visibility_curve_params(reproduce_fig5(seed=seed).fit)
+            for seed in range(2000, 2200)]
 
 
 def test_fig5_eps1(fig5_fits):
-    # eps2 follows from eps1 by normalization, so this also covers eps2
-    assert_calibrated([(f.params[2] - FIG5_EPS1) / f.stderr[2] for f in fig5_fits])
+    assert_calibrated([(p.eps1 - FIG5_EPS1) / se.eps1 for p, se in fig5_fits])
+
+
+def test_fig5_eps2(fig5_fits):
+    assert_calibrated([(p.eps2 - FIG5_TRUTH["eps2"]) / se.eps2 for p, se in fig5_fits])
 
 
 def test_fig5_theta0(fig5_fits):
     # theta0 is identified modulo pi/2: take the signed distance to the truth
     quarter = math.pi / 4.0
-    assert_calibrated([((f.params[1] - FIG5_TRUTH["theta0"] + quarter) % (2.0 * quarter)
-                        - quarter) / f.stderr[1] for f in fig5_fits])
+    assert_calibrated([((p.theta0 - FIG5_TRUTH["theta0"] + quarter) % (2.0 * quarter)
+                        - quarter) / se.theta0 for p, se in fig5_fits])
 
 
 @pytest.mark.parametrize("peak_rate", [5.0, 100.0])  # ~50 and ~1000 counts per peak
@@ -57,8 +63,8 @@ def test_fringe_period(peak_rate):
     config = dataclasses.replace(config, scan=dataclasses.replace(config.scan,
                                                                   peak_rate=peak_rate))
     period = config.geometry.fringe_period
-    fits = [fit_fringe(simulate_scan(config, seed)) for seed in range(300)]
-    assert_calibrated([(f.params[3] - period) / f.stderr[3] for f in fits])
+    fits = [fringe_params(fit_fringe(simulate_scan(config, seed))) for seed in range(300)]
+    assert_calibrated([(p.period - period) / se.period for p, se in fits])
 
 
 def test_few_low_count_fits_end_off_the_period():

@@ -774,6 +774,11 @@ class TestCliSweepAndFit:
         ("position", 1e-100, "positions"),
         ("position", 1e-200, "positions"),
         ("position", 1e-310, "positions"),
+        # at the bottom wavenumber k = 2 pi / span, (2 pi / k^2)^2 overflows:
+        # spans above ~2.9e77 m, 61 points more than ~4.8e75 m apart
+        ("position", 4.9e75, "positions"),
+        ("position", 1e100, "positions"),
+        ("position", 1.6e306, "positions"),
         # positions from about -1e308 to 1e308, whose span overflows to inf
         ("centred position", 3.3e306, "positions"),
         # a pinned fit whose sin column squares to zero: the linear solve is
@@ -797,7 +802,7 @@ class TestCliSweepAndFit:
 
     @pytest.mark.parametrize("column, value", [
         ("integration_time", 10.0), ("integration_time", 1e-150), ("expected_rate", 1e150),
-        ("position", 1e-70)])
+        ("position", 1e-70), ("position", 4.8e75)])
     def test_in_range_scan_fits(self, tmp_path, column, value):
         code, err, caught = self.fit_edited_scan(tmp_path, column, value)
         report = json.loads((tmp_path / "r.json").read_text())
@@ -885,6 +890,20 @@ class TestCliSweepAndFit:
         report = json.loads(text, parse_constant=reject)
         assert report["stderr"]["mu"] is None
         assert math.isfinite(report["stderr"]["c0"])
+
+    @pytest.mark.parametrize("model", ["fringe", "viscurve"])
+    def test_fit_report_gives_every_value_its_error(self, tmp_path, model):
+        # the seed-3 default scan, or the seed-0 fig5 sweep, which is not
+        # clipped at eps1 = 1: each reported value has a finite, positive error
+        data, out = tmp_path / "data.csv", tmp_path / "r.json"
+        if model == "fringe":
+            write_scan_csv(simulate_scan(default_config(), 3), str(data))
+        else:
+            write_sweep_csv(reproduce_fig5(seed=0).points, str(data))
+        assert main(["fit", str(data), "--model", model, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["stderr"].keys() == report["params"].keys()
+        assert all(math.isfinite(v) and v > 0.0 for v in report["stderr"].values())
 
     def test_flat_sweep_viscurve_fit_exits_4(self, tmp_path):
         sweep = tmp_path / "flat.csv"

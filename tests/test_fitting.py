@@ -41,9 +41,12 @@ class TestFringeModel:
 
 class TestFitResult:
     def test_negative_or_non_finite_variance_reads_nan(self):
-        fit = FitResult(np.zeros(4), np.diag([4.0, -1e-12, np.inf, np.nan]), 0.0, 0, True)
-        assert fit.stderr[0] == 2.0
-        assert np.all(np.isnan(fit.stderr[1:]))
+        for variance in (-1e-12, math.inf, math.nan):
+            fit = FitResult(np.array([1.0, 0.5, 0.0, 1e-3]),
+                            np.diag([4.0, 1.0, 1.0, variance]), 0.0, 0, True)
+            errors = fringe_params(fit)[1]
+            assert errors.c0 == 2.0
+            assert math.isnan(errors.period)
 
 
 def make_noiseless_scan(params, n=61, span=12e-3):
@@ -312,7 +315,7 @@ class TestFitFringe:
         k = 2.0 * math.pi / fringe_params(fit)[0].period
         assert not fit.converged
         assert "wavenumbers the scan resolves" in fit.message
-        assert np.all(fit.stderr != 0.0)
+        assert all(error != 0.0 for error in dataclasses.astuple(fringe_params(fit)[1]))
         assert 2.0 * math.pi / span * (1 - 1e-12) <= k
         assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
 
@@ -994,13 +997,10 @@ class TestFixedPointStop:
                 patch.setattr(fitting, "_SIGMA_TOL", 0.0)
                 reference = fit_fringe(scan)
             assert fit.converged and reference.converged
-            params, ref = np.atleast_2d(fit.params), np.atleast_2d(reference.params)
-            stderr = np.atleast_2d(fit.stderr)
-            period_error = math.sqrt(np.mean(stderr[:, 3] ** 2))
-            assert np.all(np.abs(params[:, 3] - ref[:, 3]) <= 0.01 * period_error)
-            values, errors = fringe_params(fit)
-            assert np.all(np.abs(values.mu - fringe_params(reference)[0].mu)
-                          <= mu_bound * errors.mu)
+            (values, errors), ref = fringe_params(fit), fringe_params(reference)[0]
+            period_error = math.sqrt(np.mean(np.square(errors.period)))
+            assert np.all(np.abs(values.period - ref.period) <= 0.01 * period_error)
+            assert np.all(np.abs(values.mu - ref.mu) <= mu_bound * errors.mu)
 
     def test_the_stop_keeps_every_fig5_verdict(self, monkeypatch):
         def verdicts():
@@ -1035,7 +1035,7 @@ class TestFitVisibilityCurve:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             fit = fit_visibility_curve(synthetic_curve(rng))
-            p = visibility_curve_params(fit)
+            p, _ = visibility_curve_params(fit)
             d_theta = min((p.theta0 - math.pi) % (math.pi / 2),
                           (math.pi / 2) - (p.theta0 - math.pi) % (math.pi / 2))
             if (fit.converged and abs(p.eps2 - EPS2) < 0.03
@@ -1047,7 +1047,7 @@ class TestFitVisibilityCurve:
         rng = np.random.default_rng(3)
         points = synthetic_curve(rng, eps2=0.0, noise=0.005)
         fit = fit_visibility_curve(points)
-        p = visibility_curve_params(fit)
+        p, _ = visibility_curve_params(fit)
         assert chain_curve(p.theta0, p.mu_max, p.theta0, p.eps2)[0] == pytest.approx(
             0.0, abs=0.02)
 
@@ -1062,7 +1062,10 @@ class TestFitVisibilityCurve:
         fit = fit_visibility_curve(points)
         assert not fit.converged
         assert "unidentifiable" in fit.message
-        assert np.all(np.isnan(fit.stderr))
+        p, se = visibility_curve_params(fit)
+        assert p.theta0 == 0.0 and p.eps1 == math.sqrt(0.5)
+        assert p.eps2 == pytest.approx(p.eps1, rel=1e-15)
+        assert all(map(math.isnan, dataclasses.astuple(se)))
 
     def test_too_few_points(self):
         with pytest.raises(IllPosedError):
@@ -1076,7 +1079,7 @@ class TestFitVisibilityCurve:
     def test_eps_branch_folded(self):
         rng = np.random.default_rng(9)
         fit = fit_visibility_curve(synthetic_curve(rng))
-        p = visibility_curve_params(fit)
+        p, _ = visibility_curve_params(fit)
         assert p.eps1 >= p.eps2
 
     def test_noise_free_curves_recovered(self):
@@ -1087,11 +1090,11 @@ class TestFitVisibilityCurve:
         for _ in range(200):
             eps2 = rng.uniform(0.05, 0.65)
             truth = VisibilityCurveParams(rng.uniform(0.1, 1.0), rng.uniform(0.0, math.pi),
-                                          math.sqrt(1.0 - eps2 ** 2))
+                                          math.sqrt(1.0 - eps2 ** 2), eps2)
             points = np.column_stack((theta, chain_curve(theta, truth.mu_max, truth.theta0,
                                                          eps2), np.full(19, 0.01)))
             fit = fit_visibility_curve(points)
-            p = visibility_curve_params(fit)
+            p, _ = visibility_curve_params(fit)
             assert fit.converged and fit.iterations == 0
             assert 0.0 <= p.theta0 < math.pi / 2
             assert abs(p.mu_max - truth.mu_max) <= 1e-10
@@ -1107,7 +1110,7 @@ class TestFitVisibilityCurve:
         assert rows.converged
         fit = fit_visibility_curve(np.column_stack(
             (pipeline._FIG5_DIAL, fringe_params(rows)[0].mu, np.full(len(stack), 0.01))))
-        p = visibility_curve_params(fit)
+        p, _ = visibility_curve_params(fit)
         truth = pipeline.FIG5_TRUTH
         assert fit.converged
         assert abs(p.mu_max - truth["mu_max"]) <= 1e-12
@@ -1116,12 +1119,22 @@ class TestFitVisibilityCurve:
 
     @staticmethod
     def closed_form(coef):
-        """(mu_max, theta0, eps1) from mu^2 = A + B cos 4 theta + C sin 4 theta."""
+        """(mu_max, theta0, eps1, eps2) from mu^2 = A + B cos 4 theta + C sin 4 theta,
+        unclipped: u = 2R / (A + R) below 1."""
         a, b, c = coef
         r = math.hypot(b, c)
         mu_max_sq, u = a + r, 2.0 * r / (a + r)
         return np.array([math.sqrt(mu_max_sq), (math.atan2(-c, -b) / 4.0) % (math.pi / 2),
-                         math.sqrt((1.0 + math.sqrt(u)) / 2.0)])
+                         math.sqrt((1.0 + math.sqrt(u)) / 2.0),
+                         math.sqrt((1.0 - math.sqrt(u)) / 2.0)])
+
+    @classmethod
+    def referee_errors(cls, coef, cov):
+        """The delta-method errors of closed_form at coef, by a central
+        finite-difference Jacobian in (A, B, C) applied to their covariance."""
+        jac = np.column_stack([(cls.closed_form(coef + h) - cls.closed_form(coef - h)) / 2e-7
+                               for h in 1e-7 * np.eye(3)])
+        return np.sqrt(np.diag(jac @ cov @ jac.T))
 
     def test_weighted_normal_equations_on_mu_squared(self):
         rng = np.random.default_rng(21)
@@ -1130,13 +1143,30 @@ class TestFitVisibilityCurve:
         normal = design.T @ (w[:, None] * design)
         coef = np.linalg.solve(normal, design.T @ (w * mu ** 2))
         resid = mu ** 2 - design @ coef
-        jac = np.column_stack([(self.closed_form(coef + h) - self.closed_form(coef - h)) / 2e-7
-                               for h in 1e-7 * np.eye(3)])
-        cov = jac @ np.linalg.inv(normal) @ jac.T * referee_scale(resid, w, 1, False)
+        cov = np.linalg.inv(normal) * referee_scale(resid, w, 1, False)
         fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
         assert fit.converged
-        assert np.allclose(fit.params, self.closed_form(coef), rtol=1e-12, atol=0.0)
-        assert np.allclose(fit.covariance, cov, rtol=1e-6, atol=1e-9 * np.abs(cov).max())
+        assert np.allclose(fit.params, coef, rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.covariance, cov, rtol=1e-9, atol=0.0)
+        values, errors = visibility_curve_params(fit)
+        assert np.allclose(dataclasses.astuple(values), self.closed_form(coef),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(dataclasses.astuple(errors), self.referee_errors(coef, cov),
+                           rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_errors_are_the_delta_method_of_the_covariance(self, seed):
+        # fig5 sweeps, none clipped at eps1 = 1: every error, eps2's included,
+        # is the finite-difference Jacobian of the closed form carried through
+        # the fit's own covariance of (A, B, C)
+        fit = reproduce_fig5(seed=seed).fit
+        values, errors = visibility_curve_params(fit)
+        assert fit.converged and values.eps2 > 0.0
+        assert np.allclose(dataclasses.astuple(values), self.closed_form(fit.params),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(dataclasses.astuple(errors),
+                           self.referee_errors(fit.params, fit.covariance),
+                           rtol=1e-6, atol=0.0)
 
     def test_linear_pump_clips_to_eps1_one_with_finite_error(self):
         # a linear-pump curve with 2% deeper flanks fits A < R, so u clips at 1
@@ -1147,10 +1177,12 @@ class TestFitVisibilityCurve:
         sigma = np.full(19, 0.01)
         sigma[9] = 0.0
         fit = fit_visibility_curve(list(zip(theta, mu, sigma)))
-        p = visibility_curve_params(fit)
+        p, se = visibility_curve_params(fit)
         assert fit.converged
-        assert p.eps1 == 1.0
-        assert 0.0 < fit.stderr[2] < np.inf
+        assert p.eps1 == 1.0 and p.eps2 == 0.0
+        assert 0.0 < se.eps1 < np.inf
+        # eps2 = sqrt(1 - eps1^2) has an infinite slope at eps1 = 1
+        assert math.isnan(se.eps2)
         assert theta0_distance(p.theta0, theta0) < 1e-3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1234,7 +1266,7 @@ class TestFitVisibilityCurve:
         points = np.column_stack((theta, chain_curve(theta, 0.77, 0.4, 0.3), np.full(4, 0.01)))
         assert self.referee_fits(points)
         fit = fit_visibility_curve(points)
-        p = visibility_curve_params(fit)
+        p, _ = visibility_curve_params(fit)
         assert fit.converged
         assert p.mu_max == pytest.approx(0.77, rel=1e-12)
         assert theta0_distance(p.theta0, 0.4) <= 1e-12

@@ -153,6 +153,22 @@ class TestFig5:
         assert abs(result.eps2 - FIG5_TRUTH["eps2"]) < 0.03
         assert theta0_distance(result.theta0, FIG5_TRUTH["theta0"]) < 0.1
 
+    def test_an_unconverged_stacked_fit_fails_the_verdict(self, monkeypatch):
+        # the stacked fringe fit as it is, but reported unconverged: every row
+        # keeps its mu and sigma_mu, so every check and the curve fit still
+        # pass, and the unconverged rows alone fail the verdict
+        def unconverged(scan):
+            fit = fit_fringe(scan)
+            fit.converged, fit.message = False, "iteration limit reached"
+            return fit
+
+        assert reproduce_fig5(seed=0).passed
+        monkeypatch.setattr(pipeline, "fit_fringe", unconverged)
+        result = reproduce_fig5(seed=0)
+        assert all(result.checks.values()) and result.fit.converged
+        assert not result.points.converged.any()
+        assert result.passed is False
+
     def test_one_estimator_takes_no_variant(self):
         # one closed-form visibility-curve fit: no variant to select, and the
         # reported fit is that estimator on the reported sweep, bit for bit
@@ -166,14 +182,14 @@ class TestFig5:
         with pytest.raises(TypeError, match="variant"):
             visibility_curve_params(result.fit, variant="derived")
         with pytest.raises(TypeError, match="variant"):
-            VisibilityCurveParams(0.77, 0.0, 0.9, variant="derived")
+            VisibilityCurveParams(0.77, 0.0, 0.9, 0.44, variant="derived")
         assert [f.name for f in dataclasses.fields(VisibilityCurveParams)] == [
-            "mu_max", "theta0", "eps1"]
+            "mu_max", "theta0", "eps1", "eps2"]
         refit = fit_visibility_curve(rows)
         assert refit.params.tobytes() == result.fit.params.tobytes()
-        params = visibility_curve_params(refit)
-        assert (params.mu_max, params.theta0, params.eps1) == (
-            result.mu_max, result.theta0, result.eps1)
+        params, _ = visibility_curve_params(refit)
+        assert dataclasses.astuple(params) == (
+            result.mu_max, result.theta0, result.eps1, result.eps2)
 
 
 def scalar_simulate(config, pumps, seed):
@@ -302,7 +318,7 @@ def point_values(sweep):
 def fig5_values(result):
     return point_values(result.points) + np.array(
         [result.mu_max, result.theta0, result.eps1, result.eps2, result.passed]).tobytes() \
-        + result.fit.params.tobytes() + result.fit.stderr.tobytes()
+        + result.fit.params.tobytes() + result.fit.covariance.tobytes()
 
 
 def count_rate_calls(monkeypatch):
