@@ -411,9 +411,11 @@ def fit_fringe(scan, fix_period: Optional[float] = None,
     its block of the inverse of the joint (3m + 1) weighted normal matrix in
     (c0, a, b per row; k), by the Schur complement on k, with k carried to the
     period, and scaled by that row's SSE over its share of the stack's _dof,
-    _dof / m (at least 1).  A pinned period has a zero row and column, and so
-    does the period of a free fit whose rows all have zero contrast; a
-    counting row of zero counts has a NaN covariance.
+    _dof / m, or over 1 where that share is 0; a share below 1 stands, so a
+    free stack of two 4-point rows scales each by SSE / 0.5.  A pinned period
+    has a zero row and column, and so does the period of a free fit whose
+    rows all have zero contrast; a counting row of zero counts has a NaN
+    covariance.
 
     Returns params (m, 4) and covariance (m, 4, 4) for a stack, (4,) and
     (4, 4) for one scan; iterations, converged and message describe the

@@ -54,15 +54,22 @@ def make_noiseless_scan(params, n=61, span=12e-3):
     return list(zip(x, fringe_model(x, params)))
 
 
-# The fringe fit's estimator as every referee below states it, Neyman
-# chi-square: a counting bin weighs the inverse of its count, floored at one
-# count, and a row's covariance is scaled by its weighted SSE over its share of
-# the stack's degrees of freedom (the visibility-curve referee takes the same
-# scale).  Nothing here comes from twinfringe.fitting, so that the referees
-# check the fit rather than restate it.
+# The fringe fit's estimator, stated once for every referee below.  It is
+# Neyman chi-square: a counting bin weighs the inverse of its count, floored
+# at one count, and a row's covariance is scaled by its weighted SSE over its
+# share of the stack's degrees of freedom (the visibility-curve referee takes
+# the same scale).  Each referee of a counting fit takes its weights from
+# referee_weights at the model of the fit's reported (c0, a, b, period),
+# referee_model, and checks what holds whatever the weight rule: the reported
+# coefficients and covariance solve the weighted normal equations at the
+# weights the fit used.  A rule that reads the model, such as the Poisson
+# likelihood's 1 / model, then changes referee_weights alone.  Nothing here
+# comes from twinfringe.fitting, so that the referees check the fit rather
+# than restate it.
 
-def referee_weights(counts):
-    """The weight of each counting bin: 1 / max(counts, 1)."""
+def referee_weights(counts, model):
+    """The weight of each counting bin at the fitted model counts: 1 /
+    max(counts, 1), which does not read the model."""
     return 1.0 / np.maximum(np.asarray(counts, dtype=float), 1.0)
 
 
@@ -78,13 +85,26 @@ def referee_scale(resid, w, m, free):
     return (w * resid * resid).sum(axis=-1) / referee_dof(np.shape(resid)[-1], m, free)
 
 
-def referee_solve(x, t, y, k):
-    """(c0, a, b) of t (c0 + a cos kx + b sin kx) on the counts y of one scan,
-    by the weighted normal equations; with the (n, 3) design, the weights and
-    the residuals."""
-    design = t[:, None] * np.column_stack((np.ones_like(x), np.cos(k * x), np.sin(k * x)))
+def referee_design(x, t, k):
+    """The (n, 3) design t [1, cos kx, sin kx] of t (c0 + a cos kx + b sin kx)."""
+    return t[:, None] * np.column_stack((np.ones_like(x), np.cos(k * x), np.sin(k * x)))
+
+
+def referee_model(x, t, params):
+    """A row's model counts t (c0 + a cos kx + b sin kx) at a fit's reported
+    (c0, a, b, period), with k = 2 pi / period."""
+    c0, a, b, period = params
+    return referee_design(x, t, 2.0 * math.pi / period) @ np.array([c0, a, b])
+
+
+def referee_solve(x, t, y, params):
+    """(c0, a, b) that solve the weighted normal equations of the counts y of
+    one scan at the period of a fit's reported params, with the weights
+    referee_weights gives at their model; with the (n, 3) design, the weights
+    and the residuals of the solution."""
+    design = referee_design(x, t, 2.0 * math.pi / params[3])
     y = np.asarray(y, dtype=float)
-    w = referee_weights(y)
+    w = referee_weights(y, referee_model(x, t, params))
     coef = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * y))
     return coef, design, w, y - design @ coef
 
@@ -184,29 +204,30 @@ class TestFitFringe:
             fit_fringe([(0.0, 1.0), (0.0, 2.0), (0.0, 1.5), (0.0, 1.2)])
 
     @staticmethod
-    def counting_covariance(records, c0, a, b, period, free):
-        """Gauss-Newton covariance of (c0, a, b[, period]) at the given
-        parameters, from the model's analytic Jacobian in counts space."""
+    def counting_covariance(records, params, free):
+        """Gauss-Newton covariance of (c0, a, b[, period]) at a fit's reported
+        params, from the model's analytic Jacobian in counts space, with the
+        weights referee_weights gives at their model."""
         x = np.array([r.position for r in records])
         y = np.array([r.counts for r in records], dtype=float)
         t = np.array([r.integration_time for r in records])
-        w = referee_weights(y)
+        _, a, b, period = params
+        model = referee_model(x, t, params)
+        w = referee_weights(y, model)
         phase = 2.0 * np.pi * x / period
         cols = [np.ones_like(x), np.cos(phase), np.sin(phase)]
         if free:
             cols.append((a * np.sin(phase) - b * np.cos(phase)) * 2.0 * np.pi * x / period ** 2)
         jac = t[:, None] * np.column_stack(cols)
-        resid = y - t * (c0 + a * np.cos(phase) + b * np.sin(phase))
-        return np.linalg.inv(jac.T @ (w[:, None] * jac)) * referee_scale(resid, w, 1, free)
+        return np.linalg.inv(jac.T @ (w[:, None] * jac)) * referee_scale(y - model, w, 1, free)
 
     def test_pinned_period_equals_weighted_normal_equations(self):
         truth = FringeModelParams(c0=54.9, mu=0.82, period=5e-3, psi=0.3)
         x = np.linspace(-6e-3, 6e-3, 61)
         records = sample_counts(list(zip(x, fringe_model(x, truth))), 10.0, seed=11)
         fit = fit_fringe(records, fix_period=5e-3)
-        c0, a, b = referee_solve(x, records.integration_time, records.counts,
-                                 2.0 * np.pi / 5e-3)[0]
-        cov = self.counting_covariance(records, c0, a, b, 5e-3, free=False)
+        c0, a, b = referee_solve(x, records.integration_time, records.counts, fit.params)[0]
+        cov = self.counting_covariance(records, fit.params, free=False)
         assert fit.converged
         assert fit.params[3] == 5e-3
         assert np.allclose(fit.params[:3], [c0, a, b], rtol=1e-12, atol=0.0)
@@ -223,7 +244,7 @@ class TestFitFringe:
             assert free.converged and pinned.converged
             assert np.allclose(free.params[:3], pinned.params[:3],
                                rtol=1e-8, atol=1e-10)
-            cov = self.counting_covariance(records, *free.params, free=True)
+            cov = self.counting_covariance(records, free.params, free=True)
             assert np.allclose(free.covariance, cov, rtol=1e-7, atol=0.0)
 
     @pytest.mark.parametrize("fix_period", [None, 5e-3])
@@ -242,11 +263,11 @@ class TestFitFringe:
                 continue
             checked += 1
             c0, a, b = referee_solve(scan.position, scan.integration_time, scan.counts,
-                                     2.0 * math.pi / fit.params[3])[0]
+                                     fit.params)[0]
             assert np.allclose(fit.params[:3], [c0, a, b], rtol=1e-8, atol=1e-10)
             free = fix_period is None
             size = 4 if free else 3
-            cov = self.counting_covariance(scan, *fit.params, free=free)
+            cov = self.counting_covariance(scan, fit.params, free=free)
             assert np.allclose(fit.covariance[:size, :size], cov, rtol=1e-7, atol=0.0)
         assert checked >= 8
 
@@ -320,25 +341,28 @@ class TestFitFringe:
         assert k <= math.pi * (len(scan) - 1) / span * (1 + 1e-12)
 
 
-def joint_covariance(scans, coef, k, free=True, sse=None):
+def joint_covariance(scans, params, free=True, sse=None):
     """Brute force: per-row blocks of the inverse of the full weighted normal
-    matrix in (c0, a, b per row; k if free), each scaled by the row's
-    referee_scale, as 4 x 4 blocks in (c0, a, b, period) with k carried to
-    the period 2 pi / k, and a zero period row and column when pinned.  scans
-    is an (m, n) counting stack, or an (m, n, 2) stack of (position, rate)
-    rows with unit weights and times; a counting row of zero counts carries
-    no information, and its block is NaN.  sse, the rows' weighted SSE, takes
-    the place of the referee's own: on noise-free and flat rows the residuals
-    are rounding, which no two solves share."""
+    matrix in (c0, a, b per row; k if free) at a fit's reported (m, 4)
+    params, each scaled by the row's referee_scale, as 4 x 4 blocks in (c0,
+    a, b, period) with k carried to the period 2 pi / k, and a zero period
+    row and column when pinned.  scans is an (m, n) counting stack, weighted
+    by referee_weights at each row's model, or an (m, n, 2) stack of
+    (position, rate) rows with unit weights and times; a counting row of zero
+    counts carries no information, and its block is NaN.  sse, the rows'
+    weighted SSE, takes the place of the referee's own: on noise-free and
+    flat rows the residuals are rounding, which no two solves share."""
+    coef, k = params[:, :3], 2.0 * math.pi / params[0, 3]
     if scans.dtype.names:
         x, t = scans.position[0], scans.integration_time[0]
         y = scans.counts.astype(float)
-        w = referee_weights(y)
+        w = np.array([referee_weights(row, referee_model(x, t, p))
+                      for row, p in zip(y, params)])
     else:
         x, y = scans[0, :, 0], scans[..., 1]
         t, w = np.ones_like(x), np.ones_like(y)
     m, n = y.shape
-    design = np.column_stack((t, t * np.cos(k * x), t * np.sin(k * x)))
+    design = referee_design(x, t, k)
     jac = np.zeros((m * n, 3 * m + free))
     for i, (c0, a, b) in enumerate(coef):
         rows = slice(i * n, (i + 1) * n)
@@ -618,9 +642,7 @@ class TestFitSharedPeriod:
             assert (shared.iterations, shared.converged, shared.message) == \
                    (free.iterations, free.converged, free.message)
             if free.converged:  # the Schur blocks are the 4 x 4 [design, jk] inverse
-                k = 2.0 * math.pi / free.params[3]
-                coef = referee_solve(scan.position, scan.integration_time, scan.counts, k)[0]
-                want = joint_covariance(scan[None], coef[None], k)[0]
+                want = joint_covariance(scan[None], free.params[None])[0]
                 # each entry against its correlation's scale, sqrt(C_ii C_jj): an
                 # entry near zero, such as (b, period) at ~1e-6 of that scale,
                 # is a cancellation, whose relative error the two solves do
@@ -660,8 +682,7 @@ class TestFitSharedPeriod:
         scans = sweep_scans([0.3, 1.1, 2.0])
         fit = fit_fringe(scans, fix_period=fix_period)
         assert fit.converged
-        k = 2.0 * math.pi / fit.params[0, 3]
-        blocks = joint_covariance(scans, fit.params[:, :3], k, free=fix_period is None)
+        blocks = joint_covariance(scans, fit.params, free=fix_period is None)
         assert np.allclose(fit.covariance, blocks, rtol=1e-10, atol=0.0)
 
     def test_flat_row_keeps_the_other_rows(self):
@@ -683,9 +704,10 @@ class TestFitSharedPeriod:
 
 class TestNormalEquationsFixedPoint:
     """At its reported wavenumber, each row's fitted (c0, a, b) solve that
-    row's weighted normal equations D'W (y - D coef) = 0, with W the referee's
-    weights.  The property defines the estimator's linear part whatever the
-    weights are, and holds for a free period and a pinned one alike."""
+    row's weighted normal equations D'W (y - D coef) = 0, with W the weights
+    referee_weights gives at the row's fitted model.  The property defines
+    the estimator's linear part whatever the weights are, and holds for a
+    free period and a pinned one alike."""
 
     @pytest.mark.parametrize("fix_period", [None, 5e-3])
     @pytest.mark.parametrize("kind", ["one scan", "stack"])
@@ -697,12 +719,10 @@ class TestNormalEquationsFixedPoint:
             scan = scans = sweep_scans([0.3, 1.1, 2.0])
         fit = fit_fringe(scan, fix_period=fix_period)
         assert fit.converged
-        params = np.atleast_2d(fit.params)
-        k = 2.0 * math.pi / params[0, 3]
         x, t = scans.position[0], scans.integration_time[0]
-        for y, coef in zip(scans.counts, params[:, :3]):
-            _, design, w, _ = referee_solve(x, t, y, k)
-            gradient = design.T @ (w * (y - design @ coef))
+        for y, row in zip(scans.counts, np.atleast_2d(fit.params)):
+            _, design, w, _ = referee_solve(x, t, y, row)
+            gradient = design.T @ (w * (y - design @ row[:3]))
             assert np.all(np.abs(gradient) <= 1e-10 * (np.abs(design).T @ (w * y)))
 
 
@@ -758,8 +778,7 @@ class TestArrayDeltaMethod:
             stack = scan[None] if fit.params.ndim == 1 else scan
             rounding = case in self.ROUNDING
             sse = np.atleast_1d(fit.residual_norm) ** 2 if rounding else None
-            want = joint_covariance(stack, params[:, :3], 2.0 * math.pi / params[0, 3],
-                                    free=fix_period is None, sse=sse)
+            want = joint_covariance(stack, params, free=fix_period is None, sse=sse)
             assert np.array_equal(np.isnan(cov), np.isnan(want))
             sd = np.sqrt(np.diagonal(want, axis1=-2, axis2=-1))
             floor = 1e-13 * sd[:, :, None] * sd[:, None, :] if rounding else 0.0
@@ -864,12 +883,11 @@ class TestIdentifiability:
                 scan = scan.copy()
                 scan.position = np.arange(len(scan)) * 1e-12
                 k = 2.0 * math.pi / 1e-3
-            scans = np.atleast_1d(scan).reshape(-1, scan.shape[-1])
-            frobenius, two_norm = np.array([
-                referee_rcond(*referee_solve(scans.position[0], scans.integration_time[0],
-                                             y, k)[1:3])
-                for y in scans.counts]).min(axis=0)
+            # the weights the fit starts from, in both: the test is of the
+            # condition number, whatever the estimator's weights
             x, y, w, t = fitting._scan_columns(scan, 3)[:4]
+            frobenius, two_norm = np.array([referee_rcond(referee_design(x, t, k), row)
+                                            for row in w]).min(axis=0)
             with np.errstate(all="ignore"):
                 got = fitting._rcond(fitting._linear_fit(k, x, y, w, t))
         if case not in ("top period", "packed"):
